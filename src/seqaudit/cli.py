@@ -2,7 +2,9 @@
 and benchmark betting against permutation-test protocols.
 
 Exit codes: 0 = ran to stream end without rejecting, 1 = rejected,
-2 = usage or validation error.  All randomness flows from --seed.
+2 = usage or validation error.  Python also exits with 1 on an uncaught
+exception, so callers should read the report's decision, not the code
+alone.  All randomness flows from --seed.
 """
 from __future__ import annotations
 
@@ -11,7 +13,9 @@ import json
 import sys
 from dataclasses import replace
 
-from . import baselines, ingest, simulate
+import numpy as np
+
+from . import baselines, ingest, payoffs, simulate
 from .core import (
     AuditConfig,
     AuditError,
@@ -22,7 +26,7 @@ from .core import (
     Simple,
     strategy_tag,
 )
-from .engine import run_stream
+from .engine import run_args, run_stream
 
 EXIT_NO_REJECT = 0
 EXIT_REJECT = 1
@@ -269,6 +273,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for i in range(args.replicates)
     ]
 
+    # Betting replays each stream's simple-payoff arguments, one row per
+    # step; the streams bring group 0 then group 1 at every step.
+    def betting_args(stream):
+        return payoffs.simple_args(np.array([r.y_hat for r in stream]).reshape(-1, 2))
+
+    null_args = [betting_args(s) for s in null_streams]
+    alt_args = [betting_args(s) for s in alt_streams]
+
     rows = []
     for alpha in alphas:
         for method in methods:
@@ -279,10 +291,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     config = AuditConfig(
                         alpha=alpha, strategy=Simple(), seed=simulate.derive_seed(args.seed, i)
                     )
-                    null_report = run_stream(config, null_streams[i], record_trajectory=False)
+                    null_report = run_args(config, [null_args[i]], record_trajectory=False)
                     if null_report.decision.is_rejection:
                         rejected += 1
-                    alt_report = run_stream(config, alt_streams[i], record_trajectory=False)
+                    alt_report = run_args(config, [alt_args[i]], record_trajectory=False)
                     if alt_report.decision.is_rejection:
                         taus.append(2 * alt_report.decision.tau)
                     else:

@@ -362,7 +362,38 @@ def run_stream(
                 _, decision = session_step(session, bundle)
                 if decision.is_terminal:
                     return build_report(session)
-    if config.randomized_final_step:
+    return _end_of_stream(session)
+
+
+def run_args(
+    config: AuditConfig,
+    blocks: Iterable[np.ndarray],
+    record_trajectory: bool = True,
+) -> AuditReport:
+    """Driver over payoff arguments computed ahead: each block is a 2-D
+    float array with one row per step and one column per game, built by the
+    array forms in :mod:`payoffs`, which have already checked them.  Every
+    game advances by the payoff 1 + lam * g, the run stops at the first
+    rejection and ends as :func:`run_stream` does, so both give the same
+    report for the same arguments.  A block is pulled only when the steps
+    before it ran without a terminal decision."""
+    session = session_new(config, record_trajectory=record_trajectory)
+    games = session.games
+    for block in blocks:
+        if block.ndim != 2 or block.shape[1] != len(games):
+            raise ValidationError(
+                f"argument blocks need one column per game ({len(games)}), got shape {block.shape}"
+            )
+        for row in block.tolist():
+            for game, g in zip(games, row):
+                game.apply(1.0 + game.lam * g, g)
+            if _post_step(session).is_terminal:
+                return build_report(session)
+    return _end_of_stream(session)
+
+
+def _end_of_stream(session: AuditSession) -> AuditReport:
+    if session.config.randomized_final_step:
         report, _ = session_finalize(session)
         return report
     return build_report(session)

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
+
+import numpy as np
 
 from .core import (
+    AuditError,
     AuditRecord,
     EstimatedDensity,
     InvariantError,
@@ -181,13 +185,17 @@ def batch_payoff(acc: BatchAccumulator, lam: float) -> tuple[float, float, Batch
 def weight_from_record(record: AuditRecord, estimated: bool = False) -> float:
     """Importance weight of one record: (estimated) density over propensity."""
     rho = record.density_estimate if estimated else record.density
-    label = "density_estimate" if estimated else "density"
     if record.propensity is None or rho is None:
-        raise ValidationError(
-            f"record at t={record.t} group={record.group} lacks propensity or {label} "
-            "required by the weighted payoff"
-        )
+        raise missing_weight_error(record.t, record.group, estimated)
     return rho / record.propensity
+
+
+def missing_weight_error(t: int, group: int, estimated: bool = False) -> ValidationError:
+    """The error of a weighted payoff fed a record without its weight fields."""
+    label = "density_estimate" if estimated else "density"
+    return ValidationError(
+        f"record at t={t} group={group} lacks propensity or {label} required by the weighted payoff"
+    )
 
 
 def propensity_context(rec0: AuditRecord, rec1: AuditRecord, scale: float) -> PropensityContext:
@@ -208,3 +216,86 @@ def estimated_density_context(
         delta_min=strategy.delta_min,
         delta_max=strategy.delta_max,
     )
+
+
+# Array forms of the payoff arguments, for callers holding a block of steps
+# at once.  ``y`` has one row per step and one column per group; the result
+# has one column per game and feeds ``engine.run_args``.  Every form uses the
+# float operations of its scalar payoff in the same order, so the arguments
+# are bit-identical to the record path's.
+
+
+def simple_args(y: np.ndarray) -> np.ndarray:
+    """Arguments y_b - y_{b+1} of the J adjacent-pair games of J+1 groups."""
+    return y[:, :-1] - y[:, 1:]
+
+
+def batched_args(y: np.ndarray) -> np.ndarray:
+    """Batched arguments of a stream that brings one record per group, in
+    group order, at every step: the group-0 record abstains and the group-1
+    record fires on two one-record batches, whose means are the outputs.
+    An abstention is the row g = 0.0: its payoff is exactly 1 and the ONS
+    update it makes leaves the bet and gradient sum bit-identical, as an
+    abstention does."""
+    out = np.zeros((2 * len(y), 1))
+    out[1::2] = simple_args(y)
+    return out
+
+
+def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
+    """Arguments (g_q, g_r) of the upper and lower one-sided games."""
+    return np.column_stack((y[:, 0] - y[:, 1] - epsilon, y[:, 1] - y[:, 0] - epsilon))
+
+
+def propensity_args(
+    y: np.ndarray, w: np.ndarray, scale: float
+) -> tuple[np.ndarray, AuditError | None]:
+    """Argument of :func:`payoff_propensity` for two groups with importance
+    weights ``w``.  Returns the rows before the first step the scalar payoff
+    rejects, and the error it raises on that step (None when none does)."""
+
+    def check(j: int) -> None:
+        (y0, y1), (w0, w1) = y[j].tolist(), w[j].tolist()
+        payoff_propensity(y0, y1, PropensityContext(omega_0=w0, omega_1=w1, scale=scale), 0.0)
+
+    return _weighted_args(y, w, scale, 1.0, 1.0, check)
+
+
+def estimated_density_args(
+    y: np.ndarray, w_hat: np.ndarray, strategy: EstimatedDensity
+) -> tuple[np.ndarray, AuditError | None]:
+    """Argument of :func:`payoff_estimated_density` for two groups with
+    estimated weights ``w_hat``; cut and error as in :func:`propensity_args`."""
+    scale, d_min, d_max = strategy.scale, strategy.delta_min, strategy.delta_max
+
+    def check(j: int) -> None:
+        (y0, y1), (w0, w1) = y[j].tolist(), w_hat[j].tolist()
+        ctx = EstimatedDensityContext(
+            omega_hat_0=w0, omega_hat_1=w1, scale=scale, delta_min=d_min, delta_max=d_max
+        )
+        payoff_estimated_density(y0, y1, ctx, 0.0)
+
+    return _weighted_args(y, w_hat, scale, d_min, d_max, check)
+
+
+def _weighted_args(
+    y: np.ndarray, w: np.ndarray, scale: float, d_min: float, d_max: float,
+    check: Callable[[int], None],
+) -> tuple[np.ndarray, AuditError | None]:
+    """The estimated-density argument; with d_min = d_max = 1 it and its
+    bound are the propensity ones bit for bit.  ``suspect`` flags every step
+    the scalar payoff might reject; ``check`` runs the scalar payoff on them
+    in order and decides, so the error, message included, is the record
+    path's."""
+    g = scale * (y[:, 0] * w[:, 0] / d_max - y[:, 1] * w[:, 1] / d_min)
+    suspect = (
+        ~(np.isfinite(w) & (w > 0.0)).all(axis=1)
+        | (scale * w > 0.5 * d_min * (1.0 + _SCALE_RTOL)).any(axis=1)
+        | (np.abs(g) > 1.0 + _SCALE_RTOL)
+    )
+    for j in np.flatnonzero(suspect).tolist():
+        try:
+            check(j)
+        except AuditError as exc:
+            return g[:j, None], exc
+    return g[:, None], None

@@ -7,12 +7,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import AuditConfig, AuditRecord, DecisionKind, ValidationError
-from .engine import run_stream
+from . import payoffs
+from .core import (
+    AuditConfig,
+    AuditRecord,
+    Batched,
+    Composite,
+    DecisionKind,
+    EstimatedDensity,
+    PayoffStrategy,
+    Simple,
+    ValidationError,
+)
+from .engine import run_args, run_stream  # noqa: F401  (run_stream: perfbench's tracer wraps it here)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -276,16 +287,6 @@ def draw_records(
     return tuple(records)
 
 
-def draw_pair(
-    scenario: Scenario, t: int, rng: np.random.Generator, stats: dict | None = None
-) -> tuple[AuditRecord, AuditRecord]:
-    """Two-group convenience wrapper around :func:`draw_records`."""
-    if scenario.group_count != 2:
-        raise ValidationError("draw_pair requires a two-group scenario")
-    rec0, rec1 = draw_records(scenario, t, rng, stats)
-    return rec0, rec1
-
-
 def generate_stream(
     scenario: Scenario, seed: int | None = None, stats: dict | None = None
 ) -> list[AuditRecord]:
@@ -325,6 +326,12 @@ def monte_carlo(
     runs.  Per-replicate seeds derive from (seed, index), so results do not
     depend on execution order and adding replicates extends, never perturbs,
     the suite.
+
+    Each replicate draws its steps in blocks and replays their payoff
+    arguments through :func:`engine.run_args`.  The draws and arguments are
+    the record path's, so every field equals that of a loop of
+    ``run_stream(cfg_i, stream_to_iterable(scenario, seed_i))``, errors
+    included; ``noise_clamped`` counts the steps each replicate consumed.
     """
     if replicates < 1:
         raise ValidationError(f"replicates must be >= 1, got {replicates!r}")
@@ -337,19 +344,28 @@ def monte_carlo(
     taus: list[int] = []
     rejections = 0
     final_rejections = 0
-    stats: dict = {}
+    noise_clamped = 0
     trajectories: list | None = [] if record_trajectories else None
+    draw = _block_drawer(scenario)
+    rows_per_step = 2 if isinstance(config.strategy, Batched) else 1
     for i in range(replicates):
-        # Lazy stream: a rejecting run only draws the records it consumes,
-        # which leaves the draws it would have made untouched for replay.
-        stream = stream_to_iterable(scenario, seed=derive_seed(scenario.seed, i), stats=stats)
+        rng = _rng(derive_seed(scenario.seed, i))
+        clamped: list[int] = []
         cfg = replace(config, seed=derive_seed(config.seed, i))
-        report = run_stream(cfg, stream, record_trajectory=record_trajectories)
-        if report.decision.is_rejection:
+        blocks = _arg_blocks(cfg.strategy, scenario.horizon, draw, rng, clamped)
+        report = run_args(cfg, blocks, record_trajectory=record_trajectories)
+        decision = report.decision
+        if decision.is_rejection:
             rejections += 1
-            taus.append(report.decision.tau)
-            if report.decision.kind is DecisionKind.FINAL_RANDOMIZED_REJECT:
+            taus.append(decision.tau)
+            if decision.kind is DecisionKind.FINAL_RANDOMIZED_REJECT:
                 final_rejections += 1
+        if clamped:
+            # Blocks are drawn ahead of the stop: count the steps consumed.
+            last = scenario.horizon
+            if decision.kind is DecisionKind.REJECT:
+                last = decision.tau // rows_per_step
+            noise_clamped += sum(1 for t in clamped if t <= last)
         if trajectories is not None:
             trajectories.append(tuple(report.trajectory or ()))
     if taus:
@@ -368,9 +384,117 @@ def monte_carlo(
         tau_q90=q90,
         taus=tuple(taus),
         n_final_rejections=final_rejections,
-        noise_clamped=stats.get("noise_clamped", 0),
+        noise_clamped=noise_clamped,
         trajectories=None if trajectories is None else tuple(trajectories),
     )
+
+
+# Monte Carlo draws each replicate in blocks of steps.  The first block is
+# small, so a replicate that stops early draws little past its stopping
+# time; blocks double up to a cap that keeps memory flat.
+_BLOCK_FIRST = 32
+_BLOCK_CAP = 2048
+
+
+def _block_drawer(scenario: Scenario) -> Callable:
+    """Block form of :func:`draw_records` for one scenario.  The returned
+    ``draw(rng, t, n, clamped)`` gives steps t+1..t+n as an (n, groups)
+    array of outputs ``y`` and, for a population, the arrays of importance
+    weights ``w`` and of estimated weights ``w_hat`` (None where the records
+    would lack the fields).  It makes the generator calls of
+    :func:`draw_records` in the same order, so the values are the record
+    path's; each clamped noisy mean appends its step to ``clamped``."""
+    groups = scenario.group_count
+    if isinstance(scenario, PolicyPopulation):
+        cum = np.cumsum(scenario.policy)
+        last_massive = max(i for i, p in enumerate(scenario.policy) if p > 0.0)
+        cols = np.arange(groups)
+        outputs = np.array(scenario.outputs)
+        density = np.array(scenario.density)
+        policy = np.array(scenario.policy)
+        estimates = None if scenario.density_estimates is None else np.array(scenario.density_estimates)
+
+        def draw_population(rng, t, n, clamped):
+            # rng.random((n, groups)) yields the doubles of n * groups scalar calls.
+            x = np.minimum(np.searchsorted(cum, rng.random((n, groups)), side="right"), last_massive)
+            propensity = policy[x]
+            w_hat = None if estimates is None else estimates[cols, x] / propensity
+            return outputs[cols, x], density[cols, x] / propensity, w_hat
+
+        return draw_population
+    if isinstance(scenario, FixedMeans):
+        means = np.array([scenario.means])
+    else:
+        # Through mean_at, once per call, so each mean is the one the record
+        # path compares its uniform against.
+        table = [
+            [mean_at(scenario, b, t) for b in range(groups)] for t in range(1, scenario.horizon + 1)
+        ]
+        if isinstance(scenario, SinusoidalDrift) and scenario.noise_sd > 0.0:
+            return _noisy_drawer(table, scenario.noise_sd)
+        means = np.array(table)
+
+    def draw_bernoulli(rng, t, n, clamped):
+        p = means if len(means) == 1 else means[t:t + n]  # one row serves every step
+        return (rng.random((n, groups)) < p).astype(float), None, None
+
+    return draw_bernoulli
+
+
+def _noisy_drawer(table: list[list[float]], noise_sd: float) -> Callable:
+    """Scalar loop for noisy means: each output's normal and uniform draws
+    interleave, so no single array call yields them in order."""
+
+    def draw_noisy(rng, t, n, clamped):
+        y = []
+        for step in range(t + 1, t + n + 1):
+            row = []
+            for mean in table[step - 1]:
+                noisy = mean + rng.normal(0.0, noise_sd)
+                p = min(1.0, max(0.0, noisy))
+                if p != noisy:
+                    clamped.append(step)
+                row.append(1.0 if rng.random() < p else 0.0)
+            y.append(row)
+        return np.array(y), None, None
+
+    return draw_noisy
+
+
+def _arg_blocks(
+    strategy: PayoffStrategy, horizon: int, draw: Callable, rng: np.random.Generator, clamped: list
+) -> Iterator[np.ndarray]:
+    """Payoff-argument blocks of one replicate for :func:`engine.run_args`.
+    A block that reaches a step the strategy's payoff rejects is cut before
+    that step and the error raised on the next pull, so it surfaces at the
+    step the record path raises it, and never once the run has stopped."""
+    t = 0
+    n = _BLOCK_FIRST
+    while t < horizon:
+        n = min(n, horizon - t)
+        y, w, w_hat = draw(rng, t, n, clamped)
+        error = None
+        if isinstance(strategy, Simple):
+            args = payoffs.simple_args(y)
+        elif isinstance(strategy, Batched):
+            args = payoffs.batched_args(y)
+        elif isinstance(strategy, Composite):
+            args = payoffs.composite_args(y, strategy.epsilon)
+        else:
+            estimated = isinstance(strategy, EstimatedDensity)
+            weights = w_hat if estimated else w
+            if weights is None:  # the scenario's records lack the fields
+                raise payoffs.missing_weight_error(1, 0, estimated)
+            if estimated:
+                args, error = payoffs.estimated_density_args(y, weights, strategy)
+            else:
+                args, error = payoffs.propensity_args(y, weights, strategy.scale)
+        if len(args):
+            yield args
+        if error is not None:
+            raise error
+        t += n
+        n = min(2 * n, _BLOCK_CAP)
 
 
 _SCENARIO_TAGS = {

@@ -1,11 +1,24 @@
 """Scenario generators: formula checks, determinism, and the seeded Monte
 Carlo harness."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from seqaudit.core import AuditConfig, Propensity, ValidationError
+from seqaudit.core import (
+    AuditConfig,
+    AuditError,
+    Batched,
+    Composite,
+    DecisionKind,
+    EstimatedDensity,
+    InvariantError,
+    Propensity,
+    Simple,
+    ValidationError,
+)
+from seqaudit.engine import run_stream
 from seqaudit.ingest import record_to_dict
 from seqaudit.simulate import (
     FixedMeans,
@@ -13,7 +26,6 @@ from seqaudit.simulate import (
     PolicyPopulation,
     SinusoidalDrift,
     derive_seed,
-    draw_pair,
     draw_records,
     estimated_density_bounds,
     estimated_density_scale,
@@ -23,6 +35,7 @@ from seqaudit.simulate import (
     policy_corrective_scale,
     scenario_from_dict,
     scenario_to_dict,
+    stream_to_iterable,
 )
 
 
@@ -63,7 +76,7 @@ def test_degenerate_bernoulli_draws():
     scen = FixedMeans((1.0, 0.0), horizon=50)
     rng = np.random.default_rng(0)
     for t in range(1, 51):
-        rec0, rec1 = draw_pair(scen, t, rng)
+        rec0, rec1 = draw_records(scen, t, rng)
         assert (rec0.y_hat, rec1.y_hat) == (1.0, 0.0)
 
 
@@ -76,7 +89,7 @@ def test_policy_population_attaches_weights():
     )
     assert policy_corrective_scale(pop) == pytest.approx(0.25)
     rng = np.random.default_rng(1)
-    rec0, rec1 = draw_pair(pop, 1, rng)
+    rec0, rec1 = draw_records(pop, 1, rng)
     for rec in (rec0, rec1):
         assert rec.propensity in (0.25, 0.75)
         assert rec.density == 0.5
@@ -244,3 +257,146 @@ def test_propensity_payoff_runs_through_monte_carlo():
     cfg = AuditConfig(alpha=0.05, strategy=Propensity(scale=policy_corrective_scale(pop)), seed=21)
     summary = monte_carlo(cfg, pop, replicates=10)
     assert summary.fpr_or_power == 1.0  # the mean gap is 0.3
+
+
+# Monte Carlo replays payoff-argument rows; the record path below is the
+# reference it must match exactly.
+def _record_loop(config, scenario, replicates):
+    """``monte_carlo`` as a loop of record-path audits: the per-replicate
+    summary fields and the clamps of the steps each replicate drew."""
+    taus, finals, trajectories = [], 0, []
+    stats: dict = {}
+    for i in range(replicates):
+        cfg = replace(config, seed=derive_seed(config.seed, i))
+        stream = stream_to_iterable(scenario, seed=derive_seed(scenario.seed, i), stats=stats)
+        report = run_stream(cfg, stream)
+        if report.decision.is_rejection:
+            taus.append(report.decision.tau)
+            finals += report.decision.kind is DecisionKind.FINAL_RANDOMIZED_REJECT
+        trajectories.append(tuple(report.trajectory))
+    return tuple(taus), finals, tuple(trajectories), stats.get("noise_clamped", 0)
+
+
+# Sizes are set so that most cases mix stopped and unstopped replicates, and
+# with the randomized final step some replicates reject at the terminal draw.
+_FAMILIES = {
+    "fixed": FixedMeans.from_gap(0.2, horizon=100, seed=31),
+    "logistic": LogisticDrift(onset=20, midpoint=80, scale=10.0, horizon=120, seed=32),
+    "sinusoidal": SinusoidalDrift(noise_sd=0.5, drift_rate=0.002, horizon=200, seed=33),
+    "population": PolicyPopulation(
+        density=((0.25,) * 4, (0.25,) * 4), outputs=((0.9, 0.7, 0.5, 0.3), (0.8, 0.6, 0.4, 0.2)),
+        policy=(0.05, 0.1, 0.15, 0.7), horizon=150, seed=34,
+    ),
+}
+_THREE_GROUPS = {
+    "fixed3": FixedMeans((0.5, 0.5, 0.75), horizon=150, seed=35),
+    "population3": PolicyPopulation(
+        density=((0.5, 0.5),) * 3, outputs=((0.9, 0.1), (0.5, 0.5), (0.9, 0.6)),
+        policy=(0.3, 0.7), horizon=40, seed=36,
+    ),
+}
+_WEIGHTED = dict(
+    density=((0.25,) * 4, (0.25,) * 4), outputs=((0.9, 0.7, 0.5, 0.3), (0.6, 0.4, 0.2, 0.0)),
+    policy=(0.1, 0.2, 0.3, 0.4),
+)
+_PROPENSITY = PolicyPopulation(**_WEIGHTED, horizon=120, seed=38)
+_ESTIMATED = PolicyPopulation(
+    **_WEIGHTED, density_estimates=((0.25,) * 4, (0.3,) * 4), horizon=300, seed=39,
+)
+
+
+def _differential_cases():
+    cases = [
+        (strategy, scen, f"{type(strategy).__name__}-{name}")
+        for name, scen in _FAMILIES.items()
+        for strategy in (Simple(), Composite(epsilon=0.05), Batched())
+    ]
+    cases += [(Simple(), scen, f"Simple-{name}") for name, scen in _THREE_GROUPS.items()]
+    propensity = Propensity(scale=policy_corrective_scale(_PROPENSITY))
+    cases.append((propensity, _PROPENSITY, "Propensity-population"))
+    lo, hi = estimated_density_bounds(_ESTIMATED)
+    estimated = EstimatedDensity(delta_min=lo, delta_max=hi, scale=estimated_density_scale(_ESTIMATED, lo))
+    cases.append((estimated, _ESTIMATED, "EstimatedDensity-population"))
+    return [pytest.param(strategy, scen, id=name) for strategy, scen, name in cases]
+
+
+@pytest.mark.parametrize("final", [False, True], ids=["running", "final"])
+@pytest.mark.parametrize("strategy,scenario", _differential_cases())
+def test_monte_carlo_matches_record_path(strategy, scenario, final):
+    config = AuditConfig(alpha=0.05, strategy=strategy, group_count=scenario.group_count,
+                         randomized_final_step=final, seed=40)
+    replicates = 12
+    summary = monte_carlo(config, scenario, replicates=replicates, record_trajectories=True)
+    taus, finals, trajectories, clamped = _record_loop(config, scenario, replicates)
+    assert summary.taus == taus
+    assert summary.n_rejections == len(taus)
+    assert summary.n_final_rejections == finals
+    assert summary.trajectories == trajectories  # bit-equal log wealth
+    assert summary.noise_clamped == clamped
+    if isinstance(scenario, SinusoidalDrift):
+        # Clamps after an early stop are drawn ahead and must not count.
+        stopped = [t for t in taus if t < scenario.horizon * (2 if isinstance(strategy, Batched) else 1)]
+        assert stopped and clamped > 0
+
+
+def _record_error_step(config, scenario):
+    """(exception, step) of the record path's first replicate, or None."""
+    pulled = 0
+
+    def counted(stream):
+        nonlocal pulled
+        for record in stream:
+            pulled += 1
+            yield record
+
+    cfg = replace(config, seed=derive_seed(config.seed, 0))
+    stream = stream_to_iterable(scenario, seed=derive_seed(scenario.seed, 0))
+    try:
+        run_stream(cfg, counted(stream), record_trajectory=False)
+    except AuditError as exc:
+        return exc, pulled // scenario.group_count
+    return None
+
+
+_RARE_HEAVY = PolicyPopulation(  # point 0 is rarely drawn and carries weight 25
+    density=((0.25,) * 4, (0.25,) * 4), outputs=((0.5,) * 4, (0.5,) * 4),
+    policy=(0.01, 0.33, 0.33, 0.33), horizon=600, seed=50,
+)
+_UNPOPULATED = PolicyPopulation(  # group 0 has no mass on point 0, which is drawn
+    density=((0.0, 0.5, 0.5), (0.4, 0.3, 0.3)), outputs=((0.5,) * 3, (0.5,) * 3),
+    policy=(0.1, 0.45, 0.45), horizon=600, seed=51,
+)
+
+
+@pytest.mark.parametrize("strategy,scenario,error", [
+    (Propensity(scale=0.5 / (0.25 / 0.33)), _RARE_HEAVY, InvariantError),
+    (Propensity(scale=0.1), _UNPOPULATED, ValidationError),
+    (Propensity(scale=0.1), FixedMeans.from_gap(0.0, horizon=100, seed=52), ValidationError),
+], ids=["scale-too-large", "zero-density", "no-propensity-fields"])
+def test_monte_carlo_errors_at_the_record_path_step(strategy, scenario, error):
+    config = AuditConfig(alpha=0.05, strategy=strategy, seed=53)
+    found = _record_error_step(config, scenario)
+    assert found is not None
+    exc, step = found
+    assert type(exc) is error
+    with pytest.raises(error) as info:
+        monte_carlo(config, scenario, replicates=3, horizon=step)
+    assert str(info.value) == str(exc)
+    if step > 1:  # one step short of it, the replicate runs through
+        monte_carlo(config, scenario, replicates=1, horizon=step - 1)
+
+
+def test_monte_carlo_rejection_before_an_offending_step_raises_nothing():
+    scen = PolicyPopulation(  # strong gap; point 0 is rare and too heavy for the scale
+        density=((0.25,) * 4, (0.25,) * 4), outputs=((1.0,) * 4, (0.0,) * 4),
+        policy=(0.01, 0.33, 0.33, 0.33), horizon=600, seed=72,
+    )
+    strategy = Propensity(scale=0.5 / (0.25 / 0.33))
+    config = AuditConfig(alpha=0.05, strategy=strategy, seed=55)
+    # Where the offending point comes, from a run that cannot reject that soon.
+    exc, step = _record_error_step(replace(config, alpha=1e-300), scen)
+    assert isinstance(exc, InvariantError)
+    summary = monte_carlo(config, scen, replicates=1, record_trajectories=True)
+    taus, _, trajectories, _ = _record_loop(config, scen, 1)
+    assert summary.taus == taus and summary.trajectories == trajectories
+    assert taus[0] < step <= 32  # the offending step is drawn in the block that rejects
