@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--embed-trajectory", action="store_true",
                          help="include the trajectory in the report document")
     p_audit.add_argument("--lenient", action="store_true",
-                         help="ignore unknown input keys instead of failing")
+                         help="warn on unknown input keys and accept numbers written as strings")
     p_audit.set_defaults(func=cmd_audit)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo over a scenario or preset")

@@ -57,6 +57,12 @@ def _check_positive(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be a positive finite real, got {value!r}")
 
 
+def wealth_from_log(log_wealth: float) -> float:
+    """Linear wealth from its log, or inf where exp would overflow; the
+    log form stays authoritative."""
+    return math.exp(log_wealth) if log_wealth <= 709.0 else math.inf
+
+
 @dataclass(frozen=True, slots=True)
 class AuditRecord:
     """One streamed observation: a model output for one group at one time.
@@ -79,7 +85,9 @@ class AuditRecord:
             raise ValidationError(f"t must be a positive integer, got {self.t!r}")
         if not isinstance(self.group, int) or self.group < 0:
             raise ValidationError(f"group must be a nonnegative integer, got {self.group!r}")
-        _check_unit_interval("y_hat", self.y_hat)
+        y_hat = self.y_hat
+        if not (type(y_hat) is float and 0.0 <= y_hat <= 1.0):  # the common case, inline
+            _check_unit_interval("y_hat", y_hat)
         if self.propensity is not None:
             _check_positive("propensity", self.propensity)
         if self.density is not None:
@@ -243,9 +251,7 @@ class WealthState:
 
     @property
     def wealth(self) -> float:
-        if self.log_wealth > 709.0:  # exp overflow guard; log form stays authoritative
-            return math.inf
-        return math.exp(self.log_wealth)
+        return wealth_from_log(self.log_wealth)
 
 
 class DecisionKind(enum.Enum):

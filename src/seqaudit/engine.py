@@ -12,6 +12,7 @@ the threshold comparison is log K >= log(threshold).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +36,7 @@ from .core import (
     Simple,
     ValidationError,
     WealthState,
+    wealth_from_log,
 )
 from .payoffs import (
     BatchAccumulator,
@@ -213,10 +215,11 @@ def session_step(
         else:
             raise ValidationError("batched mode consumes a single record per step")
         game = session.games[0]
-        session.batch = batch_push(session.batch, record)
-        fired = session.batch.ready
-        payoff, g, session.batch = batch_payoff(session.batch, game.lam)
-        game.apply(payoff, g, bet_placed=fired)
+        batch = session.batch
+        batch_push(batch, record)
+        payoff, g, session.batch = batch_payoff(batch, game.lam)
+        # A bet that fires hands back a fresh accumulator.
+        game.apply(payoff, g, bet_placed=session.batch is not batch)
         return session, _post_step(session)
 
     if isinstance(records, AuditRecord):
@@ -310,7 +313,7 @@ def build_report(session: AuditSession) -> AuditReport:
             GameReport(
                 game_id=g.game_id,
                 log_wealth_final=g.log_wealth,
-                wealth_final=math.exp(g.log_wealth) if g.log_wealth <= 709.0 else math.inf,
+                wealth_final=wealth_from_log(g.log_wealth),
                 rejected=g.rejected,
                 tau=g.tau,
                 trajectory=None if g.trajectory is None else list(g.trajectory),
@@ -320,7 +323,7 @@ def build_report(session: AuditSession) -> AuditReport:
     return AuditReport(
         decision=session.status,
         config_echo=session.config,
-        wealth_final=math.exp(log_final) if log_final <= 709.0 else math.inf,
+        wealth_final=wealth_from_log(log_final),
         log_wealth_final=log_final,
         trajectory=trajectory,
         per_game=per_game,
@@ -346,7 +349,9 @@ def run_stream(
             if decision.is_terminal:
                 return build_report(session)
     else:
-        buffers: list[list[AuditRecord]] = [[] for _ in range(config.group_count)]
+        # First-in-first-out per group: a step takes the oldest unpaired
+        # record of every group, at constant cost whatever the backlog.
+        buffers: list[deque[AuditRecord]] = [deque() for _ in range(config.group_count)]
         pending = 0
         for record in stream:
             if record.group >= config.group_count:
@@ -357,7 +362,7 @@ def run_stream(
                 pending += 1
             buffers[record.group].append(record)
             if pending == config.group_count:
-                bundle = [buf.pop(0) for buf in buffers]
+                bundle = [buf.popleft() for buf in buffers]
                 pending = sum(1 for buf in buffers if buf)
                 _, decision = session_step(session, bundle)
                 if decision.is_terminal:

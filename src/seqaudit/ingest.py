@@ -23,11 +23,20 @@ from .core import (
     ValidationError,
     strategy_from_dict,
     strategy_to_dict,
+    wealth_from_log,
 )
 
 RECORD_FIELDS = ("t", "group", "y_hat", "propensity", "density", "density_estimate")
 _REQUIRED_FIELDS = ("t", "group", "y_hat")
 _OPTIONAL_FIELDS = ("propensity", "density", "density_estimate")
+_RECORD_KEYS = frozenset(RECORD_FIELDS)
+_REQUIRED_KEYS = frozenset(_REQUIRED_FIELDS)
+
+# Every JSONL line is decoded by this one scanner; a line it cannot take
+# whole goes through json.loads, so accepted lines and error text are
+# exactly json.loads's.
+_scan_once = json.JSONDecoder().scan_once
+_LINE_ENDS = ("", "\n", "\r\n")
 
 SUMMARY_COLUMNS = (
     "scenario", "alpha", "strategy", "fpr_or_power",
@@ -47,27 +56,52 @@ def record_to_dict(record: AuditRecord) -> dict:
 
 
 def record_from_dict(d: dict, line_no: int = 0, mode: str = "strict") -> AuditRecord:
-    unknown = set(d) - set(RECORD_FIELDS)
-    if unknown:
+    """Build a record from one decoded line.  Numeric fields never take a
+    boolean, and ``t`` and ``group`` take only integral values; strict mode
+    also refuses strings, while lenient mode (and CSV, whose cells are
+    text) converts them with int() and float()."""
+    keys = d.keys()
+    if not keys <= _RECORD_KEYS:
+        unknown = sorted(keys - _RECORD_KEYS)
         if mode == "strict":
-            raise IngestError(line_no, f"unknown keys {sorted(unknown)}")
-        warnings.warn(f"line {line_no}: ignoring unknown keys {sorted(unknown)}", stacklevel=2)
-    missing = [k for k in _REQUIRED_FIELDS if k not in d]
-    if missing:
+            raise IngestError(line_no, f"unknown keys {unknown}")
+        warnings.warn(f"line {line_no}: ignoring unknown keys {unknown}", stacklevel=2)
+    if not keys >= _REQUIRED_KEYS:
+        missing = [k for k in _REQUIRED_FIELDS if k not in d]
         raise IngestError(line_no, f"missing required keys {missing}")
+    strict = mode == "strict"
     try:
-        return AuditRecord(
-            t=int(d["t"]),
-            group=int(d["group"]),
-            y_hat=float(d["y_hat"]),
-            propensity=None if d.get("propensity") is None else float(d["propensity"]),
-            density=None if d.get("density") is None else float(d["density"]),
-            density_estimate=None if d.get("density_estimate") is None else float(d["density_estimate"]),
-        )
+        t, group, y_hat = d["t"], d["group"], d["y_hat"]
+        if type(t) is not int:
+            t = _number("t", t, int, strict)
+        if type(group) is not int:
+            group = _number("group", group, int, strict)
+        if type(y_hat) is not float:
+            y_hat = _number("y_hat", y_hat, float, strict)
+        optional = []
+        for key in _OPTIONAL_FIELDS:
+            value = d.get(key)
+            if value is not None and type(value) is not float:
+                value = _number(key, value, float, strict)
+            optional.append(value)
+        return AuditRecord(t, group, y_hat, *optional)
     except ValidationError as exc:
         raise IngestError(line_no, str(exc)) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IngestError(line_no, f"malformed field: {exc}") from exc
+
+
+def _number(key: str, value, kind: type, strict: bool):
+    """``value`` converted to ``kind`` (int or float) under the typing rules
+    of :func:`record_from_dict`."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, str):
+        if strict:
+            raise ValidationError(f"{key} must be a JSON number, not a string, got {value!r}")
+    elif kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _open_lines(source) -> Iterable[str]:
@@ -94,12 +128,18 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
         try:
             if format == "jsonl":
                 for line_no, line in enumerate(lines, start=1):
-                    if not line.strip():
-                        continue
                     try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise IngestError(line_no, f"invalid JSON: {exc}") from exc
+                        obj, end = _scan_once(line, 0)
+                        whole = line[end:] in _LINE_ENDS
+                    except (StopIteration, json.JSONDecodeError):
+                        whole = False
+                    if not whole:
+                        if not line.strip():
+                            continue
+                        try:
+                            obj = json.loads(line)
+                        except json.JSONDecodeError as exc:
+                            raise IngestError(line_no, f"invalid JSON: {exc}") from exc
                     if not isinstance(obj, dict):
                         raise IngestError(line_no, "each line must hold one JSON object")
                     record = record_from_dict(obj, line_no, mode)
@@ -111,7 +151,7 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
                 if header is None:
                     return
                 header = [h.strip() for h in header]
-                unknown = set(header) - set(RECORD_FIELDS)
+                unknown = set(header) - _RECORD_KEYS
                 if unknown:
                     if mode == "strict":
                         raise IngestError(1, f"unknown columns {sorted(unknown)}")
@@ -125,7 +165,7 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
                     d = {
                         key: cell
                         for key, cell in zip(header, row)
-                        if key in RECORD_FIELDS and cell != ""
+                        if key in _RECORD_KEYS and cell != ""
                     }
                     record = record_from_dict(d, line_no, mode="lenient")
                     _check_monotone(record, last_t, line_no)
@@ -284,15 +324,11 @@ def write_trajectory_csv(report: AuditReport, sink: IO[str]) -> None:
         writer.writerow(("step", "wealth", "game_id"))
         for game in report.per_game:
             for step, lw in game.trajectory or ():
-                writer.writerow((step, _exp(lw), game.game_id))
+                writer.writerow((step, wealth_from_log(lw), game.game_id))
     else:
         writer.writerow(("step", "wealth"))
         for step, lw in report.trajectory or ():
-            writer.writerow((step, _exp(lw)))
-
-
-def _exp(lw: float) -> float:
-    return math.exp(lw) if lw <= 709.0 else math.inf
+            writer.writerow((step, wealth_from_log(lw)))
 
 
 def write_summary_csv(rows: Iterable[dict], sink: IO[str]) -> None:

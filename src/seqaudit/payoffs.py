@@ -10,7 +10,7 @@ test supermartingale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,12 +74,16 @@ class EstimatedDensityContext:
             )
 
 
-@dataclass(frozen=True, slots=True)
 class BatchAccumulator:
-    """Outputs accumulated per group since the last bet fired."""
+    """Outputs accumulated per group since the last bet fired, in arrival
+    order.  Owned by one session: :func:`batch_push` appends in place, so a
+    record costs the same however long the backlog is."""
 
-    pending_0: tuple[float, ...] = ()
-    pending_1: tuple[float, ...] = ()
+    __slots__ = ("pending_0", "pending_1")
+
+    def __init__(self):
+        self.pending_0: list[float] = []
+        self.pending_1: list[float] = []
 
     @property
     def ready(self) -> bool:
@@ -157,13 +161,14 @@ def payoff_composite(
     return 1.0 + lam_q * g_q, 1.0 + lam_r * g_r, g_q, g_r
 
 
-def batch_push(acc: BatchAccumulator, record: AuditRecord) -> BatchAccumulator:
-    """Append a record's output to its group's pending batch."""
+def batch_push(acc: BatchAccumulator, record: AuditRecord) -> None:
+    """Append a record's output to its group's pending batch, in place."""
     if record.group == 0:
-        return replace(acc, pending_0=acc.pending_0 + (record.y_hat,))
-    if record.group == 1:
-        return replace(acc, pending_1=acc.pending_1 + (record.y_hat,))
-    raise ValidationError(f"batched payoffs audit two groups, got group {record.group!r}")
+        acc.pending_0.append(record.y_hat)
+    elif record.group == 1:
+        acc.pending_1.append(record.y_hat)
+    else:
+        raise ValidationError(f"batched payoffs audit two groups, got group {record.group!r}")
 
 
 def batch_payoff(acc: BatchAccumulator, lam: float) -> tuple[float, float, BatchAccumulator]:
@@ -171,7 +176,8 @@ def batch_payoff(acc: BatchAccumulator, lam: float) -> tuple[float, float, Batch
 
     While either group's batch is empty the payoff is exactly 1 (wealth is
     untouched) and the accumulator is returned unchanged; once both are
-    nonempty the batches are consumed.
+    nonempty the batches are consumed and a fresh, empty accumulator is
+    returned in its place.
     """
     _check_lam(lam)
     if not acc.ready:

@@ -1,12 +1,15 @@
 """Session lifecycle, thresholds per orchestration mode, the randomized
 terminal step, and the stopping-rule / determinism properties."""
 import math
+import random
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from seqaudit.betting import ons_init, ons_update
+from seqaudit.betting import _ons_step, ons_init, ons_update
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -362,3 +365,71 @@ def test_wealth_positive_and_log_consistent():
         assert math.isfinite(lw)
     (wealth,) = session.wealths
     assert 0.0 <= wealth.v_sum <= wealth.w_sum <= wealth.step
+
+
+def _batched_reference(records, alpha):
+    """Decision, tau and log wealth of a batched audit recomputed by hand:
+    fsum means of the pending batches once both groups have some, each bet
+    advanced by the ONS step, abstentions leaving everything as it is."""
+    lam, grad_acc, log_wealth = 0.0, 0.0, 0.0
+    log_threshold = math.log(1) - math.log(alpha)
+    pending = ([], [])
+    for i, rec in enumerate(records, start=1):
+        pending[rec.group].append(rec.y_hat)
+        if pending[0] and pending[1]:
+            g = math.fsum(pending[0]) / len(pending[0]) - math.fsum(pending[1]) / len(pending[1])
+            log_wealth += math.log(1.0 + lam * g)
+            lam, grad_acc = _ons_step(lam, grad_acc, g, -0.5, 0.5)
+            pending = ([], [])
+        if log_wealth >= log_threshold:
+            return DecisionKind.REJECT, i, log_wealth
+    return DecisionKind.CONTINUE, None, log_wealth
+
+
+def _burst_records(bursts, seed, shrink):
+    """Records arriving in the given (group, length) bursts; group 1's
+    outputs are scaled by ``shrink`` so that some audits reject."""
+    rng = random.Random(seed)
+    t = [0, 0]
+    out = []
+    for group, length in bursts:
+        for _ in range(length):
+            t[group] += 1
+            y = rng.random() * (shrink if group else 1.0)
+            out.append(AuditRecord(t=t[group], group=group, y_hat=y))
+    return out
+
+
+@given(
+    bursts=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 40)), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    shrink=st.sampled_from([1.0, 0.7, 0.3]),
+)
+@example(bursts=[(0, 3), (1, 20_000), (0, 5), (1, 2), (0, 40)], seed=7, shrink=1.0)
+@settings(max_examples=60, deadline=None)
+def test_batched_bursty_arrivals_match_reference(bursts, seed, shrink):
+    records = _burst_records(bursts, seed, shrink)
+    report = run_stream(AuditConfig(alpha=0.05, strategy=Batched()), records, record_trajectory=False)
+    kind, tau, log_wealth = _batched_reference(records, 0.05)
+    assert report.decision.kind is kind
+    assert report.decision.tau == tau
+    assert report.log_wealth_final == log_wealth
+
+
+@given(data=st.data(), groups=st.integers(2, 4), randomized=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_simple_interleaving_gives_the_balanced_report(data, groups, randomized):
+    lengths = data.draw(st.lists(st.integers(0, 25), min_size=groups, max_size=groups))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    per_group = [
+        [AuditRecord(t=t, group=b, y_hat=rng.random() * (0.5 if b == groups - 1 else 1.0))
+         for t in range(1, n + 1)]
+        for b, n in enumerate(lengths)
+    ]
+    balanced = [seq[k] for k in range(max(lengths)) for seq in per_group if k < len(seq)]
+    order = data.draw(st.permutations([b for b, n in enumerate(lengths) for _ in range(n)]))
+    cursors = [iter(seq) for seq in per_group]
+    interleaved = [next(cursors[b]) for b in order]
+    config = AuditConfig(alpha=0.1, group_count=groups, randomized_final_step=randomized, seed=seed)
+    assert run_stream(config, interleaved) == run_stream(config, balanced)

@@ -116,6 +116,106 @@ def test_record_dict_validation():
     assert rec.y_hat == 0.25
 
 
+@pytest.mark.parametrize(
+    "fields, mode, reason",
+    [
+        ({"t": 1.9}, "strict", "t must be an integer, got 1.9"),
+        ({"t": 1.9}, "lenient", "t must be an integer, got 1.9"),
+        ({"group": 0.5}, "lenient", "group must be an integer, got 0.5"),
+        ({"t": True}, "strict", "t must be a number, got True"),
+        ({"group": True}, "strict", "group must be a number, got True"),
+        ({"group": True}, "lenient", "group must be a number, got True"),
+        ({"y_hat": False}, "lenient", "y_hat must be a number, got False"),
+        ({"propensity": True, "density": 0.5}, "strict", "propensity must be a number, got True"),
+        ({"density_estimate": True}, "lenient", "density_estimate must be a number, got True"),
+        ({"y_hat": "0.5"}, "strict", "y_hat must be a JSON number, not a string, got '0.5'"),
+        ({"t": "2"}, "strict", "t must be a JSON number, not a string, got '2'"),
+        ({"group": "1"}, "strict", "group must be a JSON number, not a string, got '1'"),
+        ({"density": "0.5"}, "strict", "density must be a JSON number, not a string, got '0.5'"),
+        ({"t": "1.9"}, "lenient", "malformed field"),
+    ],
+)
+def test_jsonl_typing_rejections(fields, mode, reason):
+    line = json.dumps({"t": 2, "group": 1, "y_hat": 0.5, **fields})
+    src = io.StringIO('{"t": 1, "group": 1, "y_hat": 0.5}\n' + line + "\n")
+    with pytest.raises(IngestError) as err:
+        list(parse_stream(src, mode=mode))
+    assert err.value.line_no == 2
+    assert err.value.reason.startswith(reason)
+
+
+def test_jsonl_typing_accepts_integral_numbers_and_lenient_strings():
+    (strict,) = parse_stream(io.StringIO('{"t": 2.0, "group": 1, "y_hat": 1}\n'))
+    assert strict == AuditRecord(t=2, group=1, y_hat=1.0)
+    assert type(strict.t) is int and type(strict.y_hat) is float
+    line = '{"t": "3", "group": "0", "y_hat": "0.25", "propensity": "0.5", "density": "0.5"}\n'
+    (lenient,) = parse_stream(io.StringIO(line), mode="lenient")
+    assert lenient == AuditRecord(t=3, group=0, y_hat=0.25, propensity=0.5, density=0.5)
+
+
+def test_csv_keeps_converting_text_cells():
+    (rec,) = parse_stream(io.StringIO("t,group,y_hat\n4,1,0.5\n"), format="csv")
+    assert rec == AuditRecord(t=4, group=1, y_hat=0.5)
+    with pytest.raises(IngestError, match="line 2: malformed field"):
+        list(parse_stream(io.StringIO("t,group,y_hat\n1.9,0,0.5\n"), format="csv"))
+
+
+_RECORD = '{"t": 1, "group": 0, "y_hat": 0.5}'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "  " + _RECORD + "\n",
+        "\t" + _RECORD + "\n",
+        _RECORD + " \x0c\n",
+        _RECORD + "\r\n",
+        _RECORD + "\r",
+        _RECORD,
+        _RECORD + " trailing\n",
+        _RECORD + "{}\n",
+        _RECORD + ",\n",
+        '{"t": 1, "group": 0, "y_hat": NaN}\n',
+        '{"t": 1, "group": 0, "y_hat": 0.5, "propensity": Infinity}\n',
+        '{"t": 1, "group": 0, "y_hat": -Infinity}\n',
+        "[" + _RECORD + "]\n",
+        '"text"\n',
+        "3\n",
+        '{"t": 1, "group": 0, "y_hat": 0.9, "y_hat": 0.5}\n',
+        '{"t": 1, "group": 1, "group": 0, "y_hat": 0.5}\n',
+        "\n",
+        "  \t\n",
+        "\r\n",
+        "",
+        "{not json}\n",
+        '{"t": 1, "group": 0,\n',
+        "\ufeff" + _RECORD + "\n",
+    ],
+)
+def test_decoder_matches_json_loads(line):
+    """A line parses to the record, or fails with the error text, that
+    json.loads followed by record_from_dict gives."""
+
+    def reference():
+        if not line.strip():
+            return []
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IngestError(1, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise IngestError(1, "each line must hold one JSON object")
+        return [record_from_dict(obj, 1)]
+
+    def outcome(parse):
+        try:
+            return parse()
+        except IngestError as exc:
+            return str(exc)
+
+    assert outcome(lambda: list(parse_stream(io.StringIO(line)))) == outcome(reference)
+
+
 def _report(randomized=False, composite=False, horizon=100, seed=5):
     strategy = Composite(epsilon=0.1) if composite else AuditConfig(alpha=0.05).strategy
     config = AuditConfig(

@@ -187,38 +187,47 @@ def test_composite_boundary_null_mean_by_enumeration(lam):
     assert abs(expectation - 1.0) < 1e-12
 
 
+def _accumulator(pending_0=(), pending_1=()):
+    acc = BatchAccumulator()
+    acc.pending_0.extend(pending_0)
+    acc.pending_1.extend(pending_1)
+    return acc
+
+
 def test_batch_push_appends_per_group():
     acc = BatchAccumulator()
-    acc = batch_push(acc, AuditRecord(t=1, group=0, y_hat=0.7))
-    assert acc.pending_0 == (0.7,) and not acc.ready
-    acc = batch_push(acc, AuditRecord(t=2, group=0, y_hat=0.4))
-    assert acc.pending_0 == (0.7, 0.4)
-    acc = batch_push(acc, AuditRecord(t=3, group=1, y_hat=0.2))
+    batch_push(acc, AuditRecord(t=1, group=0, y_hat=0.7))
+    assert acc.pending_0 == [0.7] and not acc.ready
+    batch_push(acc, AuditRecord(t=2, group=0, y_hat=0.4))
+    assert acc.pending_0 == [0.7, 0.4]
+    batch_push(acc, AuditRecord(t=3, group=1, y_hat=0.2))
     assert acc.ready
     with pytest.raises(ValidationError):
         batch_push(acc, AuditRecord(t=4, group=2, y_hat=0.2))
 
 
 def test_batch_payoff_means_and_clearing():
-    acc = BatchAccumulator(pending_0=(0.7, 0.5), pending_1=(0.2,))
+    acc = _accumulator(pending_0=(0.7, 0.5), pending_1=(0.2,))
     payoff, g, cleared = batch_payoff(acc, 0.5)
     assert g == pytest.approx(0.4)
     assert payoff == pytest.approx(1.2)
-    assert cleared == BatchAccumulator()
+    assert cleared is not acc
+    assert cleared.pending_0 == [] and cleared.pending_1 == []
 
 
 def test_batch_payoff_abstains_when_one_side_empty():
-    acc = BatchAccumulator(pending_0=(0.7,))
+    acc = _accumulator(pending_0=(0.7,))
     payoff, g, unchanged = batch_payoff(acc, 0.5)
     assert (payoff, g) == (1.0, 0.0)
     assert unchanged is acc
+    assert acc.pending_0 == [0.7] and acc.pending_1 == []
 
 
 def test_batch_singletons_match_simple_bit_for_bit():
     rng_vals = [(0.13, 0.87), (1.0, 0.0), (0.5, 0.5), (0.999, 0.001)]
     for lam in (-0.5, -0.1, 0.0, 0.23, 0.5):
         for y0, y1 in rng_vals:
-            acc = BatchAccumulator(pending_0=(y0,), pending_1=(y1,))
+            acc = _accumulator(pending_0=(y0,), pending_1=(y1,))
             b_payoff, b_g, _ = batch_payoff(acc, lam)
             s_payoff, s_g = payoff_simple(y0, y1, lam)
             assert (b_payoff, b_g) == (s_payoff, s_g)
