@@ -3,13 +3,17 @@ protocols it gets wrapped in: an uncorrected one (not a valid level-alpha
 procedure, studied because it is what gets used unwittingly) and a corrected
 one that tests batch j at level alpha / 2^j so the union bound caps the
 overall false positive rate at alpha.
+
+A batch's p-value depends on the stream, the batch size and the test
+configuration, not on the protocol or its alpha, so one lazily computed
+:class:`PValueSequence` per stream and batch size serves every protocol.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,32 +120,103 @@ def permutation_pvalue(
     return (1 + hits) / (b + 1)
 
 
+class PValueSequence:
+    """The p-values of one stream's batch tests, computed lazily and cached.
+
+    Batches are the consecutive ``batch_size``-record slices of the first
+    ``horizon`` entries of ``y`` (model outputs) and ``group`` (group ids).
+    A batch missing group 0 or group 1 is skipped; the j-th batch holding
+    both (1-based) is tested with ``SeedSequence([config.seed, j])``.  Item
+    j - 1 is ``(p-value, records consumed)`` for that batch.  Iterating
+    computes p-values only as far as the furthest iteration has reached, so
+    protocols that share the sequence compute each batch's p-value once.
+    """
+
+    def __init__(
+        self,
+        y: np.ndarray,
+        group: np.ndarray,
+        batch_size: int,
+        config: PermutationTestConfig,
+        horizon: int,
+    ):
+        if batch_size < 2:
+            raise ValidationError(
+                f"each batch must be able to hold both groups, got batch_size {batch_size!r}"
+            )
+        _check_horizon(horizon)
+        if len(y) != len(group):
+            raise ValidationError(f"{len(y)} outputs but {len(group)} group ids")
+        self.batch_size = batch_size
+        self._y = y
+        self._group = group
+        self._config = config
+        self._end = min(len(y), horizon) // batch_size * batch_size
+        self._next = 0  # start of the next batch to look at
+        self._items: list[tuple[float, int]] = []
+
+    def __iter__(self) -> Iterator[tuple[float, int]]:
+        j = 0
+        while j < len(self._items) or self._advance():
+            yield self._items[j]
+            j += 1
+
+    def _advance(self) -> bool:
+        """Test the next batch holding both groups; False past the end."""
+        k = self.batch_size
+        while self._next < self._end:
+            start = self._next
+            self._next += k
+            y = self._y[start : start + k]
+            group = self._group[start : start + k]
+            y0 = y[group == 0]
+            y1 = y[group == 1]
+            if not len(y0) or not len(y1):
+                continue
+            seed = np.random.SeedSequence([self._config.seed, len(self._items) + 1])
+            p = permutation_pvalue(y0, y1, self._config, rng=np.random.default_rng(seed))
+            self._items.append((p, start + k))
+            return True
+        return False
+
+
+def walk_protocol(protocol: BatchProtocol, pvalues: PValueSequence) -> tuple[bool, int | None]:
+    """Stop at the first tested batch j with p <= ``protocol.level(j)``.
+    Returns (rejected, records consumed at rejection)."""
+    if pvalues.batch_size != protocol.batch_size:
+        raise ValidationError(
+            f"p-values of batches of {pvalues.batch_size} records "
+            f"for a protocol with batch_size {protocol.batch_size}"
+        )
+    for j, (p, consumed) in enumerate(pvalues, start=1):
+        if p <= protocol.level(j):
+            return True, consumed
+    return False, None
+
+
 def run_protocol(
     protocol: BatchProtocol,
-    stream: Sequence[AuditRecord],
+    stream: Iterable[AuditRecord],
     test_config: PermutationTestConfig,
     horizon: int,
 ) -> tuple[bool, int | None]:
-    """Consume the stream in batches of ``batch_size`` records up to
-    ``horizon`` and test each batch that contains both groups; stop at the
-    first rejection.  Returns (rejected, records consumed at rejection).
+    """Consume at most ``horizon`` records of the stream in batches of
+    ``batch_size`` records and test each batch that contains both groups;
+    stop at the first rejection.  Returns (rejected, records consumed at
+    rejection).
 
     A batch missing one group entirely is skipped without consuming a
     significance increment.  The returned stopping time is always a multiple
-    of the batch size.
+    of the batch size.  See :class:`PValueSequence` for the batch rules.
     """
-    records = list(stream)[:horizon]
-    k = protocol.batch_size
-    tested = 0
-    for start in range(0, (len(records) // k) * k, k):
-        batch = records[start : start + k]
-        y0 = [r.y_hat for r in batch if r.group == 0]
-        y1 = [r.y_hat for r in batch if r.group == 1]
-        if not y0 or not y1:
-            continue
-        tested += 1
-        rng = np.random.default_rng(np.random.SeedSequence([test_config.seed, tested]))
-        p = permutation_pvalue(y0, y1, test_config, rng=rng)
-        if p <= protocol.level(tested):
-            return True, start + k
-    return False, None
+    _check_horizon(horizon)
+    records = list(islice(stream, horizon))
+    y = np.array([r.y_hat for r in records], dtype=float)
+    group = np.array([r.group for r in records], dtype=np.int64)
+    pvalues = PValueSequence(y, group, protocol.batch_size, test_config, horizon)
+    return walk_protocol(protocol, pvalues)
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 0:
+        raise ValidationError(f"horizon must be >= 0, got {horizon!r}")

@@ -250,10 +250,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for method in methods:
         if method not in ("betting", "perm-m1", "perm-m2"):
             raise AuditError(f"unknown method {method!r}")
-    batch_sizes = [int(k) for k in _parse_float_list(args.batch_sizes, "--batch-sizes")]
+    batch_sizes = _parse_float_list(args.batch_sizes, "--batch-sizes")
+    if any(not k.is_integer() for k in batch_sizes):
+        raise AuditError("--batch-sizes entries must be whole numbers")
+    batch_sizes = [int(k) for k in batch_sizes]
     if args.replicates < 1:
         raise AuditError("--replicates must be at least 1")
     horizon_records = args.horizon
+    if horizon_records < 2 or horizon_records % 2:
+        raise AuditError("--horizon must be an even number of records, at least 2")
     pairs = horizon_records // 2
 
     null_scen = simulate.FixedMeans(
@@ -263,23 +268,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
         args.delta, center=args.center, horizon=pairs, seed=simulate.derive_seed(args.seed, 202)
     )
 
-    # Streams are shared across methods so every method sees the same data.
-    null_streams = [
-        simulate.generate_stream(null_scen, seed=simulate.derive_seed(null_scen.seed, i))
+    # Streams are shared across methods so every method sees the same data:
+    # one (pairs, 2) array of outputs per replicate, group 0 then group 1 at
+    # every step.
+    null_y = [
+        simulate.draw_outputs(null_scen, seed=simulate.derive_seed(null_scen.seed, i))
         for i in range(args.replicates)
     ]
-    alt_streams = [
-        simulate.generate_stream(alt_scen, seed=simulate.derive_seed(alt_scen.seed, i))
+    alt_y = [
+        simulate.draw_outputs(alt_scen, seed=simulate.derive_seed(alt_scen.seed, i))
         for i in range(args.replicates)
     ]
 
-    # Betting replays each stream's simple-payoff arguments, one row per
-    # step; the streams bring group 0 then group 1 at every step.
-    def betting_args(stream):
-        return payoffs.simple_args(np.array([r.y_hat for r in stream]).reshape(-1, 2))
+    # Betting replays each stream's simple-payoff arguments, one row per step.
+    null_args = [payoffs.simple_args(y) for y in null_y]
+    alt_args = [payoffs.simple_args(y) for y in alt_y]
 
-    null_args = [betting_args(s) for s in null_streams]
-    alt_args = [betting_args(s) for s in alt_streams]
+    # One lazy p-value sequence per (stream, batch size), shared by M1, M2
+    # and every alpha: a batch's p-value does not depend on the protocol.
+    pvalues = {}
+    if any(method != "betting" for method in methods):
+        groups = np.tile(np.arange(2), pairs)
+        for i in range(args.replicates):
+            test_config = baselines.PermutationTestConfig(
+                n_permutations=args.permutations, seed=simulate.derive_seed(args.seed, 10_000 + i)
+            )
+            for k in batch_sizes:
+                pvalues[k, i] = tuple(
+                    baselines.PValueSequence(y.ravel(), groups, k, test_config, horizon_records)
+                    for y in (null_y[i], alt_y[i])
+                )
 
     rows = []
     for alpha in alphas:
@@ -315,19 +333,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 rejected = 0
                 taus = []
                 for i in range(args.replicates):
-                    test_config = baselines.PermutationTestConfig(
-                        n_permutations=args.permutations,
-                        alpha=alpha,
-                        seed=simulate.derive_seed(args.seed, 10_000 + i),
-                    )
-                    hit, _ = baselines.run_protocol(
-                        protocol, null_streams[i], test_config, horizon_records
-                    )
+                    null_pvalues, alt_pvalues = pvalues[k, i]
+                    hit, _ = baselines.walk_protocol(protocol, null_pvalues)
                     if hit:
                         rejected += 1
-                    hit, tau = baselines.run_protocol(
-                        protocol, alt_streams[i], test_config, horizon_records
-                    )
+                    hit, tau = baselines.walk_protocol(protocol, alt_pvalues)
                     taus.append(tau if hit else horizon_records)
                 rows.append(
                     {

@@ -299,6 +299,20 @@ def generate_stream(
     return out
 
 
+def draw_outputs(scenario: Scenario, seed: int | None = None) -> np.ndarray:
+    """The model outputs of ``generate_stream(scenario, seed)`` as a
+    (horizon, groups) array, row t - 1 holding step t's outputs in group
+    order.  Step 1 goes through :func:`draw_records` and the rest through
+    one block of the sampler Monte Carlo uses; the two make the same
+    generator calls.  (The one record draw per stream keeps perfbench's
+    tracer, which times the sampler by its ``draw_records`` calls, able to
+    trace commands that draw only here.)"""
+    rng = _rng(scenario.seed if seed is None else seed)
+    first = [r.y_hat for r in draw_records(scenario, 1, rng)]
+    rest, _, _ = _block_drawer(scenario)(rng, 1, scenario.horizon - 1, [])
+    return np.vstack([first, rest])
+
+
 @dataclass(frozen=True, slots=True)
 class MonteCarloSummary:
     replicates: int

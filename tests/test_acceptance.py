@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 import seqaudit
-from seqaudit.baselines import BatchProtocol, PermutationTestConfig, run_protocol
+from seqaudit.baselines import BatchProtocol, PermutationTestConfig, PValueSequence, walk_protocol
 from seqaudit.betting import CURVATURE, ons_bets
 from seqaudit.cli import REGION_POLICIES, region_population
 from seqaudit.core import (
@@ -41,12 +41,19 @@ from seqaudit.core import (
     Propensity,
     SessionStateError,
 )
-from seqaudit.engine import run_stream, session_finalize, session_new
-from seqaudit.payoffs import PropensityContext, payoff_composite, payoff_propensity, payoff_simple
+from seqaudit.engine import run_args, run_stream, session_finalize, session_new
+from seqaudit.payoffs import (
+    PropensityContext,
+    payoff_composite,
+    payoff_propensity,
+    payoff_simple,
+    simple_args,
+)
 from seqaudit.simulate import (
     FixedMeans,
     LogisticDrift,
     derive_seed,
+    draw_outputs,
     generate_stream,
     monte_carlo,
     policy_corrective_scale,
@@ -381,21 +388,26 @@ def test_criterion_11_baseline_protocols():
         perms = 200
         null_scen = FixedMeans((0.5, 0.5), horizon=horizon // 2, seed=1111)
         alt_scen = FixedMeans.from_gap(0.2, horizon=horizon // 2, seed=1112)
-        null_streams = [
-            generate_stream(null_scen, seed=derive_seed(null_scen.seed, i)) for i in range(reps)
-        ]
-        alt_streams = [
-            generate_stream(alt_scen, seed=derive_seed(alt_scen.seed, i)) for i in range(reps)
-        ]
+        # Outputs of each stream as a (steps, 2) array, group 0 then group 1
+        # at every step, drawn by the block sampler.
+        null_y = [draw_outputs(null_scen, seed=derive_seed(null_scen.seed, i)) for i in range(reps)]
+        alt_y = [draw_outputs(alt_scen, seed=derive_seed(alt_scen.seed, i)) for i in range(reps)]
+        # One lazy p-value sequence per stream, shared by every protocol sweep.
+        groups = np.tile([0, 1], horizon // 2)
+        pvalues = []
+        for i in range(reps):
+            cfg = PermutationTestConfig(n_permutations=perms, seed=derive_seed(1113, i))
+            pvalues.append(
+                [PValueSequence(y.ravel(), groups, k, cfg, horizon) for y in (null_y[i], alt_y[i])]
+            )
 
         def protocol_cells(kind: str, alpha: float) -> tuple[float, float]:
             protocol = BatchProtocol(kind=kind, batch_size=k, alpha=alpha)
             hits = 0
             taus = []
-            for i in range(reps):
-                cfg = PermutationTestConfig(n_permutations=perms, seed=derive_seed(1113, i))
-                hits += run_protocol(protocol, null_streams[i], cfg, horizon)[0]
-                hit, tau = run_protocol(protocol, alt_streams[i], cfg, horizon)
+            for null_pvalues, alt_pvalues in pvalues:
+                hits += walk_protocol(protocol, null_pvalues)[0]
+                hit, tau = walk_protocol(protocol, alt_pvalues)
                 taus.append(tau if hit else horizon)
             return hits / reps, sum(taus) / reps
 
@@ -404,9 +416,10 @@ def test_criterion_11_baseline_protocols():
             taus = []
             for i in range(reps):
                 cfg = AuditConfig(alpha=alpha, seed=derive_seed(1114, i))
-                if run_stream(cfg, null_streams[i], record_trajectory=False).decision.is_rejection:
+                null_args = [simple_args(null_y[i])]
+                if run_args(cfg, null_args, record_trajectory=False).decision.is_rejection:
                     hits += 1
-                report = run_stream(cfg, alt_streams[i], record_trajectory=False)
+                report = run_args(cfg, [simple_args(alt_y[i])], record_trajectory=False)
                 taus.append(2 * report.decision.tau if report.decision.is_rejection else horizon)
             return hits / reps, sum(taus) / reps
 

@@ -2,7 +2,15 @@
 import numpy as np
 import pytest
 
-from seqaudit.baselines import BatchProtocol, PermutationTestConfig, permutation_pvalue, run_protocol
+from seqaudit import baselines
+from seqaudit.baselines import (
+    BatchProtocol,
+    PermutationTestConfig,
+    PValueSequence,
+    permutation_pvalue,
+    run_protocol,
+    walk_protocol,
+)
 from seqaudit.core import AuditRecord, ValidationError
 
 from conftest import bernoulli_pair_stream
@@ -122,3 +130,96 @@ def test_protocol_no_rejection_returns_none():
     protocol = BatchProtocol(kind="m2", batch_size=10, alpha=0.01)
     rejected, tau = run_protocol(protocol, stream, PermutationTestConfig(seed=6), horizon=100)
     assert not rejected and tau is None
+
+
+def test_run_protocol_reads_at_most_horizon_records():
+    horizon = 60
+    records = bernoulli_pair_stream(0.5, 0.5, horizon, seed=2)
+
+    def stream():
+        yield from records[:horizon]
+        raise AssertionError("read past the horizon")
+
+    protocol = BatchProtocol(kind="m1", batch_size=20, alpha=0.05)
+    cfg = PermutationTestConfig(n_permutations=100, seed=3)
+    assert run_protocol(protocol, stream(), cfg, horizon) == run_protocol(protocol, records, cfg, horizon)
+
+
+def _protocol_by_hand(protocol, records, cfg, horizon):
+    """The batch rules written out as a loop over records: the reference
+    the p-value sequence is checked against."""
+    records = records[:horizon]
+    k = protocol.batch_size
+    tested = 0
+    for start in range(0, (len(records) // k) * k, k):
+        batch = records[start : start + k]
+        y0 = [r.y_hat for r in batch if r.group == 0]
+        y1 = [r.y_hat for r in batch if r.group == 1]
+        if not y0 or not y1:
+            continue
+        tested += 1
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, tested]))
+        if permutation_pvalue(y0, y1, cfg, rng=rng) <= protocol.level(tested):
+            return True, start + k
+    return False, None
+
+
+def _shuffled_three_group_stream(n, seed):
+    """Groups 0, 1 and 2 in random order, with runs long enough that some
+    batches miss a group; group 0 scores higher."""
+    gen = np.random.default_rng(seed)
+    groups = np.repeat(gen.integers(0, 3, n // 4), 4)[:n]
+    return [
+        AuditRecord(t=t, group=int(g), y_hat=float(gen.random() < (0.8 if g == 0 else 0.4)))
+        for t, g in enumerate(groups, start=1)
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 5, 6, 9, 24])
+def test_run_protocol_matches_by_hand_loop(k):
+    """Odd and even batch sizes, the exhaustive branch (k <= 6 with 100
+    permutations), skipped single-group batches, a third group, horizons
+    past and short of the stream."""
+    cfg = PermutationTestConfig(n_permutations=100, seed=7)
+    for seed in range(6):
+        records = _shuffled_three_group_stream(240, seed)
+        for kind, alpha, horizon in [("m1", 0.05, 240), ("m2", 0.1, 240), ("m2", 0.3, 500), ("m1", 0.01, 97)]:
+            protocol = BatchProtocol(kind=kind, batch_size=k, alpha=alpha)
+            assert run_protocol(protocol, records, cfg, horizon) == _protocol_by_hand(
+                protocol, records, cfg, horizon
+            )
+
+
+def test_pvalue_sequence_is_lazy_and_computed_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return permutation_pvalue(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "permutation_pvalue", counting)
+    records = bernoulli_pair_stream(0.5, 0.5, 100, seed=4)
+    y = np.array([r.y_hat for r in records])
+    group = np.array([r.group for r in records])
+    seq = PValueSequence(y, group, 20, PermutationTestConfig(n_permutations=50, seed=1), horizon=200)
+    first = next(iter(seq))
+    assert len(calls) == 1
+    items = list(seq)
+    assert items[0] == first and len(items) == 10 and len(calls) == 10
+    assert [consumed for _, consumed in items] == list(range(20, 201, 20))
+    assert list(seq) == items and len(calls) == 10
+
+
+def test_walk_protocol_needs_matching_batch_size():
+    seq = PValueSequence(np.zeros(40), np.tile([0, 1], 20), 10, PermutationTestConfig(), horizon=40)
+    with pytest.raises(ValidationError):
+        walk_protocol(BatchProtocol(kind="m1", batch_size=20, alpha=0.05), seq)
+
+
+def test_pvalue_sequence_validation():
+    with pytest.raises(ValidationError):
+        PValueSequence(np.zeros(4), np.zeros(4), 1, PermutationTestConfig(), horizon=4)
+    with pytest.raises(ValidationError):
+        PValueSequence(np.zeros(4), np.zeros(3), 2, PermutationTestConfig(), horizon=4)
+    with pytest.raises(ValidationError):
+        run_protocol(BatchProtocol(kind="m1", batch_size=2, alpha=0.05), [], PermutationTestConfig(), -1)

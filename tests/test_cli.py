@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from seqaudit import baselines
+from seqaudit.baselines import BatchProtocol, PermutationTestConfig, run_protocol
 from seqaudit.cli import main
+from seqaudit.core import AuditConfig
+from seqaudit.engine import run_stream
+from seqaudit.simulate import FixedMeans, derive_seed, generate_stream
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,6 +116,138 @@ def test_simulate_bad_alpha_is_usage_error():
 
 def test_bench_alpha_zero_is_usage_error():
     assert main(["bench", "--alphas", "0,0.05", "--replicates", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--batch-sizes", "50.7"),
+        ("--batch-sizes", "50,0.5"),
+        ("--batch-sizes", "inf"),
+        ("--horizon", "2001"),
+        ("--horizon", "1"),
+        ("--horizon", "0"),
+        ("--horizon", "-4"),
+    ],
+)
+def test_bench_bad_batch_size_or_horizon_is_usage_error(flags, capsys):
+    argv = ["bench", "--methods", "betting,perm-m1", "--replicates", "2", "--horizon", "200", *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[0] in err
+
+
+def test_bench_accepts_integral_batch_sizes_written_as_floats(tmp_path):
+    argv = ["bench", "--methods", "perm-m2", "--replicates", "2", "--horizon", "200",
+            "--permutations", "20", "--seed", "1"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([*argv, "--batch-sizes", "40.0", "--out", str(a)]) == 0
+    assert main([*argv, "--batch-sizes", "40", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+_BENCH_GRID = dict(alphas=(0.01, 0.05, 0.1), batch_sizes=(6, 25, 40), replicates=4,
+                   horizon=400, permutations=100, delta=0.3, center=0.5)
+
+
+def _bench_argv(seed, grid=_BENCH_GRID):
+    return [
+        "bench", "--alphas", ",".join(map(str, grid["alphas"])),
+        "--methods", "betting,perm-m1,perm-m2",
+        "--batch-sizes", ",".join(map(str, grid["batch_sizes"])),
+        "--replicates", str(grid["replicates"]), "--horizon", str(grid["horizon"]),
+        "--permutations", str(grid["permutations"]), "--delta", str(grid["delta"]),
+        "--center", str(grid["center"]), "--seed", str(seed),
+    ]
+
+
+def _bench_rows_by_hand(seed, grid=_BENCH_GRID):
+    """The rows of ``bench`` from record streams: ``run_stream`` for
+    betting and ``run_protocol`` for each protocol, method, alpha and batch
+    size on its own."""
+    horizon, reps = grid["horizon"], grid["replicates"]
+    center, delta = grid["center"], grid["delta"]
+    null = FixedMeans((center, center), horizon=horizon // 2, seed=derive_seed(seed, 101))
+    alt = FixedMeans.from_gap(delta, center=center, horizon=horizon // 2, seed=derive_seed(seed, 202))
+    streams = [
+        [generate_stream(scen, seed=derive_seed(scen.seed, i)) for i in range(reps)]
+        for scen in (null, alt)
+    ]
+    rows = []
+    for alpha in grid["alphas"]:
+        hits, taus = 0, []
+        for i in range(reps):
+            config = AuditConfig(alpha=alpha, seed=derive_seed(seed, i))
+            hits += run_stream(config, streams[0][i], record_trajectory=False).decision.is_rejection
+            decision = run_stream(config, streams[1][i], record_trajectory=False).decision
+            taus.append(2 * decision.tau if decision.is_rejection else horizon)
+        rows.append(["betting", "", str(alpha), str(hits / reps), str(sum(taus) / reps)])
+        for method in ("perm-m1", "perm-m2"):
+            for k in grid["batch_sizes"]:
+                protocol = BatchProtocol(kind=method[-2:], batch_size=k, alpha=alpha)
+                hits, taus = 0, []
+                for i in range(reps):
+                    cfg = PermutationTestConfig(
+                        n_permutations=grid["permutations"], alpha=alpha,
+                        seed=derive_seed(seed, 10_000 + i),
+                    )
+                    hits += run_protocol(protocol, streams[0][i], cfg, horizon)[0]
+                    hit, tau = run_protocol(protocol, streams[1][i], cfg, horizon)
+                    taus.append(tau if hit else horizon)
+                rows.append([method, str(k), str(alpha), str(hits / reps), str(sum(taus) / reps)])
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_rows_equal_the_record_path(seed, tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main([*_bench_argv(seed), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "method,k,alpha,fpr,tau_mean"
+    assert [line.split(",") for line in lines[1:]] == _bench_rows_by_hand(seed)
+
+
+def test_bench_computes_each_batch_pvalue_at_most_once(monkeypatch, tmp_path):
+    """Across M1, M2 and every alpha, each (stream, batch size, tested
+    batch) gets one p-value, and no more batches than the furthest
+    protocol reaches."""
+    calls = []
+    pvalue = baselines.permutation_pvalue
+
+    def counting(sample0, sample1, config, rng=None):
+        calls.append((tuple(rng.bit_generator.seed_seq.entropy), len(sample0) + len(sample1)))
+        return pvalue(sample0, sample1, config, rng=rng)
+
+    monkeypatch.setattr(baselines, "permutation_pvalue", counting)
+    seed, reps, horizon = 4, _BENCH_GRID["replicates"], _BENCH_GRID["horizon"]
+    assert main([*_bench_argv(seed), "--out", str(tmp_path / "bench.csv")]) == 0
+    # A (replicate seed, batch index, batch size) key names one batch of the
+    # null stream and one of the alternative stream: at most two calls.
+    counts = {key: calls.count(key) for key in calls}
+    assert max(counts.values()) <= 2
+    monkeypatch.setattr(baselines, "permutation_pvalue", pvalue)
+
+    grid = _BENCH_GRID
+    null = FixedMeans((grid["center"],) * 2, horizon=horizon // 2, seed=derive_seed(seed, 101))
+    alt = FixedMeans.from_gap(
+        grid["delta"], center=grid["center"], horizon=horizon // 2, seed=derive_seed(seed, 202)
+    )
+    furthest = 0
+    for scen in (null, alt):
+        for i in range(reps):
+            records = generate_stream(scen, seed=derive_seed(scen.seed, i))
+            cfg = PermutationTestConfig(
+                n_permutations=grid["permutations"], seed=derive_seed(seed, 10_000 + i)
+            )
+            for k in grid["batch_sizes"]:
+                reach = 0
+                for kind in ("m1", "m2"):
+                    for alpha in grid["alphas"]:
+                        hit, tau = run_protocol(BatchProtocol(kind, k, alpha), records, cfg, horizon)
+                        # every batch of an interleaved stream holds both groups
+                        reach = max(reach, tau // k if hit else horizon // k)
+                furthest += reach
+    assert len(calls) == furthest
 
 
 def test_unknown_preset_is_usage_error():

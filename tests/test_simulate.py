@@ -26,6 +26,7 @@ from seqaudit.simulate import (
     PolicyPopulation,
     SinusoidalDrift,
     derive_seed,
+    draw_outputs,
     draw_records,
     estimated_density_bounds,
     estimated_density_scale,
@@ -303,6 +304,19 @@ _PROPENSITY = PolicyPopulation(**_WEIGHTED, horizon=120, seed=38)
 _ESTIMATED = PolicyPopulation(
     **_WEIGHTED, density_estimates=((0.25,) * 4, (0.3,) * 4), horizon=300, seed=39,
 )
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [*_FAMILIES.values(), *_THREE_GROUPS.values(), FixedMeans((0.5, 0.5), horizon=1, seed=37)],
+    ids=[*_FAMILIES, *_THREE_GROUPS, "one-step"],
+)
+def test_draw_outputs_matches_record_path(scenario):
+    for seed in (None, 5, 6):
+        y = draw_outputs(scenario, seed=seed)
+        records = generate_stream(scenario, seed=seed)
+        assert y.shape == (scenario.horizon, scenario.group_count)
+        assert y.ravel().tolist() == [r.y_hat for r in records]
 
 
 def _differential_cases():
