@@ -123,8 +123,8 @@ def permutation_pvalue(
 class PValueSequence:
     """The p-values of one stream's batch tests, computed lazily and cached.
 
-    Batches are the consecutive ``batch_size``-record slices of the first
-    ``horizon`` entries of ``y`` (model outputs) and ``group`` (group ids).
+    Batches are the consecutive ``batch_size``-record slices of ``y`` (model
+    outputs) and ``group`` (group ids); a trailing partial batch is dropped.
     A batch missing group 0 or group 1 is skipped; the j-th batch holding
     both (1-based) is tested with ``SeedSequence([config.seed, j])``.  Item
     j - 1 is ``(p-value, records consumed)`` for that batch.  Iterating
@@ -138,20 +138,18 @@ class PValueSequence:
         group: np.ndarray,
         batch_size: int,
         config: PermutationTestConfig,
-        horizon: int,
     ):
         if batch_size < 2:
             raise ValidationError(
                 f"each batch must be able to hold both groups, got batch_size {batch_size!r}"
             )
-        _check_horizon(horizon)
         if len(y) != len(group):
             raise ValidationError(f"{len(y)} outputs but {len(group)} group ids")
         self.batch_size = batch_size
         self._y = y
         self._group = group
         self._config = config
-        self._end = min(len(y), horizon) // batch_size * batch_size
+        self._end = len(y) // batch_size * batch_size
         self._next = 0  # start of the next batch to look at
         self._items: list[tuple[float, int]] = []
 
@@ -209,14 +207,10 @@ def run_protocol(
     significance increment.  The returned stopping time is always a multiple
     of the batch size.  See :class:`PValueSequence` for the batch rules.
     """
-    _check_horizon(horizon)
+    if horizon < 0:
+        raise ValidationError(f"horizon must be >= 0, got {horizon!r}")
     records = list(islice(stream, horizon))
     y = np.array([r.y_hat for r in records], dtype=float)
     group = np.array([r.group for r in records], dtype=np.int64)
-    pvalues = PValueSequence(y, group, protocol.batch_size, test_config, horizon)
+    pvalues = PValueSequence(y, group, protocol.batch_size, test_config)
     return walk_protocol(protocol, pvalues)
-
-
-def _check_horizon(horizon: int) -> None:
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon!r}")

@@ -295,7 +295,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             for k in batch_sizes:
                 pvalues[k, i] = tuple(
-                    baselines.PValueSequence(y.ravel(), groups, k, test_config, horizon_records)
+                    baselines.PValueSequence(y.ravel(), groups, k, test_config)
                     for y in (null_y[i], alt_y[i])
                 )
 

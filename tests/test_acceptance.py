@@ -398,7 +398,7 @@ def test_criterion_11_baseline_protocols():
         for i in range(reps):
             cfg = PermutationTestConfig(n_permutations=perms, seed=derive_seed(1113, i))
             pvalues.append(
-                [PValueSequence(y.ravel(), groups, k, cfg, horizon) for y in (null_y[i], alt_y[i])]
+                [PValueSequence(y.ravel(), groups, k, cfg) for y in (null_y[i], alt_y[i])]
             )
 
         def protocol_cells(kind: str, alpha: float) -> tuple[float, float]:

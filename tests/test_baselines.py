@@ -201,7 +201,7 @@ def test_pvalue_sequence_is_lazy_and_computed_once(monkeypatch):
     records = bernoulli_pair_stream(0.5, 0.5, 100, seed=4)
     y = np.array([r.y_hat for r in records])
     group = np.array([r.group for r in records])
-    seq = PValueSequence(y, group, 20, PermutationTestConfig(n_permutations=50, seed=1), horizon=200)
+    seq = PValueSequence(y, group, 20, PermutationTestConfig(n_permutations=50, seed=1))
     first = next(iter(seq))
     assert len(calls) == 1
     items = list(seq)
@@ -211,15 +211,15 @@ def test_pvalue_sequence_is_lazy_and_computed_once(monkeypatch):
 
 
 def test_walk_protocol_needs_matching_batch_size():
-    seq = PValueSequence(np.zeros(40), np.tile([0, 1], 20), 10, PermutationTestConfig(), horizon=40)
+    seq = PValueSequence(np.zeros(40), np.tile([0, 1], 20), 10, PermutationTestConfig())
     with pytest.raises(ValidationError):
         walk_protocol(BatchProtocol(kind="m1", batch_size=20, alpha=0.05), seq)
 
 
 def test_pvalue_sequence_validation():
     with pytest.raises(ValidationError):
-        PValueSequence(np.zeros(4), np.zeros(4), 1, PermutationTestConfig(), horizon=4)
+        PValueSequence(np.zeros(4), np.zeros(4), 1, PermutationTestConfig())
     with pytest.raises(ValidationError):
-        PValueSequence(np.zeros(4), np.zeros(3), 2, PermutationTestConfig(), horizon=4)
+        PValueSequence(np.zeros(4), np.zeros(3), 2, PermutationTestConfig())
     with pytest.raises(ValidationError):
         run_protocol(BatchProtocol(kind="m1", batch_size=2, alpha=0.05), [], PermutationTestConfig(), -1)
