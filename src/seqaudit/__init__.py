@@ -5,14 +5,13 @@ process; the null of equal group means is rejected the moment wealth crosses
 its threshold, which keeps the false positive rate below alpha
 simultaneously over all data-dependent stopping times.
 """
-from .betting import ons_bets, ons_init, ons_update, wealth_lower_bound
+from .betting import ons_bets, wealth_lower_bound
 from .core import (
     AuditConfig,
     AuditError,
     AuditRecord,
     AuditReport,
     Batched,
-    BettorState,
     Composite,
     ConfigurationError,
     Decision,
@@ -26,7 +25,6 @@ from .core import (
     SessionStateError,
     Simple,
     ValidationError,
-    WealthState,
 )
 from .engine import AuditSession, run_stream, session_finalize, session_new, session_step
 
@@ -37,7 +35,6 @@ __all__ = [
     "AuditReport",
     "AuditSession",
     "Batched",
-    "BettorState",
     "Composite",
     "ConfigurationError",
     "Decision",
@@ -51,10 +48,7 @@ __all__ = [
     "SessionStateError",
     "Simple",
     "ValidationError",
-    "WealthState",
     "ons_bets",
-    "ons_init",
-    "ons_update",
     "run_stream",
     "session_finalize",
     "session_new",

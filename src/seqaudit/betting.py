@@ -16,18 +16,11 @@ import math
 
 import numpy as np
 
-from .core import BettorState, ConfigurationError, ValidationError
+from .core import ConfigurationError, ValidationError
 
 CURVATURE = 2.0 / (2.0 - math.log(3.0))
 
 _DEFAULT_DOMAIN = (-0.5, 0.5)
-
-
-def _clip_bounds(domain: tuple[float, float]) -> tuple[float, float]:
-    # The effective clamp never widens past [-1/2, 1/2], even when the payoff
-    # would tolerate more: one bettor implementation, one wealth guarantee.
-    lo, hi = domain
-    return max(lo, -0.5), min(hi, 0.5)
 
 
 def _ons_step(lam: float, grad_sq_sum: float, g: float, lo: float, hi: float) -> tuple[float, float]:
@@ -42,42 +35,24 @@ def _ons_step(lam: float, grad_sq_sum: float, g: float, lo: float, hi: float) ->
     return lam, grad_sq_sum
 
 
-def ons_init(domain: tuple[float, float] = _DEFAULT_DOMAIN) -> BettorState:
-    """Fresh bettor with a zero bet and empty gradient history.
+def ons_bets(gs, domain: tuple[float, float] = _DEFAULT_DOMAIN) -> np.ndarray:
+    """Bets placed against each element of ``gs`` (the bet at index i is
+    chosen before g_i is revealed), with the arithmetic of the engine's
+    per-step update.  Convenience path for simulations and oracle checks.
 
-    The domain may extend past [-1, 1] (one-sided payoffs tolerate bets in
-    [-1/(1-eps), 1/(1+eps)]); the effective clamp is its intersection with
-    [-1/2, 1/2] regardless, so a wider domain never changes the bets.
+    The domain must be a finite interval containing 0.  It may extend past
+    [-1, 1] (one-sided payoffs tolerate bets in [-1/(1-eps), 1/(1+eps)]);
+    the effective clamp is its intersection with [-1/2, 1/2] regardless, so
+    a wider domain never changes the bets.
     """
     lo, hi = domain
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ConfigurationError(f"bet domain must be a nonempty interval, got {domain!r}")
     if not (lo <= 0.0 <= hi):
         raise ConfigurationError(f"bet domain must contain 0, got {domain!r}")
-    return BettorState(lam=0.0, grad_sq_sum=0.0, domain=(float(lo), float(hi)))
-
-
-def ons_update(state: BettorState, g: float) -> BettorState:
-    """Advance the bettor one step on the realized payoff argument ``g``.
-
-    ``|g| > 1`` is rejected: it signals an upstream payoff-scaling bug such
-    as a missing corrective factor on weighted payoffs.
-    """
-    if not (math.isfinite(g) and -1.0 <= g <= 1.0):
-        raise ValidationError(f"payoff argument must lie in [-1, 1], got {g!r}")
-    lo, hi = _clip_bounds(state.domain)
-    lam, acc = _ons_step(state.lam, state.grad_sq_sum, g, lo, hi)
-    return BettorState(lam=lam, grad_sq_sum=acc, domain=state.domain)
-
-
-def ons_bets(gs, domain: tuple[float, float] = _DEFAULT_DOMAIN) -> np.ndarray:
-    """Bets placed against each element of ``gs`` (the bet at index i is
-    chosen before g_i is revealed).  Convenience path for simulations and
-    oracle checks; arithmetic is identical to repeated :func:`ons_update`."""
+    lo, hi = max(float(lo), -0.5), min(float(hi), 0.5)
     gs = np.asarray(gs, dtype=float)
-    state = ons_init(domain)
-    lo, hi = _clip_bounds(state.domain)
-    lam, acc = state.lam, state.grad_sq_sum
+    lam, acc = 0.0, 0.0
     out = np.empty(len(gs))
     for i, g in enumerate(gs):
         out[i] = lam

@@ -109,38 +109,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 _PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig5")
 
-# Region-policy preset: uniform population over four regions, group 0 scored
-# higher than group 1 everywhere, and three sampling policies that deviate
-# from the population shares to an increasing degree.
-_REGIONS = ("NE", "NW", "SE", "SW")
-_REGION_DENSITY = (0.25, 0.25, 0.25, 0.25)
-_REGION_OUTPUTS = ((0.9, 0.7, 0.5, 0.3), (0.6, 0.4, 0.2, 0.0))
-REGION_POLICIES = {
-    "uniform": (0.25, 0.25, 0.25, 0.25),
-    "pi1": (0.1, 0.2, 0.3, 0.4),
-    "pi2": (0.05, 0.15, 0.25, 0.55),
-    "pi3": (0.05, 0.1, 0.15, 0.7),
-}
-
-
-def region_population(
-    policy: tuple[float, ...], equalize_means: bool = False, horizon: int = 1000, seed: int = 0
-) -> simulate.PolicyPopulation:
-    outputs = _REGION_OUTPUTS
-    if equalize_means:
-        gap = sum(
-            (a - b) * r for a, b, r in zip(outputs[0], outputs[1], _REGION_DENSITY)
-        )
-        outputs = (outputs[0], tuple(v + gap for v in outputs[1]))
-    return simulate.PolicyPopulation(
-        density=(_REGION_DENSITY, _REGION_DENSITY),
-        outputs=outputs,
-        policy=policy,
-        labels=_REGIONS,
-        horizon=horizon,
-        seed=seed,
-    )
-
 
 def _preset_rows(name: str, args: argparse.Namespace) -> list[tuple[str, object, object, float]]:
     """Rows of (label, scenario, strategy, alpha) for a preset."""
@@ -171,8 +139,10 @@ def _preset_rows(name: str, args: argparse.Namespace) -> list[tuple[str, object,
         alpha = 0.05 if alpha is None else alpha
         horizon = 2000 if horizon is None else horizon
         rows = []
-        for i, (label, policy) in enumerate(REGION_POLICIES.items()):
-            scen = region_population(policy, horizon=horizon, seed=simulate.derive_seed(seed, i))
+        for i, (label, policy) in enumerate(simulate.REGION_POLICIES.items()):
+            scen = simulate.region_population(
+                policy, horizon=horizon, seed=simulate.derive_seed(seed, i)
+            )
             strategy = Propensity(scale=simulate.policy_corrective_scale(scen))
             rows.append((f"fig5-{label}", scen, strategy, alpha))
         return rows

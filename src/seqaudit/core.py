@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class AuditError(Exception):
@@ -174,28 +174,14 @@ def strategy_tag(strategy: PayoffStrategy) -> str:
 
 
 def strategy_to_dict(strategy: PayoffStrategy) -> dict:
-    d = {"kind": strategy_tag(strategy)}
-    if isinstance(strategy, Propensity):
-        d["scale"] = strategy.scale
-    elif isinstance(strategy, EstimatedDensity):
-        d.update(delta_min=strategy.delta_min, delta_max=strategy.delta_max, scale=strategy.scale)
-    elif isinstance(strategy, Composite):
-        d["epsilon"] = strategy.epsilon
-    return d
+    return {"kind": strategy_tag(strategy), **{f.name: getattr(strategy, f.name) for f in fields(strategy)}}
 
 
 def strategy_from_dict(d: dict) -> PayoffStrategy:
     kind = d.get("kind")
-    if kind == "simple":
-        return Simple()
-    if kind == "batched":
-        return Batched()
-    if kind == "propensity":
-        return Propensity(scale=d["scale"])
-    if kind == "estimated_density":
-        return EstimatedDensity(delta_min=d["delta_min"], delta_max=d["delta_max"], scale=d["scale"])
-    if kind == "composite":
-        return Composite(epsilon=d["epsilon"])
+    for cls, tag in _STRATEGY_TAGS.items():
+        if tag == kind:
+            return cls(**{f.name: d[f.name] for f in fields(cls)})
     raise ValidationError(f"unknown strategy kind {kind!r}")
 
 
@@ -214,44 +200,15 @@ class AuditConfig:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not isinstance(self.group_count, int) or self.group_count < 2:
             raise ValidationError(f"group_count must be an integer >= 2, got {self.group_count!r}")
+        if type(self.strategy) not in _STRATEGY_TAGS:
+            raise ConfigurationError(f"unknown strategy {self.strategy!r}")
+        if self.group_count > 2 and type(self.strategy) is not Simple:
+            raise ConfigurationError(
+                "multi-group audits pair adjacent groups with the simple payoff; "
+                f"got group_count={self.group_count} with {type(self.strategy).__name__}"
+            )
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
             raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-
-
-@dataclass(slots=True)
-class BettorState:
-    """Internal state of the betting rule: current bet and the running sum
-    of squared normalized gradients."""
-
-    lam: float = 0.0
-    grad_sq_sum: float = 0.0
-    domain: tuple[float, float] = (-0.5, 0.5)
-
-    def __post_init__(self):
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= 0.0 <= hi):
-            raise ConfigurationError(f"bet domain must be a finite interval containing 0, got {self.domain!r}")
-        if not (lo <= self.lam <= hi):
-            raise ValidationError(f"lam {self.lam!r} outside domain {self.domain!r}")
-        if self.grad_sq_sum < 0.0:
-            raise ValidationError(f"grad_sq_sum must be nonnegative, got {self.grad_sq_sum!r}")
-
-
-@dataclass(slots=True)
-class WealthState:
-    """Running wealth of one game, kept in log space, plus the payoff-argument
-    sums used by diagnostics and the wealth-bound oracle."""
-
-    log_wealth: float = 0.0
-    step: int = 0
-    s_sum: float = 0.0
-    v_sum: float = 0.0
-    w_sum: float = 0.0
-    trajectory: list[tuple[int, float]] | None = None
-
-    @property
-    def wealth(self) -> float:
-        return wealth_from_log(self.log_wealth)
 
 
 class DecisionKind(enum.Enum):
@@ -314,8 +271,8 @@ class AuditReport:
     per_game: list[GameReport] | None = None
 
     def __post_init__(self):
-        multi = isinstance(self.config_echo.strategy, Composite) or self.config_echo.group_count > 2
-        if multi != (self.per_game is not None):
-            raise ValidationError(
-                "per_game must be present exactly for composite or multi-group audits"
-            )
+        from .engine import STRATEGIES  # the strategy table lives with the engine
+
+        config = self.config_echo
+        if (len(STRATEGIES[type(config.strategy)].games(config)) > 1) != (self.per_game is not None):
+            raise ValidationError("per_game must be present exactly for audits with several games")

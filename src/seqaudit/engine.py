@@ -2,19 +2,22 @@
 stream, maintain the wealth process, stop the first time wealth crosses its
 rejection threshold, and (optionally) apply the randomized terminal step.
 
-Orchestration modes share one mechanism: a session owns one betting game per
-tested pair of groups.  A plain two-group audit is one game with threshold
-1/alpha; a composite audit runs the two one-sided games in lockstep, each
-with threshold 2/alpha; a (J+1)-group audit runs J games on adjacent pairs
-(b, b+1), each with threshold J/alpha.  Wealth is accumulated in log space;
-the threshold comparison is log K >= log(threshold).
+A session owns one Online Newton Step game per tested hypothesis, and every
+step advances each game by the payoff 1 + lam * g of its argument g.  The
+strategies differ only in their row of :data:`STRATEGIES`: the games and
+their bet bound, and how records (or drawn arrays) become one argument per
+game.  The n games share the threshold n/alpha: 1/alpha for a plain
+two-group audit, 2/alpha for the one-sided pairs of the composite and
+estimated-density audits, J/alpha for the adjacent pairs (b, b+1) of J+1
+groups.  Wealth is kept in log space; the comparison is log K >= log(threshold).
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import pairwise
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,9 +27,7 @@ from .core import (
     AuditRecord,
     AuditReport,
     Batched,
-    BettorState,
     Composite,
-    ConfigurationError,
     Decision,
     DecisionKind,
     EstimatedDensity,
@@ -35,17 +36,21 @@ from .core import (
     SessionStateError,
     Simple,
     ValidationError,
-    WealthState,
     wealth_from_log,
 )
 from .payoffs import (
     BatchAccumulator,
     batch_payoff,
     batch_push,
+    batched_args,
+    composite_args,
+    estimated_density_args,
     estimated_density_context,
     payoff_estimated_density,
     payoff_propensity,
+    propensity_args,
     propensity_context,
+    simple_args,
 )
 
 # Salt for the RNG substream reserved for the single terminal uniform draw,
@@ -57,48 +62,58 @@ class _Game:
     """Mutable per-game state; plain floats on slots keep stepping cheap."""
 
     __slots__ = (
-        "game_id", "lam", "grad_acc", "log_wealth", "s_sum", "v_sum", "w_sum",
-        "steps", "rejected", "tau", "trajectory", "lo", "hi",
+        "game_id", "lam", "grad_acc", "log_wealth", "s_sum", "v_sum",
+        "steps", "rejected", "tau", "trajectory", "lo",
     )
 
-    def __init__(self, game_id: str, record_trajectory: bool):
+    def __init__(self, game_id: str, lo: float, record_trajectory: bool):
         self.game_id = game_id
         self.lam = 0.0
         self.grad_acc = 0.0
         self.log_wealth = 0.0
         self.s_sum = 0.0
         self.v_sum = 0.0
-        self.w_sum = 0.0
         self.steps = 0
         self.rejected = False
         self.tau: int | None = None
         self.trajectory: list[tuple[int, float]] | None = [] if record_trajectory else None
-        self.lo = -0.5
-        self.hi = 0.5
+        self.lo = lo
 
-    def apply(self, payoff: float, g: float, bet_placed: bool = True) -> None:
-        self.log_wealth += math.log(payoff)
-        self.s_sum += g
-        self.v_sum += g * g
-        self.w_sum += abs(g)
+    def apply(self, g: float) -> None:
+        """The one advance rule: wealth times 1 + lam * g, then the ONS
+        update on g.  A zero argument, such as an abstention, would leave
+        the wealth, the bet and the sums bit-identical, so it only counts
+        the step."""
+        if g != 0.0:
+            self.log_wealth += math.log(1.0 + self.lam * g)
+            self.s_sum += g
+            self.v_sum += g * g
+            self.lam, self.grad_acc = _ons_step(self.lam, self.grad_acc, g, self.lo, 0.5)
         self.steps += 1
         if self.trajectory is not None:
             self.trajectory.append((self.steps, self.log_wealth))
-        if bet_placed:
-            self.lam, self.grad_acc = _ons_step(self.lam, self.grad_acc, g, self.lo, self.hi)
 
-    def bettor_state(self) -> BettorState:
-        return BettorState(lam=self.lam, grad_sq_sum=self.grad_acc, domain=(self.lo, self.hi))
 
-    def wealth_state(self) -> WealthState:
-        return WealthState(
-            log_wealth=self.log_wealth,
-            step=self.steps,
-            s_sum=self.s_sum,
-            v_sum=self.v_sum,
-            w_sum=self.w_sum,
-            trajectory=None if self.trajectory is None else list(self.trajectory),
-        )
+@dataclass(frozen=True, slots=True)
+class StrategyRow:
+    """How one strategy type plays.
+
+    ``games(config)`` gives the game ids; the games share the threshold
+    len(games)/alpha.  ``lo`` is the lower bet bound: 0 for one-sided games,
+    whose nulls only bound the argument's mean from above, -1/2 otherwise.
+    ``step(session, records)`` maps one step's records to one payoff
+    argument per game.  ``block(strategy, y, w, w_hat)`` is the array form
+    from :mod:`payoffs` for a block of drawn outputs and (estimated) weights:
+    the argument rows before the first step ``step`` would refuse, and the
+    error it raises there (None when it raises none).  ``batched`` marks a
+    strategy whose step is a single record rather than one per group.
+    """
+
+    games: Callable[[AuditConfig], list[str]]
+    lo: float
+    step: Callable[[AuditSession, Sequence[AuditRecord] | AuditRecord], Sequence[float]]
+    block: Callable[..., tuple[np.ndarray, Exception | None]]
+    batched: bool = False
 
 
 @dataclass(slots=True)
@@ -106,68 +121,28 @@ class AuditSession:
     """One in-flight audit.  Not safe to share mid-update; cheap to move."""
 
     config: AuditConfig
+    row: StrategyRow
     games: list[_Game]
     log_threshold: float
     threshold: float
     status: Decision
     batch: BatchAccumulator | None = None
     finalized: bool = False
-    _max_abs_g: float = 1.0
-
-    @property
-    def bettors(self) -> list[BettorState]:
-        return [g.bettor_state() for g in self.games]
-
-    @property
-    def wealths(self) -> list[WealthState]:
-        return [g.wealth_state() for g in self.games]
 
 
-def _n_games(config: AuditConfig) -> int:
-    if isinstance(config.strategy, Composite):
-        return 2
-    return config.group_count - 1
+def _adjacent_pairs(config: AuditConfig) -> list[str]:
+    return [f"{b}v{b + 1}" for b in range(config.group_count - 1)]
 
 
-def session_new(config: AuditConfig, record_trajectory: bool = True) -> AuditSession:
-    """Fresh session: unit wealth, zero bets, status Continue."""
-    strategy = config.strategy
-    if config.group_count > 2 and not isinstance(strategy, Simple):
-        raise ConfigurationError(
-            "multi-group audits pair adjacent groups with the simple payoff; "
-            f"got group_count={config.group_count} with {type(strategy).__name__}"
-        )
-    n = _n_games(config)
-    if isinstance(strategy, Composite):
-        ids = ["upper", "lower"]  # mu0 - mu1 > eps vs mu1 - mu0 > eps
-    elif n == 1:
-        ids = ["0v1"]
-    else:
-        ids = [f"{b}v{b + 1}" for b in range(n)]
-    games = [_Game(i, record_trajectory) for i in ids]
-    threshold = n / config.alpha
-    session = AuditSession(
-        config=config,
-        games=games,
-        log_threshold=math.log(n) - math.log(config.alpha),
-        threshold=threshold,
-        status=Decision(DecisionKind.CONTINUE),
-        batch=BatchAccumulator() if isinstance(strategy, Batched) else None,
-    )
-    if isinstance(strategy, Composite):
-        # One-sided arguments live in [-1-eps, 1-eps]; payoffs stay positive
-        # for bets in [-1/2, 1/2], so the bettor accepts the wider range.
-        session._max_abs_g = 1.0 + strategy.epsilon
-        # Each one-sided null only bounds the argument's mean from above, so
-        # the conditional payoff mean stays <= 1 only for nonnegative bets;
-        # a signed bet would let the mirror game's wealth grow under its own
-        # null.  One-sided games therefore bet in [0, 1/2].
-        for game in session.games:
-            game.lo = 0.0
-    return session
+def _one_sided_pair(config: AuditConfig) -> list[str]:
+    return ["upper", "lower"]  # mu0 - mu1 > 0 (or eps), then mu1 - mu0
 
 
-def _bundle_by_group(records: Sequence[AuditRecord], group_count: int) -> list[AuditRecord]:
+def _bundle_by_group(
+    records: Sequence[AuditRecord] | AuditRecord, group_count: int
+) -> list[AuditRecord]:
+    if isinstance(records, AuditRecord):
+        raise ValidationError("this strategy consumes one record per group, got a single record")
     if len(records) != group_count:
         raise ValidationError(
             f"this strategy consumes one record per group ({group_count}), got {len(records)}"
@@ -180,6 +155,90 @@ def _bundle_by_group(records: Sequence[AuditRecord], group_count: int) -> list[A
             raise ValidationError(f"duplicate record for group {rec.group} in one step")
         by_group[rec.group] = rec
     return by_group  # type: ignore[return-value]
+
+
+# Scalar argument functions.  They call the payoff helpers through this
+# module's globals on every step, so a wrapper installed there sees each call.
+
+
+def _simple_step(session: AuditSession, records) -> list[float]:
+    args = []  # a loop: before Python 3.12 a comprehension builds a frame per step
+    for rec0, rec1 in pairwise(_bundle_by_group(records, session.config.group_count)):
+        args.append(rec0.y_hat - rec1.y_hat)
+    return args
+
+
+def _batched_step(session: AuditSession, records) -> tuple[float]:
+    if isinstance(records, AuditRecord):
+        record = records
+    elif len(records) == 1:
+        record = records[0]
+    else:
+        raise ValidationError("batched mode consumes a single record per step")
+    batch_push(session.batch, record)
+    g, session.batch = batch_payoff(session.batch)
+    return (g,)
+
+
+def _composite_step(session: AuditSession, records) -> tuple[float, float]:
+    rec0, rec1 = _bundle_by_group(records, 2)
+    eps = session.config.strategy.epsilon
+    return rec0.y_hat - rec1.y_hat - eps, rec1.y_hat - rec0.y_hat - eps
+
+
+def _propensity_step(session: AuditSession, records) -> tuple[float]:
+    rec0, rec1 = _bundle_by_group(records, 2)
+    ctx = propensity_context(rec0, rec1, session.config.strategy.scale)
+    return (payoff_propensity(rec0.y_hat, rec1.y_hat, ctx),)
+
+
+def _estimated_density_step(session: AuditSession, records) -> tuple[float, float]:
+    rec0, rec1 = _bundle_by_group(records, 2)
+    ctx = estimated_density_context(rec0, rec1, session.config.strategy)
+    return payoff_estimated_density(rec0.y_hat, rec1.y_hat, ctx)
+
+
+STRATEGIES: dict[type, StrategyRow] = {
+    Simple: StrategyRow(
+        _adjacent_pairs, -0.5, _simple_step, lambda s, y, w, w_hat: (simple_args(y), None)
+    ),
+    Batched: StrategyRow(
+        _adjacent_pairs, -0.5, _batched_step,
+        lambda s, y, w, w_hat: (batched_args(y), None), batched=True,
+    ),
+    # One-sided games (mu0 - mu1 > eps, then mu1 - mu0 > eps): a signed bet
+    # would let the mirror game's wealth grow under its own null.
+    Composite: StrategyRow(
+        _one_sided_pair, 0.0, _composite_step,
+        lambda s, y, w, w_hat: (composite_args(y, s.epsilon), None),
+    ),
+    Propensity: StrategyRow(
+        _adjacent_pairs, -0.5, _propensity_step,
+        lambda s, y, w, w_hat: propensity_args(y, w, s.scale),
+    ),
+    # The estimate's error bounds make each side's argument mean only <= 0
+    # under the null, so it plays one-sided games like composite.
+    EstimatedDensity: StrategyRow(
+        _one_sided_pair, 0.0, _estimated_density_step,
+        lambda s, y, w, w_hat: estimated_density_args(y, w_hat, s),
+    ),
+}
+
+
+def session_new(config: AuditConfig, record_trajectory: bool = True) -> AuditSession:
+    """Fresh session: unit wealth, zero bets, status Continue."""
+    row = STRATEGIES[type(config.strategy)]
+    games = [_Game(i, row.lo, record_trajectory) for i in row.games(config)]
+    n = len(games)
+    return AuditSession(
+        config=config,
+        row=row,
+        games=games,
+        log_threshold=math.log(n) - math.log(config.alpha),
+        threshold=n / config.alpha,
+        status=Decision(DecisionKind.CONTINUE),
+        batch=BatchAccumulator() if row.batched else None,
+    )
 
 
 def _check_open(session: AuditSession) -> None:
@@ -204,59 +263,8 @@ def session_step(
     """Feed one step of data: a record per group, or a single record in
     batched mode.  Returns the session and the decision after this step."""
     _check_open(session)
-    config = session.config
-    strategy = config.strategy
-
-    if isinstance(strategy, Batched):
-        if isinstance(records, AuditRecord):
-            record = records
-        elif len(records) == 1:
-            record = records[0]
-        else:
-            raise ValidationError("batched mode consumes a single record per step")
-        game = session.games[0]
-        batch = session.batch
-        batch_push(batch, record)
-        payoff, g, session.batch = batch_payoff(batch, game.lam)
-        # A bet that fires hands back a fresh accumulator.
-        game.apply(payoff, g, bet_placed=session.batch is not batch)
-        return session, _post_step(session)
-
-    if isinstance(records, AuditRecord):
-        raise ValidationError("this strategy consumes one record per group, got a single record")
-    bundle = _bundle_by_group(records, config.group_count)
-
-    if isinstance(strategy, Composite):
-        rec0, rec1 = bundle
-        q_game, r_game = session.games
-        eps = strategy.epsilon
-        y0, y1 = rec0.y_hat, rec1.y_hat
-        g_q = y0 - y1 - eps
-        g_r = y1 - y0 - eps
-        bound = session._max_abs_g * (1.0 + 1e-9)
-        if abs(g_q) > bound or abs(g_r) > bound:
-            raise ValidationError("composite payoff argument escaped its range")
-        q_game.apply(1.0 + q_game.lam * g_q, g_q)
-        r_game.apply(1.0 + r_game.lam * g_r, g_r)
-        return session, _post_step(session)
-
-    if isinstance(strategy, Simple):
-        for b, game in enumerate(session.games):
-            g = bundle[b].y_hat - bundle[b + 1].y_hat
-            game.apply(1.0 + game.lam * g, g)
-        return session, _post_step(session)
-
-    rec0, rec1 = bundle
-    game = session.games[0]
-    if isinstance(strategy, Propensity):
-        ctx = propensity_context(rec0, rec1, strategy.scale)
-        payoff, g = payoff_propensity(rec0.y_hat, rec1.y_hat, ctx, game.lam)
-    elif isinstance(strategy, EstimatedDensity):
-        ctx = estimated_density_context(rec0, rec1, strategy)
-        payoff, g = payoff_estimated_density(rec0.y_hat, rec1.y_hat, ctx, game.lam)
-    else:  # pragma: no cover - exhaustive over strategy union
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
-    game.apply(payoff, g)
+    for game, g in zip(session.games, session.row.step(session, records)):
+        game.apply(g)
     return session, _post_step(session)
 
 
@@ -340,8 +348,7 @@ def run_stream(
     randomized terminal step is enabled.  Deterministic given (config.seed,
     stream)."""
     session = session_new(config, record_trajectory=record_trajectory)
-    strategy = config.strategy
-    if isinstance(strategy, Batched):
+    if session.row.batched:
         for record in stream:
             if record.group > 1:
                 raise ValidationError("batched audits cover two groups")
@@ -377,10 +384,10 @@ def run_args(
 ) -> AuditReport:
     """Driver over payoff arguments computed ahead: each block is a 2-D
     float array with one row per step and one column per game, built by the
-    array forms in :mod:`payoffs`, which have already checked them.  Every
-    game advances by the payoff 1 + lam * g, the run stops at the first
-    rejection and ends as :func:`run_stream` does, so both give the same
-    report for the same arguments.  A block is pulled only when the steps
+    strategy row's array form, which has already checked them.  Every game
+    advances by the rule :func:`session_step` uses, the run stops at the
+    first rejection and ends as :func:`run_stream` does, so both give the
+    same report for the same arguments.  A block is pulled only when the steps
     before it ran without a terminal decision."""
     session = session_new(config, record_trajectory=record_trajectory)
     games = session.games
@@ -391,7 +398,7 @@ def run_args(
             )
         for row in block.tolist():
             for game, g in zip(games, row):
-                game.apply(1.0 + game.lam * g, g)
+                game.apply(g)
             if _post_step(session).is_terminal:
                 return build_report(session)
     return _end_of_stream(session)

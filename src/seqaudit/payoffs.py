@@ -1,11 +1,10 @@
-"""Payoff constructions: each maps incoming observations plus the current bet
-to a positive multiplicative wealth factor and the realized payoff argument
-that feeds back into the bettor.
+"""Payoff constructions: each maps incoming observations to the realized
+payoff argument g of each game, which the engine turns into the positive
+multiplicative wealth factor 1 + lam * g and feeds back into the bettor.
 
-All variants share the shape 1 + lam * g where g is built so that its
-conditional mean is zero (or nonpositive) whenever the audited group means
-are equal (or within tolerance), which is what makes the wealth process a
-test supermartingale.
+Each g is built so that its conditional mean is zero (or nonpositive)
+whenever the audited group means are equal (or within tolerance), which is
+what makes the wealth process a test supermartingale.
 """
 from __future__ import annotations
 
@@ -29,11 +28,6 @@ from .core import (
 # weights; violations beyond this are treated as real configuration bugs
 # rather than float noise.
 _SCALE_RTOL = 1e-9
-
-
-def _check_lam(lam: float) -> None:
-    if not (math.isfinite(lam) and -0.5 <= lam <= 0.5):
-        raise ValidationError(f"bet must lie in [-1/2, 1/2], got {lam!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,17 +84,8 @@ class BatchAccumulator:
         return bool(self.pending_0) and bool(self.pending_1)
 
 
-def payoff_simple(y0: float, y1: float, lam: float) -> tuple[float, float]:
-    """1 + lam * (y0 - y1); the argument is the raw output difference."""
-    _check_unit_interval("y0", y0)
-    _check_unit_interval("y1", y1)
-    _check_lam(lam)
-    g = y0 - y1
-    return 1.0 + lam * g, g
-
-
-def payoff_propensity(y0: float, y1: float, ctx: PropensityContext, lam: float) -> tuple[float, float]:
-    """Importance-weighted payoff 1 + lam * scale * (y0 * w0 - y1 * w1).
+def payoff_propensity(y0: float, y1: float, ctx: PropensityContext) -> float:
+    """Importance-weighted argument scale * (y0 * w0 - y1 * w1).
 
     The per-record check scale * w_b <= 1/2 is what keeps the argument in
     [-1, 1]; an inconsistent caller-supplied scale breaks the supermartingale
@@ -108,7 +93,6 @@ def payoff_propensity(y0: float, y1: float, ctx: PropensityContext, lam: float) 
     """
     _check_unit_interval("y0", y0)
     _check_unit_interval("y1", y1)
-    _check_lam(lam)
     bound = 0.5 * (1.0 + _SCALE_RTOL)
     if ctx.scale * ctx.omega_0 > bound or ctx.scale * ctx.omega_1 > bound:
         raise InvariantError(
@@ -118,47 +102,39 @@ def payoff_propensity(y0: float, y1: float, ctx: PropensityContext, lam: float) 
     g = ctx.scale * (y0 * ctx.omega_0 - y1 * ctx.omega_1)
     if abs(g) > 1.0 + _SCALE_RTOL:
         raise InvariantError(f"weighted payoff argument {g!r} escaped [-1, 1]")
-    return 1.0 + lam * g, g
+    return g
 
 
 def payoff_estimated_density(
-    y0: float, y1: float, ctx: EstimatedDensityContext, lam: float
+    y0: float, y1: float, ctx: EstimatedDensityContext
 ) -> tuple[float, float]:
-    """Weighted payoff under an estimated density, with the two sides scaled
-    by the error bounds so the conditional mean stays <= 1 under the null.
-    With delta_min = delta_max = 1 and exact weights this reduces bit-for-bit
-    to :func:`payoff_propensity`.
+    """Arguments of the two one-sided games under an estimated density,
+    with w0, w1 the estimated weights:
+
+        upper = scale * (y0 * w0 / delta_max - y1 * w1 / delta_min)
+        lower = scale * (y1 * w1 / delta_max - y0 * w0 / delta_min)
+
+    Since the estimate is off by a factor in [delta_min, delta_max],
+    E[y_b * w_b] / delta_max <= mu_b <= E[y_b * w_b] / delta_min, so each
+    argument's conditional mean is <= 0 under mu0 = mu1, and each game bets
+    in [0, 1/2].  With delta_min = delta_max = 1 and exact weights the upper
+    argument is the :func:`payoff_propensity` one bit for bit.
     """
     _check_unit_interval("y0", y0)
     _check_unit_interval("y1", y1)
-    _check_lam(lam)
     bound = 0.5 * ctx.delta_min * (1.0 + _SCALE_RTOL)
     if ctx.scale * ctx.omega_hat_0 > bound or ctx.scale * ctx.omega_hat_1 > bound:
         raise InvariantError(
             f"corrective scale {ctx.scale!r} exceeds delta_min/(2w) at an observed point "
             f"(weights {ctx.omega_hat_0!r}, {ctx.omega_hat_1!r})"
         )
-    g = ctx.scale * (y0 * ctx.omega_hat_0 / ctx.delta_max - y1 * ctx.omega_hat_1 / ctx.delta_min)
-    if abs(g) > 1.0 + _SCALE_RTOL:
-        raise InvariantError(f"weighted payoff argument {g!r} escaped [-1, 1]")
-    return 1.0 + lam * g, g
-
-
-def payoff_composite(
-    y0: float, y1: float, epsilon: float, lam_q: float, lam_r: float
-) -> tuple[float, float, float, float]:
-    """The two one-sided payoffs (q, r) with arguments g_q = y0 - y1 - eps
-    and g_r = y1 - y0 - eps; both stay >= 1 - (1 + eps)/2 > 0 for bets in
-    [-1/2, 1/2]."""
-    _check_unit_interval("y0", y0)
-    _check_unit_interval("y1", y1)
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    _check_lam(lam_q)
-    _check_lam(lam_r)
-    g_q = y0 - y1 - epsilon
-    g_r = y1 - y0 - epsilon
-    return 1.0 + lam_q * g_q, 1.0 + lam_r * g_r, g_q, g_r
+    a, b = y0 * ctx.omega_hat_0, y1 * ctx.omega_hat_1
+    upper = ctx.scale * (a / ctx.delta_max - b / ctx.delta_min)
+    lower = ctx.scale * (b / ctx.delta_max - a / ctx.delta_min)
+    for g in (upper, lower):
+        if abs(g) > 1.0 + _SCALE_RTOL:
+            raise InvariantError(f"weighted payoff argument {g!r} escaped [-1, 1]")
+    return upper, lower
 
 
 def batch_push(acc: BatchAccumulator, record: AuditRecord) -> None:
@@ -171,21 +147,20 @@ def batch_push(acc: BatchAccumulator, record: AuditRecord) -> None:
         raise ValidationError(f"batched payoffs audit two groups, got group {record.group!r}")
 
 
-def batch_payoff(acc: BatchAccumulator, lam: float) -> tuple[float, float, BatchAccumulator]:
-    """Bet on the difference of the pending batch means, or abstain.
+def batch_payoff(acc: BatchAccumulator) -> tuple[float, BatchAccumulator]:
+    """Argument of a bet on the difference of the pending batch means, or
+    an abstention.
 
-    While either group's batch is empty the payoff is exactly 1 (wealth is
-    untouched) and the accumulator is returned unchanged; once both are
-    nonempty the batches are consumed and a fresh, empty accumulator is
-    returned in its place.
+    While either group's batch is empty the argument is 0.0, whose payoff is
+    exactly 1 (wealth is untouched), and the accumulator is returned
+    unchanged; once both are nonempty the batches are consumed and a fresh,
+    empty accumulator is returned in its place.
     """
-    _check_lam(lam)
     if not acc.ready:
-        return 1.0, 0.0, acc
+        return 0.0, acc
     g0 = math.fsum(acc.pending_0) / len(acc.pending_0)
     g1 = math.fsum(acc.pending_1) / len(acc.pending_1)
-    g = g0 - g1
-    return 1.0 + lam * g, g, BatchAccumulator()
+    return g0 - g1, BatchAccumulator()
 
 
 def weight_from_record(record: AuditRecord, estimated: bool = False) -> float:
@@ -227,8 +202,8 @@ def estimated_density_context(
 # Array forms of the payoff arguments, for callers holding a block of steps
 # at once.  ``y`` has one row per step and one column per group; the result
 # has one column per game and feeds ``engine.run_args``.  Every form uses the
-# float operations of its scalar payoff in the same order, so the arguments
-# are bit-identical to the record path's.
+# float operations of the engine's scalar argument in the same order, so the
+# arguments are bit-identical to the record path's.
 
 
 def simple_args(y: np.ndarray) -> np.ndarray:
@@ -240,9 +215,7 @@ def batched_args(y: np.ndarray) -> np.ndarray:
     """Batched arguments of a stream that brings one record per group, in
     group order, at every step: the group-0 record abstains and the group-1
     record fires on two one-record batches, whose means are the outputs.
-    An abstention is the row g = 0.0: its payoff is exactly 1 and the ONS
-    update it makes leaves the bet and gradient sum bit-identical, as an
-    abstention does."""
+    The abstentions are the rows g = 0.0 that :func:`batch_payoff` gives."""
     out = np.zeros((2 * len(y), 1))
     out[1::2] = simple_args(y)
     return out
@@ -254,24 +227,26 @@ def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def propensity_args(
-    y: np.ndarray, w: np.ndarray, scale: float
+    y: np.ndarray, w: np.ndarray | None, scale: float
 ) -> tuple[np.ndarray, AuditError | None]:
     """Argument of :func:`payoff_propensity` for two groups with importance
-    weights ``w``.  Returns the rows before the first step the scalar payoff
-    rejects, and the error it raises on that step (None when none does)."""
+    weights ``w`` (None when the records lack the weight fields).  Returns
+    the rows before the first step the scalar payoff rejects, and the error
+    it raises on that step (None when none does)."""
 
     def check(j: int) -> None:
         (y0, y1), (w0, w1) = y[j].tolist(), w[j].tolist()
-        payoff_propensity(y0, y1, PropensityContext(omega_0=w0, omega_1=w1, scale=scale), 0.0)
+        payoff_propensity(y0, y1, PropensityContext(omega_0=w0, omega_1=w1, scale=scale))
 
-    return _weighted_args(y, w, scale, 1.0, 1.0, check)
+    return _weighted_args(y, w, scale, 1.0, 1.0, False, check)
 
 
 def estimated_density_args(
-    y: np.ndarray, w_hat: np.ndarray, strategy: EstimatedDensity
+    y: np.ndarray, w_hat: np.ndarray | None, strategy: EstimatedDensity
 ) -> tuple[np.ndarray, AuditError | None]:
-    """Argument of :func:`payoff_estimated_density` for two groups with
-    estimated weights ``w_hat``; cut and error as in :func:`propensity_args`."""
+    """Arguments (upper, lower) of :func:`payoff_estimated_density` for two
+    groups with estimated weights ``w_hat``; cut and error as in
+    :func:`propensity_args`."""
     scale, d_min, d_max = strategy.scale, strategy.delta_min, strategy.delta_max
 
     def check(j: int) -> None:
@@ -279,29 +254,34 @@ def estimated_density_args(
         ctx = EstimatedDensityContext(
             omega_hat_0=w0, omega_hat_1=w1, scale=scale, delta_min=d_min, delta_max=d_max
         )
-        payoff_estimated_density(y0, y1, ctx, 0.0)
+        payoff_estimated_density(y0, y1, ctx)
 
-    return _weighted_args(y, w_hat, scale, d_min, d_max, check)
+    return _weighted_args(y, w_hat, scale, d_min, d_max, True, check)
 
 
 def _weighted_args(
-    y: np.ndarray, w: np.ndarray, scale: float, d_min: float, d_max: float,
-    check: Callable[[int], None],
+    y: np.ndarray, w: np.ndarray | None, scale: float, d_min: float, d_max: float,
+    estimated: bool, check: Callable[[int], None],
 ) -> tuple[np.ndarray, AuditError | None]:
-    """The estimated-density argument; with d_min = d_max = 1 it and its
-    bound are the propensity ones bit for bit.  ``suspect`` flags every step
-    the scalar payoff might reject; ``check`` runs the scalar payoff on them
-    in order and decides, so the error, message included, is the record
-    path's."""
-    g = scale * (y[:, 0] * w[:, 0] / d_max - y[:, 1] * w[:, 1] / d_min)
+    """The estimated-density arguments, or with d_min = d_max = 1 and only
+    the upper column, the propensity one and its bound bit for bit.
+    ``suspect`` flags every step the scalar payoff might reject; ``check``
+    runs the scalar payoff on them in order and decides, so the error,
+    message included, is the record path's.  Weights of None refuse the
+    first step, as the record path refuses records without the fields."""
+    games = 2 if estimated else 1
+    if w is None:
+        return np.empty((0, games)), missing_weight_error(1, 0, estimated)
+    a, b = y[:, 0] * w[:, 0], y[:, 1] * w[:, 1]
+    g = np.column_stack((scale * (a / d_max - b / d_min), scale * (b / d_max - a / d_min)))[:, :games]
     suspect = (
         ~(np.isfinite(w) & (w > 0.0)).all(axis=1)
         | (scale * w > 0.5 * d_min * (1.0 + _SCALE_RTOL)).any(axis=1)
-        | (np.abs(g) > 1.0 + _SCALE_RTOL)
+        | (np.abs(g) > 1.0 + _SCALE_RTOL).any(axis=1)
     )
     for j in np.flatnonzero(suspect).tolist():
         try:
             check(j)
         except AuditError as exc:
-            return g[:j, None], exc
-    return g[:, None], None
+            return g[:j], exc
+    return g, None

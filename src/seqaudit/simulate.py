@@ -11,19 +11,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import payoffs
-from .core import (
-    AuditConfig,
-    AuditRecord,
-    Batched,
-    Composite,
-    DecisionKind,
-    EstimatedDensity,
-    PayoffStrategy,
-    Simple,
-    ValidationError,
-)
-from .engine import run_args, run_stream  # noqa: F401  (run_stream: perfbench's tracer wraps it here)
+from .core import AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError
+from .engine import STRATEGIES, run_args, run_stream  # noqa: F401  (run_stream: perfbench's tracer wraps it here)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -208,6 +197,39 @@ def mean_at(scenario: Scenario, group: int, t: int) -> float:
     return mu
 
 
+# Region-policy preset (fig5): uniform population over four regions, group 0
+# scored higher than group 1 everywhere, and three sampling policies that
+# deviate from the population shares to an increasing degree.
+_REGIONS = ("NE", "NW", "SE", "SW")
+_REGION_DENSITY = (0.25, 0.25, 0.25, 0.25)
+_REGION_OUTPUTS = ((0.9, 0.7, 0.5, 0.3), (0.6, 0.4, 0.2, 0.0))
+REGION_POLICIES = {
+    "uniform": (0.25, 0.25, 0.25, 0.25),
+    "pi1": (0.1, 0.2, 0.3, 0.4),
+    "pi2": (0.05, 0.15, 0.25, 0.55),
+    "pi3": (0.05, 0.1, 0.15, 0.7),
+}
+
+
+def region_population(
+    policy: tuple[float, ...], equalize_means: bool = False, horizon: int = 1000, seed: int = 0
+) -> PolicyPopulation:
+    outputs = _REGION_OUTPUTS
+    if equalize_means:
+        gap = sum(
+            (a - b) * r for a, b, r in zip(outputs[0], outputs[1], _REGION_DENSITY)
+        )
+        outputs = (outputs[0], tuple(v + gap for v in outputs[1]))
+    return PolicyPopulation(
+        density=(_REGION_DENSITY, _REGION_DENSITY),
+        outputs=outputs,
+        policy=policy,
+        labels=_REGIONS,
+        horizon=horizon,
+        seed=seed,
+    )
+
+
 def policy_corrective_scale(pop: PolicyPopulation) -> float:
     """Largest admissible corrective factor for the propensity payoff on this
     population: 1 / (2 * max importance weight) over observable points."""
@@ -361,7 +383,7 @@ def monte_carlo(
     noise_clamped = 0
     trajectories: list | None = [] if record_trajectories else None
     draw = _block_drawer(scenario)
-    rows_per_step = 2 if isinstance(config.strategy, Batched) else 1
+    rows_per_step = 2 if STRATEGIES[type(config.strategy)].batched else 1
     for i in range(replicates):
         rng = _rng(derive_seed(scenario.seed, i))
         clamped: list[int] = []
@@ -478,31 +500,17 @@ def _noisy_drawer(table: list[list[float]], noise_sd: float) -> Callable:
 def _arg_blocks(
     strategy: PayoffStrategy, horizon: int, draw: Callable, rng: np.random.Generator, clamped: list
 ) -> Iterator[np.ndarray]:
-    """Payoff-argument blocks of one replicate for :func:`engine.run_args`.
-    A block that reaches a step the strategy's payoff rejects is cut before
-    that step and the error raised on the next pull, so it surfaces at the
-    step the record path raises it, and never once the run has stopped."""
+    """Payoff-argument blocks of one replicate for :func:`engine.run_args`,
+    from the array form in the strategy's row.  A block that reaches a step
+    the strategy's payoff rejects is cut before that step and the error
+    raised on the next pull, so it surfaces at the step the record path
+    raises it, and never once the run has stopped."""
+    block_args = STRATEGIES[type(strategy)].block
     t = 0
     n = _BLOCK_FIRST
     while t < horizon:
         n = min(n, horizon - t)
-        y, w, w_hat = draw(rng, t, n, clamped)
-        error = None
-        if isinstance(strategy, Simple):
-            args = payoffs.simple_args(y)
-        elif isinstance(strategy, Batched):
-            args = payoffs.batched_args(y)
-        elif isinstance(strategy, Composite):
-            args = payoffs.composite_args(y, strategy.epsilon)
-        else:
-            estimated = isinstance(strategy, EstimatedDensity)
-            weights = w_hat if estimated else w
-            if weights is None:  # the scenario's records lack the fields
-                raise payoffs.missing_weight_error(1, 0, estimated)
-            if estimated:
-                args, error = payoffs.estimated_density_args(y, weights, strategy)
-            else:
-                args, error = payoffs.propensity_args(y, weights, strategy.scale)
+        args, error = block_args(strategy, *draw(rng, t, n, clamped))
         if len(args):
             yield args
         if error is not None:

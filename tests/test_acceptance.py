@@ -31,32 +31,32 @@ import pytest
 import seqaudit
 from seqaudit.baselines import BatchProtocol, PermutationTestConfig, PValueSequence, walk_protocol
 from seqaudit.betting import CURVATURE, ons_bets
-from seqaudit.cli import REGION_POLICIES, region_population
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
     Batched,
     Composite,
     DecisionKind,
+    EstimatedDensity,
     Propensity,
     SessionStateError,
+    Simple,
 )
 from seqaudit.engine import run_args, run_stream, session_finalize, session_new
-from seqaudit.payoffs import (
-    PropensityContext,
-    payoff_composite,
-    payoff_propensity,
-    payoff_simple,
-    simple_args,
-)
+from seqaudit.payoffs import PropensityContext, composite_args, payoff_propensity, simple_args
 from seqaudit.simulate import (
+    REGION_POLICIES,
     FixedMeans,
     LogisticDrift,
+    PolicyPopulation,
     derive_seed,
     draw_outputs,
+    estimated_density_bounds,
+    estimated_density_scale,
     generate_stream,
     monte_carlo,
     policy_corrective_scale,
+    region_population,
     stream_to_iterable,
 )
 
@@ -206,13 +206,15 @@ def test_criterion_01a_wealth_bound_oracle_beyond_burn_in():
 def test_criterion_02_exact_martingale_means():
     with criterion("02", "exact martingale mean by enumeration", 1.0):
         lams = (-0.5, -0.25, 0.0, 0.3, 0.5)
+        outcomes = np.array(list(product((0.0, 1.0), repeat=2)))  # rows (y0, y1)
         # simple payoff over the mean grid
+        simple_g = simple_args(outcomes)[:, 0].tolist()
         for mu in [k / 10 for k in range(1, 10)]:
             for lam in lams:
                 expectation = 0.0
-                for y0, y1 in product((0.0, 1.0), repeat=2):
+                for (y0, y1), g in zip(outcomes.tolist(), simple_g):
                     p = (mu if y0 else 1 - mu) * (mu if y1 else 1 - mu)
-                    expectation += p * payoff_simple(y0, y1, lam)[0]
+                    expectation += p * (1.0 + lam * g)
                 assert abs(expectation - 1.0) < 1e-12
         # propensity payoff on a 3-point population with exact weights
         rho = (0.2, 0.3, 0.5)
@@ -225,15 +227,17 @@ def test_criterion_02_exact_martingale_means():
             expectation = 0.0
             for x0, x1 in product(range(3), repeat=2):
                 ctx = PropensityContext(omega_0=omega[x0], omega_1=omega[x1], scale=scale)
-                expectation += pi[x0] * pi[x1] * payoff_propensity(phi0[x0], phi1[x1], ctx, lam)[0]
+                g = payoff_propensity(phi0[x0], phi1[x1], ctx)
+                expectation += pi[x0] * pi[x1] * (1.0 + lam * g)
             assert abs(expectation - 1.0) < 1e-12
         # upper one-sided game at the boundary mean gap = epsilon
         mu0, mu1, eps = 0.55, 0.45, 0.1
+        upper_g = composite_args(outcomes, eps)[:, 0].tolist()
         for lam in lams:
             expectation = 0.0
-            for y0, y1 in product((0.0, 1.0), repeat=2):
+            for (y0, y1), g in zip(outcomes.tolist(), upper_g):
                 p = (mu0 if y0 else 1 - mu0) * (mu1 if y1 else 1 - mu1)
-                expectation += p * payoff_composite(y0, y1, eps, lam, lam)[0]
+                expectation += p * (1.0 + lam * g)
             assert abs(expectation - 1.0) < 1e-12
 
 
@@ -348,6 +352,93 @@ def test_criterion_09_multiple_groups():
                     localized += 1
         assert hits / 200 >= 0.99
         assert localized / hits >= 0.95, f"rejections localized to the unequal pair: {localized}/{hits}"
+
+
+# Hostile nulls: equal group means with different output distributions,
+# density estimates that are wrong, or one group flooding the stream.
+_SPREAD, _FLAT = (0.9, 0.7, 0.5, 0.3), (0.6,) * 4  # both have mean 0.6
+_REGION_SKEW = (0.125, 0.125, 0.5, 0.5)  # estimates at 0.5x on NE/NW, 2x on SE/SW
+
+
+def _estimated_audit(outputs, estimates, seed):
+    """A uniform-policy population over four regions with the given outputs
+    and estimated shares, and the estimated-density strategy with its error
+    bounds and largest admissible scale."""
+    pop = PolicyPopulation(
+        density=((0.25,) * 4,) * 2, outputs=outputs, policy=(0.25,) * 4,
+        density_estimates=estimates, horizon=2000, seed=seed,
+    )
+    lo, hi = estimated_density_bounds(pop)
+    return EstimatedDensity(delta_min=lo, delta_max=hi, scale=estimated_density_scale(pop, lo)), pop
+
+
+def _groups_with_equal_means(groups, seed):
+    """Outputs 0.5, 0 or 1, 0.25 or 0.75, 1 or 0 with even odds: mean 0.5
+    in every group, spread from none to the widest."""
+    outputs = ((0.5, 0.5), (0.0, 1.0), (0.25, 0.75), (1.0, 0.0))[:groups]
+    pop = PolicyPopulation(
+        density=((0.5, 0.5),) * groups, outputs=outputs, policy=(0.5, 0.5), horizon=2000, seed=seed,
+    )
+    return Simple(), pop
+
+
+def _flooding_stream(seed, n_records):
+    """Group 1 floods in bursts of 1 to 20 uniform outputs between single
+    Bernoulli(1/2) records of group 0: both means are 1/2."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    t = [0, 0]
+    emitted = 0
+    while True:
+        for group, n in ((1, int(rng.integers(1, 21))), (0, 1)):
+            for _ in range(n):
+                if emitted == n_records:
+                    return
+                t[group] += 1
+                y = float(rng.random()) if group else float(rng.random() < 0.5)
+                yield AuditRecord(t=t[group], group=group, y_hat=y)
+                emitted += 1
+
+
+_HOSTILE_NULLS = {
+    "estimates-0.5x-2x": lambda: _estimated_audit((_SPREAD, _FLAT), (_REGION_SKEW,) * 2, 201),
+    "estimates-2x-0.5x": lambda: _estimated_audit(
+        (_SPREAD, _FLAT), (_REGION_SKEW[::-1],) * 2, 202
+    ),
+    "estimates-group-1-at-1.2x": lambda: _estimated_audit(
+        (_SPREAD, _FLAT), ((0.25,) * 4, (0.3,) * 4), 203
+    ),
+    "simple-3-groups": lambda: _groups_with_equal_means(3, 204),
+    "simple-4-groups": lambda: _groups_with_equal_means(4, 205),
+}
+
+
+@pytest.mark.parametrize("case", [*_HOSTILE_NULLS, "batched-flooding"])
+def test_null_validity_under_hostile_nulls(case):
+    """Every strategy keeps FPR <= alpha + slack under its own null when the
+    null is hostile: 200 replicates, 2,000 steps (records for batched)."""
+    alpha, reps = 0.05, 200
+    if case == "batched-flooding":
+        hits = 0
+        for i in range(reps):
+            cfg = AuditConfig(alpha=alpha, strategy=Batched(), seed=derive_seed(206, i))
+            report = run_stream(cfg, _flooding_stream(derive_seed(207, i), 2000), record_trajectory=False)
+            hits += report.decision.is_rejection
+        fpr = hits / reps
+    else:
+        strategy, pop = _HOSTILE_NULLS[case]()
+        config = AuditConfig(alpha=alpha, strategy=strategy, group_count=pop.group_count, seed=208)
+        fpr = monte_carlo(config, pop, replicates=reps).fpr_or_power
+    assert fpr <= alpha + mc_slack(alpha, reps), f"{case}: FPR {fpr}"
+
+
+@pytest.mark.parametrize("outputs", [(_SPREAD, (0.6, 0.4, 0.2, 0.0)), ((0.6, 0.4, 0.2, 0.0), _SPREAD)],
+                         ids=["gap+0.3", "gap-0.3"])
+def test_estimated_density_power_under_estimate_error(outputs):
+    """The two one-sided games still find a 0.3 gap either way when group
+    1's estimated shares are 1.2x the truth."""
+    strategy, pop = _estimated_audit(outputs, ((0.25,) * 4, (0.3,) * 4), 209)
+    summary = monte_carlo(AuditConfig(alpha=0.05, strategy=strategy, seed=210), pop, replicates=200)
+    assert summary.n_rejections >= 190, f"power {summary.fpr_or_power}"
 
 
 def _alternating_stream(seed: int, horizon_records: int, mu0: float, mu1: float):

@@ -11,68 +11,62 @@ from seqaudit.betting import (
     CURVATURE,
     log_wealth_lower_bound,
     ons_bets,
-    ons_init,
-    ons_update,
     wealth_lower_bound,
 )
-from seqaudit.core import ConfigurationError, ValidationError
+from seqaudit.core import AuditConfig, ConfigurationError, ValidationError
+from seqaudit.engine import run_args
 
 
 def test_init_defaults():
-    state = ons_init()
-    assert state.lam == 0.0
-    assert state.grad_sq_sum == 0.0
-    assert state.domain == (-0.5, 0.5)
+    # The first bet is 0; the default domain clamps at -1/2 and 1/2.
+    assert ons_bets([-1.0, 0.0]).tolist() == [0.0, -0.5]
+    assert ons_bets([1.0, 0.0]).tolist() == [0.0, 0.5]
 
 
 def test_init_wider_domain_kept_but_clamp_stays_half():
     eps = 0.1
-    state = ons_init((-1 / (1 - eps), 1 / (1 + eps)))
-    assert state.lam == 0.0
-    assert state.domain == pytest.approx((-1.1111111111111112, 0.9090909090909091))
-    state = ons_update(state, 1.0)
-    assert state.lam == 0.5  # effective clamp never widens past 1/2
+    domain = (-1 / (1 - eps), 1 / (1 + eps))
+    assert ons_bets([1.0, 0.0], domain).tolist() == [0.0, 0.5]  # clamp never widens past 1/2
+    assert ons_bets([-1.0, 0.0], domain).tolist() == [0.0, -0.5]
 
 
 @pytest.mark.parametrize("domain", [(0.1, 0.5), (-0.5, -0.1), (0.5, -0.5), (-math.inf, 0.5)])
 def test_init_rejects_bad_domain(domain):
     with pytest.raises(ConfigurationError):
-        ons_init(domain)
+        ons_bets([0.1], domain)
 
 
 def test_zero_gradient_is_a_fixed_point():
-    state = ons_update(ons_init(), 0.0)
-    assert state.lam == 0.0 and state.grad_sq_sum == 0.0
+    # Zero gradients leave the bet at 0 and the gradient sum empty: the
+    # bets that follow are those of a fresh bettor.
+    gs = np.random.default_rng(5).uniform(-1, 1, 50)
+    bets = ons_bets(np.concatenate(([0.0, 0.0], gs)))
+    assert bets[:3].tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(bets[2:], ons_bets(gs))
 
 
 def test_first_step_on_unit_gradient_clamps_to_half():
     # unclamped value is c * 1 / (1 + 1) = 1.1094005248001444
     assert CURVATURE / 2.0 == pytest.approx(1.1094005248001444)
-    up = ons_update(ons_init(), 1.0)
-    assert up.lam == 0.5 and up.grad_sq_sum == 1.0
-    down = ons_update(ons_init(), -1.0)
-    assert down.lam == -0.5 and down.grad_sq_sum == 1.0
-
-
-def test_update_rejects_out_of_range_gradient():
-    with pytest.raises(ValidationError):
-        ons_update(ons_init(), 1.2)
-    with pytest.raises(ValidationError):
-        ons_update(ons_init(), math.nan)
+    up = ons_bets([1.0, -1.0, 0.0])
+    assert up[1] == 0.5
+    # gradient sum 1 after the first step: z_2 = -1 / (1 - 1/2) = -2
+    assert up[2] == 0.5 + CURVATURE * -2.0 / (1.0 + 1.0 + 4.0)
+    down = ons_bets([-1.0, 1.0, 0.0])
+    assert down[1] == -0.5
+    assert down[2] == -0.5 + CURVATURE * 2.0 / (1.0 + 1.0 + 4.0)
 
 
 def test_update_is_deterministic_and_pure():
-    state = ons_init()
-    a = ons_update(state, 0.3)
-    b = ons_update(state, 0.3)
-    assert a == b
-    assert state.lam == 0.0  # input untouched
+    gs = np.array([0.3, -0.2, 0.9])
+    a = ons_bets(gs)
+    b = ons_bets(gs)
+    assert np.array_equal(a, b)
+    assert gs.tolist() == [0.3, -0.2, 0.9]  # input untouched
 
 
 def test_narrow_domain_clamps_tighter():
-    state = ons_init((-0.25, 0.25))
-    state = ons_update(state, 1.0)
-    assert state.lam == 0.25
+    assert ons_bets([1.0, 0.0], (-0.25, 0.25))[1] == 0.25
 
 
 def test_wealth_lower_bound_values():
@@ -109,14 +103,17 @@ def test_sign_antisymmetry(gs):
 
 
 def test_bets_match_repeated_updates():
+    """ons_bets places the engine's bets: the wealth path of a one-game
+    audit over ``gs`` is the product of 1 + lam_i * g_i with its bets."""
     rng = np.random.default_rng(3)
     gs = rng.uniform(-1, 1, 500)
-    state = ons_init()
+    report = run_args(AuditConfig(alpha=1e-300), [gs[:, None]])
+    log_wealth = 0.0
     expected = []
-    for g in gs:
-        expected.append(state.lam)
-        state = ons_update(state, g)
-    assert np.array_equal(ons_bets(gs), np.asarray(expected))
+    for t, (lam, g) in enumerate(zip(ons_bets(gs).tolist(), gs.tolist()), start=1):
+        log_wealth += math.log(1.0 + lam * g)
+        expected.append((t, log_wealth))
+    assert report.trajectory == expected
 
 
 def _bound_gaps(gs: np.ndarray) -> np.ndarray:

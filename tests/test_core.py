@@ -7,7 +7,7 @@ from seqaudit.core import (
     AuditConfig,
     AuditRecord,
     AuditReport,
-    BettorState,
+    Batched,
     Composite,
     ConfigurationError,
     Decision,
@@ -16,7 +16,7 @@ from seqaudit.core import (
     Propensity,
     Simple,
     ValidationError,
-    WealthState,
+    wealth_from_log,
     strategy_from_dict,
     strategy_to_dict,
 )
@@ -66,6 +66,15 @@ def test_config_group_count_and_seed():
         AuditConfig(alpha=0.05, seed=2**64)
 
 
+def test_config_strategy_must_be_known_and_simple_past_two_groups():
+    with pytest.raises(ConfigurationError):
+        AuditConfig(alpha=0.05, strategy=object())
+    for strategy in (Batched(), Propensity(scale=0.25), Composite(epsilon=0.1)):
+        with pytest.raises(ConfigurationError, match="multi-group audits pair adjacent groups"):
+            AuditConfig(alpha=0.05, strategy=strategy, group_count=3)
+    AuditConfig(alpha=0.05, strategy=Simple(), group_count=3)
+
+
 def test_strategy_invariants():
     with pytest.raises(ValidationError):
         Composite(epsilon=0.0)
@@ -92,22 +101,9 @@ def test_strategy_dict_round_trip(strategy):
     assert strategy_from_dict(strategy_to_dict(strategy)) == strategy
 
 
-def test_bettor_state_invariants():
-    state = BettorState()
-    assert state.lam == 0.0 and state.grad_sq_sum == 0.0
-    with pytest.raises(ValidationError):
-        BettorState(lam=0.9)
-    with pytest.raises(ValidationError):
-        BettorState(grad_sq_sum=-1.0)
-    with pytest.raises(ConfigurationError):
-        BettorState(domain=(0.1, 0.5))
-
-
 def test_wealth_state_defaults_and_linear_view():
-    w = WealthState()
-    assert w.wealth == 1.0 and w.step == 0
-    w.log_wealth = 1000.0
-    assert w.wealth == math.inf
+    assert wealth_from_log(0.0) == 1.0
+    assert wealth_from_log(1000.0) == math.inf  # the log form stays authoritative
 
 
 def test_decision_invariants():
@@ -134,3 +130,8 @@ def test_report_per_game_presence_matches_mode():
         AuditReport(config_echo=simple_cfg, per_game=[], **base)
     with pytest.raises(ValidationError):
         AuditReport(config_echo=composite_cfg, per_game=None, **base)
+    estimated_cfg = AuditConfig(
+        alpha=0.05, strategy=EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.1)
+    )
+    with pytest.raises(ValidationError):  # two one-sided games
+        AuditReport(config_echo=estimated_cfg, per_game=None, **base)

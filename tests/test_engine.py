@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqaudit.betting import _ons_step, ons_init, ons_update
+from seqaudit.betting import _ons_step, ons_bets
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -17,13 +17,14 @@ from seqaudit.core import (
     Composite,
     ConfigurationError,
     DecisionKind,
+    EstimatedDensity,
     Propensity,
     SessionStateError,
     ValidationError,
 )
 from seqaudit.engine import build_report, run_stream, session_finalize, session_new, session_step
 from seqaudit.ingest import report_to_dict
-from seqaudit.payoffs import payoff_simple
+from seqaudit.payoffs import simple_args
 
 from conftest import bernoulli_pair_stream
 
@@ -40,15 +41,19 @@ def test_session_new_thresholds():
     multi = session_new(AuditConfig(alpha=0.05, group_count=3))
     assert multi.threshold == pytest.approx(40.0)
     assert [g.game_id for g in multi.games] == ["0v1", "1v2"]
+    estimated = EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.1)
+    one_sided = session_new(AuditConfig(alpha=0.05, strategy=estimated))
+    assert one_sided.threshold == pytest.approx(40.0)
+    assert [(g.game_id, g.lo) for g in one_sided.games] == [("upper", 0.0), ("lower", 0.0)]
 
 
 def test_session_new_initial_state():
     session = session_new(AuditConfig(alpha=0.05))
     assert session.status.kind is DecisionKind.CONTINUE
-    (wealth,) = session.wealths
-    assert wealth.wealth == 1.0 and wealth.step == 0
-    (bettor,) = session.bettors
-    assert bettor.lam == 0.0
+    (game,) = session.games
+    assert game.log_wealth == 0.0 and game.steps == 0
+    assert build_report(session).wealth_final == 1.0
+    assert game.lam == 0.0 and game.grad_acc == 0.0
 
 
 def test_multi_group_requires_simple_strategy():
@@ -60,14 +65,12 @@ def test_constant_gap_rejects_at_step_nine():
     """Oracle is the recursion itself: wealth 1.5^(t-1) crosses 20 at t=9."""
     config = AuditConfig(alpha=0.05)
     session = session_new(config)
-    state = ons_init()
+    bets = ons_bets([1.0] * 19)
     expected_wealth = 1.0
     decision = session.status
     for t in range(1, 20):
         _, decision = session_step(session, pair(t, 1.0, 0.0))
-        payoff, g = payoff_simple(1.0, 0.0, state.lam)
-        expected_wealth *= payoff
-        state = ons_update(state, g)
+        expected_wealth *= 1.0 + bets[t - 1] * 1.0
         assert session.games[0].log_wealth == pytest.approx(math.log(expected_wealth), abs=1e-12)
         if decision.is_terminal:
             break
@@ -118,8 +121,8 @@ def test_exact_one_step_supermartingale_mean():
         expected = 0.0
         for y0, y1 in product((0.0, 1.0), repeat=2):
             p = (mu if y0 else 1 - mu) * (mu if y1 else 1 - mu)
-            payoff, _ = payoff_simple(y0, y1, lam)
-            expected += p * prior * payoff
+            (g,) = simple_args(np.array([[y0, y1]]))[0]
+            expected += p * prior * (1.0 + lam * g)
         assert abs(expected - prior) < 1e-12
 
 
@@ -171,19 +174,17 @@ def test_multi_group_pairs_and_rejecting_game():
 
 def test_two_group_orchestration_is_the_plain_engine():
     """group_count=2 runs one game at threshold 1/alpha whose wealth path is
-    bit-identical to composing the public bettor and payoff by hand."""
+    bit-identical to composing the public bettor and payoff arguments by
+    hand."""
     stream = bernoulli_pair_stream(0.7, 0.3, 400, seed=3)
     config = AuditConfig(alpha=0.01)
     report = run_stream(config, stream)
 
-    state = ons_init()
+    gs = simple_args(np.array([r.y_hat for r in stream]).reshape(400, 2))[:, 0]
     log_wealth = 0.0
     trajectory = []
-    for t in range(400):
-        y0, y1 = stream[2 * t].y_hat, stream[2 * t + 1].y_hat
-        payoff, g = payoff_simple(y0, y1, state.lam)
-        log_wealth += math.log(payoff)
-        state = ons_update(state, g)
+    for t, (lam, g) in enumerate(zip(ons_bets(gs).tolist(), gs.tolist())):
+        log_wealth += math.log(1.0 + lam * g)
         trajectory.append((t + 1, log_wealth))
         if log_wealth >= math.log(1) - math.log(0.01):
             break
@@ -235,6 +236,21 @@ def test_propensity_strategy_through_engine():
     ]
     with pytest.raises(ValidationError):
         session_step(session, missing)
+
+
+def test_estimated_density_strategy_through_engine():
+    strategy = EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.125)
+    session = session_new(AuditConfig(alpha=0.05, strategy=strategy))
+    records = [
+        AuditRecord(t=1, group=0, y_hat=1.0, propensity=0.25, density_estimate=0.5),
+        AuditRecord(t=1, group=1, y_hat=0.5, propensity=0.5, density_estimate=0.5),
+    ]
+    session_step(session, records)
+    # estimated weights (2.0, 1.0): upper = 0.125 * (2 / 2 - 0.5 / 0.5) = 0,
+    # lower = 0.125 * (0.5 / 2 - 2 / 0.5) = -0.46875
+    upper, lower = session.games
+    assert (upper.s_sum, lower.s_sum) == (0.0, -0.46875)
+    assert upper.lam == lower.lam == 0.0  # a negative argument cannot push a bet below 0
 
 
 def test_finalize_at_threshold_always_rejects():
@@ -363,8 +379,8 @@ def test_wealth_positive_and_log_consistent():
     assert report.wealth_final > 0.0
     for _, lw in report.trajectory:
         assert math.isfinite(lw)
-    (wealth,) = session.wealths
-    assert 0.0 <= wealth.v_sum <= wealth.w_sum <= wealth.step
+    (game,) = session.games
+    assert 0.0 <= game.v_sum <= game.steps
 
 
 def _batched_reference(records, alpha):

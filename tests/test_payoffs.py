@@ -2,6 +2,7 @@
 the null-mean property, and the reduction chain between variants."""
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,12 +14,12 @@ from seqaudit.payoffs import (
     PropensityContext,
     batch_payoff,
     batch_push,
+    composite_args,
     estimated_density_context,
-    payoff_composite,
     payoff_estimated_density,
     payoff_propensity,
-    payoff_simple,
     propensity_context,
+    simple_args,
     weight_from_record,
 )
 
@@ -36,29 +37,33 @@ PHI_1 = (0.05, 0.3, 0.5)
 SCALE = 1.0 / (2.0 * max(OMEGA))  # 0.25
 
 
+def _simple(y0, y1):
+    (g,) = simple_args(np.array([[y0, y1]]))[0]
+    return g
+
+
+def _composite(y0, y1, eps):
+    g_q, g_r = composite_args(np.array([[y0, y1]]), eps)[0]
+    return g_q, g_r
+
+
 def test_simple_direct_arithmetic():
-    assert payoff_simple(1.0, 0.0, 0.5) == (1.5, 1.0)
+    g = _simple(1.0, 0.0)
+    assert (1.0 + 0.5 * g, g) == (1.5, 1.0)
 
 
 @given(y0=unit, y1=unit)
 def test_simple_zero_bet_gives_unit_payoff(y0, y1):
-    payoff, g = payoff_simple(y0, y1, 0.0)
-    assert payoff == 1.0
+    g = _simple(y0, y1)
+    assert 1.0 + 0.0 * g == 1.0
     assert g == y0 - y1
 
 
 @given(y0=unit, y1=unit, lam=bets)
 def test_simple_payoff_at_least_half(y0, y1, lam):
-    payoff, g = payoff_simple(y0, y1, lam)
-    assert payoff >= 0.5
+    g = _simple(y0, y1)
+    assert 1.0 + lam * g >= 0.5
     assert -1.0 <= g <= 1.0
-
-
-def test_simple_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        payoff_simple(1.2, 0.0, 0.1)
-    with pytest.raises(ValidationError):
-        payoff_simple(0.5, 0.5, 0.7)
 
 
 @pytest.mark.parametrize("mu", [0.1 * k for k in range(1, 10)])
@@ -68,7 +73,7 @@ def test_simple_null_mean_by_enumeration(mu, lam):
     expectation = 0.0
     for y0, y1 in product((0.0, 1.0), repeat=2):
         p = (mu if y0 else 1 - mu) * (mu if y1 else 1 - mu)
-        expectation += p * payoff_simple(y0, y1, lam)[0]
+        expectation += p * (1.0 + lam * _simple(y0, y1))
     assert abs(expectation - 1.0) < 1e-12
 
 
@@ -82,9 +87,7 @@ def test_propensity_scale_of_two_region_population():
 def test_propensity_uniform_weights_halves_the_simple_argument():
     ctx = PropensityContext(omega_0=1.0, omega_1=1.0, scale=0.5)
     for y0, y1 in product((0.0, 0.25, 1.0), repeat=2):
-        payoff, g = payoff_propensity(y0, y1, ctx, 0.5)
-        assert g == 0.5 * (y0 - y1)
-        assert payoff == 1.0 + 0.5 * g
+        assert payoff_propensity(y0, y1, ctx) == 0.5 * (y0 - y1)
 
 
 def test_propensity_unbiasedness_on_finite_population():
@@ -103,15 +106,15 @@ def test_propensity_null_mean_by_enumeration(lam):
     expectation = 0.0
     for x0, x1 in product(range(3), repeat=2):
         ctx = PropensityContext(omega_0=OMEGA[x0], omega_1=OMEGA[x1], scale=SCALE)
-        payoff, _ = payoff_propensity(PHI_0[x0], PHI_1[x1], ctx, lam)
-        expectation += PI[x0] * PI[x1] * payoff
+        g = payoff_propensity(PHI_0[x0], PHI_1[x1], ctx)
+        expectation += PI[x0] * PI[x1] * (1.0 + lam * g)
     assert abs(expectation - 1.0) < 1e-12
 
 
 def test_propensity_rejects_inconsistent_scale():
     ctx = PropensityContext(omega_0=4.0, omega_1=1.0, scale=0.2)  # 0.2 * 4 > 1/2
     with pytest.raises(InvariantError):
-        payoff_propensity(1.0, 0.0, ctx, 0.1)
+        payoff_propensity(1.0, 0.0, ctx)
 
 
 def test_estimated_density_reduces_to_propensity_bit_for_bit():
@@ -121,57 +124,74 @@ def test_estimated_density_reduces_to_propensity_bit_for_bit():
             omega_hat_0=OMEGA[x0], omega_hat_1=OMEGA[x1], scale=SCALE,
             delta_min=1.0, delta_max=1.0,
         )
-        for lam in (-0.5, 0.0, 0.37, 0.5):
-            assert payoff_estimated_density(PHI_0[x0], PHI_1[x1], est_ctx, lam) == \
-                payoff_propensity(PHI_0[x0], PHI_1[x1], prop_ctx, lam)
+        upper, _ = payoff_estimated_density(PHI_0[x0], PHI_1[x1], est_ctx)
+        assert upper == payoff_propensity(PHI_0[x0], PHI_1[x1], prop_ctx)
 
 
 def test_estimated_density_zero_outputs_unit_payoff():
     ctx = EstimatedDensityContext(
         omega_hat_0=1.0, omega_hat_1=1.0, scale=0.4, delta_min=0.9, delta_max=1.1
     )
-    for lam in (-0.5, 0.0, 0.5):
-        assert payoff_estimated_density(0.0, 0.0, ctx, lam)[0] == 1.0
+    assert payoff_estimated_density(0.0, 0.0, ctx) == (0.0, 0.0)
+
+
+def _estimated_expectations(factors, lam):
+    """Enumerated E[1 + lam * g] of the (upper, lower) games on the 3-point
+    population when group b's estimated shares are ``factors[b]`` times
+    the truth, with those error bounds and the largest admissible scale."""
+    d_min, d_max = min(factors), max(factors)
+    omega_hat = [tuple(f * w for w in OMEGA) for f in factors]
+    scale = d_min / (2.0 * max(max(row) for row in omega_hat))
+    expectation = [0.0, 0.0]
+    for x0, x1 in product(range(3), repeat=2):
+        ctx = EstimatedDensityContext(
+            omega_hat_0=omega_hat[0][x0], omega_hat_1=omega_hat[1][x1],
+            scale=scale, delta_min=d_min, delta_max=d_max,
+        )
+        for k, g in enumerate(payoff_estimated_density(PHI_0[x0], PHI_1[x1], ctx)):
+            expectation[k] += PI[x0] * PI[x1] * (1.0 + lam * g)
+    return expectation
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.3, 0.5])
 def test_estimated_density_null_mean_with_uniform_overestimate(lam):
-    """Estimated shares at 1.2x the truth make both error bounds 1.2;
-    the enumerated drift per step is scale * (mu0 - mu1) = 0 under the null."""
-    rho_hat = tuple(1.2 * r for r in RHO)
-    omega_hat = tuple(r / p for r, p in zip(rho_hat, PI))
-    scale = 1.2 / (2.0 * max(omega_hat))
-    expectation = 0.0
-    for x0, x1 in product(range(3), repeat=2):
-        ctx = EstimatedDensityContext(
-            omega_hat_0=omega_hat[x0], omega_hat_1=omega_hat[x1],
-            scale=scale, delta_min=1.2, delta_max=1.2,
-        )
-        payoff, _ = payoff_estimated_density(PHI_0[x0], PHI_1[x1], ctx, lam)
-        expectation += PI[x0] * PI[x1] * payoff
-    assert abs(expectation - 1.0) < 1e-12
+    """Estimated shares at 1.2x the truth make both error bounds 1.2; the
+    enumerated drift per step of both games is +-scale * (mu0 - mu1) = 0
+    under the null."""
+    for expectation in _estimated_expectations((1.2, 1.2), lam):
+        assert abs(expectation - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("factors", [(0.5, 2.0), (2.0, 0.5), (1.0, 1.2)])
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+def test_estimated_density_one_sided_games_under_skewed_estimates(factors, lam):
+    """Under equal means and estimates off by a different factor per group,
+    each game's argument has a nonpositive mean, so its payoff mean stays
+    <= 1 for every bet in [0, 1/2], the range one-sided games bet in."""
+    for expectation in _estimated_expectations(factors, lam):
+        assert expectation <= 1.0 + 1e-12
 
 
 def test_composite_direct_arithmetic():
-    q, r, g_q, g_r = payoff_composite(1.0, 0.0, 0.1, 0.5, 0.5)
-    assert q == pytest.approx(1.45)
-    assert r == pytest.approx(0.45)
+    g_q, g_r = _composite(1.0, 0.0, 0.1)
+    assert 1.0 + 0.5 * g_q == pytest.approx(1.45)
+    assert 1.0 + 0.5 * g_r == pytest.approx(0.45)
     assert g_q == pytest.approx(0.9)
     assert g_r == pytest.approx(-1.1)
 
 
 @given(y=unit, lam=bets, eps=st.floats(min_value=0.01, max_value=0.99))
 def test_composite_symmetric_inputs(y, lam, eps):
-    q, r, g_q, g_r = payoff_composite(y, y, eps, lam, lam)
+    g_q, g_r = _composite(y, y, eps)
     assert g_q == g_r == -eps
-    assert q == r == 1.0 - lam * eps
+    assert 1.0 + lam * g_q == 1.0 - lam * eps
 
 
 @given(y0=unit, y1=unit, lam_q=bets, lam_r=bets, eps=st.floats(min_value=0.01, max_value=0.99))
 def test_composite_payoffs_stay_positive(y0, y1, lam_q, lam_r, eps):
-    q, r, _, _ = payoff_composite(y0, y1, eps, lam_q, lam_r)
+    g_q, g_r = _composite(y0, y1, eps)
     floor = 1.0 - 0.5 * (1.0 + eps) - 1e-12
-    assert q >= floor and r >= floor and floor > -1e-12
+    assert 1.0 + lam_q * g_q >= floor and 1.0 + lam_r * g_r >= floor and floor > -1e-12
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.2, 0.5])
@@ -182,8 +202,8 @@ def test_composite_boundary_null_mean_by_enumeration(lam):
     expectation = 0.0
     for y0, y1 in product((0.0, 1.0), repeat=2):
         p = (mu0 if y0 else 1 - mu0) * (mu1 if y1 else 1 - mu1)
-        q, _, _, _ = payoff_composite(y0, y1, eps, lam, lam)
-        expectation += p * q
+        g_q, _ = _composite(y0, y1, eps)
+        expectation += p * (1.0 + lam * g_q)
     assert abs(expectation - 1.0) < 1e-12
 
 
@@ -208,29 +228,26 @@ def test_batch_push_appends_per_group():
 
 def test_batch_payoff_means_and_clearing():
     acc = _accumulator(pending_0=(0.7, 0.5), pending_1=(0.2,))
-    payoff, g, cleared = batch_payoff(acc, 0.5)
+    g, cleared = batch_payoff(acc)
     assert g == pytest.approx(0.4)
-    assert payoff == pytest.approx(1.2)
     assert cleared is not acc
     assert cleared.pending_0 == [] and cleared.pending_1 == []
 
 
 def test_batch_payoff_abstains_when_one_side_empty():
     acc = _accumulator(pending_0=(0.7,))
-    payoff, g, unchanged = batch_payoff(acc, 0.5)
-    assert (payoff, g) == (1.0, 0.0)
+    g, unchanged = batch_payoff(acc)
+    assert g == 0.0  # payoff exactly 1 whatever the bet
     assert unchanged is acc
     assert acc.pending_0 == [0.7] and acc.pending_1 == []
 
 
 def test_batch_singletons_match_simple_bit_for_bit():
     rng_vals = [(0.13, 0.87), (1.0, 0.0), (0.5, 0.5), (0.999, 0.001)]
-    for lam in (-0.5, -0.1, 0.0, 0.23, 0.5):
-        for y0, y1 in rng_vals:
-            acc = _accumulator(pending_0=(y0,), pending_1=(y1,))
-            b_payoff, b_g, _ = batch_payoff(acc, lam)
-            s_payoff, s_g = payoff_simple(y0, y1, lam)
-            assert (b_payoff, b_g) == (s_payoff, s_g)
+    for y0, y1 in rng_vals:
+        acc = _accumulator(pending_0=(y0,), pending_1=(y1,))
+        g, _ = batch_payoff(acc)
+        assert g == _simple(y0, y1)
 
 
 def test_weight_helpers_from_records():

@@ -304,6 +304,11 @@ _PROPENSITY = PolicyPopulation(**_WEIGHTED, horizon=120, seed=38)
 _ESTIMATED = PolicyPopulation(
     **_WEIGHTED, density_estimates=((0.25,) * 4, (0.3,) * 4), horizon=300, seed=39,
 )
+# Estimates off by 2x for group 0 and 0.5x for group 1: the lower game's
+# argument is biased, and only the upper game can see the 0.3 gap.
+_HOSTILE = PolicyPopulation(
+    **_WEIGHTED, density_estimates=((0.5,) * 4, (0.125,) * 4), horizon=600, seed=41,
+)
 
 
 @pytest.mark.parametrize(
@@ -328,9 +333,10 @@ def _differential_cases():
     cases += [(Simple(), scen, f"Simple-{name}") for name, scen in _THREE_GROUPS.items()]
     propensity = Propensity(scale=policy_corrective_scale(_PROPENSITY))
     cases.append((propensity, _PROPENSITY, "Propensity-population"))
-    lo, hi = estimated_density_bounds(_ESTIMATED)
-    estimated = EstimatedDensity(delta_min=lo, delta_max=hi, scale=estimated_density_scale(_ESTIMATED, lo))
-    cases.append((estimated, _ESTIMATED, "EstimatedDensity-population"))
+    for scen, name in ((_ESTIMATED, "population"), (_HOSTILE, "hostile")):
+        lo, hi = estimated_density_bounds(scen)
+        estimated = EstimatedDensity(delta_min=lo, delta_max=hi, scale=estimated_density_scale(scen, lo))
+        cases.append((estimated, scen, f"EstimatedDensity-{name}"))
     return [pytest.param(strategy, scen, id=name) for strategy, scen, name in cases]
 
 
@@ -382,11 +388,18 @@ _UNPOPULATED = PolicyPopulation(  # group 0 has no mass on point 0, which is dra
 )
 
 
+_HOSTILE_RARE_HEAVY = replace(_RARE_HEAVY, density_estimates=((0.5,) * 4, (0.125,) * 4))
+
+
 @pytest.mark.parametrize("strategy,scenario,error", [
     (Propensity(scale=0.5 / (0.25 / 0.33)), _RARE_HEAVY, InvariantError),
     (Propensity(scale=0.1), _UNPOPULATED, ValidationError),
     (Propensity(scale=0.1), FixedMeans.from_gap(0.0, horizon=100, seed=52), ValidationError),
-], ids=["scale-too-large", "zero-density", "no-propensity-fields"])
+    (EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.5 / (2 * 0.5 / 0.33)),
+     _HOSTILE_RARE_HEAVY, InvariantError),
+    (EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.1), _RARE_HEAVY, ValidationError),
+], ids=["scale-too-large", "zero-density", "no-propensity-fields",
+        "hostile-estimate-scale-too-large", "no-estimate-fields"])
 def test_monte_carlo_errors_at_the_record_path_step(strategy, scenario, error):
     config = AuditConfig(alpha=0.05, strategy=strategy, seed=53)
     found = _record_error_step(config, scenario)
