@@ -156,7 +156,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows = _preset_rows(args.preset, args)
     else:
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            scenario = simulate.scenario_from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise AuditError(f"scenario file {args.scenario} is not JSON: {exc}") from None
+        scenario = simulate.scenario_from_dict(doc)
         if args.horizon is not None:
             scenario = replace(scenario, horizon=args.horizon)
         alpha = 0.05 if args.alpha is None else args.alpha
@@ -396,10 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except AuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (AuditError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -40,15 +40,12 @@ from .core import (
 )
 from .payoffs import (
     BatchAccumulator,
+    _weighted_args,
     batch_payoff,
     batch_push,
     batched_args,
     composite_args,
-    estimated_density_args,
-    estimated_density_context,
-    payoff_estimated_density,
     payoff_propensity,
-    propensity_args,
     propensity_context,
     simple_args,
 )
@@ -188,14 +185,16 @@ def _composite_step(session: AuditSession, records) -> tuple[float, float]:
 
 def _propensity_step(session: AuditSession, records) -> tuple[float]:
     rec0, rec1 = _bundle_by_group(records, 2)
-    ctx = propensity_context(rec0, rec1, session.config.strategy.scale)
-    return (payoff_propensity(rec0.y_hat, rec1.y_hat, ctx),)
+    w0, w1 = propensity_context(rec0, rec1, False)
+    scale = session.config.strategy.scale
+    return payoff_propensity(rec0.y_hat, rec1.y_hat, w0, w1, scale, 1.0, 1.0)[:1]
 
 
 def _estimated_density_step(session: AuditSession, records) -> tuple[float, float]:
     rec0, rec1 = _bundle_by_group(records, 2)
-    ctx = estimated_density_context(rec0, rec1, session.config.strategy)
-    return payoff_estimated_density(rec0.y_hat, rec1.y_hat, ctx)
+    w0, w1 = propensity_context(rec0, rec1, True)
+    s = session.config.strategy
+    return payoff_propensity(rec0.y_hat, rec1.y_hat, w0, w1, s.scale, s.delta_min, s.delta_max)
 
 
 STRATEGIES: dict[type, StrategyRow] = {
@@ -214,13 +213,13 @@ STRATEGIES: dict[type, StrategyRow] = {
     ),
     Propensity: StrategyRow(
         _adjacent_pairs, -0.5, _propensity_step,
-        lambda s, y, w, w_hat: propensity_args(y, w, s.scale),
+        lambda s, y, w, w_hat: _weighted_args(y, w, s.scale, 1.0, 1.0, False),
     ),
     # The estimate's error bounds make each side's argument mean only <= 0
     # under the null, so it plays one-sided games like composite.
     EstimatedDensity: StrategyRow(
         _one_sided_pair, 0.0, _estimated_density_step,
-        lambda s, y, w, w_hat: estimated_density_args(y, w_hat, s),
+        lambda s, y, w, w_hat: _weighted_args(y, w_hat, s.scale, s.delta_min, s.delta_max, True),
     ),
 }
 

@@ -9,15 +9,12 @@ what makes the wealth process a test supermartingale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import (
     AuditError,
     AuditRecord,
-    EstimatedDensity,
     InvariantError,
     ValidationError,
     _check_positive,
@@ -28,44 +25,6 @@ from .core import (
 # weights; violations beyond this are treated as real configuration bugs
 # rather than float noise.
 _SCALE_RTOL = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class PropensityContext:
-    """Importance weights of the two observed points plus the predictable
-    corrective scale bounding the weighted payoff argument in [-1, 1]."""
-
-    omega_0: float
-    omega_1: float
-    scale: float
-
-    def __post_init__(self):
-        _check_positive("omega_0", self.omega_0)
-        _check_positive("omega_1", self.omega_1)
-        _check_positive("scale", self.scale)
-
-
-@dataclass(frozen=True, slots=True)
-class EstimatedDensityContext:
-    """Like :class:`PropensityContext` but with weights from an estimated
-    density and the multiplicative error bounds of that estimate."""
-
-    omega_hat_0: float
-    omega_hat_1: float
-    scale: float
-    delta_min: float
-    delta_max: float
-
-    def __post_init__(self):
-        _check_positive("omega_hat_0", self.omega_hat_0)
-        _check_positive("omega_hat_1", self.omega_hat_1)
-        _check_positive("scale", self.scale)
-        _check_positive("delta_min", self.delta_min)
-        _check_positive("delta_max", self.delta_max)
-        if self.delta_min > self.delta_max:
-            raise ValidationError(
-                f"delta_min must not exceed delta_max, got {self.delta_min!r} > {self.delta_max!r}"
-            )
 
 
 class BatchAccumulator:
@@ -84,53 +43,41 @@ class BatchAccumulator:
         return bool(self.pending_0) and bool(self.pending_1)
 
 
-def payoff_propensity(y0: float, y1: float, ctx: PropensityContext) -> float:
-    """Importance-weighted argument scale * (y0 * w0 - y1 * w1).
-
-    The per-record check scale * w_b <= 1/2 is what keeps the argument in
-    [-1, 1]; an inconsistent caller-supplied scale breaks the supermartingale
-    property, so it fails loudly instead of being rescaled.
-    """
-    _check_unit_interval("y0", y0)
-    _check_unit_interval("y1", y1)
-    bound = 0.5 * (1.0 + _SCALE_RTOL)
-    if ctx.scale * ctx.omega_0 > bound or ctx.scale * ctx.omega_1 > bound:
-        raise InvariantError(
-            f"corrective scale {ctx.scale!r} exceeds 1/(2w) at an observed point "
-            f"(weights {ctx.omega_0!r}, {ctx.omega_1!r})"
-        )
-    g = ctx.scale * (y0 * ctx.omega_0 - y1 * ctx.omega_1)
-    if abs(g) > 1.0 + _SCALE_RTOL:
-        raise InvariantError(f"weighted payoff argument {g!r} escaped [-1, 1]")
-    return g
-
-
-def payoff_estimated_density(
-    y0: float, y1: float, ctx: EstimatedDensityContext
+def payoff_propensity(
+    y0: float, y1: float, w0: float, w1: float, scale: float, delta_min: float, delta_max: float
 ) -> tuple[float, float]:
-    """Arguments of the two one-sided games under an estimated density,
-    with w0, w1 the estimated weights:
+    """Arguments of the two games of an importance-weighted audit, with w0,
+    w1 the weights of the observed points, exact or from an estimated
+    density whose multiplicative error lies in [delta_min, delta_max]:
 
         upper = scale * (y0 * w0 / delta_max - y1 * w1 / delta_min)
         lower = scale * (y1 * w1 / delta_max - y0 * w0 / delta_min)
 
-    Since the estimate is off by a factor in [delta_min, delta_max],
-    E[y_b * w_b] / delta_max <= mu_b <= E[y_b * w_b] / delta_min, so each
-    argument's conditional mean is <= 0 under mu0 = mu1, and each game bets
-    in [0, 1/2].  With delta_min = delta_max = 1 and exact weights the upper
-    argument is the :func:`payoff_propensity` one bit for bit.
+    Since E[y_b * w_b] / delta_max <= mu_b <= E[y_b * w_b] / delta_min,
+    each argument's conditional mean is <= 0 under mu0 = mu1, so each game
+    bets in [0, 1/2].  Exact weights are the bounds delta_min = delta_max = 1,
+    where x / 1.0 == x makes the upper argument scale * (y0 * w0 - y1 * w1)
+    bit for bit: its mean is 0 under the null, so the propensity audit plays
+    one signed game on it alone.
+
+    The per-record check scale * w_b <= delta_min / 2 is what keeps the
+    arguments in [-1, 1]; an inconsistent caller-supplied scale breaks the
+    supermartingale property, so it fails loudly instead of being rescaled.
     """
+    _check_positive("omega_0", w0)
+    _check_positive("omega_1", w1)
     _check_unit_interval("y0", y0)
     _check_unit_interval("y1", y1)
-    bound = 0.5 * ctx.delta_min * (1.0 + _SCALE_RTOL)
-    if ctx.scale * ctx.omega_hat_0 > bound or ctx.scale * ctx.omega_hat_1 > bound:
+    bound = 0.5 * delta_min * (1.0 + _SCALE_RTOL)
+    if scale * w0 > bound or scale * w1 > bound:
+        limit = "1/(2w)" if delta_min == 1.0 else "delta_min/(2w)"
         raise InvariantError(
-            f"corrective scale {ctx.scale!r} exceeds delta_min/(2w) at an observed point "
-            f"(weights {ctx.omega_hat_0!r}, {ctx.omega_hat_1!r})"
+            f"corrective scale {scale!r} exceeds {limit} at an observed point "
+            f"(weights {w0!r}, {w1!r})"
         )
-    a, b = y0 * ctx.omega_hat_0, y1 * ctx.omega_hat_1
-    upper = ctx.scale * (a / ctx.delta_max - b / ctx.delta_min)
-    lower = ctx.scale * (b / ctx.delta_max - a / ctx.delta_min)
+    a, b = y0 * w0, y1 * w1
+    upper = scale * (a / delta_max - b / delta_min)
+    lower = scale * (b / delta_max - a / delta_min)
     for g in (upper, lower):
         if abs(g) > 1.0 + _SCALE_RTOL:
             raise InvariantError(f"weighted payoff argument {g!r} escaped [-1, 1]")
@@ -179,24 +126,9 @@ def missing_weight_error(t: int, group: int, estimated: bool = False) -> Validat
     )
 
 
-def propensity_context(rec0: AuditRecord, rec1: AuditRecord, scale: float) -> PropensityContext:
-    return PropensityContext(
-        omega_0=weight_from_record(rec0),
-        omega_1=weight_from_record(rec1),
-        scale=scale,
-    )
-
-
-def estimated_density_context(
-    rec0: AuditRecord, rec1: AuditRecord, strategy: EstimatedDensity
-) -> EstimatedDensityContext:
-    return EstimatedDensityContext(
-        omega_hat_0=weight_from_record(rec0, estimated=True),
-        omega_hat_1=weight_from_record(rec1, estimated=True),
-        scale=strategy.scale,
-        delta_min=strategy.delta_min,
-        delta_max=strategy.delta_max,
-    )
+def propensity_context(rec0: AuditRecord, rec1: AuditRecord, estimated: bool) -> tuple[float, float]:
+    """Weights (w0, w1) of a step's two records for :func:`payoff_propensity`."""
+    return weight_from_record(rec0, estimated), weight_from_record(rec1, estimated)
 
 
 # Array forms of the payoff arguments, for callers holding a block of steps
@@ -226,49 +158,19 @@ def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
     return np.column_stack((y[:, 0] - y[:, 1] - epsilon, y[:, 1] - y[:, 0] - epsilon))
 
 
-def propensity_args(
-    y: np.ndarray, w: np.ndarray | None, scale: float
-) -> tuple[np.ndarray, AuditError | None]:
-    """Argument of :func:`payoff_propensity` for two groups with importance
-    weights ``w`` (None when the records lack the weight fields).  Returns
-    the rows before the first step the scalar payoff rejects, and the error
-    it raises on that step (None when none does)."""
-
-    def check(j: int) -> None:
-        (y0, y1), (w0, w1) = y[j].tolist(), w[j].tolist()
-        payoff_propensity(y0, y1, PropensityContext(omega_0=w0, omega_1=w1, scale=scale))
-
-    return _weighted_args(y, w, scale, 1.0, 1.0, False, check)
-
-
-def estimated_density_args(
-    y: np.ndarray, w_hat: np.ndarray | None, strategy: EstimatedDensity
-) -> tuple[np.ndarray, AuditError | None]:
-    """Arguments (upper, lower) of :func:`payoff_estimated_density` for two
-    groups with estimated weights ``w_hat``; cut and error as in
-    :func:`propensity_args`."""
-    scale, d_min, d_max = strategy.scale, strategy.delta_min, strategy.delta_max
-
-    def check(j: int) -> None:
-        (y0, y1), (w0, w1) = y[j].tolist(), w_hat[j].tolist()
-        ctx = EstimatedDensityContext(
-            omega_hat_0=w0, omega_hat_1=w1, scale=scale, delta_min=d_min, delta_max=d_max
-        )
-        payoff_estimated_density(y0, y1, ctx)
-
-    return _weighted_args(y, w_hat, scale, d_min, d_max, True, check)
-
-
 def _weighted_args(
     y: np.ndarray, w: np.ndarray | None, scale: float, d_min: float, d_max: float,
-    estimated: bool, check: Callable[[int], None],
+    estimated: bool,
 ) -> tuple[np.ndarray, AuditError | None]:
-    """The estimated-density arguments, or with d_min = d_max = 1 and only
-    the upper column, the propensity one and its bound bit for bit.
-    ``suspect`` flags every step the scalar payoff might reject; ``check``
-    runs the scalar payoff on them in order and decides, so the error,
-    message included, is the record path's.  Weights of None refuse the
-    first step, as the record path refuses records without the fields."""
+    """Arguments of :func:`payoff_propensity` for two groups with weights
+    ``w``: both columns for an estimated density, only the upper one for
+    exact weights at d_min = d_max = 1.  Returns the rows before the first
+    step the scalar payoff rejects, and the error it raises on that step
+    (None when none does).  ``suspect`` flags every step the scalar payoff
+    might reject; the scalar payoff runs on them in order and decides, so the
+    error, message included, is the record path's.  Weights of None (records
+    without the weight fields) refuse the first step, as the record path
+    refuses such records."""
     games = 2 if estimated else 1
     if w is None:
         return np.empty((0, games)), missing_weight_error(1, 0, estimated)
@@ -280,8 +182,9 @@ def _weighted_args(
         | (np.abs(g) > 1.0 + _SCALE_RTOL).any(axis=1)
     )
     for j in np.flatnonzero(suspect).tolist():
+        (y0, y1), (w0, w1) = y[j].tolist(), w[j].tolist()
         try:
-            check(j)
+            payoff_propensity(y0, y1, w0, w1, scale, d_min, d_max)
         except AuditError as exc:
             return g[:j], exc
     return g, None

@@ -563,30 +563,40 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """The scenario a JSON object describes; a missing ``horizon`` or
+    ``seed`` takes the scenario class's default.  Anything else that does
+    not describe a valid scenario raises ValidationError."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"a scenario must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
-    common = {"horizon": d.get("horizon", 1000), "seed": d.get("seed", 0)}
-    if kind == "fixed_means":
-        return FixedMeans(means=tuple(d["means"]), **common)
-    if kind == "logistic_drift":
-        keys = ("base", "amplitude", "onset", "midpoint", "scale")
-        return LogisticDrift(**{k: d[k] for k in keys if k in d}, **common)
-    if kind == "sinusoidal_drift":
-        keys = (
-            "level", "amplitude_0", "wavelength_0", "amplitude_1",
-            "wavelength_1", "drift_rate", "noise_sd",
-        )
-        return SinusoidalDrift(**{k: d[k] for k in keys if k in d}, **common)
-    if kind == "policy_population":
-        return PolicyPopulation(
-            density=tuple(tuple(row) for row in d["density"]),
-            outputs=tuple(tuple(row) for row in d["outputs"]),
-            policy=tuple(d["policy"]),
-            density_estimates=None
-            if "density_estimates" not in d
-            else tuple(tuple(row) for row in d["density_estimates"]),
-            labels=None if "labels" not in d else tuple(d["labels"]),
-            **common,
-        )
+    common = {k: d[k] for k in ("horizon", "seed") if k in d}
+    try:
+        if kind == "fixed_means":
+            return FixedMeans(means=tuple(d["means"]), **common)
+        if kind == "logistic_drift":
+            keys = ("base", "amplitude", "onset", "midpoint", "scale")
+            return LogisticDrift(**{k: d[k] for k in keys if k in d}, **common)
+        if kind == "sinusoidal_drift":
+            keys = (
+                "level", "amplitude_0", "wavelength_0", "amplitude_1",
+                "wavelength_1", "drift_rate", "noise_sd",
+            )
+            return SinusoidalDrift(**{k: d[k] for k in keys if k in d}, **common)
+        if kind == "policy_population":
+            return PolicyPopulation(
+                density=tuple(tuple(row) for row in d["density"]),
+                outputs=tuple(tuple(row) for row in d["outputs"]),
+                policy=tuple(d["policy"]),
+                density_estimates=None
+                if "density_estimates" not in d
+                else tuple(tuple(row) for row in d["density_estimates"]),
+                labels=None if "labels" not in d else tuple(d["labels"]),
+                **common,
+            )
+    except KeyError as exc:
+        raise ValidationError(f"scenario {kind!r} lacks the field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValidationError(f"scenario {kind!r} holds a value of the wrong type: {exc}") from None
     raise ValidationError(f"unknown scenario kind {kind!r}")
 
 

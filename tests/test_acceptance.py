@@ -43,7 +43,7 @@ from seqaudit.core import (
     Simple,
 )
 from seqaudit.engine import run_args, run_stream, session_finalize, session_new
-from seqaudit.payoffs import PropensityContext, composite_args, payoff_propensity, simple_args
+from seqaudit.payoffs import composite_args, payoff_propensity, simple_args
 from seqaudit.simulate import (
     REGION_POLICIES,
     FixedMeans,
@@ -226,8 +226,7 @@ def test_criterion_02_exact_martingale_means():
         for lam in lams:
             expectation = 0.0
             for x0, x1 in product(range(3), repeat=2):
-                ctx = PropensityContext(omega_0=omega[x0], omega_1=omega[x1], scale=scale)
-                g = payoff_propensity(phi0[x0], phi1[x1], ctx)
+                g, _ = payoff_propensity(phi0[x0], phi1[x1], omega[x0], omega[x1], scale, 1.0, 1.0)
                 expectation += pi[x0] * pi[x1] * (1.0 + lam * g)
             assert abs(expectation - 1.0) < 1e-12
         # upper one-sided game at the boundary mean gap = epsilon

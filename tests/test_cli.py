@@ -57,6 +57,18 @@ def test_audit_missing_file_is_usage_error():
     assert "error" in result.stderr.lower()
 
 
+def test_audit_directory_is_usage_error(tmp_path, capsys):
+    assert main(["audit", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_audit_non_utf8_input_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(b'{"t": 1, "group": 0, "y_hat": 0.5}\n\xff\xfe\n')
+    assert main(["audit", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_audit_invalid_record_is_usage_error(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 1, "group": 0, "y_hat": 2.0}\n')
@@ -270,6 +282,24 @@ def test_scenario_file_roundtrip(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("scenario,alpha")
     assert lines[1].startswith("scenario,0.05,simple,1.0")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "fixed_means", "means": [0.9, 0.1]',
+        "[0.9, 0.1]",
+        '{"kind": "fixed_means"}',
+        '{"kind": "policy_population", "outputs": [[0.5], [0.5]], "policy": [1.0]}',
+        '{"kind": "fixed_means", "means": ["0.9", 0.1]}',
+    ],
+    ids=["not-json", "not-an-object", "no-means", "no-density", "string-mean"],
+)
+def test_bad_scenario_file_is_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["simulate", "--scenario", str(path), "--replicates", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_fig2a_preset_rejects_after_onset(tmp_path):

@@ -1,8 +1,10 @@
 """Session lifecycle, thresholds per orchestration mode, the randomized
 terminal step, and the stopping-rule / determinism properties."""
+import importlib
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +255,30 @@ def test_estimated_density_strategy_through_engine():
     assert upper.lam == lower.lam == 0.0  # a negative argument cannot push a bet below 0
 
 
+def test_estimated_density_at_unit_bounds_is_propensity_bit_for_bit():
+    """Exact weights are the estimated-density payoff at bounds 1 and 1: fed
+    the same weighted records, the propensity game and the estimated-density
+    upper game sum the same arguments bit for bit."""
+    rng = random.Random(8)
+    # Weights stay <= 0.5 / 0.25 = 2.  A scale that is not a power of two
+    # rounds, so reordered arithmetic would show in the sums.
+    scale = 0.2
+    prop = session_new(AuditConfig(alpha=0.05, strategy=Propensity(scale=scale)))
+    est = session_new(AuditConfig(alpha=0.05, strategy=EstimatedDensity(1.0, 1.0, scale)))
+    for t in range(1, 201):
+        records = []
+        for b in (0, 1):
+            rho = rng.uniform(0.05, 0.5)
+            records.append(AuditRecord(t=t, group=b, y_hat=rng.random(),
+                                       propensity=rng.uniform(0.25, 1.0), density=rho,
+                                       density_estimate=rho))
+        session_step(prop, records)
+        session_step(est, records)
+    (game,), (upper, _) = prop.games, est.games
+    assert game.steps == upper.steps == 200
+    assert (game.s_sum, game.v_sum) == (upper.s_sum, upper.v_sum)
+
+
 def test_finalize_at_threshold_always_rejects():
     for seed in range(20):
         config = AuditConfig(alpha=0.05, randomized_final_step=True, seed=seed)
@@ -449,3 +475,21 @@ def test_simple_interleaving_gives_the_balanced_report(data, groups, randomized)
     interleaved = [next(cursors[b]) for b in order]
     config = AuditConfig(alpha=0.1, group_count=groups, randomized_final_step=randomized, seed=seed)
     assert run_stream(config, interleaved) == run_stream(config, balanced)
+
+
+def test_benchmark_tracer_patches_the_names_it_wraps(monkeypatch):
+    """The benchmark's tracer wraps the engine's payoff helpers and step and
+    the scenario draw by name; a rename would break its traced run."""
+    from seqaudit import engine, simulate
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    names = [
+        (engine, "payoff_propensity"), (engine, "propensity_context"),
+        (engine, "session_step"), (simulate, "draw_records"),
+    ]
+    originals = [getattr(module, name) for module, name in names]
+    with tracer.installed(tracer.Tracer()):
+        for (module, name), original in zip(names, originals):
+            assert getattr(module, name) is not original, name
+    assert [getattr(module, name) for module, name in names] == originals

@@ -7,16 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqaudit.core import AuditRecord, EstimatedDensity, InvariantError, ValidationError
+from seqaudit.core import AuditRecord, InvariantError, ValidationError
 from seqaudit.payoffs import (
     BatchAccumulator,
-    EstimatedDensityContext,
-    PropensityContext,
     batch_payoff,
     batch_push,
     composite_args,
-    estimated_density_context,
-    payoff_estimated_density,
     payoff_propensity,
     propensity_context,
     simple_args,
@@ -40,6 +36,13 @@ SCALE = 1.0 / (2.0 * max(OMEGA))  # 0.25
 def _simple(y0, y1):
     (g,) = simple_args(np.array([[y0, y1]]))[0]
     return g
+
+
+def _propensity(y0, y1, w0, w1, scale):
+    """The propensity argument: the weighted payoff's upper game at exact
+    weights, error bounds 1 and 1."""
+    upper, _ = payoff_propensity(y0, y1, w0, w1, scale, 1.0, 1.0)
+    return upper
 
 
 def _composite(y0, y1, eps):
@@ -85,9 +88,8 @@ def test_propensity_scale_of_two_region_population():
 
 
 def test_propensity_uniform_weights_halves_the_simple_argument():
-    ctx = PropensityContext(omega_0=1.0, omega_1=1.0, scale=0.5)
     for y0, y1 in product((0.0, 0.25, 1.0), repeat=2):
-        assert payoff_propensity(y0, y1, ctx) == 0.5 * (y0 - y1)
+        assert _propensity(y0, y1, 1.0, 1.0, 0.5) == 0.5 * (y0 - y1)
 
 
 def test_propensity_unbiasedness_on_finite_population():
@@ -105,34 +107,18 @@ def test_propensity_null_mean_by_enumeration(lam):
     assert abs(mu0 - mu1) < 1e-15
     expectation = 0.0
     for x0, x1 in product(range(3), repeat=2):
-        ctx = PropensityContext(omega_0=OMEGA[x0], omega_1=OMEGA[x1], scale=SCALE)
-        g = payoff_propensity(PHI_0[x0], PHI_1[x1], ctx)
+        g = _propensity(PHI_0[x0], PHI_1[x1], OMEGA[x0], OMEGA[x1], SCALE)
         expectation += PI[x0] * PI[x1] * (1.0 + lam * g)
     assert abs(expectation - 1.0) < 1e-12
 
 
 def test_propensity_rejects_inconsistent_scale():
-    ctx = PropensityContext(omega_0=4.0, omega_1=1.0, scale=0.2)  # 0.2 * 4 > 1/2
     with pytest.raises(InvariantError):
-        payoff_propensity(1.0, 0.0, ctx)
-
-
-def test_estimated_density_reduces_to_propensity_bit_for_bit():
-    for x0, x1 in product(range(3), repeat=2):
-        prop_ctx = PropensityContext(omega_0=OMEGA[x0], omega_1=OMEGA[x1], scale=SCALE)
-        est_ctx = EstimatedDensityContext(
-            omega_hat_0=OMEGA[x0], omega_hat_1=OMEGA[x1], scale=SCALE,
-            delta_min=1.0, delta_max=1.0,
-        )
-        upper, _ = payoff_estimated_density(PHI_0[x0], PHI_1[x1], est_ctx)
-        assert upper == payoff_propensity(PHI_0[x0], PHI_1[x1], prop_ctx)
+        _propensity(1.0, 0.0, 4.0, 1.0, 0.2)  # 0.2 * 4 > 1/2
 
 
 def test_estimated_density_zero_outputs_unit_payoff():
-    ctx = EstimatedDensityContext(
-        omega_hat_0=1.0, omega_hat_1=1.0, scale=0.4, delta_min=0.9, delta_max=1.1
-    )
-    assert payoff_estimated_density(0.0, 0.0, ctx) == (0.0, 0.0)
+    assert payoff_propensity(0.0, 0.0, 1.0, 1.0, 0.4, 0.9, 1.1) == (0.0, 0.0)
 
 
 def _estimated_expectations(factors, lam):
@@ -144,11 +130,10 @@ def _estimated_expectations(factors, lam):
     scale = d_min / (2.0 * max(max(row) for row in omega_hat))
     expectation = [0.0, 0.0]
     for x0, x1 in product(range(3), repeat=2):
-        ctx = EstimatedDensityContext(
-            omega_hat_0=omega_hat[0][x0], omega_hat_1=omega_hat[1][x1],
-            scale=scale, delta_min=d_min, delta_max=d_max,
+        args = payoff_propensity(
+            PHI_0[x0], PHI_1[x1], omega_hat[0][x0], omega_hat[1][x1], scale, d_min, d_max
         )
-        for k, g in enumerate(payoff_estimated_density(PHI_0[x0], PHI_1[x1], ctx)):
+        for k, g in enumerate(args):
             expectation[k] += PI[x0] * PI[x1] * (1.0 + lam * g)
     return expectation
 
@@ -254,14 +239,14 @@ def test_weight_helpers_from_records():
     rec0 = AuditRecord(t=1, group=0, y_hat=0.7, propensity=0.25, density=0.5)
     rec1 = AuditRecord(t=1, group=1, y_hat=0.2, propensity=0.5, density=0.5)
     assert weight_from_record(rec0) == 2.0
-    ctx = propensity_context(rec0, rec1, scale=0.25)
-    assert ctx.omega_0 == 2.0 and ctx.omega_1 == 1.0
+    w0, w1 = propensity_context(rec0, rec1, False)
+    assert w0 == 2.0 and w1 == 1.0
     with pytest.raises(ValidationError):
         weight_from_record(AuditRecord(t=1, group=0, y_hat=0.7))
-    est = estimated_density_context(
+    w_hat_0, w_hat_1 = propensity_context(
         AuditRecord(t=1, group=0, y_hat=0.7, propensity=0.25, density_estimate=0.6),
         AuditRecord(t=1, group=1, y_hat=0.2, propensity=0.5, density_estimate=0.55),
-        EstimatedDensity(delta_min=0.9, delta_max=1.2, scale=0.18),
+        True,
     )
-    assert est.omega_hat_0 == pytest.approx(2.4)
-    assert est.omega_hat_1 == pytest.approx(1.1)
+    assert w_hat_0 == pytest.approx(2.4)
+    assert w_hat_1 == pytest.approx(1.1)

@@ -247,6 +247,13 @@ def test_scenario_dict_round_trip(scenario):
     assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
 
+@pytest.mark.parametrize(
+    "kind, cls", [("logistic_drift", LogisticDrift), ("sinusoidal_drift", SinusoidalDrift)]
+)
+def test_scenario_dict_defaults_are_the_class_defaults(kind, cls):
+    assert scenario_from_dict({"kind": kind}) == cls()
+
+
 def test_propensity_payoff_runs_through_monte_carlo():
     pop = PolicyPopulation(
         density=((0.25,) * 4, (0.25,) * 4),
