@@ -107,46 +107,35 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_REJECT if report.decision.is_rejection else EXIT_NO_REJECT
 
 
-_PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig5")
+# Default (alpha, horizon) of each preset, in the order --preset lists them.
+_PRESET_DEFAULTS = {"fig1": (0.01, 1000), "fig2a": (0.01, 1000), "fig2b": (0.01, 500), "fig5": (0.05, 2000)}
 
 
 def _preset_rows(name: str, args: argparse.Namespace) -> list[tuple[str, object, object, float]]:
     """Rows of (label, scenario, strategy, alpha) for a preset."""
-    horizon = args.horizon
-    alpha = args.alpha
+    if name not in _PRESET_DEFAULTS:
+        raise AuditError(f"unknown preset {name!r}")
+    alpha, horizon = _PRESET_DEFAULTS[name]
+    alpha = alpha if args.alpha is None else args.alpha
+    horizon = horizon if args.horizon is None else args.horizon
     seed = args.seed
+    rows = []
     if name == "fig1":
-        alpha = 0.01 if alpha is None else alpha
-        horizon = 1000 if horizon is None else horizon
-        rows = []
         for i, delta in enumerate((0.0, 0.1, 0.2, 0.5)):
-            scen = simulate.FixedMeans.from_gap(
-                delta, horizon=horizon, seed=simulate.derive_seed(seed, i)
-            )
+            scen = simulate.FixedMeans.from_gap(delta, horizon=horizon, seed=simulate.derive_seed(seed, i))
             rows.append((f"fig1-delta{delta}", scen, Simple(), alpha))
         return rows
     if name == "fig2a":
-        alpha = 0.01 if alpha is None else alpha
-        horizon = 1000 if horizon is None else horizon
         scen = simulate.LogisticDrift(horizon=horizon, seed=simulate.derive_seed(seed, 0))
         return [("fig2a-logistic", scen, Simple(), alpha)]
     if name == "fig2b":
-        alpha = 0.01 if alpha is None else alpha
-        horizon = 500 if horizon is None else horizon
         scen = simulate.SinusoidalDrift(horizon=horizon, seed=simulate.derive_seed(seed, 0))
         return [("fig2b-sinusoidal", scen, Simple(), alpha)]
-    if name == "fig5":
-        alpha = 0.05 if alpha is None else alpha
-        horizon = 2000 if horizon is None else horizon
-        rows = []
-        for i, (label, policy) in enumerate(simulate.REGION_POLICIES.items()):
-            scen = simulate.region_population(
-                policy, horizon=horizon, seed=simulate.derive_seed(seed, i)
-            )
-            strategy = Propensity(scale=simulate.policy_corrective_scale(scen))
-            rows.append((f"fig5-{label}", scen, strategy, alpha))
-        return rows
-    raise AuditError(f"unknown preset {name!r}")
+    for i, (label, policy) in enumerate(simulate.REGION_POLICIES.items()):
+        scen = simulate.region_population(policy, horizon=horizon, seed=simulate.derive_seed(seed, i))
+        strategy = Propensity(scale=simulate.policy_corrective_scale(scen))
+        rows.append((f"fig5-{label}", scen, strategy, alpha))
+    return rows
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -221,6 +210,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if any(not (0.0 < a < 1.0) for a in alphas):
         raise AuditError("--alphas entries must lie in (0, 1)")
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
+    if not methods:
+        raise AuditError("--methods must not be empty")
     for method in methods:
         if method not in ("betting", "perm-m1", "perm-m2"):
             raise AuditError(f"unknown method {method!r}")
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo over a scenario or preset")
     group = p_sim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=_PRESET_NAMES)
+    group.add_argument("--preset", choices=list(_PRESET_DEFAULTS))
     group.add_argument("--scenario", help="path to a scenario JSON file")
     p_sim.add_argument("--replicates", type=int, default=100)
     p_sim.add_argument("--horizon", type=int, default=None)

@@ -6,8 +6,9 @@ sampled through a non-uniform region policy with known propensities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from dataclasses import MISSING, dataclass, fields, replace
+from itertools import repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from .engine import STRATEGIES, run_args, run_stream  # noqa: F401  (run_stream:
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable per-replicate seed: adding replicates never changes earlier
     streams, and the derivation is independent of scheduling."""
-    ss = np.random.SeedSequence([int(master_seed), int(index)])
+    _check_seed(master_seed)
+    ss = np.random.SeedSequence([master_seed, int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -40,7 +42,7 @@ class FixedMeans:
         for m in self.means:
             if not (0.0 <= m <= 1.0):
                 raise ValidationError(f"group mean {m!r} outside [0, 1]")
-        _check_horizon(self.horizon)
+        _check_run(self)
 
     @property
     def group_count(self) -> int:
@@ -66,7 +68,7 @@ class LogisticDrift:
     seed: int = 0
 
     def __post_init__(self):
-        _check_horizon(self.horizon)
+        _check_run(self)
         if not (0.0 <= self.base <= 1.0 and 0.0 <= self.base + self.amplitude <= 1.0):
             raise ValidationError("logistic drift means leave [0, 1]")
         if self.onset < 1 or self.scale <= 0:
@@ -94,7 +96,7 @@ class SinusoidalDrift:
     seed: int = 0
 
     def __post_init__(self):
-        _check_horizon(self.horizon)
+        _check_run(self)
         if self.noise_sd < 0 or self.wavelength_0 <= 0 or self.wavelength_1 <= 0:
             raise ValidationError("noise sd must be >= 0 and wavelengths positive")
         t = np.arange(1, self.horizon + 1, dtype=float)
@@ -129,7 +131,7 @@ class PolicyPopulation:
     seed: int = 0
 
     def __post_init__(self):
-        _check_horizon(self.horizon)
+        _check_run(self)
         n = len(self.policy)
         if n == 0:
             raise ValidationError("empty support")
@@ -165,9 +167,16 @@ class PolicyPopulation:
 Scenario = FixedMeans | LogisticDrift | SinusoidalDrift | PolicyPopulation
 
 
-def _check_horizon(horizon: int) -> None:
-    if not isinstance(horizon, int) or horizon < 1:
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_run(scenario: Scenario) -> None:
+    horizon = scenario.horizon
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
+    _check_seed(scenario.seed)
 
 
 def _sinusoid_mean(s: SinusoidalDrift, group: int, t):
@@ -233,11 +242,8 @@ def region_population(
 def policy_corrective_scale(pop: PolicyPopulation) -> float:
     """Largest admissible corrective factor for the propensity payoff on this
     population: 1 / (2 * max importance weight) over observable points."""
-    w_max = 0.0
-    for rho in pop.density:
-        for r, p in zip(rho, pop.policy):
-            if p > 0.0 and r / p > w_max:
-                w_max = r / p
+    weights = (r / p for rho in pop.density for r, p in zip(rho, pop.policy) if p > 0.0)
+    w_max = max(weights, default=0.0)
     if w_max <= 0.0:
         raise ValidationError("population has no observable mass")
     return 1.0 / (2.0 * w_max)
@@ -261,78 +267,62 @@ def estimated_density_scale(pop: PolicyPopulation, delta_min: float) -> float:
     """Largest admissible corrective factor for the estimated-density payoff."""
     if pop.density_estimates is None:
         raise ValidationError("population carries no density estimates")
-    w_max = 0.0
-    for est_row in pop.density_estimates:
-        for est, p in zip(est_row, pop.policy):
-            if p > 0.0 and est / p > w_max:
-                w_max = est / p
-    return delta_min / (2.0 * w_max)
+    weights = (e / p for row in pop.density_estimates for e, p in zip(row, pop.policy) if p > 0.0)
+    return delta_min / (2.0 * max(weights))
 
 
-def draw_records(
-    scenario: Scenario, t: int, rng: np.random.Generator, stats: dict | None = None
-) -> tuple[AuditRecord, ...]:
-    """One record per group at step ``t``; consumes the generator in group
-    order so the stream is reproducible byte for byte."""
-    if isinstance(scenario, PolicyPopulation):
-        cum = np.cumsum(scenario.policy)
-        last_massive = max(i for i, p in enumerate(scenario.policy) if p > 0.0)
-        records = []
-        for b in range(scenario.group_count):
-            x = int(np.searchsorted(cum, rng.random(), side="right"))
-            if x > last_massive:  # float edge: cumulative sum rounded below 1
-                x = last_massive
-            records.append(
-                AuditRecord(
-                    t=t,
-                    group=b,
-                    y_hat=scenario.outputs[b][x],
-                    propensity=scenario.policy[x],
-                    density=scenario.density[b][x],
-                    density_estimate=None
-                    if scenario.density_estimates is None
-                    else scenario.density_estimates[b][x],
-                )
-            )
-        return tuple(records)
-    records = []
-    for b in range(scenario.group_count):
-        p = mean_at(scenario, b, t)
-        if isinstance(scenario, SinusoidalDrift) and scenario.noise_sd > 0.0:
-            noisy = p + rng.normal(0.0, scenario.noise_sd)
-            clipped = min(1.0, max(0.0, noisy))
-            if stats is not None and clipped != noisy:
-                stats["noise_clamped"] = stats.get("noise_clamped", 0) + 1
-            p = clipped
-        y = 1.0 if rng.random() < p else 0.0
-        records.append(AuditRecord(t=t, group=b, y_hat=y))
+def draw_records(t: int, y: list[float], point_fields: list | None = None) -> tuple[AuditRecord, ...]:
+    """The records of one drawn step ``t``, in group order: group b's output
+    ``y[b]`` and, for a population, the drawn point's (propensity, density
+    and, where the population has them, estimate) in ``point_fields[b]``."""
+    records = []  # a loop: before Python 3.12 a comprehension builds a frame per step
+    for b, v in enumerate(y):
+        if point_fields is None:
+            records.append(AuditRecord(t, b, v))
+        else:
+            records.append(AuditRecord(t, b, v, *point_fields[b]))
     return tuple(records)
 
 
-def generate_stream(
-    scenario: Scenario, seed: int | None = None, stats: dict | None = None
-) -> list[AuditRecord]:
-    """The full record stream of a scenario, interleaved by step then group.
-    Identical (scenario, seed) always yields identical records."""
+def stream_to_iterable(
+    scenario: Scenario, seed: int | None = None, clamped: list | None = None
+) -> Iterator[AuditRecord]:
+    """The scenario's records, interleaved by step then group, drawn lazily.
+    The sampler draws up to ``_BLOCK_CAP`` steps at a time and each step's
+    records are built when the stream reaches them.  Identical (scenario,
+    seed) always yields identical records.  Each step whose noisy mean was
+    clamped is appended to ``clamped``, steps drawn ahead of where the caller
+    stops included."""
     rng = _rng(scenario.seed if seed is None else seed)
-    out: list[AuditRecord] = []
-    for t in range(1, scenario.horizon + 1):
-        out.extend(draw_records(scenario, t, rng, stats))
-    return out
+    draw = _block_drawer(scenario)
+    clamped = [] if clamped is None else clamped
+    for t, y, point_fields in _blocks(draw, rng, scenario.horizon, clamped, _BLOCK_CAP):
+        if point_fields is None:
+            per_step = repeat(None)
+        else:  # (steps, groups, fields) as nested lists
+            per_step = np.stack([a for a in point_fields if a is not None], axis=-1).tolist()
+        for step, (outputs, step_fields) in enumerate(zip(y.tolist(), per_step), t + 1):
+            yield from draw_records(step, outputs, step_fields)
+
+
+def generate_stream(
+    scenario: Scenario, seed: int | None = None, clamped: list | None = None
+) -> list[AuditRecord]:
+    """The whole of :func:`stream_to_iterable` as a list."""
+    return list(stream_to_iterable(scenario, seed, clamped))
 
 
 def draw_outputs(scenario: Scenario, seed: int | None = None) -> np.ndarray:
     """The model outputs of ``generate_stream(scenario, seed)`` as a
     (horizon, groups) array, row t - 1 holding step t's outputs in group
-    order.  Step 1 goes through :func:`draw_records` and the rest through
-    one block of the sampler Monte Carlo uses; the two make the same
-    generator calls.  (The one record draw per stream keeps perfbench's
-    tracer, which times the sampler by its ``draw_records`` calls, able to
-    trace commands that draw only here.)"""
+    order, drawn in one block.  Step 1's records are built through
+    :func:`draw_records` once per stream: perfbench's tracer times the
+    sampler by its ``draw_records`` calls, and a traced command that draws
+    only here would otherwise make none."""
     rng = _rng(scenario.seed if seed is None else seed)
-    first = [r.y_hat for r in draw_records(scenario, 1, rng)]
-    rest, _, _ = _block_drawer(scenario)(rng, 1, scenario.horizon - 1, [])
-    return np.vstack([first, rest])
+    y, _ = _block_drawer(scenario)(rng, 0, scenario.horizon, [])
+    draw_records(1, y[0].tolist())
+    return y
 
 
 @dataclass(frozen=True, slots=True)
@@ -427,19 +417,19 @@ def monte_carlo(
 
 # Monte Carlo draws each replicate in blocks of steps.  The first block is
 # small, so a replicate that stops early draws little past its stopping
-# time; blocks double up to a cap that keeps memory flat.
+# time; blocks double up to a cap that keeps memory flat.  The record path
+# draws blocks of the cap from the start.
 _BLOCK_FIRST = 32
 _BLOCK_CAP = 2048
 
 
 def _block_drawer(scenario: Scenario) -> Callable:
-    """Block form of :func:`draw_records` for one scenario.  The returned
-    ``draw(rng, t, n, clamped)`` gives steps t+1..t+n as an (n, groups)
-    array of outputs ``y`` and, for a population, the arrays of importance
-    weights ``w`` and of estimated weights ``w_hat`` (None where the records
-    would lack the fields).  It makes the generator calls of
-    :func:`draw_records` in the same order, so the values are the record
-    path's; each clamped noisy mean appends its step to ``clamped``."""
+    """The sampler of a scenario.  The returned ``draw(rng, t, n, clamped)``
+    gives steps t+1..t+n: an (n, groups) array of outputs ``y``, and for a
+    population the record fields of the drawn points as arrays (propensity,
+    density, estimate or None), None otherwise.  Generator calls go in step
+    then group order, so a stream does not depend on how it is cut into
+    blocks; each clamped noisy mean appends its step to ``clamped``."""
     groups = scenario.group_count
     if isinstance(scenario, PolicyPopulation):
         cum = np.cumsum(scenario.policy)
@@ -451,18 +441,17 @@ def _block_drawer(scenario: Scenario) -> Callable:
         estimates = None if scenario.density_estimates is None else np.array(scenario.density_estimates)
 
         def draw_population(rng, t, n, clamped):
-            # rng.random((n, groups)) yields the doubles of n * groups scalar calls.
+            # One uniform per group and step, in row-major order; the min
+            # guards the float edge of a cumulative sum rounded below 1.
             x = np.minimum(np.searchsorted(cum, rng.random((n, groups)), side="right"), last_massive)
-            propensity = policy[x]
-            w_hat = None if estimates is None else estimates[cols, x] / propensity
-            return outputs[cols, x], density[cols, x] / propensity, w_hat
+            estimate = None if estimates is None else estimates[cols, x]
+            return outputs[cols, x], (policy[x], density[cols, x], estimate)
 
         return draw_population
     if isinstance(scenario, FixedMeans):
         means = np.array([scenario.means])
     else:
-        # Through mean_at, once per call, so each mean is the one the record
-        # path compares its uniform against.
+        # Through mean_at, so each draw compares against the mean it documents.
         table = [
             [mean_at(scenario, b, t) for b in range(groups)] for t in range(1, scenario.horizon + 1)
         ]
@@ -472,7 +461,7 @@ def _block_drawer(scenario: Scenario) -> Callable:
 
     def draw_bernoulli(rng, t, n, clamped):
         p = means if len(means) == 1 else means[t:t + n]  # one row serves every step
-        return (rng.random((n, groups)) < p).astype(float), None, None
+        return (rng.random((n, groups)) < p).astype(float), None
 
     return draw_bernoulli
 
@@ -492,31 +481,48 @@ def _noisy_drawer(table: list[list[float]], noise_sd: float) -> Callable:
                     clamped.append(step)
                 row.append(1.0 if rng.random() < p else 0.0)
             y.append(row)
-        return np.array(y), None, None
+        return np.array(y), None
 
     return draw_noisy
+
+
+def _blocks(
+    draw: Callable, rng: np.random.Generator, horizon: int, clamped: list, first: int
+) -> Iterator[tuple]:
+    """(t, y, point_fields) for each block ``draw`` gives of steps
+    1..horizon, t the steps before the block: ``first`` steps, then doubling
+    up to _BLOCK_CAP."""
+    t = 0
+    n = first
+    while t < horizon:
+        n = min(n, horizon - t)
+        yield t, *draw(rng, t, n, clamped)
+        t += n
+        n = min(2 * n, _BLOCK_CAP)
 
 
 def _arg_blocks(
     strategy: PayoffStrategy, horizon: int, draw: Callable, rng: np.random.Generator, clamped: list
 ) -> Iterator[np.ndarray]:
     """Payoff-argument blocks of one replicate for :func:`engine.run_args`,
-    from the array form in the strategy's row.  A block that reaches a step
-    the strategy's payoff rejects is cut before that step and the error
-    raised on the next pull, so it surfaces at the step the record path
-    raises it, and never once the run has stopped."""
+    from the array form in the strategy's row, with the weights
+    density / propensity and estimate / propensity that the record path's
+    payoffs form.  A block that reaches a step the strategy's payoff rejects
+    is cut before that step and the error raised on the next pull, so it
+    surfaces at the step the record path raises it, and never once the run
+    has stopped."""
     block_args = STRATEGIES[type(strategy)].block
-    t = 0
-    n = _BLOCK_FIRST
-    while t < horizon:
-        n = min(n, horizon - t)
-        args, error = block_args(strategy, *draw(rng, t, n, clamped))
+    for _, y, point_fields in _blocks(draw, rng, horizon, clamped, _BLOCK_FIRST):
+        w = w_hat = None
+        if point_fields is not None:
+            propensity, density, estimate = point_fields
+            w = density / propensity
+            w_hat = None if estimate is None else estimate / propensity
+        args, error = block_args(strategy, y, w, w_hat)
         if len(args):
             yield args
         if error is not None:
             raise error
-        t += n
-        n = min(2 * n, _BLOCK_CAP)
 
 
 _SCENARIO_TAGS = {
@@ -527,84 +533,44 @@ _SCENARIO_TAGS = {
 }
 
 
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _as_tuples(value):
+    return tuple(_as_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    d: dict = {"kind": _SCENARIO_TAGS[type(scenario)], "horizon": scenario.horizon, "seed": scenario.seed}
-    if isinstance(scenario, FixedMeans):
-        d["means"] = list(scenario.means)
-    elif isinstance(scenario, LogisticDrift):
-        d.update(
-            base=scenario.base,
-            amplitude=scenario.amplitude,
-            onset=scenario.onset,
-            midpoint=scenario.midpoint,
-            scale=scenario.scale,
-        )
-    elif isinstance(scenario, SinusoidalDrift):
-        d.update(
-            level=scenario.level,
-            amplitude_0=scenario.amplitude_0,
-            wavelength_0=scenario.wavelength_0,
-            amplitude_1=scenario.amplitude_1,
-            wavelength_1=scenario.wavelength_1,
-            drift_rate=scenario.drift_rate,
-            noise_sd=scenario.noise_sd,
-        )
-    else:
-        d.update(
-            density=[list(row) for row in scenario.density],
-            outputs=[list(row) for row in scenario.outputs],
-            policy=list(scenario.policy),
-        )
-        if scenario.density_estimates is not None:
-            d["density_estimates"] = [list(row) for row in scenario.density_estimates]
-        if scenario.labels is not None:
-            d["labels"] = list(scenario.labels)
+    """The JSON object of a scenario: its kind and every field that is not
+    None, tuples written as lists."""
+    d: dict = {"kind": _SCENARIO_TAGS[type(scenario)]}
+    for f in fields(scenario):
+        value = getattr(scenario, f.name)
+        if value is not None:
+            d[f.name] = _as_lists(value)
     return d
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """The scenario a JSON object describes; a missing ``horizon`` or
-    ``seed`` takes the scenario class's default.  Anything else that does
-    not describe a valid scenario raises ValidationError."""
+    """The scenario a JSON object describes, lists read as tuples; a missing
+    field that has a default takes the scenario class's default.  Anything
+    else that does not describe a valid scenario, an unknown key included,
+    raises ValidationError."""
     if not isinstance(d, dict):
         raise ValidationError(f"a scenario must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
-    common = {k: d[k] for k in ("horizon", "seed") if k in d}
+    cls = next((c for c, tag in _SCENARIO_TAGS.items() if tag == kind), None)
+    if cls is None:
+        raise ValidationError(f"unknown scenario kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    for key in d:
+        if key != "kind" and key not in names:
+            raise ValidationError(f"scenario {kind!r} has no field {key!r}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d:
+            raise ValidationError(f"scenario {kind!r} lacks the field {f.name!r}")
     try:
-        if kind == "fixed_means":
-            return FixedMeans(means=tuple(d["means"]), **common)
-        if kind == "logistic_drift":
-            keys = ("base", "amplitude", "onset", "midpoint", "scale")
-            return LogisticDrift(**{k: d[k] for k in keys if k in d}, **common)
-        if kind == "sinusoidal_drift":
-            keys = (
-                "level", "amplitude_0", "wavelength_0", "amplitude_1",
-                "wavelength_1", "drift_rate", "noise_sd",
-            )
-            return SinusoidalDrift(**{k: d[k] for k in keys if k in d}, **common)
-        if kind == "policy_population":
-            return PolicyPopulation(
-                density=tuple(tuple(row) for row in d["density"]),
-                outputs=tuple(tuple(row) for row in d["outputs"]),
-                policy=tuple(d["policy"]),
-                density_estimates=None
-                if "density_estimates" not in d
-                else tuple(tuple(row) for row in d["density_estimates"]),
-                labels=None if "labels" not in d else tuple(d["labels"]),
-                **common,
-            )
-    except KeyError as exc:
-        raise ValidationError(f"scenario {kind!r} lacks the field {exc.args[0]!r}") from None
+        return cls(**{name: _as_tuples(d[name]) for name in names if name in d})
     except TypeError as exc:
         raise ValidationError(f"scenario {kind!r} holds a value of the wrong type: {exc}") from None
-    raise ValidationError(f"unknown scenario kind {kind!r}")
-
-
-def stream_to_iterable(
-    scenario: Scenario, seed: int | None = None, stats: dict | None = None
-) -> Iterable[AuditRecord]:
-    """Lazy variant of :func:`generate_stream`; draws the same records in the
-    same order, one step at a time."""
-    rng = _rng(scenario.seed if seed is None else seed)
-    for t in range(1, scenario.horizon + 1):
-        yield from draw_records(scenario, t, rng, stats)

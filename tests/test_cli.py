@@ -130,6 +130,19 @@ def test_bench_alpha_zero_is_usage_error():
     assert main(["bench", "--alphas", "0,0.05", "--replicates", "2"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--alphas", "--methods", "--batch-sizes"])
+def test_bench_empty_list_is_usage_error(flag, capsys):
+    assert main(["bench", "--replicates", "2", "--horizon", "200", flag, ""]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
+
+
+@pytest.mark.parametrize("command", ["simulate --preset fig1", "bench"])
+def test_negative_seed_is_usage_error(command, capsys):
+    argv = [*command.split(), "--replicates", "1", "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -292,8 +305,13 @@ def test_scenario_file_roundtrip(tmp_path):
         '{"kind": "fixed_means"}',
         '{"kind": "policy_population", "outputs": [[0.5], [0.5]], "policy": [1.0]}',
         '{"kind": "fixed_means", "means": ["0.9", 0.1]}',
+        '{"kind": "fixed_means", "means": [0.5, 0.5], "horizn": 5}',
+        '{"kind": "fixed_means", "means": [0.5, 0.5], "seed": -3}',
+        '{"kind": "fixed_means", "means": [0.5, 0.5], "seed": "x"}',
+        '{"kind": "fixed_means", "means": [0.5, 0.5], "horizon": true}',
     ],
-    ids=["not-json", "not-an-object", "no-means", "no-density", "string-mean"],
+    ids=["not-json", "not-an-object", "no-means", "no-density", "string-mean",
+         "unknown-key", "negative-seed", "string-seed", "bool-horizon"],
 )
 def test_bad_scenario_file_is_usage_error(text, tmp_path, capsys):
     path = tmp_path / "scenario.json"

@@ -1,5 +1,7 @@
 """Scenario generators: formula checks, determinism, and the seeded Monte
 Carlo harness."""
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -27,7 +29,6 @@ from seqaudit.simulate import (
     SinusoidalDrift,
     derive_seed,
     draw_outputs,
-    draw_records,
     estimated_density_bounds,
     estimated_density_scale,
     generate_stream,
@@ -75,9 +76,9 @@ def test_mean_at_bounds_checked():
 
 def test_degenerate_bernoulli_draws():
     scen = FixedMeans((1.0, 0.0), horizon=50)
-    rng = np.random.default_rng(0)
-    for t in range(1, 51):
-        rec0, rec1 = draw_records(scen, t, rng)
+    stream = generate_stream(scen)
+    assert len(stream) == 100
+    for rec0, rec1 in zip(stream[::2], stream[1::2]):
         assert (rec0.y_hat, rec1.y_hat) == (1.0, 0.0)
 
 
@@ -89,8 +90,7 @@ def test_policy_population_attaches_weights():
         horizon=10,
     )
     assert policy_corrective_scale(pop) == pytest.approx(0.25)
-    rng = np.random.default_rng(1)
-    rec0, rec1 = draw_records(pop, 1, rng)
+    rec0, rec1 = generate_stream(pop, seed=1)[:2]
     for rec in (rec0, rec1):
         assert rec.propensity in (0.25, 0.75)
         assert rec.density == 0.5
@@ -105,26 +105,24 @@ def test_policy_identity_weights_when_policy_matches_population():
         policy=(0.3, 0.7),
         horizon=10,
     )
-    rng = np.random.default_rng(2)
-    for t in range(1, 11):
-        for rec in draw_records(pop, t, rng):
-            assert rec.density == rec.propensity  # weight is exactly 1
+    for rec in generate_stream(pop, seed=2):
+        assert rec.density == rec.propensity  # weight is exactly 1
 
 
 def test_policy_sampling_frequencies_match_policy():
     policy = (0.05, 0.1, 0.15, 0.7)
+    outputs_0 = (0.9, 0.7, 0.5, 0.3)  # distinct, so group 0's output names the point
+    n = 100_000
     pop = PolicyPopulation(
         density=((0.25,) * 4, (0.25,) * 4),
-        outputs=((0.9, 0.7, 0.5, 0.3), (0.6, 0.4, 0.2, 0.0)),
+        outputs=(outputs_0, (0.6, 0.4, 0.2, 0.0)),
         policy=policy,
-        horizon=10,
+        horizon=n,
+        seed=3,
     )
-    rng = np.random.default_rng(3)
-    counts = np.zeros(4)
-    n = 100_000
-    for _ in range(n):
-        rec0, _ = draw_records(pop, 1, rng)
-        counts[[0.05, 0.1, 0.15, 0.7].index(rec0.propensity)] += 1
+    y0 = draw_outputs(pop)[:, 0]
+    counts = np.array([np.count_nonzero(y0 == v) for v in outputs_0])
+    assert counts.sum() == n
     assert np.all(np.abs(counts / n - np.asarray(policy)) < 0.01)
 
 
@@ -154,8 +152,7 @@ def test_estimated_density_helpers():
     assert lo == pytest.approx(1.2) and hi == pytest.approx(1.2)
     scale = estimated_density_scale(pop, delta_min=lo)
     assert scale == pytest.approx(1.2 / (2.0 * 1.6))
-    rng = np.random.default_rng(4)
-    rec0, _ = draw_records(pop, 1, rng)
+    rec0 = next(stream_to_iterable(pop, seed=4))
     assert rec0.density_estimate == pytest.approx(1.2 * rec0.density)
 
 
@@ -170,9 +167,9 @@ def test_stream_determinism():
 
 def test_sinusoidal_clamp_counting():
     scen = SinusoidalDrift(horizon=200, noise_sd=0.5, seed=7)
-    stats: dict = {}
-    generate_stream(scen, stats=stats)
-    assert stats.get("noise_clamped", 0) > 0
+    clamped: list = []
+    generate_stream(scen, clamped=clamped)
+    assert len(clamped) > 0
 
 
 def test_derive_seed_is_stable_and_spreads():
@@ -254,6 +251,39 @@ def test_scenario_dict_defaults_are_the_class_defaults(kind, cls):
     assert scenario_from_dict({"kind": kind}) == cls()
 
 
+def test_scenario_dict_omits_none_and_writes_lists():
+    d = scenario_to_dict(_HOSTILE)
+    assert d["kind"] == "policy_population" and "labels" not in d
+    assert d["density_estimates"] == [[0.5] * 4, [0.125] * 4]
+    assert json.loads(json.dumps(d)) == d
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "fixed_means", "means": [0.5, 0.5], "horizn": 5},
+    {"kind": "logistic_drift", "noise_sd": 0.1},
+    {"kind": "fixed_means"},
+    {"kind": "fixed_noise", "means": [0.5, 0.5]},
+    {"means": [0.5, 0.5]},
+], ids=["misspelt", "other-class-field", "missing", "unknown-kind", "no-kind"])
+def test_scenario_dict_refuses_unknown_and_missing_keys(d):
+    with pytest.raises(ValidationError):
+        scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
+def test_scenario_and_derived_seeds_must_be_non_negative_integers(seed):
+    with pytest.raises(ValidationError):
+        FixedMeans((0.5, 0.5), seed=seed)
+    with pytest.raises(ValidationError):
+        derive_seed(seed, 0)
+
+
+@pytest.mark.parametrize("horizon", [0, True, 1.0])
+def test_horizon_must_be_a_positive_integer(horizon):
+    with pytest.raises(ValidationError):
+        FixedMeans((0.5, 0.5), horizon=horizon)
+
+
 def test_propensity_payoff_runs_through_monte_carlo():
     pop = PolicyPopulation(
         density=((0.25,) * 4, (0.25,) * 4),
@@ -267,22 +297,32 @@ def test_propensity_payoff_runs_through_monte_carlo():
     assert summary.fpr_or_power == 1.0  # the mean gap is 0.3
 
 
+def _noting_steps(stream, steps):
+    """``stream``, appending the step of each record pulled to ``steps``."""
+    for record in stream:
+        steps.append(record.t)
+        yield record
+
+
 # Monte Carlo replays payoff-argument rows; the record path below is the
 # reference it must match exactly.
 def _record_loop(config, scenario, replicates):
     """``monte_carlo`` as a loop of record-path audits: the per-replicate
-    summary fields and the clamps of the steps each replicate drew."""
-    taus, finals, trajectories = [], 0, []
-    stats: dict = {}
+    summary fields and the clamps of the steps each replicate ran.  The
+    record path draws ahead of the step it stops at, so clamps past the last
+    step pulled do not count."""
+    taus, finals, trajectories, clamps = [], 0, [], 0
     for i in range(replicates):
         cfg = replace(config, seed=derive_seed(config.seed, i))
-        stream = stream_to_iterable(scenario, seed=derive_seed(scenario.seed, i), stats=stats)
-        report = run_stream(cfg, stream)
+        clamped, steps = [], []
+        stream = stream_to_iterable(scenario, seed=derive_seed(scenario.seed, i), clamped=clamped)
+        report = run_stream(cfg, _noting_steps(stream, steps))
         if report.decision.is_rejection:
             taus.append(report.decision.tau)
             finals += report.decision.kind is DecisionKind.FINAL_RANDOMIZED_REJECT
         trajectories.append(tuple(report.trajectory))
-    return tuple(taus), finals, tuple(trajectories), stats.get("noise_clamped", 0)
+        clamps += sum(1 for t in clamped if t <= steps[-1])
+    return tuple(taus), finals, tuple(trajectories), clamps
 
 
 # Sizes are set so that most cases mix stopped and unstopped replicates, and
@@ -368,20 +408,13 @@ def test_monte_carlo_matches_record_path(strategy, scenario, final):
 
 def _record_error_step(config, scenario):
     """(exception, step) of the record path's first replicate, or None."""
-    pulled = 0
-
-    def counted(stream):
-        nonlocal pulled
-        for record in stream:
-            pulled += 1
-            yield record
-
+    steps: list = []
     cfg = replace(config, seed=derive_seed(config.seed, 0))
     stream = stream_to_iterable(scenario, seed=derive_seed(scenario.seed, 0))
     try:
-        run_stream(cfg, counted(stream), record_trajectory=False)
+        run_stream(cfg, _noting_steps(stream, steps), record_trajectory=False)
     except AuditError as exc:
-        return exc, pulled // scenario.group_count
+        return exc, steps[-1]
     return None
 
 
@@ -393,6 +426,22 @@ _UNPOPULATED = PolicyPopulation(  # group 0 has no mass on point 0, which is dra
     density=((0.0, 0.5, 0.5), (0.4, 0.3, 0.3)), outputs=((0.5,) * 3, (0.5,) * 3),
     policy=(0.1, 0.45, 0.45), horizon=600, seed=51,
 )
+
+
+# SHA-256 over the records and outputs of the scenarios below at seeds None,
+# 1, 2 and 3.  The draws of every stream depend on the order of the
+# generator calls, so any change to that order changes this digest.
+_STREAM_DIGEST = "998498b111f8ded092f0325675b07ab6e421a49b91f49a38ac1ceae872d529ba"
+
+
+def test_streams_are_pinned():
+    digest = hashlib.sha256()
+    for scenario in [*_FAMILIES.values(), *_THREE_GROUPS.values(), _HOSTILE, _UNPOPULATED]:
+        for seed in (None, 1, 2, 3):
+            records = [record_to_dict(r) for r in generate_stream(scenario, seed=seed)]
+            digest.update(json.dumps(records).encode())
+            digest.update(draw_outputs(scenario, seed=seed).tobytes())
+    assert digest.hexdigest() == _STREAM_DIGEST
 
 
 _HOSTILE_RARE_HEAVY = replace(_RARE_HEAVY, density_estimates=((0.5,) * 4, (0.125,) * 4))
