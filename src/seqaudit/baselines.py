@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import AuditRecord, ValidationError
+from .core import AuditRecord, ValidationError, check_seed
 
 # Ties between permuted and observed statistics must count as "at least as
 # extreme"; this absorbs float summation noise in the conservative direction.
@@ -37,6 +37,7 @@ class PermutationTestConfig:
             raise ValidationError(f"n_permutations must be >= 1, got {self.n_permutations!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, slots=True)

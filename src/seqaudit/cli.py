@@ -9,72 +9,87 @@ alone.  All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import pathlib
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from . import baselines, ingest, payoffs, simulate
-from .core import (
-    AuditConfig,
-    AuditError,
-    Batched,
-    Composite,
-    EstimatedDensity,
-    Propensity,
-    Simple,
-    strategy_tag,
-)
-from .engine import run_args, run_stream
+from . import baselines, ingest, simulate
+from .core import _STRATEGY_TAGS, AuditConfig, AuditError, Propensity, Simple, strategy_tag
+from .engine import run_stream
 
 EXIT_NO_REJECT = 0
 EXIT_REJECT = 1
 EXIT_ERROR = 2
 
+# --strategy names each strategy by its tag, with "_" written as "-".
+_STRATEGIES = {tag.replace("_", "-"): cls for cls, tag in _STRATEGY_TAGS.items()}
+
+# The flags that set strategy fields, each named after the field it sets.
+_FIELD_FLAGS = {
+    "epsilon": "composite null tolerance",
+    "scale": "corrective factor for weighted payoffs (bounds the argument in [-1, 1])",
+    "delta_min": "lower bound on the ratio of estimated to true density",
+    "delta_max": "upper bound on the ratio of estimated to true density",
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _refuse_flags(args: argparse.Namespace, names, reason: str) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            raise AuditError(f"{_flag(name)} {reason}")
+
 
 def _build_strategy(args: argparse.Namespace, scenario=None):
-    name = args.strategy
-    if name == "simple":
-        return Simple()
-    if name == "batched":
-        return Batched()
-    if name == "propensity":
-        scale = args.scale
-        if scale is None and isinstance(scenario, simulate.PolicyPopulation):
-            scale = simulate.policy_corrective_scale(scenario)
-        if scale is None:
-            raise AuditError("propensity strategy requires --scale")
-        return Propensity(scale=scale)
-    if name == "estimated-density":
-        if args.delta_min is None or args.delta_max is None:
-            raise AuditError("estimated-density strategy requires --delta-min and --delta-max")
-        scale = args.scale
-        if scale is None and isinstance(scenario, simulate.PolicyPopulation):
-            scale = simulate.estimated_density_scale(scenario, args.delta_min)
-        if scale is None:
-            raise AuditError("estimated-density strategy requires --scale")
-        return EstimatedDensity(delta_min=args.delta_min, delta_max=args.delta_max, scale=scale)
-    if name == "composite":
-        if args.epsilon is None:
-            raise AuditError("composite strategy requires --epsilon")
-        return Composite(epsilon=args.epsilon)
-    raise AuditError(f"unknown strategy {name!r}")
+    """The strategy ``--strategy`` names (simple when unset), each field read
+    from the flag of the same name.  On a population, a missing ``--scale``
+    takes the largest corrective factor the population admits.  A flag the
+    strategy has no field for is refused."""
+    name = args.strategy or "simple"
+    cls = _STRATEGIES[name]
+    names = [f.name for f in fields(cls)]
+    unused = [flag for flag in _FIELD_FLAGS if flag not in names]
+    _refuse_flags(args, unused, f"does not apply to the {name} strategy")
+    values = {}
+    for field_name in names:
+        value = getattr(args, field_name)
+        if value is None and field_name == "scale" and isinstance(scenario, simulate.PolicyPopulation):
+            if cls is Propensity:
+                value = simulate.policy_corrective_scale(scenario)
+            else:
+                value = simulate.estimated_density_scale(scenario, values["delta_min"])
+        if value is None:
+            raise AuditError(f"{name} strategy requires {_flag(field_name)}")
+        values[field_name] = value
+    return cls(**values)
 
 
 def _add_strategy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strategy",
-        choices=["simple", "batched", "propensity", "estimated-density", "composite"],
-        default="simple",
-    )
-    parser.add_argument("--epsilon", type=float, default=None, help="composite null tolerance")
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="corrective factor for weighted payoffs (bounds the argument in [-1, 1])",
-    )
-    parser.add_argument("--delta-min", type=float, default=None)
-    parser.add_argument("--delta-max", type=float, default=None)
+    parser.add_argument("--strategy", choices=list(_STRATEGIES), help="default: simple")
+    for name, text in _FIELD_FLAGS.items():
+        parser.add_argument(_flag(name), type=float, default=None, help=text)
+
+
+def _write_out(path: str | None, write) -> None:
+    """Call ``write`` on stdout, or on the file at ``path`` when one is given."""
+    if path is None:
+        write(sys.stdout)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+
+
+def _without_trajectory(report):
+    """The report as ``audit`` prints it: trajectories go to --trajectory-out only."""
+    per_game = report.per_game and [replace(g, trajectory=None) for g in report.per_game]
+    return replace(report, trajectory=None, per_game=per_game)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -91,19 +106,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
     )
     source = sys.stdin if args.input == "-" else args.input
     mode = "lenient" if args.lenient else "strict"
-    want_trajectory = args.trajectory_out is not None or args.embed_trajectory
     stream = ingest.parse_stream(source, format=fmt, mode=mode)
-    report = run_stream(config, stream, record_trajectory=want_trajectory)
+    report = run_stream(config, stream, record_trajectory=args.trajectory_out is not None)
     if args.trajectory_out is not None:
         with open(args.trajectory_out, "w", encoding="utf-8") as fh:
             ingest.write_trajectory_csv(report, fh)
-    emitted = report
-    if not args.embed_trajectory and report.trajectory is not None:
-        per_game = report.per_game
-        if per_game is not None:
-            per_game = [replace(g, trajectory=None) for g in per_game]
-        emitted = replace(report, trajectory=None, per_game=per_game)
-    ingest.emit_report(emitted, sys.stdout)
+    ingest.emit_report(_without_trajectory(report), sys.stdout)
     return EXIT_REJECT if report.decision.is_rejection else EXIT_NO_REJECT
 
 
@@ -113,8 +121,6 @@ _PRESET_DEFAULTS = {"fig1": (0.01, 1000), "fig2a": (0.01, 1000), "fig2b": (0.01,
 
 def _preset_rows(name: str, args: argparse.Namespace) -> list[tuple[str, object, object, float]]:
     """Rows of (label, scenario, strategy, alpha) for a preset."""
-    if name not in _PRESET_DEFAULTS:
-        raise AuditError(f"unknown preset {name!r}")
     alpha, horizon = _PRESET_DEFAULTS[name]
     alpha = alpha if args.alpha is None else args.alpha
     horizon = horizon if args.horizon is None else args.horizon
@@ -142,6 +148,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.replicates < 1:
         raise AuditError("--replicates must be at least 1")
     if args.preset is not None:
+        _refuse_flags(
+            args, ["strategy", *_FIELD_FLAGS], "does not apply to --preset, which sets its own strategies"
+        )
         rows = _preset_rows(args.preset, args)
     else:
         with open(args.scenario, "r", encoding="utf-8") as fh:
@@ -154,8 +163,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             scenario = replace(scenario, horizon=args.horizon)
         alpha = 0.05 if args.alpha is None else args.alpha
         strategy = _build_strategy(args, scenario)
-        import pathlib
-
         label = pathlib.Path(args.scenario).stem
         rows = [(label, scenario, strategy, alpha)]
     out_rows = []
@@ -184,11 +191,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     if clamped:
         print(f"note: {clamped} noisy means clamped to [0, 1]", file=sys.stderr)
-    if args.out is None:
-        ingest.write_summary_csv(out_rows, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            ingest.write_summary_csv(out_rows, fh)
+    _write_out(args.out, lambda sink: ingest.write_summary_csv(out_rows, sink))
     return EXIT_NO_REJECT
 
 
@@ -233,24 +236,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         args.delta, center=args.center, horizon=pairs, seed=simulate.derive_seed(args.seed, 202)
     )
 
-    # Streams are shared across methods so every method sees the same data:
-    # one (pairs, 2) array of outputs per replicate, group 0 then group 1 at
-    # every step.
-    null_y = [
-        simulate.draw_outputs(null_scen, seed=simulate.derive_seed(null_scen.seed, i))
-        for i in range(args.replicates)
-    ]
-    alt_y = [
-        simulate.draw_outputs(alt_scen, seed=simulate.derive_seed(alt_scen.seed, i))
-        for i in range(args.replicates)
-    ]
-
-    # Betting replays each stream's simple-payoff arguments, one row per step.
-    null_args = [payoffs.simple_args(y) for y in null_y]
-    alt_args = [payoffs.simple_args(y) for y in alt_y]
-
     # One lazy p-value sequence per (stream, batch size), shared by M1, M2
     # and every alpha: a batch's p-value does not depend on the protocol.
+    # Each stream is the one the betting arm's Monte Carlo replicate draws.
     pvalues = {}
     if any(method != "betting" for method in methods):
         groups = np.tile(np.arange(2), pairs)
@@ -258,39 +246,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
             test_config = baselines.PermutationTestConfig(
                 n_permutations=args.permutations, seed=simulate.derive_seed(args.seed, 10_000 + i)
             )
+            streams = [
+                simulate.draw_outputs(scen, seed=simulate.derive_seed(scen.seed, i)).ravel()
+                for scen in (null_scen, alt_scen)
+            ]
             for k in batch_sizes:
-                pvalues[k, i] = tuple(
-                    baselines.PValueSequence(y.ravel(), groups, k, test_config)
-                    for y in (null_y[i], alt_y[i])
-                )
+                pvalues[k, i] = [baselines.PValueSequence(y, groups, k, test_config) for y in streams]
 
     rows = []
     for alpha in alphas:
         for method in methods:
             if method == "betting":
-                rejected = 0
-                taus = []
-                for i in range(args.replicates):
-                    config = AuditConfig(
-                        alpha=alpha, strategy=Simple(), seed=simulate.derive_seed(args.seed, i)
-                    )
-                    null_report = run_args(config, [null_args[i]], record_trajectory=False)
-                    if null_report.decision.is_rejection:
-                        rejected += 1
-                    alt_report = run_args(config, [alt_args[i]], record_trajectory=False)
-                    if alt_report.decision.is_rejection:
-                        taus.append(2 * alt_report.decision.tau)
-                    else:
-                        taus.append(horizon_records)
-                rows.append(
-                    {
-                        "method": "betting",
-                        "k": "",
-                        "alpha": alpha,
-                        "fpr": rejected / args.replicates,
-                        "tau_mean": sum(taus) / len(taus),
-                    }
-                )
+                config = AuditConfig(alpha=alpha, strategy=Simple(), seed=args.seed)
+                null = simulate.monte_carlo(config, null_scen, args.replicates)
+                alt = simulate.monte_carlo(config, alt_scen, args.replicates)
+                misses = args.replicates - alt.n_rejections
+                tau_mean = (2 * sum(alt.taus) + misses * horizon_records) / args.replicates
+                rows.append(("betting", "", alpha, null.fpr_or_power, tau_mean))
                 continue
             kind = "m1" if method == "perm-m1" else "m2"
             for k in batch_sizes:
@@ -304,29 +276,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         rejected += 1
                     hit, tau = baselines.walk_protocol(protocol, alt_pvalues)
                     taus.append(tau if hit else horizon_records)
-                rows.append(
-                    {
-                        "method": method,
-                        "k": k,
-                        "alpha": alpha,
-                        "fpr": rejected / args.replicates,
-                        "tau_mean": sum(taus) / len(taus),
-                    }
-                )
-
-    import csv as _csv
+                rows.append((method, k, alpha, rejected / args.replicates, sum(taus) / len(taus)))
 
     def write(sink):
-        writer = _csv.writer(sink, lineterminator="\n")
+        writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(("method", "k", "alpha", "fpr", "tau_mean"))
-        for row in rows:
-            writer.writerow((row["method"], row["k"], row["alpha"], row["fpr"], row["tau_mean"]))
+        writer.writerows(rows)
 
-    if args.out is None:
-        write(sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write(fh)
+    _write_out(args.out, write)
     return EXIT_NO_REJECT
 
 
@@ -346,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--randomized-final", action="store_true")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--trajectory-out", default=None, help="write (step, wealth) CSV here")
-    p_audit.add_argument("--embed-trajectory", action="store_true",
-                         help="include the trajectory in the report document")
     p_audit.add_argument("--lenient", action="store_true",
                          help="warn on unknown input keys and accept numbers written as strings")
     p_audit.set_defaults(func=cmd_audit)

@@ -57,6 +57,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be a positive finite real, got {value!r}")
 
 
+def check_seed(seed: int) -> None:
+    """Every seed is an int in [0, 2**64), the range of one SeedSequence
+    word and of the seeds ``derive_seed`` gives; a bool is not a seed."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64):
+        raise ValidationError(f"seed must be a non-negative integer below 2**64, got {seed!r}")
+
+
 def wealth_from_log(log_wealth: float) -> float:
     """Linear wealth from its log, or inf where exp would overflow; the
     log form stays authoritative."""
@@ -207,8 +214,7 @@ class AuditConfig:
                 "multi-group audits pair adjacent groups with the simple payoff; "
                 f"got group_count={self.group_count} with {type(self.strategy).__name__}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
-            raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 class DecisionKind(enum.Enum):

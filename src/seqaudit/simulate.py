@@ -12,14 +12,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError
+from .core import AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError, check_seed
 from .engine import STRATEGIES, run_args, run_stream  # noqa: F401  (run_stream: perfbench's tracer wraps it here)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable per-replicate seed: adding replicates never changes earlier
     streams, and the derivation is independent of scheduling."""
-    _check_seed(master_seed)
+    check_seed(master_seed)
     ss = np.random.SeedSequence([master_seed, int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -167,16 +167,11 @@ class PolicyPopulation:
 Scenario = FixedMeans | LogisticDrift | SinusoidalDrift | PolicyPopulation
 
 
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def _check_run(scenario: Scenario) -> None:
     horizon = scenario.horizon
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
-    _check_seed(scenario.seed)
+    check_seed(scenario.seed)
 
 
 def _sinusoid_mean(s: SinusoidalDrift, group: int, t):

@@ -1,7 +1,24 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import seqaudit
 from seqaudit.core import AuditRecord
+
+
+def child_env() -> dict:
+    """The environment for a child Python process.  It finds the package
+    this process imported through an absolute ``PYTHONPATH`` entry (any
+    inherited entries follow it, made absolute), so a relative path such as
+    ``PYTHONPATH=src`` does not break when the child's working directory
+    differs."""
+    paths = [str(Path(seqaudit.__file__).resolve().parents[1])]
+    paths += [
+        os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ with z_i = g_i / (1 + lam_i g_i) the bettor's own gradients (derivation in
 """
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -28,7 +27,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import seqaudit
 from seqaudit.baselines import BatchProtocol, PermutationTestConfig, PValueSequence, walk_protocol
 from seqaudit.betting import CURVATURE, ons_bets
 from seqaudit.core import (
@@ -59,6 +57,8 @@ from seqaudit.simulate import (
     region_population,
     stream_to_iterable,
 )
+
+from conftest import child_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -550,17 +550,10 @@ def test_criterion_12_randomized_terminal_step():
 
 
 def _run_cli(*argv, cwd):
-    """Run ``python -m seqaudit`` in ``cwd``.  The child finds the package
-    this process imported through an absolute ``PYTHONPATH`` entry (any
-    inherited entries follow it, made absolute), so a relative path such as
-    ``PYTHONPATH=src`` does not break when ``cwd`` differs."""
-    paths = [str(Path(seqaudit.__file__).resolve().parents[1])]
-    paths += [
-        os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
-    ]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    """Run ``python -m seqaudit`` in ``cwd`` (see :func:`child_env`)."""
     return subprocess.run(
-        [sys.executable, "-m", "seqaudit", *argv], capture_output=True, text=True, cwd=cwd, env=env
+        [sys.executable, "-m", "seqaudit", *argv], capture_output=True, text=True, cwd=cwd,
+        env=child_env(),
     )
 
 

@@ -75,6 +75,12 @@ def test_protocol_levels():
     assert [m2.level(j) for j in (1, 2, 3, 4)] == [0.025, 0.0125, 0.00625, 0.003125]
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2**64])
+def test_permutation_seed_must_be_a_64_bit_non_negative_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        PermutationTestConfig(seed=seed)
+
+
 def test_protocol_validation():
     with pytest.raises(ValidationError):
         BatchProtocol(kind="m3", batch_size=10, alpha=0.05)

@@ -12,9 +12,19 @@ from seqaudit.baselines import BatchProtocol, PermutationTestConfig, run_protoco
 from seqaudit.cli import main
 from seqaudit.core import AuditConfig
 from seqaudit.engine import run_stream
-from seqaudit.simulate import FixedMeans, derive_seed, generate_stream
+from seqaudit.simulate import (
+    FixedMeans,
+    derive_seed,
+    estimated_density_scale,
+    generate_stream,
+    policy_corrective_scale,
+    scenario_from_dict,
+)
+
+from conftest import child_env
 
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
 def run_cli(*argv, cwd=None):
@@ -96,6 +106,90 @@ def test_audit_composite_requires_epsilon(tmp_path):
     assert json.loads(ok.stdout)["per_game"] is not None
 
 
+def write_weighted_stream(path: Path, steps=40):
+    """A stream whose records carry propensity, density and estimate."""
+    with path.open("w") as fh:
+        for t in range(1, steps + 1):
+            for group, y in ((0, 0.8), (1, 0.3)):
+                fh.write(json.dumps({"t": t, "group": group, "y_hat": y, "propensity": 0.25,
+                                     "density": 0.25, "density_estimate": 0.3}) + "\n")
+
+
+@pytest.mark.parametrize(
+    "flags, strategy",
+    [
+        ((), {"kind": "simple"}),
+        (("--strategy", "simple"), {"kind": "simple"}),
+        (("--strategy", "batched"), {"kind": "batched"}),
+        (("--strategy", "propensity", "--scale", "0.4"), {"kind": "propensity", "scale": 0.4}),
+        (
+            ("--strategy", "estimated-density", "--delta-min", "0.8", "--delta-max", "1.25",
+             "--scale", "0.2"),
+            {"kind": "estimated_density", "delta_min": 0.8, "delta_max": 1.25, "scale": 0.2},
+        ),
+        (("--strategy", "composite", "--epsilon", "0.1"), {"kind": "composite", "epsilon": 0.1}),
+    ],
+    ids=["default", "simple", "batched", "propensity", "estimated-density", "composite"],
+)
+def test_audit_strategy_is_built_from_its_flags(flags, strategy, tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    write_weighted_stream(path)
+    assert main(["audit", str(path), *flags]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["config"]["strategy"] == strategy
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--strategy", "composite"), "composite strategy requires --epsilon"),
+        (("--strategy", "propensity"), "propensity strategy requires --scale"),
+        (("--strategy", "estimated-density"), "estimated-density strategy requires --delta-min"),
+        (
+            ("--strategy", "estimated-density", "--delta-min", "0.8"),
+            "estimated-density strategy requires --delta-max",
+        ),
+        (
+            ("--strategy", "estimated-density", "--delta-min", "0.8", "--delta-max", "1.25"),
+            "estimated-density strategy requires --scale",
+        ),
+    ],
+    ids=["epsilon", "scale", "delta-min", "delta-max", "estimated-density-scale"],
+)
+def test_missing_strategy_flag_is_usage_error(flags, message, tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    write_weighted_stream(path)
+    assert main(["audit", str(path), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("simulate", "--preset", "fig1", "--replicates", "1", "--strategy", "batched"), "--strategy"),
+        (("simulate", "--preset", "fig5", "--replicates", "1", "--scale", "5"), "--scale"),
+        (
+            ("simulate", "--preset", "fig5", "--replicates", "1", "--scale", "5",
+             "--strategy", "composite"),
+            "--strategy",
+        ),
+        (("audit", "{input}", "--strategy", "simple", "--epsilon", "0.3", "--scale", "9"), "--epsilon"),
+        (("audit", "{input}", "--scale", "0.4"), "--scale"),
+        (("audit", "{input}", "--strategy", "propensity", "--scale", "0.4", "--delta-max", "2"),
+         "--delta-max"),
+        (("audit", "{input}", "--strategy", "composite", "--epsilon", "0.1", "--delta-min", "0.5"),
+         "--delta-min"),
+    ],
+    ids=["preset-strategy", "preset-scale", "preset-scale-strategy", "simple-epsilon-scale",
+         "default-scale", "propensity-delta-max", "composite-delta-min"],
+)
+def test_strategy_flag_a_run_ignores_is_usage_error(argv, flag, tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    write_weighted_stream(path)
+    assert main([a.format(input=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} does not apply to ") and err.count("\n") == 1
+
+
 def test_audit_three_groups(tmp_path):
     path = tmp_path / "stream.jsonl"
     with path.open("w") as fh:
@@ -141,6 +235,23 @@ def test_negative_seed_is_usage_error(command, capsys):
     argv = [*command.split(), "--replicates", "1", "--seed", "-1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--preset", "fig1", "--replicates", "1"),
+        ("bench", "--methods", "betting", "--replicates", "1", "--horizon", "20"),
+        ("bench", "--methods", "perm-m2", "--replicates", "1", "--horizon", "20"),
+        ("audit", str(GOLDEN / "audit_input.jsonl")),
+    ],
+    ids=["simulate", "bench-betting", "bench-perm-m2", "audit"],
+)
+def test_seed_of_2_to_the_64_is_usage_error(argv, capsys):
+    assert main([*argv, "--seed", str(2**64)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must be a non-negative integer")
 
 
 @pytest.mark.parametrize(
@@ -320,6 +431,39 @@ def test_bad_scenario_file_is_usage_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_POPULATION = {
+    "kind": "policy_population",
+    "density": [[0.25, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]],
+    "outputs": [[0.9, 0.7, 0.5, 0.3], [0.6, 0.4, 0.2, 0.0]],
+    "policy": [0.1, 0.2, 0.3, 0.4],
+    "density_estimates": [[0.2, 0.3, 0.25, 0.25], [0.25, 0.2, 0.3, 0.25]],
+    "horizon": 300,
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--strategy", "propensity"),
+     ("--strategy", "estimated-density", "--delta-min", "0.8", "--delta-max", "1.2")],
+    ids=["propensity", "estimated-density"],
+)
+def test_population_scale_defaults_to_the_largest_admissible(flags, tmp_path):
+    path = tmp_path / "population.json"
+    path.write_text(json.dumps(_POPULATION))
+    pop = scenario_from_dict(_POPULATION)
+    if flags[1] == "propensity":
+        scale = policy_corrective_scale(pop)
+    else:
+        scale = estimated_density_scale(pop, 0.8)
+    argv = ["simulate", "--scenario", str(path), "--replicates", "4", "--seed", "2", *flags]
+    derived, given = tmp_path / "derived.csv", tmp_path / "given.csv"
+    assert main([*argv, "--out", str(derived)]) == 0
+    assert main([*argv, "--scale", repr(scale), "--out", str(given)]) == 0
+    assert derived.read_bytes() == given.read_bytes()
+    assert derived.read_text().splitlines()[1].split(",")[2] == flags[1].replace("-", "_")
+
+
 def test_fig2a_preset_rejects_after_onset(tmp_path):
     out = tmp_path / "fig2a.csv"
     code = main([
@@ -369,3 +513,26 @@ def test_audit_byte_identical_across_runs(tmp_path):
     runs = [run_cli("audit", str(path), "--seed", "9", "--randomized-final") for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].returncode == runs[1].returncode
+
+
+def _run_script(name, *argv, cwd):
+    """Run ``scripts/<name>`` in ``cwd`` (see :func:`child_env`)."""
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv], capture_output=True, text=True, cwd=cwd,
+        env=child_env(),
+    )
+
+
+def test_scripts_write_their_csvs(tmp_path):
+    out = tmp_path / "out"
+    bench = _run_script("run_bench.py", "--replicates", "1", "--horizon", "200", "--out-dir", str(out),
+                        cwd=tmp_path)
+    assert bench.returncode == 0, bench.stderr
+    figures = _run_script("reproduce_figures.py", "--replicates", "1", "--out-dir", str(out), cwd=tmp_path)
+    assert figures.returncode == 0, figures.stderr
+    headers = {path.name: path.read_text().splitlines()[0] for path in out.iterdir()}
+    summary = "scenario,alpha,strategy,fpr_or_power,tau_mean,tau_q10,tau_q50,tau_q90"
+    assert headers == {
+        "bench.csv": "method,k,alpha,fpr,tau_mean",
+        **{f"{preset}.csv": summary for preset in ("fig1", "fig2a", "fig2b", "fig5")},
+    }

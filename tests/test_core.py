@@ -64,6 +64,9 @@ def test_config_group_count_and_seed():
         AuditConfig(alpha=0.05, seed=-1)
     with pytest.raises(ValidationError):
         AuditConfig(alpha=0.05, seed=2**64)
+    with pytest.raises(ValidationError):
+        AuditConfig(alpha=0.05, seed=True)
+    assert AuditConfig(alpha=0.05, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_config_strategy_must_be_known_and_simple_past_two_groups():

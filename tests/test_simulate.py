@@ -270,7 +270,7 @@ def test_scenario_dict_refuses_unknown_and_missing_keys(d):
         scenario_from_dict(d)
 
 
-@pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None, 2**64])
 def test_scenario_and_derived_seeds_must_be_non_negative_integers(seed):
     with pytest.raises(ValidationError):
         FixedMeans((0.5, 0.5), seed=seed)
