@@ -73,8 +73,6 @@ def wealth_lower_bound(s_sum: float, v_sum: float) -> float:
     1).  Used in tests as an oracle on the update direction; only a
     wealth-increasing bettor tracks this floor under sustained drift.
     """
-    if not (math.isfinite(v_sum) and v_sum > 0.0):
-        raise ValidationError(f"v_sum must be positive, got {v_sum!r}")
     return math.exp(log_wealth_lower_bound(s_sum, v_sum))
 
 

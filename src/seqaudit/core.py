@@ -112,7 +112,10 @@ class Simple:
 @dataclass(frozen=True, slots=True)
 class Batched:
     """Accumulate asynchronous arrivals per group and bet on the means of
-    the pending batches; abstain while either group has nothing pending."""
+    the pending batches; abstain while either group has nothing pending.
+
+    Its null is narrower than equal means: the argument has mean zero only
+    when each group's mean is constant across its pending batch."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +269,8 @@ class AuditReport:
 
     ``trajectory`` holds (step, log wealth) pairs of the decision statistic
     (the per-step maximum over games when several run); log wealth is the
-    authoritative form, the linear value is derived.
+    authoritative form, the linear value is derived.  ``per_game`` is present
+    exactly when several games ran; ``ingest.report_from_dict`` checks it.
     """
 
     decision: Decision
@@ -275,10 +279,3 @@ class AuditReport:
     log_wealth_final: float
     trajectory: list[tuple[int, float]] | None = None
     per_game: list[GameReport] | None = None
-
-    def __post_init__(self):
-        from .engine import STRATEGIES  # the strategy table lives with the engine
-
-        config = self.config_echo
-        if (len(STRATEGIES[type(config.strategy)].games(config)) > 1) != (self.per_game is not None):
-            raise ValidationError("per_game must be present exactly for audits with several games")

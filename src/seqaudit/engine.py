@@ -9,7 +9,9 @@ their bet bound, and how records (or drawn arrays) become one argument per
 game.  The n games share the threshold n/alpha: 1/alpha for a plain
 two-group audit, 2/alpha for the one-sided pairs of the composite and
 estimated-density audits, J/alpha for the adjacent pairs (b, b+1) of J+1
-groups.  Wealth is kept in log space; the comparison is log K >= log(threshold).
+groups.  Wealth is kept in log space, and one rule rejects: a game rejects
+once its log wealth reaches a bar, log(n/alpha) while the stream runs (Ville's
+inequality) and log(U * n/alpha) at the randomized terminal step.
 """
 from __future__ import annotations
 
@@ -59,8 +61,7 @@ class _Game:
     """Mutable per-game state; plain floats on slots keep stepping cheap."""
 
     __slots__ = (
-        "game_id", "lam", "grad_acc", "log_wealth", "s_sum", "v_sum",
-        "steps", "rejected", "tau", "trajectory", "lo",
+        "game_id", "lam", "grad_acc", "log_wealth", "s_sum", "v_sum", "tau", "trajectory", "lo",
     )
 
     def __init__(self, game_id: str, lo: float, record_trajectory: bool):
@@ -70,25 +71,21 @@ class _Game:
         self.log_wealth = 0.0
         self.s_sum = 0.0
         self.v_sum = 0.0
-        self.steps = 0
-        self.rejected = False
         self.tau: int | None = None
-        self.trajectory: list[tuple[int, float]] | None = [] if record_trajectory else None
+        self.trajectory: list[float] | None = [] if record_trajectory else None
         self.lo = lo
 
     def apply(self, g: float) -> None:
         """The one advance rule: wealth times 1 + lam * g, then the ONS
         update on g.  A zero argument, such as an abstention, would leave
-        the wealth, the bet and the sums bit-identical, so it only counts
-        the step."""
+        the wealth, the bet and the sums bit-identical, so it skips them."""
         if g != 0.0:
             self.log_wealth += math.log(1.0 + self.lam * g)
             self.s_sum += g
             self.v_sum += g * g
             self.lam, self.grad_acc = _ons_step(self.lam, self.grad_acc, g, self.lo, 0.5)
-        self.steps += 1
         if self.trajectory is not None:
-            self.trajectory.append((self.steps, self.log_wealth))
+            self.trajectory.append(self.log_wealth)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,16 +112,19 @@ class StrategyRow:
 
 @dataclass(slots=True)
 class AuditSession:
-    """One in-flight audit.  Not safe to share mid-update; cheap to move."""
+    """One in-flight audit.  Not safe to share mid-update; cheap to move.
+
+    ``status`` is the only lifecycle state: records are refused once it is
+    terminal, and a terminal decision carrying ``u_draw`` is the randomized
+    terminal step's.  ``steps`` counts the steps every game has taken."""
 
     config: AuditConfig
     row: StrategyRow
     games: list[_Game]
     log_threshold: float
-    threshold: float
     status: Decision
     batch: BatchAccumulator | None = None
-    finalized: bool = False
+    steps: int = 0
 
 
 def _adjacent_pairs(config: AuditConfig) -> list[str]:
@@ -228,30 +228,30 @@ def session_new(config: AuditConfig, record_trajectory: bool = True) -> AuditSes
     """Fresh session: unit wealth, zero bets, status Continue."""
     row = STRATEGIES[type(config.strategy)]
     games = [_Game(i, row.lo, record_trajectory) for i in row.games(config)]
-    n = len(games)
     return AuditSession(
         config=config,
         row=row,
         games=games,
-        log_threshold=math.log(n) - math.log(config.alpha),
-        threshold=n / config.alpha,
+        log_threshold=math.log(len(games)) - math.log(config.alpha),
         status=Decision(DecisionKind.CONTINUE),
         batch=BatchAccumulator() if row.batched else None,
     )
 
 
-def _check_open(session: AuditSession) -> None:
-    if session.status.is_terminal or session.finalized:
-        raise SessionStateError("session already reached a terminal decision; records refused")
+def _reject(session: AuditSession, log_bar: float) -> int | None:
+    """The one threshold rule: every game whose log wealth reaches
+    ``log_bar`` rejects at the current step, which is returned as tau (None
+    when no game reaches it)."""
+    tau = None
+    for g in session.games:
+        if g.log_wealth >= log_bar:
+            g.tau = tau = session.steps
+    return tau
 
 
 def _post_step(session: AuditSession) -> Decision:
-    rejecting = [g for g in session.games if g.log_wealth >= session.log_threshold]
-    if rejecting:
-        tau = rejecting[0].steps
-        for g in rejecting:
-            g.rejected = True
-            g.tau = g.steps
+    tau = _reject(session, session.log_threshold)
+    if tau is not None:
         session.status = Decision(DecisionKind.REJECT, tau=tau)
     return session.status
 
@@ -261,9 +261,11 @@ def session_step(
 ) -> tuple[AuditSession, Decision]:
     """Feed one step of data: a record per group, or a single record in
     batched mode.  Returns the session and the decision after this step."""
-    _check_open(session)
+    if session.status.is_terminal:
+        raise SessionStateError("session already reached a terminal decision; records refused")
     for game, g in zip(session.games, session.row.step(session, records)):
         game.apply(g)
+    session.steps += 1
     return session, _post_step(session)
 
 
@@ -275,7 +277,7 @@ def session_finalize(session: AuditSession) -> tuple[AuditReport, Decision]:
     """Terminal randomized step: draw U once from the reserved substream and
     reject if any game's wealth reaches U * threshold.  Usable exactly once,
     and only on a session that has not already rejected."""
-    if session.finalized:
+    if session.status.u_draw is not None:
         raise SessionStateError("the randomized terminal step can be executed at most once")
     if session.status.is_terminal:
         raise SessionStateError("cannot finalize a session that already decided")
@@ -285,17 +287,11 @@ def session_finalize(session: AuditSession) -> tuple[AuditReport, Decision]:
     u = rng.random()
     while u == 0.0:  # measure-zero guard; U must land in the open interval
         u = rng.random()
-    log_u = math.log(u)
-    hit = [g for g in session.games if g.log_wealth >= log_u + session.log_threshold]
-    if hit:
-        tau = hit[0].steps
-        for g in hit:
-            g.rejected = True
-            g.tau = g.steps
+    tau = _reject(session, math.log(u) + session.log_threshold)
+    if tau is not None:
         session.status = Decision(DecisionKind.FINAL_RANDOMIZED_REJECT, tau=tau, u_draw=u)
     else:
         session.status = Decision(DecisionKind.FINAL_FAIL_TO_REJECT, u_draw=u)
-    session.finalized = True
     return build_report(session), session.status
 
 
@@ -305,15 +301,9 @@ def build_report(session: AuditSession) -> AuditReport:
     multi = len(games) > 1
     trajectory = None
     if games[0].trajectory is not None:
-        if multi:
-            by_step: dict[int, float] = {}
-            for g in games:
-                for step, lw in g.trajectory:
-                    if step not in by_step or lw > by_step[step]:
-                        by_step[step] = lw
-            trajectory = sorted(by_step.items())
-        else:
-            trajectory = list(games[0].trajectory)
+        # The decision statistic: each step's largest log wealth over games.
+        path = map(max, zip(*(g.trajectory for g in games))) if multi else games[0].trajectory
+        trajectory = list(enumerate(path, 1))
     per_game = None
     if multi:
         per_game = [
@@ -321,9 +311,9 @@ def build_report(session: AuditSession) -> AuditReport:
                 game_id=g.game_id,
                 log_wealth_final=g.log_wealth,
                 wealth_final=wealth_from_log(g.log_wealth),
-                rejected=g.rejected,
+                rejected=g.tau is not None,
                 tau=g.tau,
-                trajectory=None if g.trajectory is None else list(g.trajectory),
+                trajectory=None if g.trajectory is None else list(enumerate(g.trajectory, 1)),
             )
             for g in games
         ]
@@ -398,6 +388,7 @@ def run_args(
         for row in block.tolist():
             for game, g in zip(games, row):
                 game.apply(g)
+            session.steps += 1
             if _post_step(session).is_terminal:
                 return build_report(session)
     return _end_of_stream(session)

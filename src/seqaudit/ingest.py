@@ -25,6 +25,7 @@ from .core import (
     strategy_to_dict,
     wealth_from_log,
 )
+from .engine import STRATEGIES
 
 RECORD_FIELDS = ("t", "group", "y_hat", "propensity", "density", "density_estimate")
 _REQUIRED_FIELDS = ("t", "group", "y_hat")
@@ -280,7 +281,7 @@ def report_from_dict(d: dict) -> AuditReport:
             )
             for g in d["per_game"]
         ]
-    return AuditReport(
+    report = AuditReport(
         decision=_decision_from_dict(d["decision"]),
         config_echo=_config_from_dict(d["config"]),
         wealth_final=_from_finite_or_str(d["wealth_final"]),
@@ -290,6 +291,10 @@ def report_from_dict(d: dict) -> AuditReport:
         else [(int(step), float(lw)) for step, lw in d["trajectory"]],
         per_game=per_game,
     )
+    config = report.config_echo  # outside input: per_game must match the audit's games
+    if (len(STRATEGIES[type(config.strategy)].games(config)) > 1) != (per_game is not None):
+        raise ValidationError("per_game must be present exactly for audits with several games")
+    return report
 
 
 def _finite_or_str(x: float) -> float | str:

@@ -339,7 +339,6 @@ def monte_carlo(
     config: AuditConfig,
     scenario: Scenario,
     replicates: int,
-    horizon: int | None = None,
     record_trajectories: bool = False,
 ) -> MonteCarloSummary:
     """Run ``replicates`` independent audits of the scenario and summarize
@@ -356,8 +355,6 @@ def monte_carlo(
     """
     if replicates < 1:
         raise ValidationError(f"replicates must be >= 1, got {replicates!r}")
-    if horizon is not None:
-        scenario = replace(scenario, horizon=horizon)
     if scenario.group_count != config.group_count:
         raise ValidationError(
             f"scenario has {scenario.group_count} groups but the audit expects {config.group_count}"

@@ -6,7 +6,6 @@ import pytest
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
-    AuditReport,
     Batched,
     Composite,
     ConfigurationError,
@@ -119,22 +118,3 @@ def test_decision_invariants():
     d = Decision(DecisionKind.FINAL_FAIL_TO_REJECT, u_draw=0.7)
     assert not d.is_rejection and d.is_terminal
 
-
-def test_report_per_game_presence_matches_mode():
-    base = dict(
-        decision=Decision(DecisionKind.CONTINUE),
-        wealth_final=1.0,
-        log_wealth_final=0.0,
-    )
-    simple_cfg = AuditConfig(alpha=0.05)
-    composite_cfg = AuditConfig(alpha=0.05, strategy=Composite(epsilon=0.1))
-    AuditReport(config_echo=simple_cfg, per_game=None, **base)
-    with pytest.raises(ValidationError):
-        AuditReport(config_echo=simple_cfg, per_game=[], **base)
-    with pytest.raises(ValidationError):
-        AuditReport(config_echo=composite_cfg, per_game=None, **base)
-    estimated_cfg = AuditConfig(
-        alpha=0.05, strategy=EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.1)
-    )
-    with pytest.raises(ValidationError):  # two one-sided games
-        AuditReport(config_echo=estimated_cfg, per_game=None, **base)

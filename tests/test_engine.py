@@ -36,16 +36,16 @@ def pair(t, y0, y1):
 
 
 def test_session_new_thresholds():
-    assert session_new(AuditConfig(alpha=0.05)).threshold == pytest.approx(20.0)
+    assert math.exp(session_new(AuditConfig(alpha=0.05)).log_threshold) == pytest.approx(20.0)
     composite = session_new(AuditConfig(alpha=0.05, strategy=Composite(epsilon=0.1)))
-    assert composite.threshold == pytest.approx(40.0)
+    assert math.exp(composite.log_threshold) == pytest.approx(40.0)
     assert [g.game_id for g in composite.games] == ["upper", "lower"]
     multi = session_new(AuditConfig(alpha=0.05, group_count=3))
-    assert multi.threshold == pytest.approx(40.0)
+    assert math.exp(multi.log_threshold) == pytest.approx(40.0)
     assert [g.game_id for g in multi.games] == ["0v1", "1v2"]
     estimated = EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.1)
     one_sided = session_new(AuditConfig(alpha=0.05, strategy=estimated))
-    assert one_sided.threshold == pytest.approx(40.0)
+    assert math.exp(one_sided.log_threshold) == pytest.approx(40.0)
     assert [(g.game_id, g.lo) for g in one_sided.games] == [("upper", 0.0), ("lower", 0.0)]
 
 
@@ -53,7 +53,7 @@ def test_session_new_initial_state():
     session = session_new(AuditConfig(alpha=0.05))
     assert session.status.kind is DecisionKind.CONTINUE
     (game,) = session.games
-    assert game.log_wealth == 0.0 and game.steps == 0
+    assert game.log_wealth == 0.0 and session.steps == 0
     assert build_report(session).wealth_final == 1.0
     assert game.lam == 0.0 and game.grad_acc == 0.0
 
@@ -275,7 +275,7 @@ def test_estimated_density_at_unit_bounds_is_propensity_bit_for_bit():
         session_step(prop, records)
         session_step(est, records)
     (game,), (upper, _) = prop.games, est.games
-    assert game.steps == upper.steps == 200
+    assert prop.steps == est.steps == 200
     assert (game.s_sum, game.v_sum) == (upper.s_sum, upper.v_sum)
 
 
@@ -315,13 +315,13 @@ def test_finalize_is_single_use_and_needs_flag():
     config = AuditConfig(alpha=0.05, randomized_final_step=True)
     session = session_new(config)
     session_finalize(session)
-    with pytest.raises(SessionStateError):
+    with pytest.raises(SessionStateError, match="at most once"):
         session_finalize(session)
-    with pytest.raises(SessionStateError):
+    with pytest.raises(SessionStateError, match="records refused"):
         session_step(session, pair(1, 0.5, 0.5))
 
     disabled = session_new(AuditConfig(alpha=0.05))
-    with pytest.raises(SessionStateError):
+    with pytest.raises(SessionStateError, match="disabled"):
         session_finalize(disabled)
 
     rejected = session_new(AuditConfig(alpha=0.5, randomized_final_step=True))
@@ -329,7 +329,7 @@ def test_finalize_is_single_use_and_needs_flag():
         _, decision = session_step(rejected, pair(t, 1.0, 0.0))
         if decision.is_terminal:
             break
-    with pytest.raises(SessionStateError):
+    with pytest.raises(SessionStateError, match="already decided"):
         session_finalize(rejected)
 
 
@@ -406,7 +406,7 @@ def test_wealth_positive_and_log_consistent():
     for _, lw in report.trajectory:
         assert math.isfinite(lw)
     (game,) = session.games
-    assert 0.0 <= game.v_sum <= game.steps
+    assert 0.0 <= game.v_sum <= session.steps
 
 
 def _batched_reference(records, alpha):
@@ -493,3 +493,20 @@ def test_benchmark_tracer_patches_the_names_it_wraps(monkeypatch):
         for (module, name), original in zip(names, originals):
             assert getattr(module, name) is not original, name
     assert [getattr(module, name) for module, name in names] == originals
+
+
+def test_benchmark_traced_probe_calls_every_layer_it_folds(monkeypatch, tmp_path):
+    """perfbench's traced run takes the rate of a layer its job never calls
+    from the golden probe commands, so those commands must call every layer
+    the tracer folds; a layer that stopped being called breaks the run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    t = tracer.Tracer()
+    with tracer.installed(t), t.span("probe"):
+        worker.run_commands(workloads.probe_commands(Path(__file__).parent / "golden", tmp_path), tmp_path)
+    figures = tracer.layer_figures(t.spans)
+    for name, (_, count, _) in worker.LAYER_RATES.items():
+        assert figures.get(count), (name, count)
+    worker.layer_metrics({}, figures)

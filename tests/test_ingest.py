@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from seqaudit.core import AuditConfig, AuditRecord, Composite, IngestError, ValidationError
+from seqaudit.core import (
+    AuditConfig,
+    AuditRecord,
+    Composite,
+    EstimatedDensity,
+    IngestError,
+    ValidationError,
+    strategy_to_dict,
+)
 from seqaudit.engine import run_stream
 from seqaudit.ingest import (
     emit_report,
@@ -258,6 +266,19 @@ def test_report_reject_fields_pass_through():
     assert report.decision.kind.value == "reject"
     doc = report_to_dict(report)
     assert doc["decision"]["tau"] == report.decision.tau
+
+
+def test_report_per_game_presence_matches_mode():
+    """The reader is where reports come from outside input: it refuses
+    per_game on a one-game audit and its absence on a two-game one."""
+    doc = report_to_dict(_report())
+    assert report_from_dict(doc).per_game is None
+    with pytest.raises(ValidationError, match="per_game"):
+        report_from_dict({**doc, "per_game": []})
+    for strategy in (Composite(epsilon=0.1), EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.1)):
+        config = {**doc["config"], "strategy": strategy_to_dict(strategy)}
+        with pytest.raises(ValidationError, match="per_game"):
+            report_from_dict({**doc, "config": config, "per_game": None})
 
 
 def test_infinite_wealth_serializes():

@@ -220,7 +220,7 @@ def test_three_group_stream_generation():
     assert len(stream) == 60
     assert {r.group for r in stream} == {0, 1, 2}
     cfg = AuditConfig(alpha=0.05, group_count=3, seed=16)
-    summary = monte_carlo(cfg, scen, replicates=3, horizon=1500)
+    summary = monte_carlo(cfg, replace(scen, horizon=1500), replicates=3)
     assert summary.fpr_or_power == 1.0
 
 
@@ -463,10 +463,10 @@ def test_monte_carlo_errors_at_the_record_path_step(strategy, scenario, error):
     exc, step = found
     assert type(exc) is error
     with pytest.raises(error) as info:
-        monte_carlo(config, scenario, replicates=3, horizon=step)
+        monte_carlo(config, replace(scenario, horizon=step), replicates=3)
     assert str(info.value) == str(exc)
     if step > 1:  # one step short of it, the replicate runs through
-        monte_carlo(config, scenario, replicates=1, horizon=step - 1)
+        monte_carlo(config, replace(scenario, horizon=step - 1), replicates=1)
 
 
 def test_monte_carlo_rejection_before_an_offending_step_raises_nothing():
