@@ -18,8 +18,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import baselines, ingest, simulate
-from .core import _STRATEGY_TAGS, AuditConfig, AuditError, Propensity, Simple, strategy_tag
-from .engine import run_stream
+from .core import _STRATEGY_TAGS, AuditConfig, AuditError, Batched, Propensity, Simple, strategy_tag
+from .engine import run_columns, run_stream
 
 EXIT_NO_REJECT = 0
 EXIT_REJECT = 1
@@ -104,10 +104,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
         randomized_final_step=args.randomized_final,
         seed=args.seed,
     )
-    source = sys.stdin if args.input == "-" else args.input
     mode = "lenient" if args.lenient else "strict"
-    stream = ingest.parse_stream(source, format=fmt, mode=mode)
-    report = run_stream(config, stream, record_trajectory=args.trajectory_out is not None)
+    record_trajectory = args.trajectory_out is not None
+    if args.input == "-" or isinstance(strategy, Batched):
+        # Live input decides at each record, and a batched step is a single
+        # record with nothing to pair: both go record by record.
+        source = sys.stdin if args.input == "-" else args.input
+        stream = ingest.parse_stream(source, format=fmt, mode=mode)
+        report = run_stream(config, stream, record_trajectory=record_trajectory)
+    else:
+        chunks = ingest.parse_columns(args.input, format=fmt, mode=mode, group_count=config.group_count)
+        report = run_columns(config, chunks, record_trajectory=record_trajectory)
     if args.trajectory_out is not None:
         with open(args.trajectory_out, "w", encoding="utf-8") as fh:
             ingest.write_trajectory_csv(report, fh)

@@ -10,6 +10,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AuditError(Exception):
@@ -102,6 +106,20 @@ class AuditRecord:
                 raise ValidationError(f"density must be a nonnegative finite real, got {self.density!r}")
         if self.density_estimate is not None:
             _check_positive("density_estimate", self.density_estimate)
+
+
+class RecordColumns(NamedTuple):
+    """Records as columns, one entry per record: ``t`` and ``group`` as
+    int64 arrays, the other fields as float64 arrays with NaN where a record
+    lacks the field.  ``ingest.parse_columns`` builds them from records that
+    passed the checks of :class:`AuditRecord`."""
+
+    t: np.ndarray
+    group: np.ndarray
+    y_hat: np.ndarray
+    propensity: np.ndarray
+    density: np.ndarray
+    density_estimate: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,6 +35,7 @@ from .core import (
     EstimatedDensity,
     GameReport,
     Propensity,
+    RecordColumns,
     SessionStateError,
     Simple,
     ValidationError,
@@ -47,6 +48,7 @@ from .payoffs import (
     batch_push,
     batched_args,
     composite_args,
+    missing_weight_error,
     payoff_propensity,
     propensity_context,
     simple_args,
@@ -96,17 +98,21 @@ class StrategyRow:
     len(games)/alpha.  ``lo`` is the lower bet bound: 0 for one-sided games,
     whose nulls only bound the argument's mean from above, -1/2 otherwise.
     ``step(session, records)`` maps one step's records to one payoff
-    argument per game.  ``block(strategy, y, w, w_hat)`` is the array form
-    from :mod:`payoffs` for a block of drawn outputs and (estimated) weights:
-    the argument rows before the first step ``step`` would refuse, and the
-    error it raises there (None when it raises none).  ``batched`` marks a
-    strategy whose step is a single record rather than one per group.
+    argument per game.  ``block(strategy, y, w)`` is the array form from
+    :mod:`payoffs` for a block of outputs ``y`` and weights ``w``, one row
+    per step and one column per group: the argument rows before the first
+    step ``step`` would refuse, and the error it raises there (None when it
+    raises none).  ``weight`` names the record field that, over the
+    propensity, gives the weights a weighted strategy reads (None for the
+    others).  ``batched`` marks a strategy whose step is a single record
+    rather than one per group.
     """
 
     games: Callable[[AuditConfig], list[str]]
     lo: float
     step: Callable[[AuditSession, Sequence[AuditRecord] | AuditRecord], Sequence[float]]
     block: Callable[..., tuple[np.ndarray, Exception | None]]
+    weight: str | None = None
     batched: bool = False
 
 
@@ -198,28 +204,25 @@ def _estimated_density_step(session: AuditSession, records) -> tuple[float, floa
 
 
 STRATEGIES: dict[type, StrategyRow] = {
-    Simple: StrategyRow(
-        _adjacent_pairs, -0.5, _simple_step, lambda s, y, w, w_hat: (simple_args(y), None)
-    ),
+    Simple: StrategyRow(_adjacent_pairs, -0.5, _simple_step, lambda s, y, w: (simple_args(y), None)),
     Batched: StrategyRow(
-        _adjacent_pairs, -0.5, _batched_step,
-        lambda s, y, w, w_hat: (batched_args(y), None), batched=True,
+        _adjacent_pairs, -0.5, _batched_step, lambda s, y, w: (batched_args(y), None), batched=True
     ),
     # One-sided games (mu0 - mu1 > eps, then mu1 - mu0 > eps): a signed bet
     # would let the mirror game's wealth grow under its own null.
     Composite: StrategyRow(
-        _one_sided_pair, 0.0, _composite_step,
-        lambda s, y, w, w_hat: (composite_args(y, s.epsilon), None),
+        _one_sided_pair, 0.0, _composite_step, lambda s, y, w: (composite_args(y, s.epsilon), None)
     ),
     Propensity: StrategyRow(
         _adjacent_pairs, -0.5, _propensity_step,
-        lambda s, y, w, w_hat: _weighted_args(y, w, s.scale, 1.0, 1.0, False),
+        lambda s, y, w: _weighted_args(y, w, s.scale, 1.0, 1.0, False), weight="density",
     ),
     # The estimate's error bounds make each side's argument mean only <= 0
     # under the null, so it plays one-sided games like composite.
     EstimatedDensity: StrategyRow(
         _one_sided_pair, 0.0, _estimated_density_step,
-        lambda s, y, w, w_hat: _weighted_args(y, w_hat, s.scale, s.delta_min, s.delta_max, True),
+        lambda s, y, w: _weighted_args(y, w, s.scale, s.delta_min, s.delta_max, True),
+        weight="density_estimate",
     ),
 }
 
@@ -351,9 +354,7 @@ def run_stream(
         pending = 0
         for record in stream:
             if record.group >= config.group_count:
-                raise ValidationError(
-                    f"group {record.group} out of range for {config.group_count} groups"
-                )
+                raise group_range_error(record.group, config.group_count)
             if not buffers[record.group]:
                 pending += 1
             buffers[record.group].append(record)
@@ -364,6 +365,100 @@ def run_stream(
                 if decision.is_terminal:
                     return build_report(session)
     return _end_of_stream(session)
+
+
+def group_range_error(group: int, group_count: int) -> ValidationError:
+    """The error of a record whose group lies outside the audit's groups."""
+    return ValidationError(f"group {group} out of range for {group_count} groups")
+
+
+def run_columns(
+    config: AuditConfig,
+    chunks: Iterable[RecordColumns],
+    record_trajectory: bool = True,
+) -> AuditReport:
+    """Driver over records held as columns, the chunks that
+    ``ingest.parse_columns`` yields, for every strategy that pairs one
+    record per group into a step.  It pairs, stops and ends as
+    :func:`run_stream` does on the same records, errors included, so both
+    give the same report.  The pairing runs on arrays, the strategy row's
+    array form computes the arguments and :func:`run_args` replays them; a
+    chunk is pulled only when the steps before it ran without a terminal
+    decision."""
+    if STRATEGIES[type(config.strategy)].batched:
+        raise ValidationError("batched audits take one record per step: run them through run_stream")
+    return run_args(config, _paired_args(config, chunks), record_trajectory)
+
+
+class _Backlog:
+    """One group's unpaired records, oldest first: for each chunk they came
+    in, one array per field the strategy reads, and how many records of the
+    oldest chunk are already paired.  Pairing copies a record's fields once,
+    however long it waits."""
+
+    __slots__ = ("pieces", "head", "size")
+
+    def __init__(self):
+        self.pieces: deque[list[np.ndarray]] = deque()
+        self.head = 0
+        self.size = 0
+
+    def push(self, fields: list[np.ndarray]) -> None:
+        if len(fields[0]):
+            self.pieces.append(fields)
+            self.size += len(fields[0])
+
+    def take(self, m: int) -> list[np.ndarray]:
+        """The fields of the ``m`` oldest records, which leave the backlog."""
+        self.size -= m
+        parts = []
+        while m:
+            piece = self.pieces[0]
+            end = min(self.head + m, len(piece[0]))
+            parts.append([col[self.head:end] for col in piece])
+            m -= end - self.head
+            if end == len(piece[0]):
+                self.pieces.popleft()
+                self.head = 0
+            else:
+                self.head = end
+        return parts[0] if len(parts) == 1 else [np.concatenate(cols) for cols in zip(*parts)]
+
+
+def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterable[np.ndarray]:
+    """Argument blocks of the steps that the column chunks complete, first
+    in first out: the k-th record of every group forms step k.  A step with
+    a record that lacks its weight fields, or one the array form refuses,
+    ends the blocks with the error the record path raises there."""
+    row = STRATEGIES[type(config.strategy)]
+    backlogs = [_Backlog() for _ in range(config.group_count)]
+    for cols in chunks:
+        fields = [cols.y_hat]
+        if row.weight is not None:
+            with np.errstate(all="ignore"):  # the record path divides silently too
+                fields += [getattr(cols, row.weight) / cols.propensity, cols.t]
+        for group, backlog in enumerate(backlogs):
+            backlog.push([col[cols.group == group] for col in fields])
+        steps = min(backlog.size for backlog in backlogs)
+        if not steps:
+            continue
+        y, *weighted = (np.column_stack(cols) for cols in zip(*(b.take(steps) for b in backlogs)))
+        w = missing_error = None
+        if weighted:
+            w, t = weighted
+            missing = np.isnan(w)  # NaN weights are those of records without the fields
+            if missing.any():
+                step = int(np.argmax(missing.any(axis=1)))
+                group = int(np.argmax(missing[step]))
+                estimated = row.weight == "density_estimate"
+                missing_error = missing_weight_error(int(t[step, group]), group, estimated)
+                y, w = y[:step], w[:step]
+        with np.errstate(all="ignore"):
+            args, error = row.block(config.strategy, y, w)
+        if len(args):
+            yield args
+        if error or missing_error:
+            raise error or missing_error
 
 
 def run_args(

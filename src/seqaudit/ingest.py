@@ -9,8 +9,11 @@ import io
 import json
 import math
 import warnings
+from itertools import islice, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import (
     AuditConfig,
@@ -20,12 +23,13 @@ from .core import (
     DecisionKind,
     GameReport,
     IngestError,
+    RecordColumns,
     ValidationError,
     strategy_from_dict,
     strategy_to_dict,
     wealth_from_log,
 )
-from .engine import STRATEGIES
+from .engine import STRATEGIES, group_range_error
 
 RECORD_FIELDS = ("t", "group", "y_hat", "propensity", "density", "density_estimate")
 _REQUIRED_FIELDS = ("t", "group", "y_hat")
@@ -38,6 +42,9 @@ _REQUIRED_KEYS = frozenset(_REQUIRED_FIELDS)
 # exactly json.loads's.
 _scan_once = json.JSONDecoder().scan_once
 _LINE_ENDS = ("", "\n", "\r\n")
+# Stands for a line not yet decoded, or one that does not decode to one
+# object; its unknown key sends it to the scalar code.
+_UNDECODED = {"": None}
 
 SUMMARY_COLUMNS = (
     "scenario", "alpha", "strategy", "fpr_or_power",
@@ -118,10 +125,7 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
     indices as they stream past.  In strict mode the first violation aborts
     with its line number; lenient mode only downgrades unknown keys to
     warnings."""
-    if format not in ("jsonl", "csv"):
-        raise ValidationError(f"unknown stream format {format!r}")
-    if mode not in ("strict", "lenient"):
-        raise ValidationError(f"unknown parse mode {mode!r}")
+    _check_format(format, mode)
     lines = _open_lines(source)
 
     def gen() -> Iterator[AuditRecord]:
@@ -129,54 +133,368 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
         try:
             if format == "jsonl":
                 for line_no, line in enumerate(lines, start=1):
-                    try:
-                        obj, end = _scan_once(line, 0)
-                        whole = line[end:] in _LINE_ENDS
-                    except (StopIteration, json.JSONDecodeError):
-                        whole = False
-                    if not whole:
-                        if not line.strip():
-                            continue
-                        try:
-                            obj = json.loads(line)
-                        except json.JSONDecodeError as exc:
-                            raise IngestError(line_no, f"invalid JSON: {exc}") from exc
-                    if not isinstance(obj, dict):
-                        raise IngestError(line_no, "each line must hold one JSON object")
-                    record = record_from_dict(obj, line_no, mode)
-                    _check_monotone(record, last_t, line_no)
-                    yield record
+                    record = _jsonl_record(line, line_no, mode, last_t)
+                    if record is not None:
+                        yield record
             else:
                 reader = csv.reader(lines)
-                header = next(reader, None)
+                header = _csv_header(reader, mode)
                 if header is None:
                     return
-                header = [h.strip() for h in header]
-                unknown = set(header) - _RECORD_KEYS
-                if unknown:
-                    if mode == "strict":
-                        raise IngestError(1, f"unknown columns {sorted(unknown)}")
-                    warnings.warn(f"ignoring unknown columns {sorted(unknown)}", stacklevel=2)
-                missing = [k for k in _REQUIRED_FIELDS if k not in header]
-                if missing:
-                    raise IngestError(1, f"missing required columns {missing}")
                 for line_no, row in enumerate(reader, start=2):
-                    if not row:
-                        continue
-                    d = {
-                        key: cell
-                        for key, cell in zip(header, row)
-                        if key in _RECORD_KEYS and cell != ""
-                    }
-                    record = record_from_dict(d, line_no, mode="lenient")
-                    _check_monotone(record, last_t, line_no)
-                    yield record
+                    record = _csv_record(header, row, line_no, last_t)
+                    if record is not None:
+                        yield record
         finally:
             close = getattr(lines, "close", None)
             if close is not None and isinstance(source, (str, Path)):
                 close()
 
     return gen()
+
+
+def _check_format(format: str, mode: str) -> None:
+    if format not in ("jsonl", "csv"):
+        raise ValidationError(f"unknown stream format {format!r}")
+    if mode not in ("strict", "lenient"):
+        raise ValidationError(f"unknown parse mode {mode!r}")
+
+
+# The scalar per-line code.  parse_stream runs it on every line, and
+# parse_columns on every line its vectorised checks cannot clear, so both
+# give the same records, errors and warnings.
+
+
+def _jsonl_record(
+    line: str, line_no: int, mode: str, last_t: dict[int, int], obj: dict = _UNDECODED
+) -> AuditRecord | None:
+    """The record of one JSONL line (None for a blank line), checked against
+    the last time index of its group in ``last_t``, which it updates.
+    ``obj`` is the line's object, when the caller has decoded it whole."""
+    whole = obj is not _UNDECODED
+    if not whole:
+        try:
+            obj, end = _scan_once(line, 0)
+            whole = line[end:] in _LINE_ENDS
+        except (StopIteration, json.JSONDecodeError):
+            pass
+    if not whole:
+        if not line.strip():
+            return None
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IngestError(line_no, f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise IngestError(line_no, "each line must hold one JSON object")
+    record = record_from_dict(obj, line_no, mode)
+    _check_monotone(record, last_t, line_no)
+    return record
+
+
+def _csv_header(reader, mode: str) -> list[str] | None:
+    """The checked header row of a CSV stream (None for an empty stream)."""
+    header = next(reader, None)
+    if header is None:
+        return None
+    header = [h.strip() for h in header]
+    unknown = set(header) - _RECORD_KEYS
+    if unknown:
+        if mode == "strict":
+            raise IngestError(1, f"unknown columns {sorted(unknown)}")
+        warnings.warn(f"ignoring unknown columns {sorted(unknown)}", stacklevel=2)
+    missing = [k for k in _REQUIRED_FIELDS if k not in header]
+    if missing:
+        raise IngestError(1, f"missing required columns {missing}")
+    return header
+
+
+def _csv_record(
+    header: list[str], row: list[str], line_no: int, last_t: dict[int, int]
+) -> AuditRecord | None:
+    """The record of one CSV row (None for an empty row); its cells are
+    text, so they convert as in lenient mode."""
+    if not row:
+        return None
+    d = {key: cell for key, cell in zip(header, row) if key in _RECORD_KEYS and cell != ""}
+    record = record_from_dict(d, line_no, mode="lenient")
+    _check_monotone(record, last_t, line_no)
+    return record
+
+
+# parse_columns reads a JSONL file this many lines at a time.
+CHUNK_LINES = 2048
+
+_INT_TYPES = {int}
+_FLOAT_TYPES = {float, int, type(None)}
+_EXACT_INT = 2**53  # an int up to this size is the same number as a float
+_T_LIMIT = 2**62  # time indices the vectorised checks clear, well inside int64
+
+
+def parse_columns(
+    source, format: str = "jsonl", mode: str = "strict", group_count: int = 2
+) -> Iterator[RecordColumns]:
+    """The records :func:`parse_stream` gives, in file order, as column
+    chunks for an audit of ``group_count`` groups: a record of a group
+    outside them raises the engine's error.  ``source`` is a path, bytes
+    or a text stream.
+
+    JSONL is read CHUNK_LINES lines at a time.  Vectorised checks clear the
+    lines that the scalar code would accept as they are, and the scalar code
+    decides every other line.  A line it refuses ends the chunk: its error
+    is raised when the next chunk is pulled.  A line it may warn about (one
+    with unknown keys, in lenient mode) is decided only after the rows
+    before it are pulled.  So every error and warning is parse_stream's, at
+    the same line, and nothing about a line past the one the consumer stops
+    at ever surfaces.  CSV cells are text, so every CSV row goes through
+    the scalar code."""
+    _check_format(format, mode)
+    if format == "csv":
+        return _record_chunks(parse_stream(source, "csv", mode), group_count)
+    return _jsonl_chunks(_open_lines(source), source, mode, group_count)
+
+
+def _jsonl_chunks(lines, source, mode: str, group_count: int) -> Iterator[RecordColumns]:
+    last_t: dict[int, int] = {}
+    first = 1  # the line number of the chunk's first line
+    try:
+        for chunk, read_error in _chunks(lines):
+            n = len(chunk)
+            objs = _decode_chunk(chunk)
+            cols, suspect, unknown = _chunk_columns(objs, group_count)
+            suspects = iter(np.flatnonzero(suspect).tolist())
+            next_suspect = next(suspects, n)
+            done = start = 0  # rows before done are yielded, rows before start decided
+            accepted: list[tuple[int, AuditRecord]] = []  # (row, record) the scalar code took
+            while True:
+                while next_suspect < start:
+                    next_suspect = next(suspects, n)
+                cut = start
+                if next_suspect > start:
+                    segment = slice(start, next_suspect)
+                    cut += _monotone_prefix(cols.group[segment], cols.t[segment], last_t)
+                if cut == n:
+                    break
+                if mode == "lenient" and unknown[cut] and cut > done:
+                    # The scalar code may warn here, so only once the rows
+                    # before it are consumed.
+                    cols, rows = _rows(cols, accepted, done, cut)
+                    yield rows
+                    done = cut
+                record = error = None
+                try:
+                    record = _jsonl_record(chunk[cut], first + cut, mode, last_t, objs[cut])
+                    if record is not None and record.group >= group_count:
+                        error = group_range_error(record.group, group_count)
+                except Exception as exc:  # raised after the rows before it
+                    error = exc
+                if record is None or error is not None:
+                    if cut > done:
+                        cols, rows = _rows(cols, accepted, done, cut)
+                        yield rows
+                    if error is not None:
+                        raise error
+                    done = cut + 1
+                else:
+                    accepted.append((cut, record))
+                start = cut + 1
+            if n > done:
+                cols, rows = _rows(cols, accepted, done, n)
+                yield rows
+            first += n
+            if read_error is not None:
+                raise read_error
+    finally:
+        if isinstance(source, (str, Path)):
+            lines.close()
+
+
+def _rows(
+    cols: RecordColumns, accepted: list[tuple[int, AuditRecord]], start: int, stop: int
+) -> tuple[RecordColumns, RecordColumns]:
+    """``cols`` with the record of each (row, record) pair in ``accepted``
+    set in its row, which empties ``accepted``, and its rows start..stop."""
+    if accepted:
+        rows, records = zip(*accepted)
+        accepted.clear()
+        fields = _record_columns(records)
+        if fields.t.dtype == object:  # a time index beyond int64
+            cols = cols._replace(t=cols.t.astype(object))
+        for col, values in zip(cols, fields):
+            col[list(rows)] = values
+    return cols, RecordColumns(*(col[start:stop] for col in cols))
+
+
+def _record_chunks(records: Iterator[AuditRecord], group_count: int) -> Iterator[RecordColumns]:
+    """Column chunks of the records the scalar parser gives."""
+    try:
+        for chunk, error in _chunks(records):
+            for i, record in enumerate(chunk):
+                if record.group >= group_count:
+                    chunk, error = chunk[:i], group_range_error(record.group, group_count)
+                    break
+            if chunk:
+                yield _record_columns(chunk)
+            if error is not None:
+                raise error
+    finally:
+        records.close()  # closes the file at once, however this generator ends
+
+
+def _chunks(items: Iterable) -> Iterator[tuple[list, Exception | None]]:
+    """Lists of CHUNK_LINES items (fewer at the end), each with the error
+    that pulling the next item raised, or None.  An error ends the chunks,
+    so it surfaces after the items before it, where parse_stream raises it."""
+    items = iter(items)
+    while True:
+        chunk: list = []
+        try:
+            chunk.extend(islice(items, CHUNK_LINES))
+        except Exception as exc:  # raised after the items before it
+            yield chunk, exc
+            return
+        if not chunk:
+            return
+        yield chunk, None
+        if len(chunk) < CHUNK_LINES:
+            return
+
+
+def _decode_chunk(lines: list[str]) -> list[dict]:
+    """The JSON object of each line, or _UNDECODED where a line does not
+    hold exactly one object.  When every line starts with ``{``, ends with
+    ``}`` and holds one of each, no object can span two lines, so the chunk
+    decodes as one JSON array; otherwise, or if that fails, line by line."""
+    n = len(lines)
+    body = "".join(lines)
+    if body.endswith("\n"):
+        body = body[:-1]
+    if (
+        body.startswith("{") and body.endswith("}")
+        and body.count("{") == n == body.count("}")
+        and body.count("}\n{") == n - 1 == body.count("\n")
+    ):
+        try:
+            objs = json.loads("[" + body.replace("\n", ",") + "]")
+        except json.JSONDecodeError:
+            objs = None
+        if objs is not None and len(objs) == n:
+            return objs
+    objs = []
+    for line in lines:
+        try:
+            obj, end = _scan_once(line, 0)
+            if line[end:] not in _LINE_ENDS or type(obj) is not dict:
+                obj = _UNDECODED
+        except (StopIteration, json.JSONDecodeError):
+            obj = _UNDECODED
+        objs.append(obj)
+    return objs
+
+
+def _chunk_columns(objs: list[dict], group_count: int) -> tuple[RecordColumns, np.ndarray, np.ndarray]:
+    """Columns of decoded lines; the lines the vectorised checks do not
+    clear: unknown or missing keys, values of another type, values out of
+    range, and groups outside the audit's; and the lines with unknown keys,
+    which lenient mode warns about.  Time order is checked per segment, by
+    _monotone_prefix."""
+    n = len(objs)
+    unknown = ~np.fromiter(map(_RECORD_KEYS.issuperset, objs), bool, n)
+    suspect = unknown.copy()
+    t, bad = _int_column(_values(objs, "t"), 1, _T_LIMIT)
+    suspect |= bad
+    group, bad = _int_column(_values(objs, "group"), 0, group_count)
+    suspect |= bad
+    y, bad = _float_column(_values(objs, "y_hat"))
+    suspect |= bad | ~((y >= 0.0) & (y <= 1.0))
+    if set(map(len, objs)) == {3}:  # no line a check clears has an optional key
+        absent = (np.full(n, math.nan) for _ in _OPTIONAL_FIELDS)
+        return RecordColumns(t, group, y, *absent), suspect, unknown
+    optional = []
+    for key in _OPTIONAL_FIELDS:
+        col, bad = _float_column(_values(objs, key))
+        if key == "density":
+            bad |= col < 0.0
+        else:
+            bad |= col <= 0.0
+        suspect |= bad | np.isinf(col)
+        optional.append(col)
+    return RecordColumns(t, group, y, *optional), suspect, unknown
+
+
+def _values(objs: list[dict], key: str) -> list:
+    return list(map(dict.get, objs, repeat(key)))
+
+
+def _int_column(values: list, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64, and where they are not ints (bools excluded) in
+    [lo, hi)."""
+    col = None
+    if set(map(type, values)) == _INT_TYPES:
+        try:
+            col = np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    if col is None:
+        col = np.array([v if type(v) is int and lo <= v < hi else lo - 1 for v in values], dtype=np.int64)
+    return col, (col < lo) | (col >= hi)
+
+
+def _float_column(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as float64 with None as NaN, and where they are a NaN, an
+    int too large to be the same number as a float, or of a type other than
+    float, int and None."""
+    types = set(map(type, values))
+    col = None
+    if types <= _FLOAT_TYPES:
+        try:
+            col = np.array(values, dtype=float)
+        except OverflowError:
+            pass
+    if col is None:
+        col = np.array([v if type(v) is float else None for v in values], dtype=float)
+        bad = np.array([v is not None and type(v) is not float for v in values], dtype=bool)
+    elif int in types:
+        bad = np.abs(col) > _EXACT_INT
+    else:
+        bad = np.zeros(len(values), dtype=bool)
+    if np.count_nonzero(np.isnan(col)) > values.count(None):
+        bad |= np.array([type(v) is float and v != v for v in values], dtype=bool)
+    return col, bad
+
+
+def _monotone_prefix(group: np.ndarray, t: np.ndarray, last_t: dict[int, int]) -> int:
+    """Length of the longest prefix whose time indices increase within each
+    group, starting from ``last_t``; ``last_t`` is updated to that prefix."""
+    n = len(group)
+    order = np.argsort(group, kind="stable")
+    g, ts = group[order], t[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(g[1:], g[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    prev = np.empty(n, dtype=np.int64)
+    prev[1:] = ts[:-1]
+    prev[heads] = [min(last_t.get(k, 0), _T_LIMIT) for k in g[heads].tolist()]
+    bad = ts <= prev
+    cut = int(order[bad].min()) if bad.any() else n
+    kept = order < cut
+    last = kept.copy()
+    last[:-1] &= head[1:] | ~kept[1:]
+    for k, v in zip(g[last].tolist(), ts[last].tolist()):
+        last_t[k] = v
+    return cut
+
+
+def _record_columns(records: Sequence[AuditRecord]) -> RecordColumns:
+    """Columns of records; ``t`` holds Python ints if one is beyond int64."""
+    t = [r.t for r in records]
+    try:
+        t = np.array(t, dtype=np.int64)
+    except OverflowError:
+        t = np.array(t, dtype=object)
+    floats = (np.array([getattr(r, key) for r in records], dtype=float) for key in RECORD_FIELDS[2:])
+    return RecordColumns(t, np.array([r.group for r in records], dtype=np.int64), *floats)
 
 
 def _check_monotone(record: AuditRecord, last_t: dict[int, int], line_no: int) -> None:

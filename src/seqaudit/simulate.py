@@ -497,20 +497,20 @@ def _arg_blocks(
     strategy: PayoffStrategy, horizon: int, draw: Callable, rng: np.random.Generator, clamped: list
 ) -> Iterator[np.ndarray]:
     """Payoff-argument blocks of one replicate for :func:`engine.run_args`,
-    from the array form in the strategy's row, with the weights
-    density / propensity and estimate / propensity that the record path's
-    payoffs form.  A block that reaches a step the strategy's payoff rejects
-    is cut before that step and the error raised on the next pull, so it
-    surfaces at the step the record path raises it, and never once the run
-    has stopped."""
-    block_args = STRATEGIES[type(strategy)].block
+    from the array form in the strategy's row, with the weights that row
+    names (density or estimate over propensity), as the record path's
+    payoffs form them.  A block that reaches a step the strategy's payoff
+    rejects is cut before that step and the error raised on the next pull,
+    so it surfaces at the step the record path raises it, and never once
+    the run has stopped."""
+    row = STRATEGIES[type(strategy)]
     for _, y, point_fields in _blocks(draw, rng, horizon, clamped, _BLOCK_FIRST):
-        w = w_hat = None
-        if point_fields is not None:
+        w = None
+        if point_fields is not None and row.weight is not None:
             propensity, density, estimate = point_fields
-            w = density / propensity
-            w_hat = None if estimate is None else estimate / propensity
-        args, error = block_args(strategy, y, w, w_hat)
+            rho = density if row.weight == "density" else estimate
+            w = None if rho is None else rho / propensity
+        args, error = row.block(strategy, y, w)
         if len(args):
             yield args
         if error is not None:

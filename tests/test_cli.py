@@ -1,17 +1,33 @@
 """Exit codes, flag validation, and end-to-end determinism of the CLI."""
 import io
 import json
+import math
+import random
 import subprocess
 import sys
+import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqaudit import baselines
+from seqaudit import baselines, ingest
 from seqaudit.baselines import BatchProtocol, PermutationTestConfig, run_protocol
-from seqaudit.cli import main
-from seqaudit.core import AuditConfig
-from seqaudit.engine import run_stream
+from seqaudit.cli import _without_trajectory, main
+from seqaudit.core import (
+    AuditConfig,
+    AuditError,
+    Composite,
+    DecisionKind,
+    EstimatedDensity,
+    Propensity,
+    Simple,
+)
+from seqaudit.engine import run_columns, run_stream
 from seqaudit.simulate import (
     FixedMeans,
     derive_seed,
@@ -536,3 +552,261 @@ def test_scripts_write_their_csvs(tmp_path):
         "bench.csv": "method,k,alpha,fpr,tau_mean",
         **{f"{preset}.csv": summary for preset in ("fig1", "fig2a", "fig2b", "fig5")},
     }
+
+
+# The column path of `seqaudit audit` (record files under a paired strategy)
+# against the record path it replaces: run_stream over parse_stream, written
+# by the same report and trajectory writers.
+
+_PAIRED = {
+    "simple": ((), Simple(), 2),
+    "simple-3": (("--groups", "3"), Simple(), 3),
+    "composite": (("--strategy", "composite", "--epsilon", "0.1"), Composite(0.1), 2),
+    "propensity": (("--strategy", "propensity", "--scale", "0.25"), Propensity(0.25), 2),
+    "estimated-density": (
+        ("--strategy", "estimated-density", "--delta-min", "0.5", "--delta-max", "2", "--scale", "0.125"),
+        EstimatedDensity(0.5, 2.0, 0.125), 2,
+    ),
+}
+_RANGE_FAULTS = {  # out-of-range values of one field
+    "y-range": ("y_hat", [1.5, -0.25]), "propensity-range": ("propensity", [0.0, -0.5]),
+    "density-range": ("density", [-0.25]), "estimate-range": ("density_estimate", [0.0]),
+    "group-range": ("group", [3, 8]),
+}
+_FAULTS = (
+    "bad-json", "blank", "non-object", "padded", "unknown-key", "missing-key", "bool", "numeric-string",
+    "nan", "t-2.0", "t-1.9", "t-repeat", "no-weights", "scale", *_RANGE_FAULTS,
+)
+
+
+def _audit_file(rng: random.Random, groups: int, fmt: str, faults: list[str], rate: float) -> str:
+    """Records of every group, with an output gap in some files.  Past a
+    random line, each line takes one of ``faults`` at ``rate``, so some
+    faults come after the audit has stopped."""
+    gap = rng.random() < 0.5
+    n = rng.randint(0, 40)
+    first_fault = rng.randint(0, n)
+    last_t = [0] * groups
+    rows, header_extra = [], False
+    for i in range(n):
+        group = rng.randrange(groups)
+        prev_t = last_t[group]
+        last_t[group] += rng.choice([1, 1, 2])
+        d = {
+            "t": last_t[group], "group": group,
+            "y_hat": rng.choice(([0.0, 0.25], [0.75, 1.0])[group == 0] if gap else [0.0, 0.25, 0.5, 1.0]),
+            "propensity": rng.choice([0.25, 0.5]),
+            "density": rng.choice([0.25, 0.5]),
+            "density_estimate": rng.choice([0.25, 0.5]),
+        }
+        fault = rng.choice(faults) if faults and i >= first_fault and rng.random() < rate else None
+        if fault in ("bad-json", "blank", "non-object"):
+            rows.append({"bad-json": '{"t": 1, "group"', "blank": "", "non-object": "[1, 2]"}[fault])
+            continue
+        if fault == "unknown-key":
+            d["note"] = 1
+            header_extra = True
+        elif fault == "padded":  # only json.loads takes it whole
+            rows.append(" " + json.dumps({**d, "note": 1} if rng.random() < 0.5 else d) + " ")
+            continue
+        elif fault == "nan":
+            d[rng.choice(["y_hat", "propensity", "density_estimate"])] = math.nan
+        elif fault in ("missing-key", "no-weights"):
+            keys = ["t", "group", "y_hat"] if fault == "missing-key" else ["propensity", "density"]
+            del d[rng.choice(keys)]
+        elif fault == "bool":
+            d[rng.choice(["group", "y_hat", "propensity"])] = rng.random() < 0.5
+        elif fault == "numeric-string":
+            key = rng.choice(["t", "y_hat", "density"])
+            d[key] = str(d[key])
+        elif fault in ("t-2.0", "t-1.9"):
+            d["t"] = float(d["t"]) - (0.1 if fault == "t-1.9" else 0.0)
+        elif fault == "t-repeat" and prev_t > 1:
+            d["t"] = rng.choice([prev_t, prev_t - 1])
+        elif fault == "scale":
+            d["density"] = d["density_estimate"] = 2.0
+        elif fault in _RANGE_FAULTS:
+            key, values = _RANGE_FAULTS[fault]
+            d[key] = rng.choice(values)
+        rows.append(d)
+    if fmt == "jsonl":
+        return _jsonl(*rows)
+    header = [*ingest.RECORD_FIELDS, *["note"] * header_extra]
+    lines = [",".join(header)]
+    for row in rows:
+        if not isinstance(row, str):
+            row = ",".join("" if row.get(key) is None else str(row[key]) for key in header)
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def _audit_outcome(run):
+    """(exit code, stdout, stderr, warnings) of ``run(stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("ignore", ResourceWarning)  # hidden by default; depends on when gc runs
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(out, err)
+    shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    return code, out.getvalue(), err.getvalue(), shown
+
+
+def _assert_column_audit_is_the_record_path(
+    path, fmt, name, chunk, lenient=False, randomized=False, alpha="0.05"
+):
+    """``seqaudit audit`` of a file, read in chunks of ``chunk`` lines, gives
+    the exit code, stdout, stderr, warnings and trajectory of run_stream over
+    parse_stream with the same writers."""
+    flags, strategy, groups = _PAIRED[name]
+    argv = ["audit", str(path), "--format", fmt, "--alpha", alpha, "--seed", "4", *flags]
+    argv += ["--lenient"] * lenient + ["--randomized-final"] * randomized
+    config = AuditConfig(alpha=float(alpha), strategy=strategy, group_count=groups,
+                         randomized_final_step=randomized, seed=4)
+    mode = "lenient" if lenient else "strict"
+    trajectories = [path.with_name("columns.csv"), path.with_name("records.csv")]
+
+    def record_path(out, err):
+        try:
+            report = run_stream(config, ingest.parse_stream(path, format=fmt, mode=mode))
+        except (AuditError, OSError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=err)
+            return 2
+        with open(trajectories[1], "w", encoding="utf-8") as fh:
+            ingest.write_trajectory_csv(report, fh)
+        ingest.emit_report(_without_trajectory(report), out)
+        return 1 if report.decision.is_rejection else 0
+
+    for traj in trajectories:
+        traj.unlink(missing_ok=True)
+    with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+        got = _audit_outcome(lambda out, err: main([*argv, "--trajectory-out", str(trajectories[0])]))
+    want = _audit_outcome(record_path)
+    assert got == want
+    columns, records = (traj.read_text() if traj.exists() else None for traj in trajectories)
+    assert columns == records
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fmt=st.sampled_from(["jsonl", "csv"]),
+    name=st.sampled_from(sorted(_PAIRED)),
+    faults=st.lists(st.sampled_from(_FAULTS), max_size=2),
+    rate=st.sampled_from([0.1, 0.3]),
+    chunk=st.sampled_from([1, 2, 3, 2048]),
+    lenient=st.booleans(),
+    randomized=st.booleans(),
+    alpha=st.sampled_from(["0.05", "0.5"]),
+)
+def test_column_audit_equals_the_record_path(
+    tmp_path_factory, seed, fmt, name, faults, rate, chunk, lenient, randomized, alpha
+):
+    path = tmp_path_factory.getbasetemp() / f"audit.{fmt}"
+    path.write_text(_audit_file(random.Random(seed), _PAIRED[name][2], fmt, faults, rate))
+    _assert_column_audit_is_the_record_path(path, fmt, name, chunk, lenient, randomized, alpha)
+
+
+# Nine steps of outputs 1 against 0: an audit at alpha 0.05 rejects at step 9.
+_REJECTING = [{"t": t, "group": g, "y_hat": 1.0 - g} for t in range(1, 10) for g in (0, 1)]
+
+
+def _jsonl(*rows):
+    return "".join((row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize(
+    "fmt, name, text, outcome",
+    [
+        # Warnings and errors past the stop, in the chunk that stops.
+        ("jsonl", "simple", _jsonl(*_REJECTING, {"t": 10, "group": 0, "y_hat": 0.5, "note": 1}, '{"t": 1'), 1),
+        ("jsonl", "simple", _jsonl(*_REJECTING, ' {"t": 10, "group": 0, "y_hat": 0.5, "note": 1}'), 1),
+        # A group outside the audit's, then a bad line, in one chunk.
+        ("jsonl", "simple", _jsonl(_REJECTING[0], {"t": 1, "group": 5, "y_hat": 0.5}, "[1]"),
+         "group 5 out of range"),
+        ("csv", "simple", "t,group,y_hat\n1,0,0.5\n1,5,0.5\nx,1,0.5\n", "group 5 out of range"),
+        # The t and group of a record without weights, and time order past a
+        # line the scalar code accepted.
+        ("jsonl", "propensity", _jsonl({"t": 7, "group": 0, "y_hat": 0.5}, {"t": 3, "group": 1, "y_hat": 0.5}),
+         "record at t=7 group=0 lacks propensity or density"),
+        ("jsonl", "simple", _jsonl({"t": 2.0, "group": 0, "y_hat": 0.5}, {"t": 2, "group": 0, "y_hat": 0.5}),
+         "line 2: time index 2 not increasing for group 0 (last was 2)"),
+    ],
+)
+def test_column_audit_stops_where_the_record_path_stops(fmt, name, text, outcome, lenient, tmp_path):
+    path = tmp_path / f"audit.{fmt}"
+    path.write_text(text)
+    code, _, err, shown = _assert_column_audit_is_the_record_path(path, fmt, name, 2048, lenient)
+    if isinstance(outcome, int):
+        assert code == outcome
+    else:
+        assert code == 2 and outcome in err
+    assert not shown
+
+
+def test_column_audit_takes_what_the_scalar_code_accepts(tmp_path):
+    """Lines only the scalar code clears hold their parsed values in the
+    columns; a JSON NaN is a present value, not an absent field."""
+    path = tmp_path / "audit.jsonl"
+    path.write_text(_jsonl(*({**row, "y_hat": str(row["y_hat"])} for row in _REJECTING)))
+    assert _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048, lenient=True)[0] == 1
+    path.write_text(_jsonl(*({**row, "t": float(row["t"])} for row in _REJECTING)))
+    assert _assert_column_audit_is_the_record_path(path, "jsonl", "propensity", 2048)[2].startswith(
+        "error: record at t=1 group=0 lacks propensity")
+    path.write_text(_jsonl({"t": 1, "group": 0, "y_hat": 0.5, "propensity": math.nan}))
+    code, _, err, _ = _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048)
+    assert code == 2 and "propensity must be a positive finite real, got nan" in err
+
+
+def test_column_audit_reads_past_its_stop_without_failing(tmp_path):
+    """Undecodable bytes that parse_stream never reaches, because the audit
+    stops first, are not an error, though the chunk reader reads them."""
+    path = tmp_path / "audit.jsonl"
+    tail = ({"t": t, "group": g, "y_hat": 0.5} for t in range(10, 400) for g in (0, 1))
+    path.write_bytes(_jsonl(*_REJECTING, *tail).encode() + b"\xff\n")  # far past what is decoded at once
+    assert _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048)[0] == 1
+    path.write_bytes(_jsonl(*_REJECTING).encode() + b"\xff\n")
+    code, _, err, _ = _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048)
+    assert code == 2 and "codec can't decode" in err
+
+
+def test_live_audit_decides_before_stdin_closes():
+    """A monitor reading stdin must decide at the record that crosses the
+    threshold, not when a chunk of input fills or the stream ends."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seqaudit", "audit", "-", "--alpha", "0.05"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+    )
+    try:
+        for t in range(1, 10):
+            proc.stdin.write(json.dumps({"t": t, "group": 0, "y_hat": 1.0}) + "\n")
+            proc.stdin.write(json.dumps({"t": t, "group": 1, "y_hat": 0.0}) + "\n")
+        proc.stdin.flush()
+        code = proc.wait(timeout=10)  # stdin stays open
+        doc = json.loads(proc.stdout.read())
+    finally:
+        proc.kill()
+        proc.stdin.close()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert code == 1
+    assert doc["decision"]["tau"] == 9
+
+
+def test_column_audit_backlog_stays_small(tmp_path):
+    """A flood from one group waits as floats, not as records."""
+    path = tmp_path / "flood.jsonl"
+    lines = [f'{{"t": {t}, "group": 0, "y_hat": 0.5}}\n' for t in range(1, 100_001)]
+    path.write_text("".join(lines) + '{"t": 1, "group": 1, "y_hat": 0.5}\n')
+    del lines
+    config = AuditConfig(alpha=0.05)
+    tracemalloc.start()
+    try:
+        report = run_columns(config, ingest.parse_columns(path), record_trajectory=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.decision.kind is DecisionKind.CONTINUE
+    assert peak < 4 * 2**20, peak
