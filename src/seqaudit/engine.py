@@ -457,8 +457,14 @@ def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterab
             args, error = row.block(config.strategy, y, w)
         if len(args):
             yield args
-        if error or missing_error:
-            raise error or missing_error
+        error = error or missing_error
+        if error is not None:
+            try:
+                raise error
+            finally:
+                # The traceback keeps this frame: holding the error here too
+                # would make a cycle that keeps the chunks' file open until gc.
+                error = missing_error = None
 
 
 def run_args(

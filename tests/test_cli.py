@@ -1,4 +1,5 @@
 """Exit codes, flag validation, and end-to-end determinism of the CLI."""
+import gc
 import io
 import json
 import math
@@ -770,6 +771,25 @@ def test_column_audit_reads_past_its_stop_without_failing(tmp_path):
     path.write_bytes(_jsonl(*_REJECTING).encode() + b"\xff\n")
     code, _, err, _ = _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048)
     assert code == 2 and "codec can't decode" in err
+
+
+def test_column_audit_closes_its_file_when_pairing_fails(tmp_path, capsys):
+    """An error raised while pairing must not keep the input open until gc
+    runs: the error's traceback holds the frames that hold the chunks."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    path = tmp_path / "audit.jsonl"
+    path.write_text(_jsonl(*_REJECTING))  # no weight fields: the propensity audit refuses step 1
+    gc.disable()
+    try:
+        before = len(list(fds.iterdir()))
+        assert main(["audit", str(path), "--strategy", "propensity", "--scale", "0.25"]) == 2
+        after = len(list(fds.iterdir()))
+    finally:
+        gc.enable()
+    assert after == before
+    assert "lacks propensity" in capsys.readouterr().err
 
 
 def test_live_audit_decides_before_stdin_closes():
