@@ -110,9 +110,10 @@ class AuditRecord:
 
 class RecordColumns(NamedTuple):
     """Records as columns, one entry per record: ``t`` and ``group`` as
-    int64 arrays, the other fields as float64 arrays with NaN where a record
-    lacks the field.  ``ingest.parse_columns`` builds them from records that
-    passed the checks of :class:`AuditRecord`."""
+    int64 arrays (``t`` holds Python ints if one is beyond int64), the other
+    fields as float64 arrays with NaN where a record lacks the field.
+    ``ingest.parse_columns`` builds them from records that passed the checks
+    of :class:`AuditRecord`."""
 
     t: np.ndarray
     group: np.ndarray

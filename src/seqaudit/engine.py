@@ -453,7 +453,7 @@ def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterab
                 estimated = row.weight == "density_estimate"
                 missing_error = missing_weight_error(int(t[step, group]), group, estimated)
                 y, w = y[:step], w[:step]
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # an infinite weight goes to the scalar check
             args, error = row.block(config.strategy, y, w)
         if len(args):
             yield args

@@ -734,6 +734,11 @@ def _jsonl(*rows):
          "record at t=7 group=0 lacks propensity or density"),
         ("jsonl", "simple", _jsonl({"t": 2.0, "group": 0, "y_hat": 0.5}, {"t": 2, "group": 0, "y_hat": 0.5}),
          "line 2: time index 2 not increasing for group 0 (last was 2)"),
+        # A weight that overflows to inf fails the payoff's check, silently.
+        ("jsonl", "propensity",
+         _jsonl({"t": 1, "group": 0, "y_hat": 0.0, "propensity": 1e-300, "density": 1e300},
+                {"t": 1, "group": 1, "y_hat": 0.5, "propensity": 0.5, "density": 0.5}),
+         "omega_0 must be a positive finite real, got inf"),
     ],
 )
 def test_column_audit_stops_where_the_record_path_stops(fmt, name, text, outcome, lenient, tmp_path):
