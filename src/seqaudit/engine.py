@@ -390,11 +390,16 @@ def run_columns(
     return run_args(config, _paired_args(config, chunks), record_trajectory)
 
 
+# A chunk's records of one group join the newest piece of the backlog while
+# it holds fewer than this, so that tiny chunks do not cost an array each.
+_PIECE_MIN = 256
+
+
 class _Backlog:
-    """One group's unpaired records, oldest first: for each chunk they came
-    in, one array per field the strategy reads, and how many records of the
-    oldest chunk are already paired.  Pairing copies a record's fields once,
-    however long it waits."""
+    """One group's unpaired records, oldest first: pieces of one array per
+    field the strategy reads, each piece the records of one or more chunks,
+    and how many records of the oldest piece are already paired.  A waiting
+    record costs its fields' bytes, however long it waits."""
 
     __slots__ = ("pieces", "head", "size")
 
@@ -404,9 +409,13 @@ class _Backlog:
         self.size = 0
 
     def push(self, fields: list[np.ndarray]) -> None:
-        if len(fields[0]):
-            self.pieces.append(fields)
-            self.size += len(fields[0])
+        n = len(fields[0])
+        if not n:
+            return
+        if self.pieces and len(self.pieces[-1][0]) < _PIECE_MIN:
+            fields = [np.concatenate(cols) for cols in zip(self.pieces.pop(), fields)]
+        self.pieces.append(fields)
+        self.size += n
 
     def take(self, m: int) -> list[np.ndarray]:
         """The fields of the ``m`` oldest records, which leave the backlog."""

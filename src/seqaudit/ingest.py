@@ -314,14 +314,13 @@ def _rows(
 ) -> tuple[RecordColumns, RecordColumns]:
     """``cols`` with the record of each (row, record) pair in ``accepted``
     set in its row, which empties ``accepted``, and its rows start..stop."""
-    if accepted:
-        rows, records = zip(*accepted)
-        accepted.clear()
-        fields = _record_columns(records)
-        if fields.t.dtype == object:  # a time index beyond int64
+    for row, record in accepted:
+        if record.t >= 2**63:
             cols = cols._replace(t=cols.t.astype(object))
-        for col, values in zip(cols, fields):
-            col[list(rows)] = values
+        for col, key in zip(cols, RECORD_FIELDS):
+            value = getattr(record, key)
+            col[row] = math.nan if value is None else value
+    accepted.clear()
     return cols, RecordColumns(*(col[start:stop] for col in cols))
 
 

@@ -734,6 +734,12 @@ def _jsonl(*rows):
          "record at t=7 group=0 lacks propensity or density"),
         ("jsonl", "simple", _jsonl({"t": 2.0, "group": 0, "y_hat": 0.5}, {"t": 2, "group": 0, "y_hat": 0.5}),
          "line 2: time index 2 not increasing for group 0 (last was 2)"),
+        # Out-of-range weight fields are refused whatever the strategy.
+        *(("jsonl", "simple", _jsonl({"t": 1, "group": 0, "y_hat": 0.5, key: value}), message)
+          for key, value, message in (
+              ("propensity", 0.0, "propensity must be a positive finite real"),
+              ("density", -0.25, "density must be a nonnegative finite real"),
+              ("density_estimate", 0.0, "density_estimate must be a positive finite real"))),
         # A weight that overflows to inf fails the payoff's check, silently.
         ("jsonl", "propensity",
          _jsonl({"t": 1, "group": 0, "y_hat": 0.0, "propensity": 1e-300, "density": 1e300},
