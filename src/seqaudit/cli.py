@@ -113,7 +113,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         stream = ingest.parse_stream(source, format=fmt, mode=mode)
         report = run_stream(config, stream, record_trajectory=record_trajectory)
     else:
-        chunks = ingest.parse_columns(args.input, format=fmt, mode=mode, group_count=config.group_count)
+        chunks = ingest.parse_columns(args.input, format=fmt, mode=mode)
         report = run_columns(config, chunks, record_trajectory=record_trajectory)
     if args.trajectory_out is not None:
         with open(args.trajectory_out, "w", encoding="utf-8") as fh:

@@ -153,7 +153,7 @@ def _bundle_by_group(
     by_group: list[AuditRecord | None] = [None] * group_count
     for rec in records:
         if rec.group >= group_count:
-            raise ValidationError(f"group {rec.group} out of range for {group_count} groups")
+            raise group_range_error(rec.group, group_count)
         if by_group[rec.group] is not None:
             raise ValidationError(f"duplicate record for group {rec.group} in one step")
         by_group[rec.group] = rec
@@ -381,10 +381,11 @@ def run_columns(
     ``ingest.parse_columns`` yields, for every strategy that pairs one
     record per group into a step.  It pairs, stops and ends as
     :func:`run_stream` does on the same records, errors included, so both
-    give the same report.  The pairing runs on arrays, the strategy row's
-    array form computes the arguments and :func:`run_args` replays them; a
-    chunk is pulled only when the steps before it ran without a terminal
-    decision."""
+    give the same report: a record whose group lies outside the audit's
+    raises its error once the steps before it have run.  The pairing runs
+    on arrays, the strategy row's array form computes the arguments and
+    :func:`run_args` replays them; a chunk is pulled only when the steps
+    before it ran without a terminal decision."""
     if STRATEGIES[type(config.strategy)].batched:
         raise ValidationError("batched audits take one record per step: run them through run_stream")
     return run_args(config, _paired_args(config, chunks), record_trajectory)
@@ -436,44 +437,51 @@ class _Backlog:
 
 def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterable[np.ndarray]:
     """Argument blocks of the steps that the column chunks complete, first
-    in first out: the k-th record of every group forms step k.  A step with
-    a record that lacks its weight fields, or one the array form refuses,
-    ends the blocks with the error the record path raises there."""
+    in first out: the k-th record of every group forms step k.  A record
+    whose group lies outside the audit's, a step with a record that lacks
+    its weight fields, or one the array form refuses, ends the blocks,
+    after the steps before it, with the error the record path raises there."""
     row = STRATEGIES[type(config.strategy)]
     backlogs = [_Backlog() for _ in range(config.group_count)]
     for cols in chunks:
+        error = missing_error = range_error = None
+        masks = [cols.group == group for group in range(config.group_count)]
+        if sum(map(np.count_nonzero, masks)) < len(cols.group):  # a group outside the audit's
+            cut = int(np.argmin(np.logical_or.reduce(masks)))
+            range_error = group_range_error(int(cols.group[cut]), config.group_count)
+            cols = RecordColumns(*(col[:cut] for col in cols))
+            masks = [mask[:cut] for mask in masks]
         fields = [cols.y_hat]
         if row.weight is not None:
             with np.errstate(all="ignore"):  # the record path divides silently too
                 fields += [getattr(cols, row.weight) / cols.propensity, cols.t]
-        for group, backlog in enumerate(backlogs):
-            backlog.push([col[cols.group == group] for col in fields])
+        for mask, backlog in zip(masks, backlogs):
+            backlog.push([col[mask] for col in fields])
         steps = min(backlog.size for backlog in backlogs)
-        if not steps:
-            continue
-        y, *weighted = (np.column_stack(cols) for cols in zip(*(b.take(steps) for b in backlogs)))
-        w = missing_error = None
-        if weighted:
-            w, t = weighted
-            missing = np.isnan(w)  # NaN weights are those of records without the fields
-            if missing.any():
-                step = int(np.argmax(missing.any(axis=1)))
-                group = int(np.argmax(missing[step]))
-                estimated = row.weight == "density_estimate"
-                missing_error = missing_weight_error(int(t[step, group]), group, estimated)
-                y, w = y[:step], w[:step]
-        with np.errstate(all="ignore"):  # an infinite weight goes to the scalar check
-            args, error = row.block(config.strategy, y, w)
-        if len(args):
-            yield args
-        error = error or missing_error
+        if steps:
+            y, *weighted = (np.array(cols).T for cols in zip(*(b.take(steps) for b in backlogs)))
+            w = None
+            if weighted:
+                w, t = weighted
+                missing = np.isnan(w)  # NaN weights are those of records without the fields
+                if missing.any():
+                    step = int(np.argmax(missing.any(axis=1)))
+                    group = int(np.argmax(missing[step]))
+                    estimated = row.weight == "density_estimate"
+                    missing_error = missing_weight_error(int(t[step, group]), group, estimated)
+                    y, w = y[:step], w[:step]
+            with np.errstate(all="ignore"):  # an infinite weight goes to the scalar check
+                args, error = row.block(config.strategy, y, w)
+            if len(args):
+                yield args
+        error = error or missing_error or range_error
         if error is not None:
             try:
                 raise error
             finally:
                 # The traceback keeps this frame: holding the error here too
                 # would make a cycle that keeps the chunks' file open until gc.
-                error = missing_error = None
+                error = missing_error = range_error = None
 
 
 def run_args(

@@ -10,6 +10,7 @@ import json
 import math
 import warnings
 from itertools import islice, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -29,7 +30,7 @@ from .core import (
     strategy_to_dict,
     wealth_from_log,
 )
-from .engine import STRATEGIES, group_range_error
+from .engine import STRATEGIES
 
 RECORD_FIELDS = ("t", "group", "y_hat", "propensity", "density", "density_estimate")
 _REQUIRED_FIELDS = ("t", "group", "y_hat")
@@ -42,9 +43,6 @@ _REQUIRED_KEYS = frozenset(_REQUIRED_FIELDS)
 # exactly json.loads's.
 _scan_once = json.JSONDecoder().scan_once
 _LINE_ENDS = ("", "\n", "\r\n")
-# Stands for a line not yet decoded, or one that does not decode to one
-# object; its unknown key sends it to the scalar code.
-_UNDECODED = {"": None}
 
 SUMMARY_COLUMNS = (
     "scenario", "alpha", "strategy", "fpr_or_power",
@@ -161,35 +159,39 @@ def _check_format(format: str, mode: str) -> None:
 
 
 # The scalar per-line code.  parse_stream runs it on every line, and
-# parse_columns on every line its vectorised checks cannot clear, so both
-# give the same records, errors and warnings.
+# parse_columns on every line of a chunk its vectorised checks cannot clear,
+# so both give the same records, errors and warnings.
 
 
 def _jsonl_record(
-    line: str, line_no: int, mode: str, last_t: dict[int, int], obj: dict = _UNDECODED
+    line: str, line_no: int, mode: str, last_t: dict[int, int], obj: dict | None = None
 ) -> AuditRecord | None:
     """The record of one JSONL line (None for a blank line), checked against
     the last time index of its group in ``last_t``, which it updates.
     ``obj`` is the line's object, when the caller has decoded it whole."""
-    whole = obj is not _UNDECODED
-    if not whole:
-        try:
-            obj, end = _scan_once(line, 0)
-            whole = line[end:] in _LINE_ENDS
-        except (StopIteration, json.JSONDecodeError):
-            pass
-    if not whole:
+    if obj is None:
+        obj = _decode_line(line)
+    if obj is None:
         if not line.strip():
             return None
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise IngestError(line_no, f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise IngestError(line_no, "each line must hold one JSON object")
+        if not isinstance(obj, dict):
+            raise IngestError(line_no, "each line must hold one JSON object")
     record = record_from_dict(obj, line_no, mode)
     _check_monotone(record, last_t, line_no)
     return record
+
+
+def _decode_line(line: str) -> dict | None:
+    """The one JSON object that the scanner reads whole from a line, or None."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        return None
+    return obj if type(obj) is dict and line[end:] in _LINE_ENDS else None
 
 
 def _csv_header(reader, mode: str) -> list[str] | None:
@@ -225,83 +227,47 @@ def _csv_record(
 # parse_columns reads a JSONL file this many lines at a time.
 CHUNK_LINES = 2048
 
-_INT_TYPES = {int}
 _FLOAT_TYPES = {float, int, type(None)}
 _EXACT_INT = 2**53  # an int up to this size is the same number as a float
-_T_LIMIT = 2**62  # time indices the vectorised checks clear, well inside int64
+_INT_LIMIT = 2**62  # t and group values the vectorised checks clear, well inside int64
 
 
-def parse_columns(
-    source, format: str = "jsonl", mode: str = "strict", group_count: int = 2
-) -> Iterator[RecordColumns]:
+def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterator[RecordColumns]:
     """The records :func:`parse_stream` gives, in file order, as column
-    chunks for an audit of ``group_count`` groups: a record of a group
-    outside them raises the engine's error.  ``source`` is a path, bytes
-    or a text stream.
+    chunks.  ``source`` is a path, bytes or a text stream.  The audit's
+    engine checks each record's group against its own group count.
 
-    JSONL is read CHUNK_LINES lines at a time.  Vectorised checks clear the
-    lines that the scalar code would accept as they are, and the scalar code
-    decides every other line.  A line it refuses ends the chunk: its error
-    is raised when the next chunk is pulled.  A line it may warn about (one
-    with unknown keys, in lenient mode) is decided only after the rows
-    before it are pulled.  So every error and warning is parse_stream's, at
-    the same line, and nothing about a line past the one the consumer stops
-    at ever surfaces.  CSV cells are text, so every CSV row goes through
-    the scalar code."""
+    JSONL is read CHUNK_LINES lines at a time, and each chunk is decided
+    whole.  When vectorised checks clear every line of it, blank lines
+    aside, as one the scalar code would accept as it is, the chunk is one
+    column chunk.  Any other chunk goes line by line through the scalar
+    code, as every CSV row does, since its cells are text.  Its records are
+    yielded up to each line the scalar code refuses, whose error is raised
+    at the next pull, and in lenient mode up to each line it may warn about
+    (one with unknown keys, or one the scanner does not decode), which is
+    decided at the next pull.  So every error and warning is parse_stream's,
+    at the same line, and nothing about a line past the one the consumer
+    stops at ever surfaces."""
     _check_format(format, mode)
     if format == "csv":
-        return _record_chunks(parse_stream(source, "csv", mode), group_count)
-    return _jsonl_chunks(_open_lines(source), source, mode, group_count)
+        return _record_chunks(parse_stream(source, "csv", mode))
+    return _jsonl_chunks(_open_lines(source), source, mode)
 
 
-def _jsonl_chunks(lines, source, mode: str, group_count: int) -> Iterator[RecordColumns]:
+def _jsonl_chunks(lines, source, mode: str) -> Iterator[RecordColumns]:
     last_t: dict[int, int] = {}
     first = 1  # the line number of the chunk's first line
     try:
         for chunk, read_error in _chunks(lines):
-            n = len(chunk)
-            objs = _decode_chunk(chunk)
-            cols, suspect, unknown = _chunk_columns(objs, group_count)
-            suspects = iter(np.flatnonzero(suspect).tolist())
-            next_suspect = next(suspects, n)
-            done = start = 0  # rows before done are yielded, rows before start decided
-            accepted: list[tuple[int, AuditRecord]] = []  # (row, record) the scalar code took
-            while True:
-                while next_suspect < start:
-                    next_suspect = next(suspects, n)
-                cut = start
-                if next_suspect > start:
-                    segment = slice(start, next_suspect)
-                    cut += _monotone_prefix(cols.group[segment], cols.t[segment], last_t)
-                if cut == n:
-                    break
-                if mode == "lenient" and unknown[cut] and cut > done:
-                    # The scalar code may warn here, so only once the rows
-                    # before it are consumed.
-                    cols, rows = _rows(cols, accepted, done, cut)
-                    yield rows
-                    done = cut
-                record = error = None
-                try:
-                    record = _jsonl_record(chunk[cut], first + cut, mode, last_t, objs[cut])
-                    if record is not None and record.group >= group_count:
-                        error = group_range_error(record.group, group_count)
-                except Exception as exc:  # raised after the rows before it
-                    error = exc
-                if record is None or error is not None:
-                    if cut > done:
-                        cols, rows = _rows(cols, accepted, done, cut)
-                        yield rows
-                    if error is not None:
-                        raise error
-                    done = cut + 1
-                else:
-                    accepted.append((cut, record))
-                start = cut + 1
-            if n > done:
-                cols, rows = _rows(cols, accepted, done, n)
-                yield rows
-            first += n
+            kept = list(filter(str.strip, chunk))  # a blank line gives no record
+            objs = _decode_chunk(kept)
+            cols = _clean_columns(objs, last_t)
+            if cols is not None:
+                yield cols
+            else:
+                numbers = [n for n, line in enumerate(chunk, start=first) if line.strip()]
+                yield from _record_chunks(_jsonl_records(kept, numbers, objs, mode, last_t))
+            first += len(chunk)
             if read_error is not None:
                 raise read_error
     finally:
@@ -309,35 +275,38 @@ def _jsonl_chunks(lines, source, mode: str, group_count: int) -> Iterator[Record
             lines.close()
 
 
-def _rows(
-    cols: RecordColumns, accepted: list[tuple[int, AuditRecord]], start: int, stop: int
-) -> tuple[RecordColumns, RecordColumns]:
-    """``cols`` with the record of each (row, record) pair in ``accepted``
-    set in its row, which empties ``accepted``, and its rows start..stop."""
-    for row, record in accepted:
-        if record.t >= 2**63:
-            cols = cols._replace(t=cols.t.astype(object))
-        for col, key in zip(cols, RECORD_FIELDS):
-            value = getattr(record, key)
-            col[row] = math.nan if value is None else value
-    accepted.clear()
-    return cols, RecordColumns(*(col[start:stop] for col in cols))
+def _jsonl_records(
+    lines: list[str], numbers: list[int], objs: list[dict | None], mode: str, last_t: dict[int, int]
+) -> Iterator[AuditRecord | None]:
+    """The scalar code's records of non-blank lines, given with their line
+    numbers and objects, and a None before each line it may warn about."""
+    for line, line_no, obj in zip(lines, numbers, objs):
+        if mode == "lenient" and (obj is None or not _RECORD_KEYS.issuperset(obj)):
+            yield None
+        yield _jsonl_record(line, line_no, mode, last_t, obj)
 
 
-def _record_chunks(records: Iterator[AuditRecord], group_count: int) -> Iterator[RecordColumns]:
-    """Column chunks of the records the scalar parser gives."""
+def _record_chunks(records: Iterator[AuditRecord | None]) -> Iterator[RecordColumns]:
+    """Column chunks of the records the scalar code gives, CHUNK_LINES at
+    most, cut where it gives None.  Records are pulled one at a time, so
+    nothing is read past a cut before the rows ahead of it are pulled, and
+    an error pulling a record is raised after the records before it."""
+    chunk: list[AuditRecord] = []
     try:
-        for chunk, error in _chunks(records):
-            for i, record in enumerate(chunk):
-                if record.group >= group_count:
-                    chunk, error = chunk[:i], group_range_error(record.group, group_count)
-                    break
-            if chunk:
+        for record in records:
+            if record is not None:
+                chunk.append(record)
+            if chunk and (record is None or len(chunk) == CHUNK_LINES):
                 yield _record_columns(chunk)
-            if error is not None:
-                raise error
+                chunk = []
+    except Exception:  # raised after the records before it
+        if chunk:
+            yield _record_columns(chunk)
+        raise
     finally:
-        records.close()  # closes the file at once, however this generator ends
+        records.close()  # closes a CSV file at once, however this generator ends
+    if chunk:
+        yield _record_columns(chunk)
 
 
 def _chunks(items: Iterable) -> Iterator[tuple[list, Exception | None]]:
@@ -359,11 +328,11 @@ def _chunks(items: Iterable) -> Iterator[tuple[list, Exception | None]]:
             return
 
 
-def _decode_chunk(lines: list[str]) -> list[dict]:
-    """The JSON object of each line, or _UNDECODED where a line does not
-    hold exactly one object.  When every line starts with ``{``, ends with
-    ``}`` and holds one of each, no object can span two lines, so the chunk
-    decodes as one JSON array; otherwise, or if that fails, line by line."""
+def _decode_chunk(lines: list[str]) -> list[dict | None]:
+    """The JSON object of each line, or None where a line does not hold
+    exactly one.  When every line starts with ``{``, ends with ``}`` and
+    holds one of each, no object can span two lines, so the chunk decodes
+    as one JSON array; otherwise, or if that fails, line by line."""
     n = len(lines)
     body = "".join(lines)
     if body.endswith("\n"):
@@ -374,126 +343,104 @@ def _decode_chunk(lines: list[str]) -> list[dict]:
         and body.count("}\n{") == n - 1 == body.count("\n")
     ):
         try:
-            objs = json.loads("[" + body.replace("\n", ",") + "]")
+            return json.loads("[" + body.replace("\n", ",") + "]")
         except json.JSONDecodeError:
-            objs = None
-        if objs is not None and len(objs) == n:
-            return objs
-    objs = []
-    for line in lines:
-        try:
-            obj, end = _scan_once(line, 0)
-            if line[end:] not in _LINE_ENDS or type(obj) is not dict:
-                obj = _UNDECODED
-        except (StopIteration, json.JSONDecodeError):
-            obj = _UNDECODED
-        objs.append(obj)
-    return objs
-
-
-def _chunk_columns(objs: list[dict], group_count: int) -> tuple[RecordColumns, np.ndarray, np.ndarray]:
-    """Columns of decoded lines; the lines the vectorised checks do not
-    clear: unknown or missing keys, values of another type, values out of
-    range, and groups outside the audit's; and the lines with unknown keys,
-    which lenient mode warns about.  Time order is checked per segment, by
-    _monotone_prefix."""
-    n = len(objs)
-    unknown = ~np.fromiter(map(_RECORD_KEYS.issuperset, objs), bool, n)
-    suspect = unknown.copy()
-    t, bad = _int_column(_values(objs, "t"), 1, _T_LIMIT)
-    suspect |= bad
-    group, bad = _int_column(_values(objs, "group"), 0, group_count)
-    suspect |= bad
-    y, bad = _float_column(_values(objs, "y_hat"))
-    suspect |= bad | ~((y >= 0.0) & (y <= 1.0))
-    if set(map(len, objs)) == {3}:  # no line a check clears has an optional key
-        absent = (np.full(n, math.nan) for _ in _OPTIONAL_FIELDS)
-        return RecordColumns(t, group, y, *absent), suspect, unknown
-    optional = []
-    for key in _OPTIONAL_FIELDS:
-        col, bad = _float_column(_values(objs, key))
-        if key == "density":
-            bad |= col < 0.0
-        else:
-            bad |= col <= 0.0
-        suspect |= bad | np.isinf(col)
-        optional.append(col)
-    return RecordColumns(t, group, y, *optional), suspect, unknown
-
-
-def _values(objs: list[dict], key: str) -> list:
-    return list(map(dict.get, objs, repeat(key)))
-
-
-def _int_column(values: list, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as int64, and where they are not ints (bools excluded) in
-    [lo, hi)."""
-    col = None
-    if set(map(type, values)) == _INT_TYPES:
-        try:
-            col = np.array(values, dtype=np.int64)
-        except OverflowError:
             pass
-    if col is None:
-        col = np.array([v if type(v) is int and lo <= v < hi else lo - 1 for v in values], dtype=np.int64)
-    return col, (col < lo) | (col >= hi)
+    return list(map(_decode_line, lines))
 
 
-def _float_column(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as float64 with None as NaN, and where they are a NaN, an
-    int too large to be the same number as a float, or of a type other than
-    float, int and None."""
-    types = set(map(type, values))
-    col = None
-    if types <= _FLOAT_TYPES:
-        try:
-            col = np.array(values, dtype=float)
-        except OverflowError:
-            pass
-    if col is None:
-        col = np.array([v if type(v) is float else None for v in values], dtype=float)
-        bad = np.array([v is not None and type(v) is not float for v in values], dtype=bool)
-    elif int in types:
-        bad = np.abs(col) > _EXACT_INT
+def _clean_columns(objs: list[dict | None], last_t: dict[int, int]) -> RecordColumns | None:
+    """Columns of decoded lines when vectorised checks clear every one as a
+    line the scalar code accepts as it is, else None.  The checks: each line
+    is one object with known keys only and the required ones; values have
+    exact types, and a bool counts as none; no NaN or infinity, nor an int
+    a float cannot hold exactly; values lie in range, with 1 <= t < 2**62
+    and group >= 0; and t increases within each group from ``last_t``,
+    which is updated only when every check passes."""
+    if None in objs or not all(map(_RECORD_KEYS.issuperset, objs)):
+        return None
+    t, group, y = _int_column(objs, "t", 1), _int_column(objs, "group", 0), _float_column(objs, "y_hat")
+    if t is None or group is None or y is None or not ((y >= 0.0) & (y <= 1.0)).all():
+        return None
+    if set(map(len, objs)) == {3}:  # no line has an optional key
+        optional = [np.full(len(objs), math.nan) for _ in _OPTIONAL_FIELDS]
     else:
-        bad = np.zeros(len(values), dtype=bool)
-    if np.count_nonzero(np.isnan(col)) > values.count(None):
-        bad |= np.array([type(v) is float and v != v for v in values], dtype=bool)
-    return col, bad
+        optional = [_float_column(objs, key) for key in _OPTIONAL_FIELDS]
+        for key, col in zip(_OPTIONAL_FIELDS, optional):
+            if col is None or np.isinf(col).any() or (col < 0.0 if key == "density" else col <= 0.0).any():
+                return None
+    if not _increasing(group, t, last_t):
+        return None
+    return RecordColumns(t, group, y, *optional)
 
 
-def _monotone_prefix(group: np.ndarray, t: np.ndarray, last_t: dict[int, int]) -> int:
-    """Length of the longest prefix whose time indices increase within each
-    group, starting from ``last_t``; ``last_t`` is updated to that prefix."""
-    n = len(group)
+def _int_column(objs: list[dict], key: str, lo: int) -> np.ndarray | None:
+    """The ``key`` values as int64, or None unless each is an int (not a
+    bool) in [lo, 2**62)."""
+    values = list(map(dict.get, objs, repeat(key)))
+    if set(map(type, values)) != {int}:
+        return None
+    try:
+        col = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    return col if lo <= col.min() and col.max() < _INT_LIMIT else None
+
+
+def _float_column(objs: list[dict], key: str) -> np.ndarray | None:
+    """The ``key`` values as float64 with NaN where a line lacks the key, or
+    None unless each is a float other than NaN, an int that a float holds
+    exactly, or absent."""
+    values = list(map(dict.get, objs, repeat(key)))
+    types = set(map(type, values))
+    if not types <= _FLOAT_TYPES:
+        return None
+    try:
+        col = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    if int in types and (np.abs(col) > _EXACT_INT).any():
+        return None
+    if np.count_nonzero(np.isnan(col)) > values.count(None):  # a JSON NaN
+        return None
+    return col
+
+
+def _increasing(group: np.ndarray, t: np.ndarray, last_t: dict[int, int]) -> bool:
+    """Whether the time indices increase within each group, starting from
+    ``last_t``; if they do, ``last_t`` is updated to each group's last."""
     order = np.argsort(group, kind="stable")
     g, ts = group[order], t[order]
-    head = np.empty(n, dtype=bool)
+    head = np.empty(len(g), dtype=bool)  # the first row of each group
     head[0] = True
     np.not_equal(g[1:], g[:-1], out=head[1:])
     heads = np.flatnonzero(head)
-    prev = np.empty(n, dtype=np.int64)
+    prev = np.empty_like(ts)
     prev[1:] = ts[:-1]
-    prev[heads] = [min(last_t.get(k, 0), _T_LIMIT) for k in g[heads].tolist()]
-    bad = ts <= prev
-    cut = int(order[bad].min()) if bad.any() else n
-    kept = order < cut
-    last = kept.copy()
-    last[:-1] &= head[1:] | ~kept[1:]
-    for k, v in zip(g[last].tolist(), ts[last].tolist()):
-        last_t[k] = v
-    return cut
+    prev[heads] = [min(last_t.get(k, 0), _INT_LIMIT) for k in g[heads].tolist()]
+    if (ts <= prev).any():
+        return False
+    last = np.append(head[1:], True)
+    last_t.update(zip(g[last].tolist(), ts[last].tolist()))
+    return True
+
+
+_FIELDS = attrgetter(*RECORD_FIELDS)
 
 
 def _record_columns(records: Sequence[AuditRecord]) -> RecordColumns:
-    """Columns of records; ``t`` holds Python ints if one is beyond int64."""
-    t = [r.t for r in records]
+    """Columns of records; ``t`` and ``group`` hold Python ints if one is
+    beyond int64."""
+    t, group, *floats = zip(*map(_FIELDS, records))
+    floats = (np.array(col, dtype=float) for col in floats)  # None as NaN
+    return RecordColumns(_int_array(t), _int_array(group), *floats)
+
+
+def _int_array(values: Sequence[int]) -> np.ndarray:
     try:
-        t = np.array(t, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        t = np.array(t, dtype=object)
-    floats = (np.array([getattr(r, key) for r in records], dtype=float) for key in RECORD_FIELDS[2:])
-    return RecordColumns(t, np.array([r.group for r in records], dtype=np.int64), *floats)
+        return np.array(values, dtype=object)
 
 
 def _check_monotone(record: AuditRecord, last_t: dict[int, int], line_no: int) -> None:

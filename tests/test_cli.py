@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,9 @@ from seqaudit.core import (
     DecisionKind,
     EstimatedDensity,
     Propensity,
+    RecordColumns,
     Simple,
+    ValidationError,
 )
 from seqaudit.engine import run_columns, run_stream
 from seqaudit.simulate import (
@@ -728,6 +731,9 @@ def _jsonl(*rows):
         ("jsonl", "simple", _jsonl(_REJECTING[0], {"t": 1, "group": 5, "y_hat": 0.5}, "[1]"),
          "group 5 out of range"),
         ("csv", "simple", "t,group,y_hat\n1,0,0.5\n1,5,0.5\nx,1,0.5\n", "group 5 out of range"),
+        # A step refused before a group outside the audit's, in one chunk.
+        ("jsonl", "propensity", _jsonl(*_REJECTING[:2], {"t": 2, "group": 5, "y_hat": 0.5}),
+         "record at t=1 group=0 lacks propensity or density"),
         # The t and group of a record without weights, and time order past a
         # line the scalar code accepted.
         ("jsonl", "propensity", _jsonl({"t": 7, "group": 0, "y_hat": 0.5}, {"t": 3, "group": 1, "y_hat": 0.5}),
@@ -784,23 +790,32 @@ def test_column_audit_reads_past_its_stop_without_failing(tmp_path):
     assert code == 2 and "codec can't decode" in err
 
 
-def test_column_audit_closes_its_file_when_pairing_fails(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "rows, flags, message",
+    [
+        # No weight fields: the propensity audit refuses step 1.
+        (_REJECTING, ["--strategy", "propensity", "--scale", "0.25"], "lacks propensity"),
+        (_REJECTING[:1] + [{"t": 1, "group": 5, "y_hat": 0.5}], [], "group 5 out of range"),
+    ],
+    ids=["missing-weights", "group-range"],
+)
+def test_column_audit_closes_its_file_when_pairing_fails(tmp_path, capsys, rows, flags, message):
     """An error raised while pairing must not keep the input open until gc
     runs: the error's traceback holds the frames that hold the chunks."""
     fds = Path("/proc/self/fd")
     if not fds.is_dir():
         pytest.skip("needs /proc/self/fd")
     path = tmp_path / "audit.jsonl"
-    path.write_text(_jsonl(*_REJECTING))  # no weight fields: the propensity audit refuses step 1
+    path.write_text(_jsonl(*rows))
     gc.disable()
     try:
         before = len(list(fds.iterdir()))
-        assert main(["audit", str(path), "--strategy", "propensity", "--scale", "0.25"]) == 2
+        assert main(["audit", str(path), *flags]) == 2
         after = len(list(fds.iterdir()))
     finally:
         gc.enable()
     assert after == before
-    assert "lacks propensity" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_live_audit_decides_before_stdin_closes():
@@ -841,3 +856,58 @@ def test_column_audit_backlog_stays_small(tmp_path):
         tracemalloc.stop()
     assert report.decision.kind is DecisionKind.CONTINUE
     assert peak < 4 * 2**20, peak
+
+
+def test_column_audit_checks_groups_against_the_audit(tmp_path):
+    """The engine holds the group count: a group outside the audit's stops
+    the column audit after the steps before it, as on the record path, and
+    a file of three groups parses for a three-group audit."""
+    t, group = np.array([1, 1, 2]), np.array([0, 1, 5])
+    cols = RecordColumns(t, group, np.full(3, 0.5), *(np.full(3, math.nan) for _ in range(3)))
+    with pytest.raises(ValidationError, match="group 5 out of range for 2 groups"):
+        run_columns(AuditConfig(alpha=0.05), [cols])
+    path = tmp_path / "three.jsonl"
+    path.write_text(_jsonl(*({"t": t, "group": g, "y_hat": g / 2} for t in range(1, 40) for g in range(3))))
+    config = AuditConfig(alpha=0.05, group_count=3)
+    report = run_columns(config, ingest.parse_columns(path))
+    assert report == run_stream(config, ingest.parse_stream(path))
+    assert report.decision.kind is DecisionKind.REJECT
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_column_audit_keeps_time_order_across_chunks(tmp_path, chunk):
+    """A chunk the vectorised checks clear hands its last time indices on
+    to the chunks after it."""
+    path = tmp_path / "audit.jsonl"
+    path.write_text(_jsonl(*({"t": t, "group": 0, "y_hat": 0.5} for t in (1, 2, 2))))
+    code, _, err, _ = _assert_column_audit_is_the_record_path(path, "jsonl", "simple", chunk)
+    assert code == 2 and "line 3: time index 2 not increasing for group 0" in err
+
+
+def test_clean_chunks_skip_the_scalar_code(tmp_path):
+    """A chunk the vectorised checks clear, blank lines aside, never reaches
+    the per-line code; a chunk with one line they cannot clear goes through
+    it whole, and the chunks around it do not."""
+    lines = []
+    for t in range(1, 3001):
+        lines += [json.dumps({"t": t, "group": g, "y_hat": 0.5}) for g in (0, 1)]
+        if t % 50 == 0:
+            lines.append("")
+    path = tmp_path / "clean.jsonl"
+    config = AuditConfig(alpha=0.05)
+    first = ingest.CHUNK_LINES + 1  # the second chunk's first line
+    assert len(lines) + 1 > 2 * ingest.CHUNK_LINES
+    for line_no in (None, first + 100):
+        if line_no is not None:
+            assert lines[line_no - 1].startswith('{"t": ')
+            lines[line_no - 1] = lines[line_no - 1].replace(", ", ".0, ", 1)  # t as 2.0, say
+        path.write_text("\n".join(lines) + "\n\n")
+        with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
+            report = run_columns(config, ingest.parse_columns(path))
+        assert report == run_stream(config, ingest.parse_stream(path))
+        assert report.decision.kind is DecisionKind.CONTINUE
+        if line_no is None:
+            assert scalar.call_count == 0
+        else:
+            numbers = [call.args[1] for call in scalar.call_args_list]
+            assert numbers == [n for n in range(first, first + ingest.CHUNK_LINES) if lines[n - 1]]
