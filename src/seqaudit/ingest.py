@@ -9,6 +9,7 @@ import io
 import json
 import math
 import warnings
+from contextlib import suppress
 from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
@@ -280,7 +281,7 @@ def _jsonl_records(
 ) -> Iterator[AuditRecord | None]:
     """The scalar code's records of non-blank lines, given with their line
     numbers and objects, and a None before each line it may warn about."""
-    for line, line_no, obj in zip(lines, numbers, objs):
+    for line, line_no, obj in zip(lines, numbers, objs, strict=True):
         if mode == "lenient" and (obj is None or not _RECORD_KEYS.issuperset(obj)):
             yield None
         yield _jsonl_record(line, line_no, mode, last_t, obj)
@@ -331,8 +332,8 @@ def _chunks(items: Iterable) -> Iterator[tuple[list, Exception | None]]:
 def _decode_chunk(lines: list[str]) -> list[dict | None]:
     """The JSON object of each line, or None where a line does not hold
     exactly one.  When every line starts with ``{``, ends with ``}`` and
-    holds one of each, no object can span two lines, so the chunk decodes
-    as one JSON array; otherwise, or if that fails, line by line."""
+    holds one of each, the chunk decodes as one JSON array, kept if it has
+    one object per line (a string may hold ``},{``); else line by line."""
     n = len(lines)
     body = "".join(lines)
     if body.endswith("\n"):
@@ -342,10 +343,10 @@ def _decode_chunk(lines: list[str]) -> list[dict | None]:
         and body.count("{") == n == body.count("}")
         and body.count("}\n{") == n - 1 == body.count("\n")
     ):
-        try:
-            return json.loads("[" + body.replace("\n", ",") + "]")
-        except json.JSONDecodeError:
-            pass
+        with suppress(json.JSONDecodeError):
+            objs = json.loads("[" + body.replace("\n", ",") + "]")
+            if len(objs) == n:
+                return objs
     return list(map(_decode_line, lines))
 
 

@@ -764,6 +764,17 @@ def test_column_audit_stops_where_the_record_path_stops(fmt, name, text, outcome
     assert not shown
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("chunk", [2, 2048])
+def test_column_audit_decodes_one_object_per_line(chunk, lenient, tmp_path):
+    """Two invalid lines whose strings hold ``},{`` decode as one object when
+    joined into an array; the record path refuses the first, in either mode."""
+    path = tmp_path / "audit.jsonl"
+    path.write_text(_jsonl('{"t": 1, "group": 0, "y_hat": "}', '{", "y_hat": 0.5}', *_REJECTING))
+    code, _, err, _ = _assert_column_audit_is_the_record_path(path, "jsonl", "simple", chunk, lenient)
+    assert code == 2 and "line 1: invalid JSON" in err
+
+
 def test_column_audit_takes_what_the_scalar_code_accepts(tmp_path):
     """Lines only the scalar code clears hold their parsed values in the
     columns; a JSON NaN is a present value, not an absent field."""
