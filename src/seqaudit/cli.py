@@ -106,9 +106,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     )
     mode = "lenient" if args.lenient else "strict"
     record_trajectory = args.trajectory_out is not None
-    if args.input == "-" or isinstance(strategy, Batched):
-        # Live input decides at each record, and a batched step is a single
-        # record with nothing to pair: both go record by record.
+    if args.input == "-" or isinstance(strategy, Batched) or (mode == "lenient" and fmt == "jsonl"):
+        # Live input decides at each record, a batched step is a single
+        # record with nothing to pair, and any lenient JSONL line may warn:
+        # all three go record by record.
         source = sys.stdin if args.input == "-" else args.input
         stream = ingest.parse_stream(source, format=fmt, mode=mode)
         report = run_stream(config, stream, record_trajectory=record_trajectory)

@@ -290,7 +290,7 @@ class AuditReport:
     ``trajectory`` holds (step, log wealth) pairs of the decision statistic
     (the per-step maximum over games when several run); log wealth is the
     authoritative form, the linear value is derived.  ``per_game`` is present
-    exactly when several games ran; ``ingest.report_from_dict`` checks it.
+    exactly when several games ran.
     """
 
     decision: Decision

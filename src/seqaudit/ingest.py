@@ -22,16 +22,12 @@ from .core import (
     AuditRecord,
     AuditReport,
     Decision,
-    DecisionKind,
-    GameReport,
     IngestError,
     RecordColumns,
     ValidationError,
-    strategy_from_dict,
     strategy_to_dict,
     wealth_from_log,
 )
-from .engine import STRATEGIES
 
 RECORD_FIELDS = ("t", "group", "y_hat", "propensity", "density", "density_estimate")
 _REQUIRED_FIELDS = ("t", "group", "y_hat")
@@ -51,15 +47,6 @@ SUMMARY_COLUMNS = (
 )
 
 REPORT_FORMAT = "seqaudit-report-v1"
-
-
-def record_to_dict(record: AuditRecord) -> dict:
-    d = {"t": record.t, "group": record.group, "y_hat": record.y_hat}
-    for key in _OPTIONAL_FIELDS:
-        value = getattr(record, key)
-        if value is not None:
-            d[key] = value
-    return d
 
 
 def record_from_dict(d: dict, line_no: int = 0, mode: str = "strict") -> AuditRecord:
@@ -237,25 +224,27 @@ def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterat
     """The records :func:`parse_stream` gives, in file order, as column
     chunks.  ``source`` is a path, bytes or a text stream.  The audit's
     engine checks each record's group against its own group count.
+    Lenient JSONL is refused: any of its lines may warn, so it goes record
+    by record through parse_stream.
 
     JSONL is read CHUNK_LINES lines at a time, and each chunk is decided
     whole.  When vectorised checks clear every line of it, blank lines
     aside, as one the scalar code would accept as it is, the chunk is one
     column chunk.  Any other chunk goes line by line through the scalar
     code, as every CSV row does, since its cells are text.  Its records are
-    yielded up to each line the scalar code refuses, whose error is raised
-    at the next pull, and in lenient mode up to each line it may warn about
-    (one with unknown keys, or one the scanner does not decode), which is
-    decided at the next pull.  So every error and warning is parse_stream's,
-    at the same line, and nothing about a line past the one the consumer
-    stops at ever surfaces."""
+    yielded up to the line the scalar code refuses, whose error is raised
+    at the next pull.  So every error and warning is parse_stream's, at the
+    same line, and no error about a line past the one the consumer stops
+    at ever surfaces."""
     _check_format(format, mode)
     if format == "csv":
         return _record_chunks(parse_stream(source, "csv", mode))
-    return _jsonl_chunks(_open_lines(source), source, mode)
+    if mode == "lenient":
+        raise ValidationError("lenient JSONL is parsed record by record, with parse_stream")
+    return _jsonl_chunks(_open_lines(source), source)
 
 
-def _jsonl_chunks(lines, source, mode: str) -> Iterator[RecordColumns]:
+def _jsonl_chunks(lines, source) -> Iterator[RecordColumns]:
     last_t: dict[int, int] = {}
     first = 1  # the line number of the chunk's first line
     try:
@@ -267,7 +256,10 @@ def _jsonl_chunks(lines, source, mode: str) -> Iterator[RecordColumns]:
                 yield cols
             else:
                 numbers = [n for n, line in enumerate(chunk, start=first) if line.strip()]
-                yield from _record_chunks(_jsonl_records(kept, numbers, objs, mode, last_t))
+                yield from _record_chunks(
+                    _jsonl_record(line, line_no, "strict", last_t, obj)
+                    for line, line_no, obj in zip(kept, numbers, objs, strict=True)
+                )
             first += len(chunk)
             if read_error is not None:
                 raise read_error
@@ -276,38 +268,18 @@ def _jsonl_chunks(lines, source, mode: str) -> Iterator[RecordColumns]:
             lines.close()
 
 
-def _jsonl_records(
-    lines: list[str], numbers: list[int], objs: list[dict | None], mode: str, last_t: dict[int, int]
-) -> Iterator[AuditRecord | None]:
-    """The scalar code's records of non-blank lines, given with their line
-    numbers and objects, and a None before each line it may warn about."""
-    for line, line_no, obj in zip(lines, numbers, objs, strict=True):
-        if mode == "lenient" and (obj is None or not _RECORD_KEYS.issuperset(obj)):
-            yield None
-        yield _jsonl_record(line, line_no, mode, last_t, obj)
-
-
-def _record_chunks(records: Iterator[AuditRecord | None]) -> Iterator[RecordColumns]:
+def _record_chunks(records: Iterator[AuditRecord]) -> Iterator[RecordColumns]:
     """Column chunks of the records the scalar code gives, CHUNK_LINES at
-    most, cut where it gives None.  Records are pulled one at a time, so
-    nothing is read past a cut before the rows ahead of it are pulled, and
-    an error pulling a record is raised after the records before it."""
-    chunk: list[AuditRecord] = []
+    most.  An error pulling a record is raised after the chunk of the
+    records before it."""
     try:
-        for record in records:
-            if record is not None:
-                chunk.append(record)
-            if chunk and (record is None or len(chunk) == CHUNK_LINES):
+        for chunk, error in _chunks(records):
+            if chunk:
                 yield _record_columns(chunk)
-                chunk = []
-    except Exception:  # raised after the records before it
-        if chunk:
-            yield _record_columns(chunk)
-        raise
+            if error is not None:
+                raise error
     finally:
         records.close()  # closes a CSV file at once, however this generator ends
-    if chunk:
-        yield _record_columns(chunk)
 
 
 def _chunks(items: Iterable) -> Iterator[tuple[list, Exception | None]]:
@@ -454,29 +426,8 @@ def _check_monotone(record: AuditRecord, last_t: dict[int, int], line_no: int) -
     last_t[record.group] = record.t
 
 
-def write_records(records: Iterable[AuditRecord], sink: IO[str], format: str = "jsonl") -> None:
-    if format == "jsonl":
-        for record in records:
-            sink.write(json.dumps(record_to_dict(record), sort_keys=True))
-            sink.write("\n")
-        return
-    if format == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        for record in records:
-            writer.writerow(
-                ["" if getattr(record, key) is None else getattr(record, key) for key in RECORD_FIELDS]
-            )
-        return
-    raise ValidationError(f"unknown stream format {format!r}")
-
-
 def _decision_to_dict(decision: Decision) -> dict:
     return {"kind": decision.kind.value, "tau": decision.tau, "u_draw": decision.u_draw}
-
-
-def _decision_from_dict(d: dict) -> Decision:
-    return Decision(kind=DecisionKind(d["kind"]), tau=d.get("tau"), u_draw=d.get("u_draw"))
 
 
 def _config_to_dict(config: AuditConfig) -> dict:
@@ -487,16 +438,6 @@ def _config_to_dict(config: AuditConfig) -> dict:
         "randomized_final_step": config.randomized_final_step,
         "seed": config.seed,
     }
-
-
-def _config_from_dict(d: dict) -> AuditConfig:
-    return AuditConfig(
-        alpha=d["alpha"],
-        strategy=strategy_from_dict(d["strategy"]),
-        group_count=d["group_count"],
-        randomized_final_step=d["randomized_final_step"],
-        seed=d["seed"],
-    )
 
 
 def report_to_dict(report: AuditReport) -> dict:
@@ -528,62 +469,18 @@ def report_to_dict(report: AuditReport) -> dict:
     return d
 
 
-def report_from_dict(d: dict) -> AuditReport:
-    if d.get("format") != REPORT_FORMAT:
-        raise ValidationError(f"unknown report format {d.get('format')!r}")
-    per_game = None
-    if d.get("per_game") is not None:
-        per_game = [
-            GameReport(
-                game_id=g["game_id"],
-                log_wealth_final=g["log_wealth_final"],
-                wealth_final=_from_finite_or_str(g["wealth_final"]),
-                rejected=g["rejected"],
-                tau=g.get("tau"),
-                trajectory=None
-                if g.get("trajectory") is None
-                else [(int(step), float(lw)) for step, lw in g["trajectory"]],
-            )
-            for g in d["per_game"]
-        ]
-    report = AuditReport(
-        decision=_decision_from_dict(d["decision"]),
-        config_echo=_config_from_dict(d["config"]),
-        wealth_final=_from_finite_or_str(d["wealth_final"]),
-        log_wealth_final=d["log_wealth_final"],
-        trajectory=None
-        if d.get("trajectory") is None
-        else [(int(step), float(lw)) for step, lw in d["trajectory"]],
-        per_game=per_game,
-    )
-    config = report.config_echo  # outside input: per_game must match the audit's games
-    if (len(STRATEGIES[type(config.strategy)].games(config)) > 1) != (per_game is not None):
-        raise ValidationError("per_game must be present exactly for audits with several games")
-    return report
-
-
 def _finite_or_str(x: float) -> float | str:
     # The log form is authoritative; an overflowing linear value serializes
     # as the string "inf" to stay inside strict JSON.
     return "inf" if math.isinf(x) else x
 
 
-def _from_finite_or_str(x) -> float:
-    return math.inf if x == "inf" else float(x)
-
-
 def emit_report(report: AuditReport, sink: IO[str]) -> None:
-    """Serialize a report as one JSON document with stable key order; the
-    output round-trips through :func:`parse_report` exactly."""
+    """Serialize a report as one JSON document with stable key order: the
+    :func:`report_to_dict` form, in strict JSON, so an infinite linear
+    wealth is written as the string "inf"."""
     json.dump(report_to_dict(report), sink, sort_keys=True, indent=2)
     sink.write("\n")
-
-
-def parse_report(source) -> AuditReport:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return report_from_dict(json.load(fh))
-    return report_from_dict(json.load(source))
 
 
 def write_trajectory_csv(report: AuditReport, sink: IO[str]) -> None:

@@ -525,23 +525,8 @@ _SCENARIO_TAGS = {
 }
 
 
-def _as_lists(value):
-    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
-
-
 def _as_tuples(value):
     return tuple(_as_tuples(v) for v in value) if isinstance(value, list) else value
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """The JSON object of a scenario: its kind and every field that is not
-    None, tuples written as lists."""
-    d: dict = {"kind": _SCENARIO_TAGS[type(scenario)]}
-    for f in fields(scenario):
-        value = getattr(scenario, f.name)
-        if value is not None:
-            d[f.name] = _as_lists(value)
-    return d
 
 
 def scenario_from_dict(d: dict) -> Scenario:

@@ -782,11 +782,28 @@ def test_column_audit_takes_what_the_scalar_code_accepts(tmp_path):
     path.write_text(_jsonl(*({**row, "y_hat": str(row["y_hat"])} for row in _REJECTING)))
     assert _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048, lenient=True)[0] == 1
     path.write_text(_jsonl(*({**row, "t": float(row["t"])} for row in _REJECTING)))
+    assert _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048)[0] == 1
     assert _assert_column_audit_is_the_record_path(path, "jsonl", "propensity", 2048)[2].startswith(
         "error: record at t=1 group=0 lacks propensity")
     path.write_text(_jsonl({"t": 1, "group": 0, "y_hat": 0.5, "propensity": math.nan}))
     code, _, err, _ = _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048)
     assert code == 2 and "propensity must be a positive finite real, got nan" in err
+
+
+def test_lenient_jsonl_audits_record_by_record(tmp_path):
+    """Any lenient JSONL line may warn, so a lenient JSONL audit never reads
+    columns; lenient CSV, where only the header can warn, still does."""
+    path = tmp_path / "audit.jsonl"
+    path.write_text(_jsonl(*({**row, "note": 1} for row in _REJECTING)))
+    with mock.patch.object(ingest, "parse_columns", side_effect=AssertionError("read as columns")):
+        code, _, _, shown = _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048, lenient=True)
+    assert code == 1 and len(shown) == 2 * 9
+    path = tmp_path / "audit.csv"
+    path.write_text("t,group,y_hat,note\n" + "".join(f"{r['t']},{r['group']},{r['y_hat']},x\n" for r in _REJECTING))
+    with mock.patch.object(ingest, "parse_columns", wraps=ingest.parse_columns) as columns:
+        code, _, _, shown = _assert_column_audit_is_the_record_path(path, "csv", "simple", 2048, lenient=True)
+    assert code == 1 and len(shown) == 1
+    assert columns.call_count == 1
 
 
 def test_column_audit_reads_past_its_stop_without_failing(tmp_path):

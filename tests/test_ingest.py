@@ -2,6 +2,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,21 +10,19 @@ from seqaudit.core import (
     AuditConfig,
     AuditRecord,
     Composite,
-    EstimatedDensity,
+    Decision,
+    DecisionKind,
     IngestError,
     ValidationError,
-    strategy_to_dict,
+    strategy_from_dict,
 )
 from seqaudit.engine import run_stream
 from seqaudit.ingest import (
     emit_report,
-    parse_report,
+    parse_columns,
     parse_stream,
     record_from_dict,
-    record_to_dict,
-    report_from_dict,
     report_to_dict,
-    write_records,
     write_summary_csv,
     write_trajectory_csv,
 )
@@ -83,14 +82,18 @@ def test_propensity_fields_parse_and_weight_downstream():
 
 
 def test_csv_round_trip_and_header_validation():
+    text = (
+        "t,group,y_hat,propensity,density,density_estimate\n"
+        "1,0,0.7,0.25,0.5,\n"
+        "1,1,0.2,,,\n"
+        "2,0,0.4,0.3,,0.9\n"
+    )
     records = [
         AuditRecord(t=1, group=0, y_hat=0.7, propensity=0.25, density=0.5),
         AuditRecord(t=1, group=1, y_hat=0.2),
         AuditRecord(t=2, group=0, y_hat=0.4, density_estimate=0.9, propensity=0.3),
     ]
-    buf = io.StringIO()
-    write_records(records, buf, format="csv")
-    parsed = list(parse_stream(io.StringIO(buf.getvalue()), format="csv"))
+    parsed = list(parse_stream(io.StringIO(text), format="csv"))
     assert parsed == records
 
     bad = "t,group,y_hat,color\n1,0,0.5,red\n"
@@ -107,21 +110,24 @@ def test_csv_round_trip_and_header_validation():
 
 
 def test_jsonl_round_trip_bit_identical():
+    text = (
+        '{"density": 0.12345678901234568, "group": 0, "propensity": 0.14285714285714285, '
+        '"t": 3, "y_hat": 0.3333333333333333}\n'
+        '{"group": 1, "t": 4, "y_hat": 0.9999999999999999}\n'
+    )
     records = [
         AuditRecord(t=3, group=0, y_hat=1 / 3, propensity=1 / 7, density=0.123456789012345678),
         AuditRecord(t=4, group=1, y_hat=0.9999999999999999),
     ]
-    buf = io.StringIO()
-    write_records(records, buf, format="jsonl")
-    parsed = list(parse_stream(io.StringIO(buf.getvalue())))
-    assert parsed == records  # float fields round-trip exactly
+    parsed = list(parse_stream(io.StringIO(text)))
+    assert parsed == records  # the shortest repr of each float reads back exactly
 
 
 def test_record_dict_validation():
     with pytest.raises(IngestError, match="missing required keys"):
         record_from_dict({"t": 1, "group": 0}, line_no=7)
-    rec = record_from_dict(record_to_dict(AuditRecord(t=1, group=0, y_hat=0.25)))
-    assert rec.y_hat == 0.25
+    rec = record_from_dict({"t": 1, "group": 0, "y_hat": 0.25})
+    assert rec == AuditRecord(t=1, group=0, y_hat=0.25)
 
 
 @pytest.mark.parametrize(
@@ -234,11 +240,22 @@ def _report(randomized=False, composite=False, horizon=100, seed=5):
 
 
 def test_report_round_trip_identity():
+    """The written document loads as report_to_dict's form, whose fields
+    hold the report's values exactly."""
     for report in (_report(), _report(randomized=True), _report(composite=True)):
         buf = io.StringIO()
         emit_report(report, buf)
-        parsed = parse_report(io.StringIO(buf.getvalue()))
-        assert parsed == report
+        doc = json.loads(buf.getvalue())
+        assert doc == report_to_dict(report)
+        decision, config = doc["decision"], doc["config"]
+        assert Decision(DecisionKind(decision["kind"]), decision["tau"], decision["u_draw"]) == report.decision
+        assert AuditConfig(**{**config, "strategy": strategy_from_dict(config["strategy"])}) == report.config_echo
+        assert (doc["wealth_final"], doc["log_wealth_final"]) == (report.wealth_final, report.log_wealth_final)
+        assert doc["trajectory"] == [[step, lw] for step, lw in report.trajectory]
+        keys = ("game_id", "log_wealth_final", "wealth_final", "rejected", "tau")
+        games = [[*(getattr(g, key) for key in keys), [[step, lw] for step, lw in g.trajectory]]
+                 for g in report.per_game or ()]
+        assert [[*(g[key] for key in keys), g["trajectory"]] for g in doc["per_game"] or ()] == games
 
 
 def test_report_serialization_deterministic():
@@ -258,7 +275,7 @@ def test_report_document_fields():
         "reject", "continue", "final_randomized_reject", "final_fail_to_reject",
     )
     assert "log_wealth_final" in doc and "wealth_final" in doc
-    report_from_dict(json.loads(json.dumps(doc)))
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_report_reject_fields_pass_through():
@@ -268,25 +285,32 @@ def test_report_reject_fields_pass_through():
     assert doc["decision"]["tau"] == report.decision.tau
 
 
-def test_report_per_game_presence_matches_mode():
-    """The reader is where reports come from outside input: it refuses
-    per_game on a one-game audit and its absence on a two-game one."""
-    doc = report_to_dict(_report())
-    assert report_from_dict(doc).per_game is None
-    with pytest.raises(ValidationError, match="per_game"):
-        report_from_dict({**doc, "per_game": []})
-    for strategy in (Composite(epsilon=0.1), EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.1)):
-        config = {**doc["config"], "strategy": strategy_to_dict(strategy)}
-        with pytest.raises(ValidationError, match="per_game"):
-            report_from_dict({**doc, "config": config, "per_game": None})
-
-
 def test_infinite_wealth_serializes():
-    report = _report()
-    doc = report_to_dict(report)
-    doc["wealth_final"] = "inf"
-    parsed = report_from_dict(doc)
-    assert parsed.wealth_final == math.inf
+    """An overflowing linear wealth is written as the string "inf", so the
+    document stays strict JSON."""
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not strict JSON")
+
+    report = replace(_report(composite=True), wealth_final=math.inf)
+    report = replace(report, per_game=[replace(g, wealth_final=math.inf) for g in report.per_game])
+    buf = io.StringIO()
+    emit_report(report, buf)
+    doc = json.loads(buf.getvalue(), parse_constant=refuse)
+    assert doc["wealth_final"] == "inf"
+    assert [g["wealth_final"] for g in doc["per_game"]] == ["inf", "inf"]
+    assert doc["log_wealth_final"] == report.log_wealth_final
+
+
+def test_parse_columns_refuses_lenient_jsonl(tmp_path):
+    """Any lenient JSONL line may warn, so lenient JSONL is parsed record by
+    record; lenient CSV, where only the header can warn, stays on columns."""
+    path = tmp_path / "audit.jsonl"
+    path.write_text('{"t": 1, "group": 0, "y_hat": 0.5}\n')
+    with pytest.raises(ValidationError, match="lenient JSONL"):
+        parse_columns(path, "jsonl", "lenient")
+    (cols,) = parse_columns(io.StringIO("t,group,y_hat\n1,0,0.5\n"), "csv", "lenient")
+    assert cols.t.tolist() == [1] and cols.y_hat.tolist() == [0.5]
 
 
 def test_trajectory_csv_plain_and_per_game():
