@@ -86,12 +86,6 @@ def _write_out(path: str | None, write) -> None:
             write(fh)
 
 
-def _without_trajectory(report):
-    """The report as ``audit`` prints it: trajectories go to --trajectory-out only."""
-    per_game = report.per_game and [replace(g, trajectory=None) for g in report.per_game]
-    return replace(report, trajectory=None, per_game=per_game)
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     fmt = args.format
     if fmt == "auto":
@@ -119,7 +113,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.trajectory_out is not None:
         with open(args.trajectory_out, "w", encoding="utf-8") as fh:
             ingest.write_trajectory_csv(report, fh)
-    ingest.emit_report(_without_trajectory(report), sys.stdout)
+    ingest.emit_report(report, sys.stdout)
     return EXIT_REJECT if report.decision.is_rejection else EXIT_NO_REJECT
 
 

@@ -46,9 +46,9 @@ class IngestError(AuditError):
         self.reason = reason
 
 
-# Group labels are plain ints; range against the configured group count is
-# enforced where that count is known (engine / ingest).
-GroupLabel = int
+def group_range_error(group: int, group_count: int) -> ValidationError:
+    """The error of a record whose group lies outside the audit's groups."""
+    return ValidationError(f"group {group} out of range for {group_count} groups")
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -85,7 +85,7 @@ class AuditRecord:
     """
 
     t: int
-    group: GroupLabel
+    group: int
     y_hat: float
     propensity: float | None = None
     density: float | None = None
@@ -285,12 +285,14 @@ class GameReport:
 
 @dataclass(frozen=True, slots=True)
 class AuditReport:
-    """Full, serializable outcome of an audit session.
+    """Full outcome of an audit session.
 
     ``trajectory`` holds (step, log wealth) pairs of the decision statistic
-    (the per-step maximum over games when several run); log wealth is the
-    authoritative form, the linear value is derived.  ``per_game`` is present
-    exactly when several games ran.
+    (the per-step maximum over games when several run), when the session
+    recorded one; log wealth is the authoritative form, the linear value is
+    derived.  ``per_game`` is present exactly when several games ran.  The
+    report document (``ingest.report_to_dict``) leaves the trajectories out;
+    ``ingest.write_trajectory_csv`` writes them.
     """
 
     decision: Decision

@@ -39,6 +39,7 @@ from .core import (
     SessionStateError,
     Simple,
     ValidationError,
+    group_range_error,
     wealth_from_log,
 )
 from .payoffs import (
@@ -171,16 +172,12 @@ def _simple_step(session: AuditSession, records) -> list[float]:
     return args
 
 
-def _batched_step(session: AuditSession, records) -> tuple[float]:
-    if isinstance(records, AuditRecord):
-        record = records
-    elif len(records) == 1:
-        record = records[0]
-    else:
+def _batched_step(session: AuditSession, record: AuditRecord) -> tuple[float]:
+    if not isinstance(record, AuditRecord):
         raise ValidationError("batched mode consumes a single record per step")
-    batch_push(session.batch, record)
-    g, session.batch = batch_payoff(session.batch)
-    return (g,)
+    if batch_push(session.batch, record):
+        return (0.0,)
+    return (batch_payoff(session.batch, record),)
 
 
 def _composite_step(session: AuditSession, records) -> tuple[float, float]:
@@ -340,36 +337,27 @@ def run_stream(
     randomized terminal step is enabled.  Deterministic given (config.seed,
     stream)."""
     session = session_new(config, record_trajectory=record_trajectory)
-    if session.row.batched:
-        for record in stream:
-            if record.group > 1:
-                raise ValidationError("batched audits cover two groups")
-            _, decision = session_step(session, record)
-            if decision.is_terminal:
-                return build_report(session)
-    else:
-        # First-in-first-out per group: a step takes the oldest unpaired
-        # record of every group, at constant cost whatever the backlog.
-        buffers: list[deque[AuditRecord]] = [deque() for _ in range(config.group_count)]
-        pending = 0
-        for record in stream:
-            if record.group >= config.group_count:
-                raise group_range_error(record.group, config.group_count)
+    paired = not session.row.batched
+    # First-in-first-out per group: a step takes the oldest unpaired record
+    # of every group, at constant cost whatever the backlog.
+    buffers: list[deque[AuditRecord]] = [deque() for _ in range(config.group_count)]
+    pending = 0
+    for record in stream:
+        if record.group >= config.group_count:
+            raise group_range_error(record.group, config.group_count)
+        step = record
+        if paired:
             if not buffers[record.group]:
                 pending += 1
             buffers[record.group].append(record)
-            if pending == config.group_count:
-                bundle = [buf.popleft() for buf in buffers]
-                pending = sum(1 for buf in buffers if buf)
-                _, decision = session_step(session, bundle)
-                if decision.is_terminal:
-                    return build_report(session)
+            if pending < config.group_count:
+                continue
+            step = [buf.popleft() for buf in buffers]
+            pending = sum(1 for buf in buffers if buf)
+        _, decision = session_step(session, step)
+        if decision.is_terminal:
+            return build_report(session)
     return _end_of_stream(session)
-
-
-def group_range_error(group: int, group_count: int) -> ValidationError:
-    """The error of a record whose group lies outside the audit's groups."""
-    return ValidationError(f"group {group} out of range for {group_count} groups")
 
 
 def run_columns(
@@ -391,16 +379,11 @@ def run_columns(
     return run_args(config, _paired_args(config, chunks), record_trajectory)
 
 
-# A chunk's records of one group join the newest piece of the backlog while
-# it holds fewer than this, so that tiny chunks do not cost an array each.
-_PIECE_MIN = 256
-
-
 class _Backlog:
     """One group's unpaired records, oldest first: pieces of one array per
-    field the strategy reads, each piece the records of one or more chunks,
-    and how many records of the oldest piece are already paired.  A waiting
-    record costs its fields' bytes, however long it waits."""
+    field the strategy reads, each piece the records of one chunk, and how
+    many records of the oldest piece are already paired.  A waiting record
+    costs its fields' bytes, however long it waits."""
 
     __slots__ = ("pieces", "head", "size")
 
@@ -410,13 +393,9 @@ class _Backlog:
         self.size = 0
 
     def push(self, fields: list[np.ndarray]) -> None:
-        n = len(fields[0])
-        if not n:
-            return
-        if self.pieces and len(self.pieces[-1][0]) < _PIECE_MIN:
-            fields = [np.concatenate(cols) for cols in zip(self.pieces.pop(), fields)]
-        self.pieces.append(fields)
-        self.size += n
+        if len(fields[0]):
+            self.pieces.append(fields)
+            self.size += len(fields[0])
 
     def take(self, m: int) -> list[np.ndarray]:
         """The fields of the ``m`` oldest records, which leave the backlog."""

@@ -441,15 +441,17 @@ def _config_to_dict(config: AuditConfig) -> dict:
 
 
 def report_to_dict(report: AuditReport) -> dict:
-    d = {
+    """The report document: decision, configuration and final wealth, with
+    each game's when several ran.  Its ``trajectory`` keys are always null,
+    at the top level and in each game; a trajectory goes only to
+    :func:`write_trajectory_csv`."""
+    return {
         "format": REPORT_FORMAT,
         "decision": _decision_to_dict(report.decision),
         "config": _config_to_dict(report.config_echo),
         "wealth_final": _finite_or_str(report.wealth_final),
         "log_wealth_final": report.log_wealth_final,
-        "trajectory": None
-        if report.trajectory is None
-        else [[step, lw] for step, lw in report.trajectory],
+        "trajectory": None,
         "per_game": None
         if report.per_game is None
         else [
@@ -459,14 +461,11 @@ def report_to_dict(report: AuditReport) -> dict:
                 "wealth_final": _finite_or_str(g.wealth_final),
                 "rejected": g.rejected,
                 "tau": g.tau,
-                "trajectory": None
-                if g.trajectory is None
-                else [[step, lw] for step, lw in g.trajectory],
+                "trajectory": None,
             }
             for g in report.per_game
         ],
     }
-    return d
 
 
 def _finite_or_str(x: float) -> float | str:

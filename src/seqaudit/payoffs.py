@@ -19,6 +19,7 @@ from .core import (
     ValidationError,
     _check_positive,
     _check_unit_interval,
+    group_range_error,
 )
 
 # Slack for validating caller-supplied corrective scales against observed
@@ -28,19 +29,17 @@ _SCALE_RTOL = 1e-9
 
 
 class BatchAccumulator:
-    """Outputs accumulated per group since the last bet fired, in arrival
-    order.  Owned by one session: :func:`batch_push` appends in place, so a
-    record costs the same however long the backlog is."""
+    """The outputs of the one group with a pending batch, in arrival order,
+    since the last bet fired.  A bet fires at the first record of the other
+    group, and that record is its group's whole batch, so no second batch
+    is ever pending.  Owned by one session: :func:`batch_push` appends in
+    place, so a record costs the same however long the batch is."""
 
-    __slots__ = ("pending_0", "pending_1")
+    __slots__ = ("outputs", "group")
 
     def __init__(self):
-        self.pending_0: list[float] = []
-        self.pending_1: list[float] = []
-
-    @property
-    def ready(self) -> bool:
-        return bool(self.pending_0) and bool(self.pending_1)
+        self.outputs: list[float] = []
+        self.group = 0
 
 
 def payoff_propensity(
@@ -84,30 +83,28 @@ def payoff_propensity(
     return upper, lower
 
 
-def batch_push(acc: BatchAccumulator, record: AuditRecord) -> None:
-    """Append a record's output to its group's pending batch, in place."""
-    if record.group == 0:
-        acc.pending_0.append(record.y_hat)
-    elif record.group == 1:
-        acc.pending_1.append(record.y_hat)
-    else:
-        raise ValidationError(f"batched payoffs audit two groups, got group {record.group!r}")
+def batch_push(acc: BatchAccumulator, record: AuditRecord) -> bool:
+    """Append a record's output to the pending batch, in place, and return
+    True when it joins the batch.  Return False, leaving the batch as it
+    is, when the record belongs to the other group: then it fires."""
+    if record.group > 1:
+        raise group_range_error(record.group, 2)
+    if acc.outputs and record.group != acc.group:
+        return False
+    acc.outputs.append(record.y_hat)
+    acc.group = record.group
+    return True
 
 
-def batch_payoff(acc: BatchAccumulator) -> tuple[float, BatchAccumulator]:
-    """Argument of a bet on the difference of the pending batch means, or
-    an abstention.
-
-    While either group's batch is empty the argument is 0.0, whose payoff is
-    exactly 1 (wealth is untouched), and the accumulator is returned
-    unchanged; once both are nonempty the batches are consumed and a fresh,
-    empty accumulator is returned in its place.
-    """
-    if not acc.ready:
-        return 0.0, acc
-    g0 = math.fsum(acc.pending_0) / len(acc.pending_0)
-    g1 = math.fsum(acc.pending_1) / len(acc.pending_1)
-    return g0 - g1, BatchAccumulator()
+def batch_payoff(acc: BatchAccumulator, record: AuditRecord) -> float:
+    """Argument of the bet that ``record`` fires on the difference of the
+    group means, group 0's minus group 1's: the pending batch's mean against
+    the firing record's output, which is its group's whole batch.  The batch
+    is emptied.  A record that joins the batch abstains instead, with the
+    argument 0.0, whose payoff is exactly 1."""
+    mean = math.fsum(acc.outputs) / len(acc.outputs)
+    acc.outputs.clear()
+    return mean - record.y_hat if record.group == 1 else record.y_hat - mean
 
 
 def weight_from_record(record: AuditRecord, estimated: bool = False) -> float:
@@ -147,7 +144,7 @@ def batched_args(y: np.ndarray) -> np.ndarray:
     """Batched arguments of a stream that brings one record per group, in
     group order, at every step: the group-0 record abstains and the group-1
     record fires on two one-record batches, whose means are the outputs.
-    The abstentions are the rows g = 0.0 that :func:`batch_payoff` gives."""
+    The abstentions are the rows g = 0.0 of the records that join a batch."""
     out = np.zeros((2 * len(y), 1))
     out[1::2] = simple_args(y)
     return out

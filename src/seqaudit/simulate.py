@@ -244,20 +244,6 @@ def policy_corrective_scale(pop: PolicyPopulation) -> float:
     return 1.0 / (2.0 * w_max)
 
 
-def estimated_density_bounds(pop: PolicyPopulation) -> tuple[float, float]:
-    """(delta_min, delta_max): extreme ratios of estimated to true density
-    over points with population mass."""
-    if pop.density_estimates is None:
-        raise ValidationError("population carries no density estimates")
-    ratios = [
-        est / r
-        for rho, est_row in zip(pop.density, pop.density_estimates)
-        for r, est in zip(rho, est_row)
-        if r > 0.0
-    ]
-    return min(ratios), max(ratios)
-
-
 def estimated_density_scale(pop: PolicyPopulation, delta_min: float) -> float:
     """Largest admissible corrective factor for the estimated-density payoff."""
     if pop.density_estimates is None:

@@ -49,7 +49,6 @@ from seqaudit.simulate import (
     PolicyPopulation,
     derive_seed,
     draw_outputs,
-    estimated_density_bounds,
     estimated_density_scale,
     generate_stream,
     monte_carlo,
@@ -367,7 +366,9 @@ def _estimated_audit(outputs, estimates, seed):
         density=((0.25,) * 4,) * 2, outputs=outputs, policy=(0.25,) * 4,
         density_estimates=estimates, horizon=2000, seed=seed,
     )
-    lo, hi = estimated_density_bounds(pop)
+    ratios = [e / r for rho, est in zip(pop.density, pop.density_estimates)
+              for r, e in zip(rho, est) if r > 0.0]
+    lo, hi = min(ratios), max(ratios)
     return EstimatedDensity(delta_min=lo, delta_max=hi, scale=estimated_density_scale(pop, lo)), pop
 
 

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqaudit import baselines, ingest
+from seqaudit import baselines, engine, ingest
 from seqaudit.baselines import BatchProtocol, PermutationTestConfig, run_protocol
-from seqaudit.cli import _without_trajectory, main
+from seqaudit.cli import main
 from seqaudit.core import (
     AuditConfig,
     AuditError,
@@ -48,11 +48,13 @@ SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
 def run_cli(*argv, cwd=None):
+    """Run ``python -m seqaudit`` in a child (see :func:`child_env`)."""
     return subprocess.run(
         [sys.executable, "-m", "seqaudit", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=child_env(),
     )
 
 
@@ -678,7 +680,7 @@ def _assert_column_audit_is_the_record_path(
             return 2
         with open(trajectories[1], "w", encoding="utf-8") as fh:
             ingest.write_trajectory_csv(report, fh)
-        ingest.emit_report(_without_trajectory(report), out)
+        ingest.emit_report(report, out)
         return 1 if report.decision.is_rejection else 0
 
     for traj in trajectories:
@@ -900,6 +902,24 @@ def test_column_audit_checks_groups_against_the_audit(tmp_path):
     report = run_columns(config, ingest.parse_columns(path))
     assert report == run_stream(config, ingest.parse_stream(path))
     assert report.decision.kind is DecisionKind.REJECT
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_batched_audit_checks_groups_as_every_audit_does(tmp_path, monkeypatch, capsys, stdin):
+    """A group outside the batched audit's two stops it with the error every
+    audit gives, once the steps of the records before it have run."""
+    rows = [{"t": 1, "group": 0, "y_hat": 0.9}, {"t": 2, "group": 0, "y_hat": 0.7},
+            {"t": 1, "group": 1, "y_hat": 0.1}, {"t": 1, "group": 2, "y_hat": 0.5},
+            {"t": 3, "group": 0, "y_hat": 0.5}]
+    path = tmp_path / "audit.jsonl"
+    path.write_text(_jsonl(*rows))
+    if stdin:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    argv = ["audit", "-" if stdin else str(path), "--strategy", "batched"]
+    with mock.patch.object(engine, "session_step", wraps=engine.session_step) as step:
+        assert main(argv) == 2
+    assert step.call_count == 3
+    assert capsys.readouterr() == ("", "error: group 2 out of range for 2 groups\n")
 
 
 @pytest.mark.parametrize("chunk", [1, 2])

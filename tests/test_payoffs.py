@@ -192,47 +192,50 @@ def test_composite_boundary_null_mean_by_enumeration(lam):
     assert abs(expectation - 1.0) < 1e-12
 
 
-def _accumulator(pending_0=(), pending_1=()):
+def test_batch_push_joins_in_place_and_abstains():
+    """A record of the pending group, or any record on an empty batch,
+    joins the batch in place; the record path then plays 0.0 (payoff 1)."""
     acc = BatchAccumulator()
-    acc.pending_0.extend(pending_0)
-    acc.pending_1.extend(pending_1)
-    return acc
+    outputs = acc.outputs
+    assert batch_push(acc, AuditRecord(t=1, group=0, y_hat=0.7))
+    assert batch_push(acc, AuditRecord(t=2, group=0, y_hat=0.4))
+    assert acc.outputs is outputs and outputs == [0.7, 0.4] and acc.group == 0
+    fire = AuditRecord(t=1, group=1, y_hat=0.2)
+    assert not batch_push(acc, fire)
+    assert outputs == [0.7, 0.4] and acc.group == 0
 
 
-def test_batch_push_appends_per_group():
+@pytest.mark.parametrize("pending,fire,want", [(0, 1, 0.4), (1, 0, -0.4)])
+def test_batch_payoff_fires_on_the_mean_difference_and_empties(pending, fire, want):
+    """A fire in either direction bets on group 0's mean minus group 1's."""
     acc = BatchAccumulator()
-    batch_push(acc, AuditRecord(t=1, group=0, y_hat=0.7))
-    assert acc.pending_0 == [0.7] and not acc.ready
-    batch_push(acc, AuditRecord(t=2, group=0, y_hat=0.4))
-    assert acc.pending_0 == [0.7, 0.4]
-    batch_push(acc, AuditRecord(t=3, group=1, y_hat=0.2))
-    assert acc.ready
-    with pytest.raises(ValidationError):
-        batch_push(acc, AuditRecord(t=4, group=2, y_hat=0.2))
-
-
-def test_batch_payoff_means_and_clearing():
-    acc = _accumulator(pending_0=(0.7, 0.5), pending_1=(0.2,))
-    g, cleared = batch_payoff(acc)
-    assert g == pytest.approx(0.4)
-    assert cleared is not acc
-    assert cleared.pending_0 == [] and cleared.pending_1 == []
-
-
-def test_batch_payoff_abstains_when_one_side_empty():
-    acc = _accumulator(pending_0=(0.7,))
-    g, unchanged = batch_payoff(acc)
-    assert g == 0.0  # payoff exactly 1 whatever the bet
-    assert unchanged is acc
-    assert acc.pending_0 == [0.7] and acc.pending_1 == []
+    for t, y in enumerate((0.7, 0.5), 1):
+        assert batch_push(acc, AuditRecord(t=t, group=pending, y_hat=y))
+    record = AuditRecord(t=1, group=fire, y_hat=0.2)
+    assert not batch_push(acc, record)
+    assert batch_payoff(acc, record) == pytest.approx(want)
+    assert acc.outputs == []
+    assert batch_push(acc, AuditRecord(t=2, group=fire, y_hat=0.3))  # a new batch opens
 
 
 def test_batch_singletons_match_simple_bit_for_bit():
     rng_vals = [(0.13, 0.87), (1.0, 0.0), (0.5, 0.5), (0.999, 0.001)]
     for y0, y1 in rng_vals:
-        acc = _accumulator(pending_0=(y0,), pending_1=(y1,))
-        g, _ = batch_payoff(acc)
-        assert g == _simple(y0, y1)
+        for first, second in ((0, 1), (1, 0)):
+            acc = BatchAccumulator()
+            y = (y0, y1)
+            assert batch_push(acc, AuditRecord(t=1, group=first, y_hat=y[first]))
+            record = AuditRecord(t=1, group=second, y_hat=y[second])
+            assert not batch_push(acc, record)
+            assert batch_payoff(acc, record) == _simple(y0, y1)
+
+
+def test_batch_push_refuses_group_two():
+    acc = BatchAccumulator()
+    batch_push(acc, AuditRecord(t=1, group=0, y_hat=0.5))
+    with pytest.raises(ValidationError, match="group 2 out of range for 2 groups"):
+        batch_push(acc, AuditRecord(t=1, group=2, y_hat=0.5))
+    assert acc.outputs == [0.5]
 
 
 def test_weight_helpers_from_records():

@@ -28,7 +28,6 @@ from seqaudit.simulate import (
     SinusoidalDrift,
     derive_seed,
     draw_outputs,
-    estimated_density_bounds,
     estimated_density_scale,
     generate_stream,
     mean_at,
@@ -146,9 +145,7 @@ def test_estimated_density_helpers():
         policy=(0.4, 0.6),
         density_estimates=((0.24, 0.96), (0.6, 0.6)),
     )
-    lo, hi = estimated_density_bounds(pop)
-    assert lo == pytest.approx(1.2) and hi == pytest.approx(1.2)
-    scale = estimated_density_scale(pop, delta_min=lo)
+    scale = estimated_density_scale(pop, delta_min=1.2)
     assert scale == pytest.approx(1.2 / (2.0 * 1.6))
     rec0 = next(stream_to_iterable(pop, seed=4))
     assert rec0.density_estimate == pytest.approx(1.2 * rec0.density)
@@ -383,7 +380,10 @@ def _differential_cases():
     propensity = Propensity(scale=policy_corrective_scale(_PROPENSITY))
     cases.append((propensity, _PROPENSITY, "Propensity-population"))
     for scen, name in ((_ESTIMATED, "population"), (_HOSTILE, "hostile")):
-        lo, hi = estimated_density_bounds(scen)
+        # The extreme ratios of estimated to true density over points with mass.
+        ratios = [e / r for rho, est in zip(scen.density, scen.density_estimates)
+                  for r, e in zip(rho, est) if r > 0.0]
+        lo, hi = min(ratios), max(ratios)
         estimated = EstimatedDensity(delta_min=lo, delta_max=hi, scale=estimated_density_scale(scen, lo))
         cases.append((estimated, scen, f"EstimatedDensity-{name}"))
     return [pytest.param(strategy, scen, id=name) for strategy, scen, name in cases]
