@@ -90,6 +90,29 @@ class _Game:
         if self.trajectory is not None:
             self.trajectory.append(self.log_wealth)
 
+    def advance(self, gs: Sequence[float], log_bar: float = math.inf) -> int:
+        """Apply the arguments ``gs`` in step order by the rule of
+        :meth:`apply`, with the state held in locals, and stop after the
+        first one that brings the log wealth to ``log_bar``.  Returns how
+        many arguments were applied."""
+        lam, grad_acc, log_wealth = self.lam, self.grad_acc, self.log_wealth
+        s_sum, v_sum, lo, trajectory = self.s_sum, self.v_sum, self.lo, self.trajectory
+        log, ons_step = math.log, _ons_step
+        n = 0
+        for n, g in enumerate(gs, 1):
+            if g != 0.0:
+                log_wealth += log(1.0 + lam * g)
+                s_sum += g
+                v_sum += g * g
+                lam, grad_acc = ons_step(lam, grad_acc, g, lo, 0.5)
+            if trajectory is not None:
+                trajectory.append(log_wealth)
+            if log_wealth >= log_bar:
+                break
+        self.lam, self.grad_acc, self.log_wealth = lam, grad_acc, log_wealth
+        self.s_sum, self.v_sum = s_sum, v_sum
+        return n
+
 
 @dataclass(frozen=True, slots=True)
 class StrategyRow:
@@ -474,7 +497,12 @@ def run_args(
     advances by the rule :func:`session_step` uses, the run stops at the
     first rejection and ends as :func:`run_stream` does, so both give the
     same report for the same arguments.  A block is pulled only when the steps
-    before it ran without a terminal decision."""
+    before it ran without a terminal decision.
+
+    Games never interact, so each one advances over its whole column of a
+    block in one call, stopping where its wealth reaches the threshold.  The
+    block's steps end at the earliest such stop: a game that ran past it
+    goes back to its state before the block and advances again up to it."""
     session = session_new(config, record_trajectory=record_trajectory)
     games = session.games
     for block in blocks:
@@ -482,12 +510,22 @@ def run_args(
             raise ValidationError(
                 f"argument blocks need one column per game ({len(games)}), got shape {block.shape}"
             )
-        for row in block.tolist():
-            for game, g in zip(games, row):
-                game.apply(g)
-            session.steps += 1
-            if _post_step(session).is_terminal:
-                return build_report(session)
+        saved = [
+            (g.lam, g.grad_acc, g.log_wealth, g.s_sum, g.v_sum, len(g.trajectory or ()))
+            for g in games
+        ]
+        cols = block.T.tolist()
+        counts = [game.advance(col, session.log_threshold) for game, col in zip(games, cols)]
+        stop = min(counts)
+        for game, col, count, state in zip(games, cols, counts, saved):
+            if count > stop:
+                game.lam, game.grad_acc, game.log_wealth, game.s_sum, game.v_sum, length = state
+                if game.trajectory is not None:
+                    del game.trajectory[length:]
+                game.advance(col[:stop])
+        session.steps += stop
+        if _post_step(session).is_terminal:
+            return build_report(session)
     return _end_of_stream(session)
 
 

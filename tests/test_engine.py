@@ -24,9 +24,17 @@ from seqaudit.core import (
     SessionStateError,
     ValidationError,
 )
-from seqaudit.engine import build_report, run_stream, session_finalize, session_new, session_step
+from seqaudit.engine import (
+    _Game,
+    build_report,
+    run_args,
+    run_stream,
+    session_finalize,
+    session_new,
+    session_step,
+)
 from seqaudit.ingest import report_to_dict
-from seqaudit.payoffs import simple_args
+from seqaudit.payoffs import composite_args, simple_args
 
 from conftest import bernoulli_pair_stream
 
@@ -475,6 +483,100 @@ def test_simple_interleaving_gives_the_balanced_report(data, groups, randomized)
     interleaved = [next(cursors[b]) for b in order]
     config = AuditConfig(alpha=0.1, group_count=groups, randomized_final_step=randomized, seed=seed)
     assert run_stream(config, interleaved) == run_stream(config, balanced)
+
+
+def _bits(game):
+    """A game's state with every float as its exact bits."""
+    floats = (game.lam, game.grad_acc, game.log_wealth, game.s_sum, game.v_sum)
+    trajectory = None if game.trajectory is None else [x.hex() for x in game.trajectory]
+    return [x.hex() for x in floats], trajectory
+
+
+@given(
+    data=st.data(),
+    gs=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), max_size=40),
+    head=st.lists(st.floats(-1.0, 1.0), max_size=5),
+    lo=st.sampled_from([0.0, -0.5]),
+    bar=st.sampled_from(["mid", "last", "never"]),
+    keep=st.booleans(),
+)
+@example(data=None, gs=[], head=[], lo=-0.5, bar="never", keep=True)
+@settings(max_examples=150, deadline=None)
+def test_advance_is_a_loop_of_apply(data, gs, head, lo, bar, keep):
+    """``advance`` applies arguments as a loop of ``apply`` calls that stops
+    after the first one bringing log wealth to the bar, bit for bit."""
+    probe = _Game("probe", lo, True)
+    for g in head + gs:
+        probe.apply(g)
+    path = probe.trajectory[len(head):]
+    log_bar = math.inf
+    if path and bar != "never":
+        log_bar = path[-1] if bar == "last" else path[data.draw(st.integers(0, len(path) - 1))]
+    loop, block = _Game("loop", lo, keep), _Game("block", lo, keep)
+    for g in head:
+        loop.apply(g)
+        block.apply(g)
+    applied = 0
+    for g in gs:
+        loop.apply(g)
+        applied += 1
+        if loop.log_wealth >= log_bar:
+            break
+    assert block.advance(gs, log_bar) == applied
+    assert _bits(block) == _bits(loop)
+
+
+def _records(y):
+    return [
+        AuditRecord(t=t, group=b, y_hat=v)
+        for t, row in enumerate(y.tolist(), 1)
+        for b, v in enumerate(row)
+    ]
+
+
+def _later_game_first():
+    """Four groups whose widest gap is on the last adjacent pair."""
+    y = (np.random.default_rng(5).random((400, 4)) < [0.8, 0.5, 0.5, 0.1]).astype(float)
+    return AuditConfig(alpha=0.05, group_count=4), y, simple_args(y)
+
+
+def _tied_games():
+    """Three groups whose two games see the same arguments, exactly."""
+    gen = np.random.default_rng(6)
+    d = gen.choice([-0.25, 0.0, 0.25, 0.5], size=(400, 1), p=[0.2, 0.2, 0.3, 0.3])
+    y = 0.5 + np.hstack([d, np.zeros_like(d), -d])
+    return AuditConfig(alpha=0.05, group_count=3), y, simple_args(y)
+
+
+def _composite_lower():
+    """Composite, one-sided games (bet bound 0) where only the lower one crosses."""
+    y = (np.random.default_rng(7).random((400, 2)) < [0.2, 0.8]).astype(float)
+    return AuditConfig(alpha=0.05, strategy=Composite(epsilon=0.05)), y, composite_args(y, 0.05)
+
+
+@pytest.mark.parametrize(
+    "case, rejecting",
+    [
+        (_later_game_first, [False, False, True]),
+        (_tied_games, [True, True]),
+        (_composite_lower, [False, True]),
+    ],
+)
+@given(cuts=st.lists(st.integers(0, 400), max_size=8), keep=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_run_args_settles_a_rejection_inside_a_block(case, rejecting, cuts, keep):
+    """Argument rows cut into blocks at any points, one-row blocks too, give
+    ``run_stream``'s report on the records, per-game taus and trajectories
+    included, whichever game reaches the threshold first."""
+    config, y, args = case()
+    reference = run_stream(config, _records(y), record_trajectory=keep)
+    tau = reference.decision.tau
+    assert reference.decision.kind is DecisionKind.REJECT
+    assert [g.tau == tau for g in reference.per_game] == rejecting
+    edges = [0, *sorted(cuts), len(args)]
+    blocks = [args[a:b] for a, b in zip(edges, edges[1:])]
+    assert run_args(config, blocks, record_trajectory=keep) == reference
+    assert run_args(config, list(args[:, None]), record_trajectory=keep) == reference
 
 
 def test_benchmark_tracer_patches_the_names_it_wraps(monkeypatch):
