@@ -74,16 +74,7 @@ def wealth_from_log(log_wealth: float) -> float:
     return math.exp(log_wealth) if log_wealth <= 709.0 else math.inf
 
 
-@dataclass(frozen=True, slots=True)
-class AuditRecord:
-    """One streamed observation: a model output for one group at one time.
-
-    ``propensity`` is the sampling probability of the observed point under
-    the data-collection policy; ``density`` (or ``density_estimate``) is the
-    population density of the same point, so their ratio is the importance
-    weight used by the weighted payoffs.
-    """
-
+class _RecordFields(NamedTuple):
     t: int
     group: int
     y_hat: float
@@ -91,21 +82,39 @@ class AuditRecord:
     density: float | None = None
     density_estimate: float | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.t, int) or self.t < 1:
-            raise ValidationError(f"t must be a positive integer, got {self.t!r}")
-        if not isinstance(self.group, int) or self.group < 0:
-            raise ValidationError(f"group must be a nonnegative integer, got {self.group!r}")
-        y_hat = self.y_hat
+
+class AuditRecord(_RecordFields):
+    """One streamed observation: a model output for one group at one time,
+    as a named tuple checked however it is built (``_make`` and ``_replace``
+    too), equal and hashed by value.
+
+    ``propensity`` is the sampling probability of the observed point under
+    the data-collection policy; ``density`` (or ``density_estimate``) is the
+    population density of the same point, so their ratio is the importance
+    weight used by the weighted payoffs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t, group, y_hat, propensity=None, density=None, density_estimate=None):
+        if not isinstance(t, int) or t < 1:
+            raise ValidationError(f"t must be a positive integer, got {t!r}")
+        if not isinstance(group, int) or group < 0:
+            raise ValidationError(f"group must be a nonnegative integer, got {group!r}")
         if not (type(y_hat) is float and 0.0 <= y_hat <= 1.0):  # the common case, inline
             _check_unit_interval("y_hat", y_hat)
-        if self.propensity is not None:
-            _check_positive("propensity", self.propensity)
-        if self.density is not None:
-            if not (math.isfinite(self.density) and self.density >= 0.0):
-                raise ValidationError(f"density must be a nonnegative finite real, got {self.density!r}")
-        if self.density_estimate is not None:
-            _check_positive("density_estimate", self.density_estimate)
+        if propensity is not None:
+            _check_positive("propensity", propensity)
+        if density is not None:
+            if not (math.isfinite(density) and density >= 0.0):
+                raise ValidationError(f"density must be a nonnegative finite real, got {density!r}")
+        if density_estimate is not None:
+            _check_positive("density_estimate", density_estimate)
+        return tuple.__new__(cls, (t, group, y_hat, propensity, density, density_estimate))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through this too
+        return cls(*iterable)
 
 
 class RecordColumns(NamedTuple):

@@ -59,6 +59,8 @@ from .payoffs import (
 # so that no other consumption of randomness can perturb it.
 _FINAL_DRAW_SALT = 0x46494E
 
+_CONTINUE = DecisionKind.CONTINUE
+
 
 class _Game:
     """Mutable per-game state; plain floats on slots keep stepping cheap."""
@@ -284,10 +286,14 @@ def session_step(
 ) -> tuple[AuditSession, Decision]:
     """Feed one step of data: a record per group, or a single record in
     batched mode.  Returns the session and the decision after this step."""
-    if session.status.is_terminal:
+    if session.status.kind is not _CONTINUE:
         raise SessionStateError("session already reached a terminal decision; records refused")
-    for game, g in zip(session.games, session.row.step(session, records)):
-        game.apply(g)
+    games, args = session.games, session.row.step(session, records)
+    if len(games) == 1:
+        games[0].apply(args[0])
+    else:
+        for game, g in zip(games, args):
+            game.apply(g)
     session.steps += 1
     return session, _post_step(session)
 
@@ -361,24 +367,26 @@ def run_stream(
     stream)."""
     session = session_new(config, record_trajectory=record_trajectory)
     paired = not session.row.batched
+    group_count = config.group_count
     # First-in-first-out per group: a step takes the oldest unpaired record
     # of every group, at constant cost whatever the backlog.
-    buffers: list[deque[AuditRecord]] = [deque() for _ in range(config.group_count)]
+    buffers: list[deque[AuditRecord]] = [deque() for _ in range(group_count)]
     pending = 0
     for record in stream:
-        if record.group >= config.group_count:
-            raise group_range_error(record.group, config.group_count)
+        group = record.group
+        if group >= group_count:
+            raise group_range_error(group, group_count)
         step = record
         if paired:
-            if not buffers[record.group]:
+            if not buffers[group]:
                 pending += 1
-            buffers[record.group].append(record)
-            if pending < config.group_count:
+            buffers[group].append(record)
+            if pending < group_count:
                 continue
-            step = [buf.popleft() for buf in buffers]
-            pending = sum(1 for buf in buffers if buf)
+            step = list(map(deque.popleft, buffers))
+            pending = sum(map(bool, buffers))
         _, decision = session_step(session, step)
-        if decision.is_terminal:
+        if decision.kind is not _CONTINUE:
             return build_report(session)
     return _end_of_stream(session)
 

@@ -11,7 +11,6 @@ import math
 import warnings
 from contextlib import suppress
 from itertools import islice, repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -32,6 +31,7 @@ from .core import (
 RECORD_FIELDS = ("t", "group", "y_hat", "propensity", "density", "density_estimate")
 _REQUIRED_FIELDS = ("t", "group", "y_hat")
 _OPTIONAL_FIELDS = ("propensity", "density", "density_estimate")
+_KINDS = (int, int, float, float, float, float)
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
 _REQUIRED_KEYS = frozenset(_REQUIRED_FIELDS)
 
@@ -63,22 +63,20 @@ def record_from_dict(d: dict, line_no: int = 0, mode: str = "strict") -> AuditRe
     if not keys >= _REQUIRED_KEYS:
         missing = [k for k in _REQUIRED_FIELDS if k not in d]
         raise IngestError(line_no, f"missing required keys {missing}")
-    strict = mode == "strict"
+    t, group, y_hat = d["t"], d["group"], d["y_hat"]
+    p, rho, rho_hat = d.get("propensity"), d.get("density"), d.get("density_estimate")
     try:
-        t, group, y_hat = d["t"], d["group"], d["y_hat"]
-        if type(t) is not int:
-            t = _number("t", t, int, strict)
-        if type(group) is not int:
-            group = _number("group", group, int, strict)
-        if type(y_hat) is not float:
-            y_hat = _number("y_hat", y_hat, float, strict)
-        optional = []
-        for key in _OPTIONAL_FIELDS:
-            value = d.get(key)
-            if value is not None and type(value) is not float:
-                value = _number(key, value, float, strict)
-            optional.append(value)
-        return AuditRecord(t, group, y_hat, *optional)
+        if not (  # the common case, one exact-type test; the rest converts
+            type(t) is int and type(group) is int and type(y_hat) is float
+            and (p is None or type(p) is float) and (rho is None or type(rho) is float)
+            and (rho_hat is None or type(rho_hat) is float)
+        ):
+            strict = mode == "strict"
+            t, group, y_hat, p, rho, rho_hat = (  # field by field, in order
+                v if v is None and key in _OPTIONAL_FIELDS else _number(key, v, kind, strict)
+                for key, kind, v in zip(RECORD_FIELDS, _KINDS, (t, group, y_hat, p, rho, rho_hat))
+            )
+        return AuditRecord(t, group, y_hat, p, rho, rho_hat)
     except ValidationError as exc:
         raise IngestError(line_no, str(exc)) from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -156,7 +154,8 @@ def _jsonl_record(
 ) -> AuditRecord | None:
     """The record of one JSONL line (None for a blank line), checked against
     the last time index of its group in ``last_t``, which it updates.
-    ``obj`` is the line's object, when the caller has decoded it whole."""
+    ``obj`` is the line's object, when the caller has decoded it: a JSONL
+    line read whole, or the non-empty cells of a CSV row."""
     if obj is None:
         obj = _decode_line(line)
     if obj is None:
@@ -169,7 +168,11 @@ def _jsonl_record(
         if not isinstance(obj, dict):
             raise IngestError(line_no, "each line must hold one JSON object")
     record = record_from_dict(obj, line_no, mode)
-    _check_monotone(record, last_t, line_no)
+    t, group = record.t, record.group
+    prev = last_t.get(group, 0)  # t >= 1, so a group's first record passes
+    if t <= prev:
+        raise IngestError(line_no, f"time index {t} not increasing for group {group} (last was {prev})")
+    last_t[group] = t
     return record
 
 
@@ -206,10 +209,8 @@ def _csv_record(
     text, so they convert as in lenient mode."""
     if not row:
         return None
-    d = {key: cell for key, cell in zip(header, row) if key in _RECORD_KEYS and cell != ""}
-    record = record_from_dict(d, line_no, mode="lenient")
-    _check_monotone(record, last_t, line_no)
-    return record
+    cells = {key: cell for key, cell in zip(header, row) if key in _RECORD_KEYS and cell != ""}
+    return _jsonl_record("", line_no, "lenient", last_t, cells)
 
 
 # parse_columns reads a JSONL file this many lines at a time.
@@ -398,13 +399,10 @@ def _increasing(group: np.ndarray, t: np.ndarray, last_t: dict[int, int]) -> boo
     return True
 
 
-_FIELDS = attrgetter(*RECORD_FIELDS)
-
-
 def _record_columns(records: Sequence[AuditRecord]) -> RecordColumns:
     """Columns of records; ``t`` and ``group`` hold Python ints if one is
     beyond int64."""
-    t, group, *floats = zip(*map(_FIELDS, records))
+    t, group, *floats = zip(*records)
     floats = (np.array(col, dtype=float) for col in floats)  # None as NaN
     return RecordColumns(_int_array(t), _int_array(group), *floats)
 
@@ -414,16 +412,6 @@ def _int_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
-
-
-def _check_monotone(record: AuditRecord, last_t: dict[int, int], line_no: int) -> None:
-    prev = last_t.get(record.group)
-    if prev is not None and record.t <= prev:
-        raise IngestError(
-            line_no,
-            f"time index {record.t} not increasing for group {record.group} (last was {prev})",
-        )
-    last_t[record.group] = record.t
 
 
 def _decision_to_dict(decision: Decision) -> dict:

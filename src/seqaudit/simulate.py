@@ -429,10 +429,7 @@ def _block_drawer(scenario: Scenario) -> Callable:
     if isinstance(scenario, FixedMeans):
         means = np.array([scenario.means])
     else:
-        # Through mean_at, so each draw compares against the mean it documents.
-        table = [
-            [mean_at(scenario, b, t) for b in range(groups)] for t in range(1, scenario.horizon + 1)
-        ]
+        table = _drift_table(scenario)
         if isinstance(scenario, SinusoidalDrift) and scenario.noise_sd > 0.0:
             return _noisy_drawer(table, scenario.noise_sd)
         means = np.array(table)
@@ -442,6 +439,19 @@ def _block_drawer(scenario: Scenario) -> Callable:
         return (rng.random((n, groups)) < p).astype(float), None
 
     return draw_bernoulli
+
+
+def _drift_table(scenario: LogisticDrift | SinusoidalDrift) -> list[list[float]]:
+    """Each step's row of group means, equal to mean_at's bit for bit: the
+    same scalar float operations, without its per-call range checks."""
+    steps = range(1, scenario.horizon + 1)
+    if isinstance(scenario, SinusoidalDrift):
+        return [[float(_sinusoid_mean(scenario, b, float(t))) for b in (0, 1)] for t in steps]
+    base, amplitude, midpoint, scale = scenario.base, scenario.amplitude, scenario.midpoint, scenario.scale
+    return [
+        [base, base if t < scenario.onset else base + amplitude / (1.0 + math.exp((midpoint - t) / scale))]
+        for t in steps
+    ]
 
 
 def _noisy_drawer(table: list[list[float]], noise_sd: float) -> Callable:

@@ -50,6 +50,34 @@ def test_out_of_range_output_is_an_error_not_a_clamp():
         AuditRecord(t=1, group=0, y_hat=1.0000001)
 
 
+def _message(build) -> str:
+    with pytest.raises(ValidationError) as info:
+        build()
+    return str(info.value)
+
+
+def test_record_make_and_replace_validate_as_construction_does():
+    rec = AuditRecord(t=1, group=0, y_hat=0.5)
+    assert _message(lambda: rec._replace(y_hat=1.5)) == _message(
+        lambda: AuditRecord(t=1, group=0, y_hat=1.5)
+    ) == "y_hat must lie in [0, 1], got 1.5"
+    assert _message(lambda: AuditRecord._make((0, 0, 0.5, None, None, None))) == _message(
+        lambda: AuditRecord(0, 0, 0.5)
+    ) == "t must be a positive integer, got 0"
+    assert rec._replace(density=0.25) == AuditRecord(1, 0, 0.5, density=0.25)
+    assert AuditRecord._make(rec) == rec
+
+
+def test_record_is_immutable_and_compares_and_hashes_by_value():
+    a = AuditRecord(t=3, group=1, y_hat=0.25, propensity=0.5, density=0.2)
+    b = AuditRecord(3, 1, 0.25, 0.5, 0.2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != b._replace(t=4) and a != b._replace(density_estimate=0.1)
+    with pytest.raises(AttributeError):
+        a.t = 4
+    assert not hasattr(a, "__dict__")
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
 def test_config_alpha_range(alpha):
     with pytest.raises(ValidationError):

@@ -579,6 +579,36 @@ def test_run_args_settles_a_rejection_inside_a_block(case, rejecting, cuts, keep
     assert run_args(config, list(args[:, None]), record_trajectory=keep) == reference
 
 
+def test_run_stream_steps_through_the_module_globals(monkeypatch):
+    """run_stream calls session_step, and the batched step calls batch_push,
+    through the engine's globals: once per step on a paired audit, once per
+    record on a batched one.  A wrapper installed there, as the benchmark's
+    tracer installs one, sees every call on both branches."""
+    from seqaudit import engine
+
+    calls = {}
+
+    def count(name):
+        original = getattr(engine, name)
+
+        def counting(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(engine, name, counting)
+
+    count("session_step")
+    count("batch_push")
+    records = _burst_records([(0, 30), (1, 20), (0, 5), (1, 1)], seed=3, shrink=1.0)
+    paired = run_stream(AuditConfig(alpha=1e-9), records, record_trajectory=False)
+    assert paired.decision.kind is DecisionKind.CONTINUE
+    assert calls == {"session_step": 21}
+    calls.clear()
+    batched = run_stream(AuditConfig(alpha=1e-9, strategy=Batched()), records, record_trajectory=False)
+    assert batched.decision.kind is DecisionKind.CONTINUE
+    assert calls == {"session_step": len(records), "batch_push": len(records)}
+
+
 def test_benchmark_tracer_patches_the_names_it_wraps(monkeypatch):
     """The benchmark's tracer wraps the engine's payoff helpers and step and
     the scenario draw by name; a rename would break its traced run."""

@@ -2,9 +2,12 @@
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqaudit.core import (
     AuditConfig,
@@ -128,6 +131,126 @@ def test_record_dict_validation():
         record_from_dict({"t": 1, "group": 0}, line_no=7)
     rec = record_from_dict({"t": 1, "group": 0, "y_hat": 0.25})
     assert rec == AuditRecord(t=1, group=0, y_hat=0.25)
+
+
+_INT_FIELDS = ("t", "group")
+_FLOAT_FIELDS = ("y_hat", "propensity", "density", "density_estimate")
+_FIELD_VALUES = st.one_of(
+    st.integers(-2, 4),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, 10**400]),
+    st.integers(-2, 4).map(float),
+    st.floats(-0.5, 1.5, allow_nan=False),
+    st.booleans(),
+    st.sampled_from(["1", "2.0", " 3 ", "0.5", "1e3", "nan", "-inf", "1_0", "abc", ""]),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_GOOD_VALUES = {
+    **dict.fromkeys(_INT_FIELDS, st.integers(1, 2**64)),
+    **dict.fromkeys(_FLOAT_FIELDS, st.floats(0.0, 1.0)),
+}
+_VALUES = {key: st.one_of(good, _FIELD_VALUES) for key, good in _GOOD_VALUES.items()}
+_REQUIRED = ("t", "group", "y_hat")
+_LINE_DICTS = st.one_of(
+    st.fixed_dictionaries(  # clean lines, the common case
+        {key: _GOOD_VALUES[key] for key in _REQUIRED},
+        optional={key: _GOOD_VALUES[key] for key in _FLOAT_FIELDS[1:]},
+    ),
+    st.fixed_dictionaries(
+        {key: _VALUES[key] for key in _REQUIRED},
+        optional={key: _VALUES[key] for key in _FLOAT_FIELDS[1:]} | {"note": _FIELD_VALUES},
+    ),
+    st.fixed_dictionaries({}, optional=_VALUES | {"note": _FIELD_VALUES}),
+)
+
+
+def _typing_rules(d: dict, mode: str):
+    """The documented typing rules of record_from_dict, written out: the
+    record's fields, each with its type, or the IngestError text.  Unknown
+    keys refuse the line in strict mode and warn in lenient mode; then
+    every required key must be present.  Each field converts, in field
+    order: a bool is never a number, a string is one only in lenient mode
+    (through int() or float()), an int field takes only integral values,
+    and a failing int() or float() is a malformed field.  The record's
+    range checks come after every conversion."""
+    unknown = sorted(d.keys() - {*_INT_FIELDS, *_FLOAT_FIELDS})
+    if unknown and mode == "strict":
+        return f"line 7: unknown keys {unknown}"
+    missing = [key for key in _REQUIRED if key not in d]
+    if missing:
+        return f"line 7: missing required keys {missing}"
+    values = []
+    for key in (*_INT_FIELDS, *_FLOAT_FIELDS):
+        kind = int if key in _INT_FIELDS else float
+        value = d.get(key)
+        if type(value) is kind or (value is None and key in _FLOAT_FIELDS[1:]):
+            values.append(value)
+        elif isinstance(value, bool):
+            return f"line 7: {key} must be a number, got {value!r}"
+        elif isinstance(value, str) and mode == "strict":
+            return f"line 7: {key} must be a JSON number, not a string, got {value!r}"
+        elif kind is int and isinstance(value, float) and not value.is_integer():
+            return f"line 7: {key} must be an integer, got {value!r}"
+        else:
+            try:
+                values.append(kind(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                return f"line 7: malformed field: {exc}"
+    t, group, y_hat, *optional = values
+    if t < 1:
+        return f"line 7: t must be a positive integer, got {t!r}"
+    if group < 0:
+        return f"line 7: group must be a nonnegative integer, got {group!r}"
+    if not 0.0 <= y_hat <= 1.0:
+        return f"line 7: y_hat must lie in [0, 1], got {y_hat!r}"
+    for key, value in zip(_FLOAT_FIELDS[1:], optional):
+        if key == "density" and value is not None and not (math.isfinite(value) and value >= 0.0):
+            return f"line 7: density must be a nonnegative finite real, got {value!r}"
+        if key != "density" and value is not None and not (math.isfinite(value) and value > 0.0):
+            return f"line 7: {key} must be a positive finite real, got {value!r}"
+    return [(type(v), v) for v in values]
+
+
+def _typed_outcome(d: dict, mode: str):
+    """What record_from_dict gives for ``d``, as _typing_rules writes it,
+    and the warnings it gives, which _typing_rules leaves out: one for the
+    unknown keys of a lenient line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = [(type(v), v) for v in record_from_dict(d, 7, mode)]
+        except IngestError as exc:
+            got = str(exc)
+    unknown = sorted(d.keys() - {*_INT_FIELDS, *_FLOAT_FIELDS})
+    expected = [f"line 7: ignoring unknown keys {unknown}"] if unknown and mode == "lenient" else []
+    assert [str(w.message) for w in caught] == expected
+    return got
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@given(d=_LINE_DICTS)
+@settings(max_examples=250, deadline=None)
+def test_record_from_dict_follows_the_typing_rules(mode, d):
+    assert _typed_outcome(d, mode) == _typing_rules(d, mode)
+
+
+_ODD_VALUES = [
+    0, 3, 2**63, -(2**63) - 1, 10**400, 0.0, 2.0, 0.5, 1.5, -0.25, True, False,
+    "1", "0.5", " 3 ", "nan", "abc", "", None, math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_record_from_dict_types_each_field_by_the_rules(mode):
+    """Each field of a clean line in turn, and an unknown key, takes each
+    kind of value the rules tell apart or goes missing, so the common
+    case's exact-type test meets every one of them next to clean fields."""
+    clean = {"t": 2, "group": 1, "y_hat": 0.5, "propensity": 0.5, "density": 0.25, "density_estimate": 0.25}
+    for key in [*clean, "note"]:
+        cases = [{k: v for k, v in clean.items() if k != key}]
+        cases += [{**clean, key: value} for value in _ODD_VALUES]
+        for d in cases:
+            assert _typed_outcome(d, mode) == _typing_rules(d, mode), d
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from seqaudit.simulate import (
     LogisticDrift,
     PolicyPopulation,
     SinusoidalDrift,
+    _drift_table,
     derive_seed,
     draw_outputs,
     estimated_density_scale,
@@ -61,6 +62,20 @@ def test_sinusoidal_means_and_validation():
     assert mean_at(scen, 1, 100) == pytest.approx(0.4 + math.sin(100 / 20) / 10 + 0.1)
     with pytest.raises(ValidationError):
         SinusoidalDrift(horizon=5000)  # linear drift escapes [0, 1]
+
+
+@pytest.mark.parametrize("scenario", [
+    LogisticDrift(horizon=1000), SinusoidalDrift(horizon=500),  # the fig2a and fig2b scenarios
+    LogisticDrift(onset=20, midpoint=80, scale=10.0, horizon=120),
+    SinusoidalDrift(noise_sd=0.5, drift_rate=0.002, horizon=200),
+], ids=["fig2a", "fig2b", "logistic", "sinusoidal"])
+def test_drift_table_is_mean_at_bit_for_bit(scenario):
+    """The draws read a drift's means from a table built without mean_at's
+    range checks; every entry is still the mean mean_at documents."""
+    table = _drift_table(scenario)
+    assert len(table) == scenario.horizon
+    for t, row in enumerate(table, start=1):
+        assert [x.hex() for x in row] == [mean_at(scenario, b, t).hex() for b in (0, 1)], t
 
 
 def test_mean_at_bounds_checked():
