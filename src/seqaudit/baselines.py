@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, count, islice, takewhile
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -66,11 +66,7 @@ class BatchProtocol:
         """Significance level of the j-th tested batch (1-based)."""
         if self.kind == "m1":
             return self.alpha
-        return self.alpha / (2.0**j)
-
-
-def _mean_diff(pooled: np.ndarray, n0: int) -> float:
-    return abs(float(pooled[:n0].mean()) - float(pooled[n0:].mean()))
+        return math.ldexp(self.alpha, -j)  # alpha / 2**j without overflow at j >= 1024
 
 
 def permutation_pvalue(
@@ -95,7 +91,8 @@ def permutation_pvalue(
     pooled = np.concatenate([s0, s1])
     n0 = len(s0)
     n = len(pooled)
-    observed = _mean_diff(pooled, n0)
+    # sum / count is the float ``mean`` gives, and matches the rows below
+    observed = abs(float(pooled[:n0].sum() / n0 - pooled[n0:].sum() / (n - n0)))
     threshold = observed - _TIE_ATOL
 
     if math.comb(n, n0) <= config.n_permutations:
@@ -113,10 +110,10 @@ def permutation_pvalue(
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     b = config.n_permutations
-    tiled = np.tile(pooled, (b, 1))
-    permuted = rng.permuted(tiled, axis=1)
-    m0 = permuted[:, :n0].mean(axis=1)
-    m1 = permuted[:, n0:].mean(axis=1)
+    # out= keeps the rows C-ordered: row sums then add in the order np.tile's did
+    permuted = rng.permuted(np.broadcast_to(pooled, (b, n)), axis=1, out=np.empty((b, n)))
+    m0 = permuted[:, :n0].sum(axis=1) / n0
+    m1 = permuted[:, n0:].sum(axis=1) / (n - n0)
     hits = int((np.abs(m0 - m1) >= threshold).sum())
     return (1 + hits) / (b + 1)
 
@@ -131,6 +128,8 @@ class PValueSequence:
     j - 1 is ``(p-value, records consumed)`` for that batch.  Iterating
     computes p-values only as far as the furthest iteration has reached, so
     protocols that share the sequence compute each batch's p-value once.
+    No p-value is below ``floor`` = 1 / (n_permutations + 1): the +1
+    correction puts at least one count over at most n_permutations + 1.
     """
 
     def __init__(
@@ -150,6 +149,7 @@ class PValueSequence:
         self._y = y
         self._group = group
         self._config = config
+        self.floor = 1 / (config.n_permutations + 1)
         self._end = len(y) // batch_size * batch_size
         self._next = 0  # start of the next batch to look at
         self._items: list[tuple[float, int]] = []
@@ -181,14 +181,21 @@ class PValueSequence:
 
 def walk_protocol(protocol: BatchProtocol, pvalues: PValueSequence) -> tuple[bool, int | None]:
     """Stop at the first tested batch j with p <= ``protocol.level(j)``.
-    Returns (rejected, records consumed at rejection)."""
+    Returns (rejected, records consumed at rejection).
+
+    The walk also stops, before computing batch j's p-value, once
+    ``protocol.level(j)`` is below ``pvalues.floor``: no p-value can reach
+    that level, and levels never rise, so the full walk would not reject
+    either."""
     if pvalues.batch_size != protocol.batch_size:
         raise ValidationError(
             f"p-values of batches of {pvalues.batch_size} records "
             f"for a protocol with batch_size {protocol.batch_size}"
         )
-    for j, (p, consumed) in enumerate(pvalues, start=1):
-        if p <= protocol.level(j):
+    levels = takewhile(lambda level: level >= pvalues.floor, map(protocol.level, count(1)))
+    # zip pulls a level first, so a batch below the floor is never computed
+    for level, (p, consumed) in zip(levels, pvalues):
+        if p <= level:
             return True, consumed
     return False, None
 

@@ -1,6 +1,11 @@
 """Permutation test exact-enumeration cases and the batch protocols."""
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqaudit import baselines
 from seqaudit.baselines import (
@@ -73,6 +78,15 @@ def test_protocol_levels():
     assert [m1.level(j) for j in (1, 2, 3)] == [0.05, 0.05, 0.05]
     m2 = BatchProtocol(kind="m2", batch_size=10, alpha=0.05)
     assert [m2.level(j) for j in (1, 2, 3, 4)] == [0.025, 0.0125, 0.00625, 0.003125]
+
+
+def test_m2_level_is_finite_past_1023_batches():
+    m2 = BatchProtocol(kind="m2", batch_size=10, alpha=0.05)
+    for j in (1024, 5000):
+        assert math.isfinite(m2.level(j)) and m2.level(j) >= 0.0
+    for alpha in np.random.default_rng(3).random(50):
+        m2 = BatchProtocol(kind="m2", batch_size=10, alpha=float(alpha))
+        assert all(m2.level(j) == alpha / 2.0**j for j in range(1, 1024))
 
 
 @pytest.mark.parametrize("seed", [-1, True, 2**64])
@@ -229,3 +243,92 @@ def test_pvalue_sequence_validation():
         PValueSequence(np.zeros(4), np.zeros(3), 2, PermutationTestConfig())
     with pytest.raises(ValidationError):
         run_protocol(BatchProtocol(kind="m1", batch_size=2, alpha=0.05), [], PermutationTestConfig(), -1)
+
+
+def _pvalue_tiled(sample0, sample1, config, rng):
+    """The test as first written, with a tiled copy and ``mean``: the
+    reference the kernel must equal bit for bit."""
+    pooled = np.concatenate([np.asarray(sample0, dtype=float), np.asarray(sample1, dtype=float)])
+    n0, n = len(sample0), len(pooled)
+    observed = abs(float(pooled[:n0].mean()) - float(pooled[n0:].mean()))
+    threshold = observed - baselines._TIE_ATOL
+    if math.comb(n, n0) <= config.n_permutations:
+        hits = total = 0
+        for idx in combinations(range(n), n0):
+            m0 = float(pooled[list(idx)].sum()) / n0
+            m1 = (float(pooled.sum()) - m0 * n0) / (n - n0)
+            total += 1
+            hits += abs(m0 - m1) >= threshold
+        return (1 + hits) / (total + 1)
+    permuted = rng.permuted(np.tile(pooled, (config.n_permutations, 1)), axis=1)
+    diff = np.abs(permuted[:, :n0].mean(axis=1) - permuted[:, n0:].mean(axis=1))
+    return (1 + int((diff >= threshold).sum())) / (config.n_permutations + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n0=st.integers(1, 40),
+    n1=st.integers(1, 40),
+    n_permutations=st.sampled_from([1, 5, 19, 20, 99, 200, 300]),
+    binary=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_permutation_pvalue_equals_the_tiled_reference(n0, n1, n_permutations, binary, seed):
+    """Float and 0/1 samples, unequal group sizes, n below and above B, both
+    branches: same p-value and same generator state afterwards."""
+    gen = np.random.default_rng(seed)
+    pooled = gen.integers(0, 2, n0 + n1).astype(float) if binary else gen.random(n0 + n1)
+    cfg = PermutationTestConfig(n_permutations=n_permutations, seed=1)
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    p = permutation_pvalue(pooled[:n0], pooled[n0:], cfg, rng=rng)
+    assert p == _pvalue_tiled(pooled[:n0], pooled[n0:], cfg, rng_ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _full_walk(protocol, items):
+    for j, (p, consumed) in enumerate(items, start=1):
+        if p <= protocol.level(j):
+            return True, consumed
+    return False, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    k=st.one_of(st.integers(2, 6), st.integers(7, 30)),
+    n_permutations=st.sampled_from([1, 19, 20, 99, 199, 200]),
+    gap=st.floats(0.0, 1.0),
+)
+def test_walk_stops_at_the_pvalue_floor(data, k, n_permutations, gap):
+    """Stopping once the level falls below 1 / (B + 1) returns what the full
+    walk returns, and computes exactly the batches before that point."""
+    n = data.draw(st.integers(0, 12 * k))
+    seed = data.draw(st.integers(0, 2**32))
+    gen = np.random.default_rng(seed)
+    group = gen.integers(0, 2, n)
+    y = (gen.random(n) < 0.5 + gap / 2 * np.where(group == 0, 1, -1)).astype(float)
+    cfg = PermutationTestConfig(n_permutations=n_permutations, seed=seed)
+    floor = 1 / (n_permutations + 1)
+    full = list(PValueSequence(y, group, k, cfg))
+    alphas = [a for a in (floor / 2, floor, 2 * floor, 0.05, 0.9) if 0.0 < a < 1.0]
+    for kind in ("m1", "m2"):
+        for alpha in alphas:
+            protocol = BatchProtocol(kind=kind, batch_size=k, alpha=alpha)
+            calls = []
+
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return permutation_pvalue(*args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(baselines, "permutation_pvalue", counting)
+                result = walk_protocol(protocol, PValueSequence(y, group, k, cfg))
+            assert result == _full_walk(protocol, full)
+            reach = 0
+            while reach < len(full) and protocol.level(reach + 1) >= floor:
+                reach += 1
+                if full[reach - 1][0] <= protocol.level(reach):
+                    break
+            assert len(calls) == reach
+            if alpha < floor:
+                assert calls == []

@@ -368,7 +368,9 @@ def test_bench_rows_equal_the_record_path(seed, tmp_path):
 def test_bench_computes_each_batch_pvalue_at_most_once(monkeypatch, tmp_path):
     """Across M1, M2 and every alpha, each (stream, batch size, tested
     batch) gets one p-value, and no more batches than the furthest
-    protocol reaches."""
+    protocol reaches.  A protocol reaches its rejection batch, or else the
+    last batch whose level is at least 1 / (permutations + 1), the least
+    p-value a test with that many permutations can give."""
     calls = []
     pvalue = baselines.permutation_pvalue
 
@@ -390,6 +392,7 @@ def test_bench_computes_each_batch_pvalue_at_most_once(monkeypatch, tmp_path):
     alt = FixedMeans.from_gap(
         grid["delta"], center=grid["center"], horizon=horizon // 2, seed=derive_seed(seed, 202)
     )
+    floor = 1 / (grid["permutations"] + 1)
     furthest = 0
     for scen in (null, alt):
         for i in range(reps):
@@ -401,11 +404,29 @@ def test_bench_computes_each_batch_pvalue_at_most_once(monkeypatch, tmp_path):
                 reach = 0
                 for kind in ("m1", "m2"):
                     for alpha in grid["alphas"]:
-                        hit, tau = run_protocol(BatchProtocol(kind, k, alpha), records, cfg, horizon)
+                        protocol = BatchProtocol(kind, k, alpha)
+                        hit, tau = run_protocol(protocol, records, cfg, horizon)
                         # every batch of an interleaved stream holds both groups
-                        reach = max(reach, tau // k if hit else horizon // k)
+                        if hit:
+                            reach = max(reach, tau // k)
+                            continue
+                        j = 0
+                        while j < horizon // k and protocol.level(j + 1) >= floor:
+                            j += 1
+                        reach = max(reach, j)
                 furthest += reach
     assert len(calls) == furthest
+
+
+def test_bench_m2_past_1023_batches_exits_cleanly(tmp_path):
+    """2,050 batches of 2 records, past batch 1023, where alpha / 2.0**j
+    overflows; exit 1 would read as a rejection."""
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--methods", "perm-m2", "--batch-sizes", "2", "--horizon", "4100",
+            "--replicates", "1", "--permutations", "10", "--alphas", "0.05", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("perm-m2,2,0.05,")
 
 
 def test_unknown_preset_is_usage_error():
