@@ -7,6 +7,10 @@ overall false positive rate at alpha.
 A batch's p-value depends on the stream, the batch size and the test
 configuration, not on the protocol or its alpha, so one lazily computed
 :class:`PValueSequence` per stream and batch size serves every protocol.
+The sequence's ``cap`` is the largest alpha among those protocols: a
+sampled test stops drawing permutations once its p-value is sure to exceed
+``cap``, so every level it will meet, and each decision stays the one the
+exact p-value gives.
 """
 from __future__ import annotations
 
@@ -74,6 +78,7 @@ def permutation_pvalue(
     sample1: Sequence[float],
     config: PermutationTestConfig,
     rng: np.random.Generator | None = None,
+    cap: float = 1.0,
 ) -> float:
     """p-value of the two-sided difference-of-means permutation test with the
     finite-sample +1 correction:
@@ -82,7 +87,16 @@ def permutation_pvalue(
 
     All label assignments are enumerated when their count fits inside
     ``n_permutations``; otherwise that many uniformly random permutations are
-    drawn from the (seeded) generator.
+    drawn from the (seeded) generator, in blocks of 16, 32, 64, ... rows.
+
+    ``cap`` is the largest level the caller will compare the result with.
+    The sampled test stops after the block at which ``(1 + hits) / (B + 1)``
+    exceeds ``cap`` and returns that value (Besag & Clifford 1991): hits
+    only grow, so the full count would give a p-value at least as large,
+    and ``p <= level`` is False for every ``level <= cap`` either way.  A
+    result above ``cap`` is thus a lower bound on the p-value, and a result
+    at or below it is the p-value itself.  At the default 1.0 the stop
+    never fires.
     """
     s0 = np.asarray(sample0, dtype=float)
     s1 = np.asarray(sample1, dtype=float)
@@ -110,11 +124,19 @@ def permutation_pvalue(
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     b = config.n_permutations
-    # out= keeps the rows C-ordered: row sums then add in the order np.tile's did
-    permuted = rng.permuted(np.broadcast_to(pooled, (b, n)), axis=1, out=np.empty((b, n)))
-    m0 = permuted[:, :n0].sum(axis=1) / n0
-    m1 = permuted[:, n0:].sum(axis=1) / (n - n0)
-    hits = int((np.abs(m0 - m1) >= threshold).sum())
+    hits = 0
+    drawn = 0
+    m = 16  # rows of the first block; each later block doubles
+    while drawn < b and (1 + hits) / (b + 1) <= cap:
+        m = min(m, b - drawn)
+        # out= keeps each block C-ordered: every row is shuffled and summed
+        # as in one (b, n) call, so the blocks give that call's rows
+        permuted = rng.permuted(np.broadcast_to(pooled, (m, n)), axis=1, out=np.empty((m, n)))
+        m0 = permuted[:, :n0].sum(axis=1) / n0
+        m1 = permuted[:, n0:].sum(axis=1) / (n - n0)
+        hits += int((np.abs(m0 - m1) >= threshold).sum())
+        drawn += m
+        m *= 2
     return (1 + hits) / (b + 1)
 
 
@@ -130,6 +152,11 @@ class PValueSequence:
     protocols that share the sequence compute each batch's p-value once.
     No p-value is below ``floor`` = 1 / (n_permutations + 1): the +1
     correction puts at least one count over at most n_permutations + 1.
+
+    ``cap`` is the largest level any walker will test at, and is passed to
+    :func:`permutation_pvalue`: an item's p-value is exact when it is at
+    most ``cap``, and otherwise a lower bound above ``cap``, which decides
+    every level up to ``cap`` as the exact p-value would.
     """
 
     def __init__(
@@ -138,6 +165,7 @@ class PValueSequence:
         group: np.ndarray,
         batch_size: int,
         config: PermutationTestConfig,
+        cap: float = 1.0,
     ):
         if batch_size < 2:
             raise ValidationError(
@@ -149,6 +177,7 @@ class PValueSequence:
         self._y = y
         self._group = group
         self._config = config
+        self.cap = cap
         self.floor = 1 / (config.n_permutations + 1)
         self._end = len(y) // batch_size * batch_size
         self._next = 0  # start of the next batch to look at
@@ -173,7 +202,8 @@ class PValueSequence:
             if not len(y0) or not len(y1):
                 continue
             seed = np.random.SeedSequence([self._config.seed, len(self._items) + 1])
-            p = permutation_pvalue(y0, y1, self._config, rng=np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            p = permutation_pvalue(y0, y1, self._config, rng=rng, cap=self.cap)
             self._items.append((p, start + k))
             return True
         return False
@@ -186,11 +216,19 @@ def walk_protocol(protocol: BatchProtocol, pvalues: PValueSequence) -> tuple[boo
     The walk also stops, before computing batch j's p-value, once
     ``protocol.level(j)`` is below ``pvalues.floor``: no p-value can reach
     that level, and levels never rise, so the full walk would not reject
-    either."""
+    either.
+
+    Both protocols test at ``protocol.alpha`` or below, so the p-values are
+    exact wherever they can decide when ``protocol.alpha <= pvalues.cap``;
+    a larger alpha is refused."""
     if pvalues.batch_size != protocol.batch_size:
         raise ValidationError(
             f"p-values of batches of {pvalues.batch_size} records "
             f"for a protocol with batch_size {protocol.batch_size}"
+        )
+    if protocol.alpha > pvalues.cap:
+        raise ValidationError(
+            f"p-values capped at {pvalues.cap!r} for a protocol with alpha {protocol.alpha!r}"
         )
     levels = takewhile(lambda level: level >= pvalues.floor, map(protocol.level, count(1)))
     # zip pulls a level first, so a batch below the floor is never computed

@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import baselines, ingest, simulate
+from . import ingest
 from .core import _STRATEGY_TAGS, AuditConfig, AuditError, Batched, Propensity, Simple, strategy_tag
 from .engine import run_columns, run_stream
 
@@ -60,11 +60,14 @@ def _build_strategy(args: argparse.Namespace, scenario=None):
     values = {}
     for field_name in names:
         value = getattr(args, field_name)
-        if value is None and field_name == "scale" and isinstance(scenario, simulate.PolicyPopulation):
-            if cls is Propensity:
-                value = simulate.policy_corrective_scale(scenario)
-            else:
-                value = simulate.estimated_density_scale(scenario, values["delta_min"])
+        if value is None and field_name == "scale" and scenario is not None:
+            from . import simulate
+
+            if isinstance(scenario, simulate.PolicyPopulation):
+                if cls is Propensity:
+                    value = simulate.policy_corrective_scale(scenario)
+                else:
+                    value = simulate.estimated_density_scale(scenario, values["delta_min"])
         if value is None:
             raise AuditError(f"{name} strategy requires {_flag(field_name)}")
         values[field_name] = value
@@ -123,6 +126,8 @@ _PRESET_DEFAULTS = {"fig1": (0.01, 1000), "fig2a": (0.01, 1000), "fig2b": (0.01,
 
 def _preset_rows(name: str, args: argparse.Namespace) -> list[tuple[str, object, object, float]]:
     """Rows of (label, scenario, strategy, alpha) for a preset."""
+    from . import simulate
+
     alpha, horizon = _PRESET_DEFAULTS[name]
     alpha = alpha if args.alpha is None else args.alpha
     horizon = horizon if args.horizon is None else args.horizon
@@ -147,6 +152,8 @@ def _preset_rows(name: str, args: argparse.Namespace) -> list[tuple[str, object,
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulate
+
     if args.replicates < 1:
         raise AuditError("--replicates must be at least 1")
     if args.preset is not None:
@@ -211,6 +218,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """FPR (null scenario) versus mean stopping time (alternative scenario)
     for each method across the alpha grid.  Stopping times are counted in
     records for all methods (one betting step consumes two records)."""
+    from . import baselines, simulate
+
     alphas = _parse_float_list(args.alphas, "--alphas")
     if any(not (0.0 < a < 1.0) for a in alphas):
         raise AuditError("--alphas entries must lie in (0, 1)")
@@ -240,9 +249,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # One lazy p-value sequence per (stream, batch size), shared by M1, M2
     # and every alpha: a batch's p-value does not depend on the protocol.
-    # Each stream is the one the betting arm's Monte Carlo replicate draws.
+    # No protocol tests above the largest alpha, so each test may stop
+    # once its p-value is sure to exceed it.  Each stream is the one the
+    # betting arm's Monte Carlo replicate draws.
     pvalues = {}
     if any(method != "betting" for method in methods):
+        cap = max(alphas)
         groups = np.tile(np.arange(2), pairs)
         for i in range(args.replicates):
             test_config = baselines.PermutationTestConfig(
@@ -253,7 +265,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 for scen in (null_scen, alt_scen)
             ]
             for k in batch_sizes:
-                pvalues[k, i] = [baselines.PValueSequence(y, groups, k, test_config) for y in streams]
+                pvalues[k, i] = [baselines.PValueSequence(y, groups, k, test_config, cap) for y in streams]
 
     rows = []
     for alpha in alphas:

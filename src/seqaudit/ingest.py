@@ -472,17 +472,32 @@ def emit_report(report: AuditReport, sink: IO[str]) -> None:
 
 def write_trajectory_csv(report: AuditReport, sink: IO[str]) -> None:
     """Plot-ready wealth path: (step, wealth) rows, with a game_id column
-    when several games ran.  Wealth is written in linear form."""
-    writer = csv.writer(sink, lineterminator="\n")
+    when several games ran.  Wealth is written in linear form, with the
+    bytes one ``csv.writer`` row per step gives: a float is its ``repr``,
+    and no game id needs quoting."""
     if report.per_game is not None:
-        writer.writerow(("step", "wealth", "game_id"))
+        sink.write("step,wealth,game_id\n")
         for game in report.per_game:
-            for step, lw in game.trajectory or ():
-                writer.writerow((step, wealth_from_log(lw), game.game_id))
+            _write_wealth_rows(sink, game.trajectory or [], f",{game.game_id}\n")
     else:
-        writer.writerow(("step", "wealth"))
-        for step, lw in report.trajectory or ():
-            writer.writerow((step, wealth_from_log(lw)))
+        sink.write("step,wealth\n")
+        _write_wealth_rows(sink, report.trajectory or [], "\n")
+
+
+# Rows formatted per write: one write per block, and memory bounded by the
+# block rather than by the trajectory.
+_ROWS_PER_WRITE = 4096
+
+
+def _write_wealth_rows(sink: IO[str], trajectory: list[tuple[int, float]], end: str) -> None:
+    """``step,wealth`` plus ``end`` for each (step, log wealth) pair, by an
+    inlined ``wealth_from_log`` that still calls it past 709."""
+    exp = math.exp
+    for i in range(0, len(trajectory), _ROWS_PER_WRITE):
+        sink.write("".join([
+            f"{step},{(exp(lw) if lw <= 709.0 else wealth_from_log(lw))!r}{end}"
+            for step, lw in trajectory[i : i + _ROWS_PER_WRITE]
+        ]))
 
 
 def write_summary_csv(rows: Iterable[dict], sink: IO[str]) -> None:

@@ -40,7 +40,7 @@ from seqaudit.core import (
     SessionStateError,
     Simple,
 )
-from seqaudit.engine import run_args, run_stream, session_finalize, session_new
+from seqaudit.engine import STRATEGIES, run_args, run_stream, session_finalize, session_new
 from seqaudit.payoffs import composite_args, payoff_propensity, simple_args
 from seqaudit.simulate import (
     REGION_POLICIES,
@@ -399,6 +399,50 @@ def _flooding_stream(seed, n_records):
                 emitted += 1
 
 
+def _policy_switch_arrays(seed, steps=2000, switch=1000):
+    """Outputs, propensities and weights (one row per step, one column per
+    group) of a policy that changes mid-stream: group 0 is sampled through
+    ``pi1``, then through ``pi3`` after step ``switch``, and group 1
+    through the uniform policy, over four regions of equal density.  Group
+    0 outputs _SPREAD and group 1 _FLAT, so both weighted means are 0.6 at
+    every step."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    policies = np.array([REGION_POLICIES[name] for name in ("pi1", "pi3", "uniform")])
+    which = np.column_stack((np.where(np.arange(1, steps + 1) <= switch, 0, 1), np.full(steps, 2)))
+    # region = number of the first three cumulative shares the uniform draw
+    # passes; the fourth (1 up to rounding) is left out, so it stays in 0-3
+    cdf = np.cumsum(policies, axis=1)[which, :3]
+    x = (rng.random((steps, 2, 1)) >= cdf).sum(axis=2)
+    propensity = policies[which, x]
+    y = np.array((_SPREAD, _FLAT))[[0, 1], x]
+    return y, propensity, 0.25 / propensity
+
+
+def _policy_switch_fpr(alpha, reps):
+    """FPR of the propensity audit over :func:`_policy_switch_arrays`, at
+    the scale 1 / (2 max w) over all three policies, through ``run_args``
+    on the strategy row's block form.  One replicate is checked against
+    ``run_stream`` over the same draws as records, bit for bit."""
+    w_max = 0.25 / min(min(REGION_POLICIES[name]) for name in ("pi1", "pi3", "uniform"))
+    strategy = Propensity(scale=1.0 / (2.0 * w_max))
+    hits = 0
+    for i in range(reps):
+        y, propensity, w = _policy_switch_arrays(derive_seed(211, i))
+        args, error = STRATEGIES[Propensity].block(strategy, y, w)
+        assert error is None
+        config = AuditConfig(alpha=alpha, strategy=strategy, seed=derive_seed(212, i))
+        report = run_args(config, [args], record_trajectory=i == 0)
+        if i == 0:
+            records = [
+                AuditRecord(t=t, group=b, y_hat=y_b, propensity=p_b, density=0.25)
+                for t, (ys, ps) in enumerate(zip(y.tolist(), propensity.tolist()), 1)
+                for b, y_b, p_b in zip((0, 1), ys, ps)
+            ]
+            assert run_stream(config, records) == report
+        hits += report.decision.is_rejection
+    return hits / reps
+
+
 _HOSTILE_NULLS = {
     "estimates-0.5x-2x": lambda: _estimated_audit((_SPREAD, _FLAT), (_REGION_SKEW,) * 2, 201),
     "estimates-2x-0.5x": lambda: _estimated_audit(
@@ -412,12 +456,14 @@ _HOSTILE_NULLS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_HOSTILE_NULLS, "batched-flooding"])
+@pytest.mark.parametrize("case", [*_HOSTILE_NULLS, "batched-flooding", "propensity-policy-switch"])
 def test_null_validity_under_hostile_nulls(case):
     """Every strategy keeps FPR <= alpha + slack under its own null when the
     null is hostile: 200 replicates, 2,000 steps (records for batched)."""
     alpha, reps = 0.05, 200
-    if case == "batched-flooding":
+    if case == "propensity-policy-switch":
+        fpr = _policy_switch_fpr(alpha, reps)
+    elif case == "batched-flooding":
         hits = 0
         for i in range(reps):
             cfg = AuditConfig(alpha=alpha, strategy=Batched(), seed=derive_seed(206, i))
@@ -483,13 +529,14 @@ def test_criterion_11_baseline_protocols():
         # at every step, drawn by the block sampler.
         null_y = [draw_outputs(null_scen, seed=derive_seed(null_scen.seed, i)) for i in range(reps)]
         alt_y = [draw_outputs(alt_scen, seed=derive_seed(alt_scen.seed, i)) for i in range(reps)]
-        # One lazy p-value sequence per stream, shared by every protocol sweep.
+        # One lazy p-value sequence per stream, shared by every protocol sweep
+        # and capped at the largest alpha any sweep tests at.
         groups = np.tile([0, 1], horizon // 2)
         pvalues = []
         for i in range(reps):
             cfg = PermutationTestConfig(n_permutations=perms, seed=derive_seed(1113, i))
             pvalues.append(
-                [PValueSequence(y.ravel(), groups, k, cfg) for y in (null_y[i], alt_y[i])]
+                [PValueSequence(y.ravel(), groups, k, cfg, cap=max(alpha_grid)) for y in (null_y[i], alt_y[i])]
             )
 
         def protocol_cells(kind: str, alpha: float) -> tuple[float, float]:

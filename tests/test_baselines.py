@@ -332,3 +332,86 @@ def test_walk_stops_at_the_pvalue_floor(data, k, n_permutations, gap):
             assert len(calls) == reach
             if alpha < floor:
                 assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n0=st.integers(1, 60),
+    n1=st.integers(1, 60),
+    n_permutations=st.sampled_from([1, 15, 16, 17, 19, 48, 99, 199, 200, 300, 1000]),
+    shift=st.sampled_from([0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**32),
+    cap=st.one_of(st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_capped_pvalue_is_exact_up_to_the_cap(n0, n1, n_permutations, shift, seed, cap):
+    """At or below the cap, the capped test gives the exact p-value bit for
+    bit; above it, a lower bound that is still above the cap, so every
+    ``p <= level`` with ``level <= cap`` is decided as the exact p-value
+    decides it."""
+    gen = np.random.default_rng(seed)
+    s0, s1 = gen.random(n0) + shift, gen.random(n1)
+    cfg = PermutationTestConfig(n_permutations=n_permutations, seed=1)
+    exact = permutation_pvalue(s0, s1, cfg, rng=np.random.default_rng(seed))
+    capped = permutation_pvalue(s0, s1, cfg, rng=np.random.default_rng(seed), cap=cap)
+    if exact <= cap:
+        assert capped.hex() == exact.hex()
+    else:
+        assert cap < capped <= exact
+
+
+def test_capped_pvalue_stops_drawing_above_the_cap():
+    """Equal samples give a hit on every row: with B = 200, a cap of 0.05
+    is passed by the first block of 16 rows, which is all the test draws."""
+    s0 = s1 = np.linspace(0.0, 1.0, 50)
+    cfg = PermutationTestConfig(n_permutations=200, seed=1)
+    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    assert permutation_pvalue(s0, s1, cfg, rng=rng, cap=0.05) == 17 / 201
+    # 1 / (19 + 1) is the cap itself, so rows are drawn
+    assert permutation_pvalue(s0, s1, PermutationTestConfig(n_permutations=19), cap=0.05) == 17 / 20
+    rng_ref.permuted(np.broadcast_to(np.concatenate([s0, s1]), (16, 100)), axis=1, out=np.empty((16, 100)))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_walk_protocol_refuses_an_alpha_above_the_cap():
+    seq = PValueSequence(np.zeros(40), np.tile([0, 1], 20), 10, PermutationTestConfig(), cap=0.05)
+    walk_protocol(BatchProtocol(kind="m1", batch_size=10, alpha=0.05), seq)
+    for kind in ("m1", "m2"):
+        with pytest.raises(ValidationError, match="capped"):
+            walk_protocol(BatchProtocol(kind=kind, batch_size=10, alpha=0.1), seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    k=st.sampled_from([8, 20, 50]),
+    n_permutations=st.sampled_from([19, 100, 300]),
+    gap=st.floats(0.0, 0.6),
+)
+def test_walks_over_capped_pvalues_equal_walks_over_exact_ones(seed, k, n_permutations, gap):
+    """Every protocol with alpha at most the cap stops where it stops on
+    exact p-values, and tests the same batches."""
+    gen = np.random.default_rng(seed)
+    group = np.tile([0, 1], 150)
+    y = (gen.random(300) < 0.5 + gap / 2 * np.where(group == 0, 1, -1)).astype(float)
+    cfg = PermutationTestConfig(n_permutations=n_permutations, seed=seed)
+    alphas = (0.01, 0.05, 0.1)
+    calls = {}
+
+    def walks(cap):
+        seq = PValueSequence(y, group, k, cfg, cap=cap)
+        calls[cap] = []
+
+        def counting(*args, **kwargs):
+            calls[cap].append(kwargs["cap"])
+            return permutation_pvalue(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "permutation_pvalue", counting)
+            return [
+                walk_protocol(BatchProtocol(kind=kind, batch_size=k, alpha=alpha), seq)
+                for kind in ("m1", "m2")
+                for alpha in alphas
+            ]
+
+    assert walks(max(alphas)) == walks(1.0)
+    assert calls[max(alphas)] == [max(alphas)] * len(calls[1.0])

@@ -35,6 +35,7 @@ from seqaudit.engine import run_columns, run_stream
 from seqaudit.simulate import (
     FixedMeans,
     derive_seed,
+    draw_outputs,
     estimated_density_scale,
     generate_stream,
     policy_corrective_scale,
@@ -365,6 +366,41 @@ def test_bench_rows_equal_the_record_path(seed, tmp_path):
     assert [line.split(",") for line in lines[1:]] == _bench_rows_by_hand(seed)
 
 
+def test_bench_rows_equal_walks_over_exact_pvalues(tmp_path):
+    """``bench`` caps its p-values at the largest alpha; each protocol row
+    over two alphas a decade apart equals walks over exact (uncapped)
+    p-value sequences of the same streams."""
+    seed, reps, horizon, perms = 5, 6, 1000, 300
+    alphas, batch_sizes = (0.01, 0.1), (20, 50)
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--alphas", "0.01,0.1", "--methods", "perm-m1,perm-m2", "--batch-sizes", "20,50",
+            "--replicates", str(reps), "--horizon", str(horizon), "--permutations", str(perms),
+            "--delta", "0.2", "--seed", str(seed)]
+    assert main([*argv, "--out", str(out)]) == 0
+    null = FixedMeans((0.5, 0.5), horizon=horizon // 2, seed=derive_seed(seed, 101))
+    alt = FixedMeans.from_gap(0.2, center=0.5, horizon=horizon // 2, seed=derive_seed(seed, 202))
+    groups = np.tile([0, 1], horizon // 2)
+    exact = {}
+    for i in range(reps):
+        cfg = PermutationTestConfig(n_permutations=perms, seed=derive_seed(seed, 10_000 + i))
+        for k in batch_sizes:
+            streams = [draw_outputs(scen, seed=derive_seed(scen.seed, i)).ravel() for scen in (null, alt)]
+            exact[k, i] = [baselines.PValueSequence(y, groups, k, cfg) for y in streams]
+    rows = []
+    for alpha in alphas:
+        for method in ("perm-m1", "perm-m2"):
+            for k in batch_sizes:
+                protocol = BatchProtocol(kind=method[-2:], batch_size=k, alpha=alpha)
+                hits, taus = 0, []
+                for i in range(reps):
+                    null_pvalues, alt_pvalues = exact[k, i]
+                    hits += baselines.walk_protocol(protocol, null_pvalues)[0]
+                    hit, tau = baselines.walk_protocol(protocol, alt_pvalues)
+                    taus.append(tau if hit else horizon)
+                rows.append([method, str(k), str(alpha), str(hits / reps), str(sum(taus) / reps)])
+    assert [line.split(",") for line in out.read_text().splitlines()[1:]] == rows
+
+
 def test_bench_computes_each_batch_pvalue_at_most_once(monkeypatch, tmp_path):
     """Across M1, M2 and every alpha, each (stream, batch size, tested
     batch) gets one p-value, and no more batches than the furthest
@@ -374,9 +410,9 @@ def test_bench_computes_each_batch_pvalue_at_most_once(monkeypatch, tmp_path):
     calls = []
     pvalue = baselines.permutation_pvalue
 
-    def counting(sample0, sample1, config, rng=None):
+    def counting(sample0, sample1, config, rng=None, **kwargs):
         calls.append((tuple(rng.bit_generator.seed_seq.entropy), len(sample0) + len(sample1)))
-        return pvalue(sample0, sample1, config, rng=rng)
+        return pvalue(sample0, sample1, config, rng=rng, **kwargs)
 
     monkeypatch.setattr(baselines, "permutation_pvalue", counting)
     seed, reps, horizon = 4, _BENCH_GRID["replicates"], _BENCH_GRID["horizon"]
@@ -427,6 +463,23 @@ def test_bench_m2_past_1023_batches_exits_cleanly(tmp_path):
     assert main([*argv, "--out", str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("perm-m2,2,0.05,")
+
+
+def test_audit_imports_neither_simulate_nor_baselines(tmp_path):
+    """``audit`` loads only what it uses, also when ``--strategy
+    propensity`` lacks ``--scale`` (which only a scenario can supply)."""
+    code = (
+        "import sys\n"
+        "from seqaudit.cli import main\n"
+        f"main(['audit', {str(GOLDEN / 'audit_input.jsonl')!r}])\n"
+        f"main(['audit', {str(GOLDEN / 'audit_input.jsonl')!r}, '--strategy', 'propensity'])\n"
+        "print(sorted(m for m in ('seqaudit.simulate', 'seqaudit.baselines') if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=child_env()
+    )
+    assert "propensity strategy requires --scale" in result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_unknown_preset_is_usage_error():

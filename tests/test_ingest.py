@@ -1,4 +1,5 @@
 """Parsing, validation, and deterministic serialization."""
+import csv
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from seqaudit.core import (
     IngestError,
     ValidationError,
     strategy_from_dict,
+    wealth_from_log,
 )
 from seqaudit.engine import run_stream
 from seqaudit.ingest import (
@@ -452,6 +454,39 @@ def test_trajectory_csv_plain_and_per_game():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "step,wealth,game_id"
     assert len(lines) == 1 + 2 * 30
+
+
+def _trajectory_csv_by_writer(report):
+    """The trajectory CSV as one ``csv.writer`` row per step."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if report.per_game is not None:
+        writer.writerow(("step", "wealth", "game_id"))
+        for game in report.per_game:
+            writer.writerows((step, wealth_from_log(lw), game.game_id) for step, lw in game.trajectory)
+    else:
+        writer.writerow(("step", "wealth"))
+        writer.writerows((step, wealth_from_log(lw)) for step, lw in report.trajectory)
+    return buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    paths=st.lists(
+        st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 709.0, 709.5, 710.0])),
+                 max_size=20),
+        min_size=2, max_size=2,
+    ),
+)
+def test_trajectory_csv_bytes_equal_a_csv_writer(paths):
+    """Log wealths anywhere on the float line, overflow past 709 included,
+    give the bytes ``csv.writer`` gives, for one game and for several."""
+    report = _report(composite=True, horizon=5)
+    games = [replace(g, trajectory=list(enumerate(path, 1))) for g, path in zip(report.per_game, paths)]
+    for case in (replace(report, per_game=games), replace(report, per_game=None, trajectory=games[0].trajectory)):
+        buf = io.StringIO()
+        write_trajectory_csv(case, buf)
+        assert buf.getvalue() == _trajectory_csv_by_writer(case)
 
 
 def test_summary_csv_layout():
