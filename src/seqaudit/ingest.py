@@ -34,6 +34,7 @@ _OPTIONAL_FIELDS = ("propensity", "density", "density_estimate")
 _KINDS = (int, int, float, float, float, float)
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
 _REQUIRED_KEYS = frozenset(_REQUIRED_FIELDS)
+_INF = math.inf
 
 # Every JSONL line is decoded by this one scanner; a line it cannot take
 # whole goes through json.loads, so accepted lines and error text are
@@ -53,7 +54,21 @@ def record_from_dict(d: dict, line_no: int = 0, mode: str = "strict") -> AuditRe
     """Build a record from one decoded line.  Numeric fields never take a
     boolean, and ``t`` and ``group`` take only integral values; strict mode
     also refuses strings, while lenient mode (and CSV, whose cells are
-    text) converts them with int() and float()."""
+    text) converts them with int() and float().  A clean line (exact types,
+    no other key nor a null, values in range) is built after one test; any
+    other goes through the conversions and AuditRecord's checks."""
+    get = d.get
+    t, group, y_hat = get("t"), get("group"), get("y_hat")
+    p, rho, rho_hat = get("propensity"), get("density"), get("density_estimate")
+    if (  # the common case, whose every check AuditRecord.__new__ makes too
+        type(t) is int and type(group) is int and type(y_hat) is float
+        and len(d) == 3 + (p is not None) + (rho is not None) + (rho_hat is not None)
+        and t >= 1 and group >= 0 and 0.0 <= y_hat <= 1.0
+        and (p is None or type(p) is float and 0.0 < p < _INF)
+        and (rho is None or type(rho) is float and 0.0 <= rho < _INF)
+        and (rho_hat is None or type(rho_hat) is float and 0.0 < rho_hat < _INF)
+    ):
+        return tuple.__new__(AuditRecord, (t, group, y_hat, p, rho, rho_hat))
     keys = d.keys()
     if not keys <= _RECORD_KEYS:
         unknown = sorted(keys - _RECORD_KEYS)
@@ -63,10 +78,8 @@ def record_from_dict(d: dict, line_no: int = 0, mode: str = "strict") -> AuditRe
     if not keys >= _REQUIRED_KEYS:
         missing = [k for k in _REQUIRED_FIELDS if k not in d]
         raise IngestError(line_no, f"missing required keys {missing}")
-    t, group, y_hat = d["t"], d["group"], d["y_hat"]
-    p, rho, rho_hat = d.get("propensity"), d.get("density"), d.get("density_estimate")
     try:
-        if not (  # the common case, one exact-type test; the rest converts
+        if not (  # values of exact type stand as they are; the rest convert
             type(t) is int and type(group) is int and type(y_hat) is float
             and (p is None or type(p) is float) and (rho is None or type(rho) is float)
             and (rho_hat is None or type(rho_hat) is float)
@@ -107,8 +120,8 @@ def _open_lines(source) -> Iterable[str]:
 def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterator[AuditRecord]:
     """Lazily parse records in file order, enforcing per-group monotone time
     indices as they stream past.  In strict mode the first violation aborts
-    with its line number; lenient mode only downgrades unknown keys to
-    warnings."""
+    with its line number; lenient mode downgrades unknown keys to warnings
+    and converts numbers written as strings, as CSV cells always are."""
     _check_format(format, mode)
     lines = _open_lines(source)
 

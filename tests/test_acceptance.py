@@ -399,9 +399,9 @@ def _flooding_stream(seed, n_records):
                 emitted += 1
 
 
-def _policy_switch_arrays(seed, steps=2000, switch=1000):
-    """Outputs, propensities and weights (one row per step, one column per
-    group) of a policy that changes mid-stream: group 0 is sampled through
+def _policy_switch_draw(seed, steps=2000, switch=1000):
+    """Outputs, weights (one row per step, one column per group) and the
+    records of a policy that changes mid-stream: group 0 is sampled through
     ``pi1``, then through ``pi3`` after step ``switch``, and group 1
     through the uniform policy, over four regions of equal density.  Group
     0 outputs _SPREAD and group 1 _FLAT, so both weighted means are 0.6 at
@@ -415,32 +415,53 @@ def _policy_switch_arrays(seed, steps=2000, switch=1000):
     x = (rng.random((steps, 2, 1)) >= cdf).sum(axis=2)
     propensity = policies[which, x]
     y = np.array((_SPREAD, _FLAT))[[0, 1], x]
-    return y, propensity, 0.25 / propensity
+    return y, 0.25 / propensity, lambda: [
+        AuditRecord(t=t, group=b, y_hat=y_b, propensity=p_b, density=0.25)
+        for t, (ys, ps) in enumerate(zip(y.tolist(), propensity.tolist()), 1)
+        for b, y_b, p_b in zip((0, 1), ys, ps)
+    ]
 
 
-def _policy_switch_fpr(alpha, reps):
-    """FPR of the propensity audit over :func:`_policy_switch_arrays`, at
-    the scale 1 / (2 max w) over all three policies, through ``run_args``
-    on the strategy row's block form.  One replicate is checked against
-    ``run_stream`` over the same draws as records, bit for bit."""
-    w_max = 0.25 / min(min(REGION_POLICIES[name]) for name in ("pi1", "pi3", "uniform"))
-    strategy = Propensity(scale=1.0 / (2.0 * w_max))
+def _logistic_shift_draw(seed, steps=2000):
+    """Outputs and records of two groups whose Bernoulli mean follows one
+    logistic curve from 0.2 to 0.8 over ``steps`` steps: the model shifts,
+    but alike in both groups, so every step is a null."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    t = np.arange(1, steps + 1)
+    mean = 0.2 + 0.6 / (1.0 + np.exp(-(t - steps / 2) / (steps / 20)))
+    y = (rng.random((steps, 2)) < mean[:, None]).astype(float)
+    return y, None, lambda: [
+        AuditRecord(t=t, group=b, y_hat=y_b) for t, ys in enumerate(y.tolist(), 1) for b, y_b in enumerate(ys)
+    ]
+
+
+def _block_fpr(strategy, draw, seed, alpha, reps):
+    """FPR of the audit under ``strategy`` over replicates of ``draw``,
+    through ``run_args`` on the strategy row's block form.  ``draw`` maps a
+    seed to one replicate's outputs, weights and records; the first
+    replicate is checked against ``run_stream`` over its records, bit for
+    bit."""
     hits = 0
     for i in range(reps):
-        y, propensity, w = _policy_switch_arrays(derive_seed(211, i))
-        args, error = STRATEGIES[Propensity].block(strategy, y, w)
+        y, w, records = draw(derive_seed(seed, i))
+        args, error = STRATEGIES[type(strategy)].block(strategy, y, w)
         assert error is None
-        config = AuditConfig(alpha=alpha, strategy=strategy, seed=derive_seed(212, i))
+        config = AuditConfig(alpha=alpha, strategy=strategy, seed=derive_seed(seed + 1, i))
         report = run_args(config, [args], record_trajectory=i == 0)
         if i == 0:
-            records = [
-                AuditRecord(t=t, group=b, y_hat=y_b, propensity=p_b, density=0.25)
-                for t, (ys, ps) in enumerate(zip(y.tolist(), propensity.tolist()), 1)
-                for b, y_b, p_b in zip((0, 1), ys, ps)
-            ]
-            assert run_stream(config, records) == report
+            assert run_stream(config, records()) == report
         hits += report.decision.is_rejection
     return hits / reps
+
+
+# The propensity audit of the switch takes the scale 1 / (2 max w) over
+# all three policies.
+_SWITCH_W_MAX = 0.25 / min(min(REGION_POLICIES[name]) for name in ("pi1", "pi3", "uniform"))
+# Nulls drawn as arrays: (strategy, draw, seed).
+_BLOCK_NULLS = {
+    "propensity-policy-switch": (Propensity(scale=1.0 / (2.0 * _SWITCH_W_MAX)), _policy_switch_draw, 211),
+    "simple-logistic-shift": (Simple(), _logistic_shift_draw, 213),
+}
 
 
 _HOSTILE_NULLS = {
@@ -456,13 +477,13 @@ _HOSTILE_NULLS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_HOSTILE_NULLS, "batched-flooding", "propensity-policy-switch"])
+@pytest.mark.parametrize("case", [*_HOSTILE_NULLS, "batched-flooding", *_BLOCK_NULLS])
 def test_null_validity_under_hostile_nulls(case):
     """Every strategy keeps FPR <= alpha + slack under its own null when the
     null is hostile: 200 replicates, 2,000 steps (records for batched)."""
     alpha, reps = 0.05, 200
-    if case == "propensity-policy-switch":
-        fpr = _policy_switch_fpr(alpha, reps)
+    if case in _BLOCK_NULLS:
+        fpr = _block_fpr(*_BLOCK_NULLS[case], alpha, reps)
     elif case == "batched-flooding":
         hits = 0
         for i in range(reps):

@@ -48,10 +48,12 @@ GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
-def run_cli(*argv, cwd=None):
-    """Run ``python -m seqaudit`` in a child (see :func:`child_env`)."""
+def run_cli(*argv, cwd=None, stdin=None):
+    """Run ``python -m seqaudit`` in a child (see :func:`child_env`), with
+    the text ``stdin`` on its standard input."""
     return subprocess.run(
         [sys.executable, "-m", "seqaudit", *argv],
+        input=stdin,
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -111,6 +113,14 @@ def test_audit_invalid_record_is_usage_error(tmp_path):
 
 
 def test_audit_stdin_and_csv(tmp_path):
+    """The golden input audited from stdin, which takes the record path,
+    gives the golden report and the file audit's exit code."""
+    golden = GOLDEN / "audit_input.jsonl"
+    flags = ("--alpha", "0.05", "--seed", "3")
+    from_file = run_cli("audit", str(golden), *flags)
+    from_stdin = run_cli("audit", "-", *flags, stdin=golden.read_text())
+    assert from_stdin.returncode == from_file.returncode, from_stdin.stderr
+    assert from_stdin.stdout.encode() == (GOLDEN / "audit_report.json").read_bytes()
     csv_path = tmp_path / "stream.csv"
     csv_path.write_text("t,group,y_hat\n1,0,1.0\n1,1,0.0\n2,0,1.0\n2,1,0.0\n")
     result = run_cli("audit", str(csv_path), "--alpha", "0.5")

@@ -5,11 +5,13 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqaudit import ingest
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -253,6 +255,72 @@ def test_record_from_dict_types_each_field_by_the_rules(mode):
         cases += [{**clean, key: value} for value in _ODD_VALUES]
         for d in cases:
             assert _typed_outcome(d, mode) == _typing_rules(d, mode), d
+
+
+_CLEAN_LINES = [
+    {"t": 1, "group": 0, "y_hat": 0.0},
+    {"t": 1, "group": 1, "y_hat": 1.0, "propensity": 0.5, "density": 0.0},
+    {"t": 2**70, "group": 0, "y_hat": 0.5, "density_estimate": 1e300},
+    {"y_hat": 0.25, "density": 0.25, "propensity": 1.5, "group": 3, "t": 4, "density_estimate": 0.5},
+]
+
+
+def test_clean_lines_skip_the_checks_of_the_full_path():
+    """A clean JSONL line is built by record_from_dict's one test, without
+    a field conversion or AuditRecord.__new__."""
+    text = "".join(json.dumps(d) + "\n" for d in _CLEAN_LINES)
+    with (
+        mock.patch.object(AuditRecord, "__new__", wraps=AuditRecord.__new__) as new,
+        mock.patch.object(ingest, "_number", wraps=ingest._number) as number,
+    ):
+        records = list(parse_stream(io.StringIO(text)))
+    assert new.call_count == number.call_count == 0
+    assert records == [AuditRecord(**d) for d in _CLEAN_LINES]
+
+
+@pytest.mark.parametrize(
+    "line, mode, conversions",
+    [
+        ({"t": 2, "group": 1, "y_hat": 1}, "strict", 3),  # an integral y_hat
+        ({"t": 2, "group": 1, "y_hat": 0.5, "density": None}, "strict", 0),
+        ({"t": 2, "group": 1, "y_hat": 0.5, "note": 0.5}, "lenient", 0),
+    ],
+)
+def test_other_lines_take_the_full_path(line, mode, conversions):
+    with (
+        mock.patch.object(AuditRecord, "__new__", wraps=AuditRecord.__new__) as new,
+        mock.patch.object(ingest, "_number", wraps=ingest._number) as number,
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        (record,) = parse_stream(io.StringIO(json.dumps(line) + "\n"), mode=mode)
+    assert (new.call_count, number.call_count) == (1, conversions)
+    assert len(caught) == ("note" in line)
+    assert record == AuditRecord(t=2, group=1, y_hat=float(line["y_hat"]))
+
+
+_ODD_LINES = st.builds(
+    lambda key, value: {"t": 2, "group": 1, "y_hat": 0.5, "propensity": 0.5, "density": 0.25, key: value},
+    st.sampled_from([*_INT_FIELDS, *_FLOAT_FIELDS, "note"]),
+    st.sampled_from(_ODD_VALUES),
+)
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@given(d=st.one_of(_LINE_DICTS, _ODD_LINES))
+@settings(max_examples=250, deadline=None)
+def test_each_record_is_the_one_audit_record_builds(mode, d):
+    """Whatever path builds a record, AuditRecord builds the same one from
+    its fields, with the same field types."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            record = record_from_dict(d, 7, mode)
+        except IngestError:
+            return
+    rebuilt = AuditRecord(*record)
+    assert type(record) is AuditRecord and rebuilt == record
+    assert list(map(type, rebuilt)) == list(map(type, record))
 
 
 @pytest.mark.parametrize(
