@@ -8,9 +8,9 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
-from contextlib import suppress
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -167,8 +167,8 @@ def _jsonl_record(
 ) -> AuditRecord | None:
     """The record of one JSONL line (None for a blank line), checked against
     the last time index of its group in ``last_t``, which it updates.
-    ``obj`` is the line's object, when the caller has decoded it: a JSONL
-    line read whole, or the non-empty cells of a CSV row."""
+    ``obj`` stands for the line's object when the caller has one: the
+    non-empty cells of a CSV row."""
     if obj is None:
         obj = _decode_line(line)
     if obj is None:
@@ -229,9 +229,15 @@ def _csv_record(
 # parse_columns reads a JSONL file this many lines at a time.
 CHUNK_LINES = 2048
 
-_FLOAT_TYPES = {float, int, type(None)}
+_NUMBERS = {int, float}
 _EXACT_INT = 2**53  # an int up to this size is the same number as a float
 _INT_LIMIT = 2**62  # t and group values the vectorised checks clear, well inside int64
+
+# A run of the characters JSON numbers are written in: a value, or digits and
+# exponent letters inside a key ("propensity", or "\u0074" for "t").
+_NUMBER_RUN = re.compile(rb"[-+0-9.eE]+")
+_VALUE_RUN = re.compile(rb":[ \t\n\r]*([-+0-9.eE]+)")  # the run after a key
+_RUNS_ONLY = bytes(c if c in b"-+0123456789.eE" else 32 for c in range(256))  # the rest to spaces
 
 
 def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterator[RecordColumns]:
@@ -242,14 +248,18 @@ def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterat
     by record through parse_stream.
 
     JSONL is read CHUNK_LINES lines at a time, and each chunk is decided
-    whole.  When vectorised checks clear every line of it, blank lines
-    aside, as one the scalar code would accept as it is, the chunk is one
-    column chunk.  Any other chunk goes line by line through the scalar
-    code, as every CSV row does, since its cells are text.  Its records are
-    yielded up to the line the scalar code refuses, whose error is raised
-    at the next pull.  So every error and warning is parse_stream's, at the
-    same line, and no error about a line past the one the consumer stops
-    at ever surfaces."""
+    whole by its layout: the text of its first line with the values cut
+    out.  When every line, blank lines aside, is that layout with one JSON
+    number in each value slot, and array checks clear each value as the
+    scalar code would take it as it is, the chunk is one column chunk, read
+    without a dict per line.  Any other chunk, such as one whose lines mix
+    layouts (keys in another order, an optional key on some lines only,
+    other separators), goes line by line through the scalar code, as every
+    CSV row does, since its cells are text.  Its records are yielded up to
+    the line the scalar code refuses, whose error is raised at the next
+    pull.  So every error and warning is parse_stream's, at the same line,
+    and no error about a line past the one the consumer stops at ever
+    surfaces."""
     _check_format(format, mode)
     if format == "csv":
         return _record_chunks(parse_stream(source, "csv", mode))
@@ -264,15 +274,13 @@ def _jsonl_chunks(lines, source) -> Iterator[RecordColumns]:
     try:
         for chunk, read_error in _chunks(lines):
             kept = list(filter(str.strip, chunk))  # a blank line gives no record
-            objs = _decode_chunk(kept)
-            cols = _clean_columns(objs, last_t)
+            cols = _clean_columns(kept, last_t)
             if cols is not None:
                 yield cols
             else:
                 numbers = [n for n, line in enumerate(chunk, start=first) if line.strip()]
                 yield from _record_chunks(
-                    _jsonl_record(line, line_no, "strict", last_t, obj)
-                    for line, line_no, obj in zip(kept, numbers, objs, strict=True)
+                    _jsonl_record(line, line_no, "strict", last_t) for line, line_no in zip(kept, numbers)
                 )
             first += len(chunk)
             if read_error is not None:
@@ -315,82 +323,87 @@ def _chunks(items: Iterable) -> Iterator[tuple[list, Exception | None]]:
             return
 
 
-def _decode_chunk(lines: list[str]) -> list[dict | None]:
-    """The JSON object of each line, or None where a line does not hold
-    exactly one.  When every line starts with ``{``, ends with ``}`` and
-    holds one of each, the chunk decodes as one JSON array, kept if it has
-    one object per line (a string may hold ``},{``); else line by line."""
-    n = len(lines)
-    body = "".join(lines)
-    if body.endswith("\n"):
-        body = body[:-1]
-    if (
-        body.startswith("{") and body.endswith("}")
-        and body.count("{") == n == body.count("}")
-        and body.count("}\n{") == n - 1 == body.count("\n")
-    ):
-        with suppress(json.JSONDecodeError):
-            objs = json.loads("[" + body.replace("\n", ",") + "]")
-            if len(objs) == n:
-                return objs
-    return list(map(_decode_line, lines))
-
-
-def _clean_columns(objs: list[dict | None], last_t: dict[int, int]) -> RecordColumns | None:
-    """Columns of decoded lines when vectorised checks clear every one as a
-    line the scalar code accepts as it is, else None.  The checks: each line
-    is one object with known keys only and the required ones; values have
-    exact types, and a bool counts as none; no NaN or infinity, nor an int
-    a float cannot hold exactly; values lie in range, with 1 <= t < 2**62
-    and group >= 0; and t increases within each group from ``last_t``,
-    which is updated only when every check passes."""
-    if None in objs or not all(map(_RECORD_KEYS.issuperset, objs)):
+def _layout(line: str) -> tuple[bytes, list[str | bytes]] | None:
+    """The layout of a line the scanner reads as one object of known keys,
+    the required ones among them, and numbers only: the line's bytes with
+    ``%s`` for each number run (no known key holds a ``%``), and each run's
+    key, or its text where it lies inside a key.  None for any other line."""
+    obj = _decode_line(line)
+    if obj is None or not _REQUIRED_KEYS <= obj.keys() <= _RECORD_KEYS:
         return None
-    t, group, y = _int_column(objs, "t", 1), _int_column(objs, "group", 0), _float_column(objs, "y_hat")
+    if not set(map(type, obj.values())) <= _NUMBERS:  # a bool's type is bool
+        return None
+    text = line.encode() if line.endswith("\n") else line.encode() + b"\n"  # as the body ends
+    values = {m.start(1) for m in _VALUE_RUN.finditer(text)}
+    if not len(values) == len(obj) == text.count(b":"):  # a key written twice, NaN or Infinity
+        return None
+    keys = iter(obj)  # in the order the values are written
+    slots = [next(keys) if m.start() in values else m.group() for m in _NUMBER_RUN.finditer(text)]
+    return _NUMBER_RUN.sub(b"%s", text), slots
+
+
+def _clean_columns(lines: list[str], last_t: dict[int, int]) -> RecordColumns | None:
+    """Columns of a chunk's non-blank lines when each is its first line's
+    layout with a JSON number in each value slot, and array checks clear
+    each as a line the scalar code accepts as it is, else None.  Every line
+    is checked at once, on the chunk's bytes: filling the layout, repeated,
+    with the chunk's number runs must give those bytes back, and a run
+    inside a key must be the first line's.  Each column's runs decode by
+    one json.loads, so the JSON grammar holds and each value is the object
+    decode's.  The array checks: t and group are ints, with 1 <= t < 2**62
+    and 0 <= group < 2**62; other values are floats or ints a float holds
+    exactly, in range and finite; and t increases within each group from
+    ``last_t``, which is updated only when every check passes."""
+    layout = _layout(lines[0]) if lines else None
+    if layout is None:
+        return None
+    template, slots = layout
+    n, width = len(lines), len(slots)
+    body = "".join(lines).encode("utf-8", "surrogatepass")
+    if not body.endswith(b"\n"):  # the file's last line
+        body += b"\n"
+    runs = body.translate(_RUNS_ONLY).split()
+    if len(runs) != n * width or (template * n) % tuple(runs) != body:
+        return None
+    text = {}
+    for i, slot in enumerate(slots):
+        if type(slot) is str:
+            text[slot] = b",".join(runs[i::width])
+        elif runs[i::width].count(slot) != n:
+            return None
+    t, group, y = _int_column(text["t"], 1), _int_column(text["group"], 0), _float_column(text["y_hat"])
     if t is None or group is None or y is None or not ((y >= 0.0) & (y <= 1.0)).all():
         return None
-    if set(map(len, objs)) == {3}:  # no line has an optional key
-        optional = [np.full(len(objs), math.nan) for _ in _OPTIONAL_FIELDS]
-    else:
-        optional = [_float_column(objs, key) for key in _OPTIONAL_FIELDS]
-        for key, col in zip(_OPTIONAL_FIELDS, optional):
-            if col is None or np.isinf(col).any() or (col < 0.0 if key == "density" else col <= 0.0).any():
-                return None
+    optional = [_float_column(text[key]) if key in text else np.full(n, math.nan) for key in _OPTIONAL_FIELDS]
+    for key, col in zip(_OPTIONAL_FIELDS, optional):
+        if col is None or np.isinf(col).any() or (col < 0.0 if key == "density" else col <= 0.0).any():
+            return None
     if not _increasing(group, t, last_t):
         return None
     return RecordColumns(t, group, y, *optional)
 
 
-def _int_column(objs: list[dict], key: str, lo: int) -> np.ndarray | None:
-    """The ``key`` values as int64, or None unless each is an int (not a
-    bool) in [lo, 2**62)."""
-    values = list(map(dict.get, objs, repeat(key)))
-    if set(map(type, values)) != {int}:
+def _int_column(text: bytes, lo: int) -> np.ndarray | None:
+    """Comma-separated JSON numbers as int64, or None unless each is an int
+    in [lo, 2**62)."""
+    if b"." in text or b"e" in text or b"E" in text:
         return None
     try:
-        col = np.array(values, dtype=np.int64)
-    except OverflowError:
+        col = np.array(json.loads(b"[" + text + b"]"), dtype=np.int64)
+    except (ValueError, OverflowError):
         return None
     return col if lo <= col.min() and col.max() < _INT_LIMIT else None
 
 
-def _float_column(objs: list[dict], key: str) -> np.ndarray | None:
-    """The ``key`` values as float64 with NaN where a line lacks the key, or
-    None unless each is a float other than NaN, an int that a float holds
-    exactly, or absent."""
-    values = list(map(dict.get, objs, repeat(key)))
-    types = set(map(type, values))
-    if not types <= _FLOAT_TYPES:
-        return None
+def _float_column(text: bytes) -> np.ndarray | None:
+    """Comma-separated JSON numbers as float64, or None unless each is a
+    float or an int that a float holds exactly."""
     try:
+        values = json.loads(b"[" + text + b"]")
         col = np.array(values, dtype=float)
-    except OverflowError:
+    except (ValueError, OverflowError):
         return None
-    if int in types and (np.abs(col) > _EXACT_INT).any():
-        return None
-    if np.count_nonzero(np.isnan(col)) > values.count(None):  # a JSON NaN
-        return None
-    return col
+    return None if (np.abs(col) > _EXACT_INT).any() and int in map(type, values) else col
 
 
 def _increasing(group: np.ndarray, t: np.ndarray, last_t: dict[int, int]) -> bool:

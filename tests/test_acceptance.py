@@ -498,6 +498,53 @@ def test_null_validity_under_hostile_nulls(case):
     assert fpr <= alpha + mc_slack(alpha, reps), f"{case}: FPR {fpr}"
 
 
+def _adaptive_audit(strategy, seed: int, alpha: float, steps: int, p_big: float) -> bool:
+    """Whether an audit rejects against an adversary that sees every bet
+    before it picks the step's arguments, one row per step fed to run_args.
+    The adversary tracks each game's bet with its own copy of the ONS
+    recursion (pinned to betting.ons_bets at the end) and writes the
+    argument +1 on the bet's side with probability ``p_big``, else -1/2 on
+    the other: a mean of zero at p_big = 1/3, so log(1 + lam g) spreads as
+    a rare large gain against frequent losses."""
+    row = STRATEGIES[type(strategy)]
+    lo, games = row.lo, len(row.games(AuditConfig(alpha=alpha, strategy=strategy)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = rng.random((steps, games)).tolist()
+    lam, grad_acc, gs, bets = [0.0] * games, [0.0] * games, [], []
+
+    def blocks():
+        for u in draws:
+            side = [1.0 if b >= 0.0 else -1.0 for b in lam]
+            g = [s if x < p_big else -0.5 * s for s, x in zip(side, u)]
+            bets.append(list(lam))
+            gs.append(g)
+            for k in range(games):  # the documented update, clamped to [lo, 1/2]
+                z = g[k] / (1.0 + lam[k] * g[k])
+                grad_acc[k] += z * z
+                lam[k] = min(max(lam[k] + CURVATURE * z / (1.0 + grad_acc[k]), lo), 0.5)
+            yield np.array([g])
+
+    config = AuditConfig(alpha=alpha, strategy=strategy, seed=seed)
+    report = run_args(config, blocks(), record_trajectory=False)
+    assert np.array_equal(np.array(bets).T, [ons_bets(col, (lo, 0.5)) for col in np.array(gs).T])
+    return report.decision.is_rejection
+
+
+@pytest.mark.parametrize("strategy", [Simple(), Composite(epsilon=0.1)], ids=["simple", "composite"])
+def test_null_validity_against_an_adaptive_adversary(strategy):
+    """Ville's bound holds for any predictable arguments of conditional
+    mean zero: an adversary that reacts to each bet keeps the FPR of one
+    signed game, and of composite's two one-sided games against their
+    shared 2/alpha bar, within alpha plus slack.  The same adversary with
+    the odds tilted to the bet's side (mean 1/4) must reject far more
+    often, so the test has power to see a broken bar."""
+    alpha, reps, steps = 0.1, 200, 250
+    fpr = sum(_adaptive_audit(strategy, derive_seed(231, i), alpha, steps, 1 / 3) for i in range(reps)) / reps
+    assert fpr <= alpha + mc_slack(alpha, reps), f"FPR {fpr}"
+    power = sum(_adaptive_audit(strategy, derive_seed(232, i), alpha, steps, 1 / 2) for i in range(50)) / 50
+    assert power >= 5 * alpha, f"control rejected {power}"
+
+
 @pytest.mark.parametrize("outputs", [(_SPREAD, (0.6, 0.4, 0.2, 0.0)), ((0.6, 0.4, 0.2, 0.0), _SPREAD)],
                          ids=["gap+0.3", "gap-0.3"])
 def test_estimated_density_power_under_estimate_error(outputs):

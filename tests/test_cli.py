@@ -663,10 +663,46 @@ _RANGE_FAULTS = {  # out-of-range values of one field
     "density-range": ("density", [-0.25]), "estimate-range": ("density_estimate", [0.0]),
     "group-range": ("group", [3, 8]),
 }
+_TEXT_FAULTS = (  # lines that json.dumps would not write, some of them valid
+    "reordered", "compact", "exponent", "invalid-number", "key-digit", "key-escape", "1e999", "t-beyond-int64",
+    "t-fraction", "key-twice",
+)
 _FAULTS = (
     "bad-json", "blank", "non-object", "padded", "unknown-key", "missing-key", "bool", "numeric-string",
-    "nan", "t-2.0", "t-1.9", "t-repeat", "no-weights", "scale", *_RANGE_FAULTS,
+    "nan", "t-2.0", "t-1.9", "t-repeat", "no-weights", "scale", *_RANGE_FAULTS, *_TEXT_FAULTS,
 )
+
+
+def _fault_text(rng: random.Random, fault: str, d: dict) -> str:
+    """The JSONL line of ``d`` written with a fault of _TEXT_FAULTS."""
+    if fault == "reordered":
+        return json.dumps(dict(rng.sample(list(d.items()), len(d))))
+    if fault == "compact":
+        return json.dumps(d, separators=(",", ":"))
+    keys = {key: json.dumps(key) for key in d}
+    values = {key: json.dumps(value) for key, value in d.items()}
+    key = rng.choice(list(d))
+    if fault == "exponent":  # 2.5e-05 is how repr writes any float below 1e-4
+        d["y_hat"] = rng.choice([d["y_hat"], 2.5e-05])
+        values.update((k, rng.choice(["{:e}", "{:E}", "{!r}"]).format(v)) for k, v in d.items() if type(v) is float)
+    elif fault == "invalid-number":
+        values[key] = rng.choice(["01", "+1", "1.", ".5", "1e"])
+    elif fault == "key-digit":  # an "e" of a key as a digit: both can be written in a number
+        key = rng.choice([k for k in d if "e" in k] or [key])
+        keys[key] = json.dumps(key.replace("e", "3", 1) if "e" in key else key[:-1] + "1")
+    elif fault == "key-escape":  # the same key, written otherwise
+        keys[key] = json.dumps(key).replace(key[0], f"\\u{ord(key[0]):04x}", 1)
+    elif fault == "1e999":
+        values[rng.choice([k for k in d if k not in ("t", "group")])] = "1e999"
+    elif fault == "t-fraction":
+        values["t"] = f"{d['t']}.5"
+    elif fault == "key-twice":  # the object keeps the last value
+        line = "{" + ", ".join(f"{keys[k]}: {values[k]}" for k in d) + "}"
+        twice = f'{keys[key]}: {rng.choice(["NaN", "-Infinity", "0.5", "7"])}'
+        return line[:-1] + ", " + twice + "}" if rng.random() < 0.5 else "{" + twice + ", " + line[1:]
+    else:  # t-beyond-int64
+        values["t"] = str(2**63 + d["t"])
+    return "{" + ", ".join(f"{keys[k]}: {values[k]}" for k in d) + "}"
 
 
 def _audit_file(rng: random.Random, groups: int, fmt: str, faults: list[str], rate: float) -> str:
@@ -698,6 +734,9 @@ def _audit_file(rng: random.Random, groups: int, fmt: str, faults: list[str], ra
             header_extra = True
         elif fault == "padded":  # only json.loads takes it whole
             rows.append(" " + json.dumps({**d, "note": 1} if rng.random() < 0.5 else d) + " ")
+            continue
+        elif fault in _TEXT_FAULTS:
+            rows.append(_fault_text(rng, fault, d))
             continue
         elif fault == "nan":
             d[rng.choice(["y_hat", "propensity", "density_estimate"])] = math.nan
@@ -796,6 +835,19 @@ def test_column_audit_equals_the_record_path(
     path = tmp_path_factory.getbasetemp() / f"audit.{fmt}"
     path.write_text(_audit_file(random.Random(seed), _PAIRED[name][2], fmt, faults, rate))
     _assert_column_audit_is_the_record_path(path, fmt, name, chunk, lenient, randomized, alpha)
+
+
+@pytest.mark.parametrize("name", ["simple", "propensity"])
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_column_audit_equals_the_record_path_on_each_fault(tmp_path, fault, name):
+    """Each fault in strict JSONL files, read as one chunk, where a faulty
+    line past the first meets the layout of a clean one, and a line at a
+    time, where each faulty line gives its chunk's layout."""
+    path = tmp_path / "audit.jsonl"
+    for seed in range(4):
+        path.write_text(_audit_file(random.Random(seed), 2, "jsonl", [fault], 0.3))
+        for chunk in (1, 2048):
+            _assert_column_audit_is_the_record_path(path, "jsonl", name, chunk)
 
 
 # Nine steps of outputs 1 against 0: an audit at alpha 0.05 rejects at step 9.
@@ -1016,10 +1068,18 @@ def test_column_audit_keeps_time_order_across_chunks(tmp_path, chunk):
     assert code == 2 and "line 3: time index 2 not increasing for group 0" in err
 
 
+def _concatenated(chunks) -> list[bytes]:
+    return [np.concatenate(col).tobytes() for col in zip(*chunks)]
+
+
 def test_clean_chunks_skip_the_scalar_code(tmp_path):
-    """A chunk the vectorised checks clear, blank lines aside, never reaches
-    the per-line code; a chunk with one line they cannot clear goes through
-    it whole, and the chunks around it do not."""
+    """A chunk whose lines all have its first line's layout, blank lines
+    aside, never reaches the per-line code; a chunk with one line the
+    vectorised checks cannot clear, or with lines of two layouts, goes
+    through it whole, and the chunks around it do not.  Five keys, two of
+    them holding an ``e``, and values written with exponents (repr writes
+    any float below 1e-4 so) stay on the column route, and CRLF bytes of
+    the same records give the same columns, bit for bit parse_stream's."""
     lines = []
     for t in range(1, 3001):
         lines += [json.dumps({"t": t, "group": g, "y_hat": 0.5}) for g in (0, 1)]
@@ -1029,17 +1089,32 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
     config = AuditConfig(alpha=0.05)
     first = ingest.CHUNK_LINES + 1  # the second chunk's first line
     assert len(lines) + 1 > 2 * ingest.CHUNK_LINES
-    for line_no in (None, first + 100):
-        if line_no is not None:
-            assert lines[line_no - 1].startswith('{"t": ')
-            lines[line_no - 1] = lines[line_no - 1].replace(", ", ".0, ", 1)  # t as 2.0, say
-        path.write_text("\n".join(lines) + "\n\n")
+    line = lines[first + 99]
+    assert line.startswith('{"t": ')
+    t_as_float = line.replace(", ", ".0, ", 1)  # t as 2.0, say
+    reordered = json.dumps(dict(reversed(json.loads(line).items())))  # a second layout
+    for edit in (None, t_as_float, reordered):
+        path.write_text("\n".join(lines[: first + 99] + [edit or line] + lines[first + 100 :]) + "\n\n")
         with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
             report = run_columns(config, ingest.parse_columns(path))
         assert report == run_stream(config, ingest.parse_stream(path))
         assert report.decision.kind is DecisionKind.CONTINUE
-        if line_no is None:
+        if edit is None:
             assert scalar.call_count == 0
         else:
             numbers = [call.args[1] for call in scalar.call_args_list]
             assert numbers == [n for n in range(first, first + ingest.CHUNK_LINES) if lines[n - 1]]
+
+    rng = random.Random(7)
+    path = tmp_path / "weighted.jsonl"
+    path.write_text("".join(
+        f'{{"t": {t}, "group": {g}, "y_hat": {rng.choice([2.5e-05, 0.5, 1e-7, 1.0])!r}, '
+        f'"propensity": {rng.choice([0.25, 3e-05]):{rng.choice(["e", "E", ""])}}, '
+        f'"density": {rng.choice([1e-300, 0.75, 1e300])!r}}}\n'
+        for t in range(1, 2500) for g in (0, 1)
+    ))
+    want = _concatenated([ingest._record_columns(list(ingest.parse_stream(path)))])
+    with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
+        assert _concatenated(ingest.parse_columns(path)) == want
+        assert _concatenated(ingest.parse_columns(path.read_bytes().replace(b"\n", b"\r\n"))) == want
+    assert scalar.call_count == 0

@@ -508,6 +508,17 @@ def test_parse_columns_refuses_lenient_jsonl(tmp_path):
     assert cols.t.tolist() == [1] and cols.y_hat.tolist() == [0.5]
 
 
+def test_parse_columns_keeps_lone_surrogates_of_a_text_stream():
+    """A stream opened with errors="surrogateescape" can hold lone
+    surrogates; the column route reads the chunk's bytes with them kept, so
+    the line still reaches the scalar code, which refuses it as
+    parse_stream does."""
+    text = '{"t": 1, "group": 0, "y_hat": 0.5}\n{"t": 2, "group": 0, "y_hat": 0.5, "\udcff": 1}\n'
+    for parse in (parse_stream, parse_columns):
+        with pytest.raises(IngestError, match=r"line 2: unknown keys \['\\udcff'\]"):
+            list(parse(io.StringIO(text)))
+
+
 def test_trajectory_csv_plain_and_per_game():
     report = _report(horizon=50)
     buf = io.StringIO()
