@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts of this repository.
 
-Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-alternately in a parent and a change checkout, for seeds 1..N: the parent
-runs first on odd seeds and the change first on even ones, so a drift in
-the host's speed falls on both sides alike.  Prints, for each end-to-end
+Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+with T the ``run_seconds`` of the change's BENCHMARK.json, alternately in
+a parent and a change checkout, for seeds 1..N: the parent runs first on
+odd seeds and the change first on even ones, so a drift in the host's
+speed falls on both sides alike.  Prints, for each end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the ratio of
 the medians (change / parent), and the pairs the change wins; a tie counts
 for neither side.  Exits non-zero when a run fails or reports a failed
@@ -15,7 +16,7 @@ benchmark keeps its scratch files: byte code is not written
 (``PYTHONDONTWRITEBYTECODE``), so each fresh interpreter compiles the
 checkout's sources, on both sides alike.
 
-Usage: python scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N [--seconds 24]
+Usage: python scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N
 """
 import argparse
 import json
@@ -61,20 +62,19 @@ def main() -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=24.0)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     parent, change = args.parent.resolve(), args.change.resolve()
-    better = {m["name"]: m["better"]
-              for m in json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for seed in range(1, args.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(parent if side == "parent" else change, args.workload, seed,
-                                       args.seconds))
+                                       benchmark["run_seconds"]))
         job = {side: runs[side][-1].get("job_s") for side in order}
         print(f"seed {seed}: first {order[0]}, job_s {job}", flush=True)
 

@@ -348,7 +348,10 @@ def _clean_columns(lines: list[str], last_t: dict[int, int]) -> RecordColumns | 
     each as a line the scalar code accepts as it is, else None.  Every line
     is checked at once, on the chunk's bytes: filling the layout, repeated,
     with the chunk's number runs must give those bytes back, and a run
-    inside a key must be the first line's.  Each column's runs decode by
+    inside a key must be the first line's.  Two tests come first, both
+    met by every such chunk: its last line has the layout (most chunks that
+    mix layouts miss here), and its bytes hold n filled layouts, so the
+    repeated layout is no larger than the chunk.  Each column's runs decode by
     one json.loads, so the JSON grammar holds and each value is the object
     decode's.  The array checks: t and group are ints, with 1 <= t < 2**62
     and 0 <= group < 2**62; other values are floats or ints a float holds
@@ -362,6 +365,10 @@ def _clean_columns(lines: list[str], last_t: dict[int, int]) -> RecordColumns | 
     body = "".join(lines).encode("utf-8", "surrogatepass")
     if not body.endswith(b"\n"):  # the file's last line
         body += b"\n"
+    if _NUMBER_RUN.sub(b"%s", body[body.rfind(b"\n", 0, -1) + 1 :]) != template:
+        return None
+    if n * (len(template) - width) > len(body):  # each run fills a 2-byte "%s": bounds template * n
+        return None
     runs = body.translate(_RUNS_ONLY).split()
     if len(runs) != n * width or (template * n) % tuple(runs) != body:
         return None

@@ -1118,3 +1118,25 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
         assert _concatenated(ingest.parse_columns(path)) == want
         assert _concatenated(ingest.parse_columns(path.read_bytes().replace(b"\n", b"\r\n"))) == want
     assert scalar.call_count == 0
+
+
+def test_a_long_first_line_does_not_size_the_chunk_check(tmp_path):
+    """A chunk's layout is its first line's: a first and last line padded
+    with whitespace inside the object, around short lines of as many
+    values, take memory in proportion to the chunk, not to the first
+    line's length times the chunk's line count, and parse as
+    parse_stream's records."""
+    pad = " " * 2**16
+    lines = [f'{{"t": {t},{pad if t in (1, ingest.CHUNK_LINES) else ""} "group": 0, "y_hat": 0.5}}\n'
+             for t in range(1, ingest.CHUNK_LINES + 1)]
+    path = tmp_path / "padded.jsonl"
+    path.write_text("".join(lines))
+    want = _concatenated([ingest._record_columns(list(ingest.parse_stream(path)))])
+    tracemalloc.start()
+    try:
+        got = _concatenated(ingest.parse_columns(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 16 * 2**20, peak
