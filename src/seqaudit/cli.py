@@ -228,7 +228,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise AuditError("--methods must not be empty")
     for method in methods:
         if method not in ("betting", "perm-m1", "perm-m2"):
-            raise AuditError(f"unknown method {method!r}")
+            raise AuditError(f"--methods entries must be betting, perm-m1 or perm-m2, got {method!r}")
     batch_sizes = _parse_float_list(args.batch_sizes, "--batch-sizes")
     if any(not k.is_integer() for k in batch_sizes):
         raise AuditError("--batch-sizes entries must be whole numbers")

@@ -49,7 +49,6 @@ from .payoffs import (
     batch_push,
     batched_args,
     composite_args,
-    missing_weight_error,
     payoff_propensity,
     propensity_context,
     simple_args,
@@ -124,20 +123,21 @@ class StrategyRow:
     len(games)/alpha.  ``lo`` is the lower bet bound: 0 for one-sided games,
     whose nulls only bound the argument's mean from above, -1/2 otherwise.
     ``step(session, records)`` maps one step's records to one payoff
-    argument per game.  ``block(strategy, y, w)`` is the array form from
-    :mod:`payoffs` for a block of outputs ``y`` and weights ``w``, one row
-    per step and one column per group: the argument rows before the first
-    step ``step`` would refuse, and the error it raises there (None when it
-    raises none).  ``weight`` names the record field that, over the
-    propensity, gives the weights a weighted strategy reads (None for the
-    others).  ``batched`` marks a strategy whose step is a single record
-    rather than one per group.
+    argument per game.  ``block(strategy, y, w, t)`` is the array form from
+    :mod:`payoffs` for a block of outputs ``y``, weights ``w`` and time
+    indices ``t``, one row per step and one column per group (``t`` None
+    when the caller has none): it yields the argument rows before the
+    first step ``step`` would refuse, then raises the error ``step`` raises
+    there.  ``weight`` names the record field that, over the propensity,
+    gives the weights a weighted strategy reads (None for the others).
+    ``batched`` marks a strategy whose step is a single record rather than
+    one per group.
     """
 
     games: Callable[[AuditConfig], list[str]]
     lo: float
     step: Callable[[AuditSession, Sequence[AuditRecord] | AuditRecord], Sequence[float]]
-    block: Callable[..., tuple[np.ndarray, Exception | None]]
+    block: Callable[..., Iterable[np.ndarray]]
     weight: str | None = None
     batched: bool = False
 
@@ -226,24 +226,24 @@ def _estimated_density_step(session: AuditSession, records) -> tuple[float, floa
 
 
 STRATEGIES: dict[type, StrategyRow] = {
-    Simple: StrategyRow(_adjacent_pairs, -0.5, _simple_step, lambda s, y, w: (simple_args(y), None)),
+    Simple: StrategyRow(_adjacent_pairs, -0.5, _simple_step, lambda s, y, w, t: [simple_args(y)]),
     Batched: StrategyRow(
-        _adjacent_pairs, -0.5, _batched_step, lambda s, y, w: (batched_args(y), None), batched=True
+        _adjacent_pairs, -0.5, _batched_step, lambda s, y, w, t: [batched_args(y)], batched=True
     ),
     # One-sided games (mu0 - mu1 > eps, then mu1 - mu0 > eps): a signed bet
     # would let the mirror game's wealth grow under its own null.
     Composite: StrategyRow(
-        _one_sided_pair, 0.0, _composite_step, lambda s, y, w: (composite_args(y, s.epsilon), None)
+        _one_sided_pair, 0.0, _composite_step, lambda s, y, w, t: [composite_args(y, s.epsilon)]
     ),
     Propensity: StrategyRow(
         _adjacent_pairs, -0.5, _propensity_step,
-        lambda s, y, w: _weighted_args(y, w, s.scale, 1.0, 1.0, False), weight="density",
+        lambda s, y, w, t: _weighted_args(y, w, t, s.scale, 1.0, 1.0, False), weight="density",
     ),
     # The estimate's error bounds make each side's argument mean only <= 0
     # under the null, so it plays one-sided games like composite.
     EstimatedDensity: StrategyRow(
         _one_sided_pair, 0.0, _estimated_density_step,
-        lambda s, y, w: _weighted_args(y, w, s.scale, s.delta_min, s.delta_max, True),
+        lambda s, y, w, t: _weighted_args(y, w, t, s.scale, s.delta_min, s.delta_max, True),
         weight="density_estimate",
     ),
 }
@@ -448,17 +448,18 @@ class _Backlog:
 def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterable[np.ndarray]:
     """Argument blocks of the steps that the column chunks complete, first
     in first out: the k-th record of every group forms step k.  A record
-    whose group lies outside the audit's, a step with a record that lacks
-    its weight fields, or one the array form refuses, ends the blocks,
-    after the steps before it, with the error the record path raises there."""
+    whose group lies outside the audit's, or a step the array form refuses,
+    such as one with a record that lacks its weight fields, ends the
+    blocks, after the steps before it, with the error the record path
+    raises there."""
     row = STRATEGIES[type(config.strategy)]
     backlogs = [_Backlog() for _ in range(config.group_count)]
     for cols in chunks:
-        error = missing_error = range_error = None
+        outside = None  # the first group outside the audit's
         masks = [cols.group == group for group in range(config.group_count)]
-        if sum(map(np.count_nonzero, masks)) < len(cols.group):  # a group outside the audit's
+        if sum(map(np.count_nonzero, masks)) < len(cols.group):
             cut = int(np.argmin(np.logical_or.reduce(masks)))
-            range_error = group_range_error(int(cols.group[cut]), config.group_count)
+            outside = int(cols.group[cut])
             cols = RecordColumns(*(col[:cut] for col in cols))
             masks = [mask[:cut] for mask in masks]
         fields = [cols.y_hat]
@@ -470,28 +471,10 @@ def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterab
         steps = min(backlog.size for backlog in backlogs)
         if steps:
             y, *weighted = (np.array(cols).T for cols in zip(*(b.take(steps) for b in backlogs)))
-            w = None
-            if weighted:
-                w, t = weighted
-                missing = np.isnan(w)  # NaN weights are those of records without the fields
-                if missing.any():
-                    step = int(np.argmax(missing.any(axis=1)))
-                    group = int(np.argmax(missing[step]))
-                    estimated = row.weight == "density_estimate"
-                    missing_error = missing_weight_error(int(t[step, group]), group, estimated)
-                    y, w = y[:step], w[:step]
-            with np.errstate(all="ignore"):  # an infinite weight goes to the scalar check
-                args, error = row.block(config.strategy, y, w)
-            if len(args):
-                yield args
-        error = error or missing_error or range_error
-        if error is not None:
-            try:
-                raise error
-            finally:
-                # The traceback keeps this frame: holding the error here too
-                # would make a cycle that keeps the chunks' file open until gc.
-                error = missing_error = range_error = None
+            w, t = weighted or (None, None)
+            yield from row.block(config.strategy, y, w, t)
+        if outside is not None:
+            raise group_range_error(outside, config.group_count)
 
 
 def run_args(

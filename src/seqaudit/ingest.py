@@ -272,7 +272,7 @@ def _jsonl_chunks(lines, source) -> Iterator[RecordColumns]:
     last_t: dict[int, int] = {}
     first = 1  # the line number of the chunk's first line
     try:
-        for chunk, read_error in _chunks(lines):
+        for chunk in _chunks(lines):
             kept = list(filter(str.strip, chunk))  # a blank line gives no record
             cols = _clean_columns(kept, last_t)
             if cols is not None:
@@ -283,8 +283,6 @@ def _jsonl_chunks(lines, source) -> Iterator[RecordColumns]:
                     _jsonl_record(line, line_no, "strict", last_t) for line, line_no in zip(kept, numbers)
                 )
             first += len(chunk)
-            if read_error is not None:
-                raise read_error
     finally:
         if isinstance(source, (str, Path)):
             lines.close()
@@ -295,30 +293,29 @@ def _record_chunks(records: Iterator[AuditRecord]) -> Iterator[RecordColumns]:
     most.  An error pulling a record is raised after the chunk of the
     records before it."""
     try:
-        for chunk, error in _chunks(records):
-            if chunk:
-                yield _record_columns(chunk)
-            if error is not None:
-                raise error
+        for chunk in _chunks(records):
+            yield _record_columns(chunk)
     finally:
         records.close()  # closes a CSV file at once, however this generator ends
 
 
-def _chunks(items: Iterable) -> Iterator[tuple[list, Exception | None]]:
-    """Lists of CHUNK_LINES items (fewer at the end), each with the error
-    that pulling the next item raised, or None.  An error ends the chunks,
-    so it surfaces after the items before it, where parse_stream raises it."""
+def _chunks(items: Iterable) -> Iterator[list]:
+    """Non-empty lists of CHUNK_LINES items (fewer at the end).  An error
+    pulling an item ends the chunks: the items before it come as a chunk,
+    and the error is raised on the next pull, so it surfaces after them,
+    where parse_stream raises it."""
     items = iter(items)
     while True:
         chunk: list = []
         try:
             chunk.extend(islice(items, CHUNK_LINES))
-        except Exception as exc:  # raised after the items before it
-            yield chunk, exc
-            return
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
         if not chunk:
             return
-        yield chunk, None
+        yield chunk
         if len(chunk) < CHUNK_LINES:
             return
 

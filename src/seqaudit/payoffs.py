@@ -9,6 +9,7 @@ what makes the wealth process a test supermartingale.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -156,32 +157,38 @@ def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def _weighted_args(
-    y: np.ndarray, w: np.ndarray | None, scale: float, d_min: float, d_max: float,
-    estimated: bool,
-) -> tuple[np.ndarray, AuditError | None]:
+    y: np.ndarray, w: np.ndarray | None, t: np.ndarray | None, scale: float, d_min: float,
+    d_max: float, estimated: bool,
+) -> Iterator[np.ndarray]:
     """Arguments of :func:`payoff_propensity` for two groups with weights
-    ``w``: both columns for an estimated density, only the upper one for
-    exact weights at d_min = d_max = 1.  Returns the rows before the first
-    step the scalar payoff rejects, and the error it raises on that step
-    (None when none does).  ``suspect`` flags every step the scalar payoff
-    might reject; the scalar payoff runs on them in order and decides, so the
-    error, message included, is the record path's.  Weights of None (records
-    without the weight fields) refuse the first step, as the record path
-    refuses such records."""
-    games = 2 if estimated else 1
+    ``w`` and time indices ``t``: both columns for an estimated density,
+    only the upper one for exact weights at d_min = d_max = 1.  Yields the
+    rows before the first step the record path refuses, then raises its
+    error.  ``suspect`` flags every step it might refuse; those steps are
+    checked in order, each as the record path checks it: a NaN weight
+    (a record without the weight fields) in group 0, then in group 1, then
+    the scalar payoff, so the error, message included, is the record
+    path's.  Weights of None refuse the first step, the record at t=1 of
+    group 0."""
     if w is None:
-        return np.empty((0, games)), missing_weight_error(1, 0, estimated)
-    a, b = y[:, 0] * w[:, 0], y[:, 1] * w[:, 1]
-    g = np.column_stack((scale * (a / d_max - b / d_min), scale * (b / d_max - a / d_min)))[:, :games]
-    suspect = (
-        ~(np.isfinite(w) & (w > 0.0)).all(axis=1)
-        | (scale * w > 0.5 * d_min * (1.0 + _SCALE_RTOL)).any(axis=1)
-        | (np.abs(g) > 1.0 + _SCALE_RTOL).any(axis=1)
-    )
+        raise missing_weight_error(1, 0, estimated)
+    games = 2 if estimated else 1
+    with np.errstate(all="ignore"):  # an infinite or NaN weight goes to the scalar check
+        a, b = y[:, 0] * w[:, 0], y[:, 1] * w[:, 1]
+        g = np.column_stack((scale * (a / d_max - b / d_min), scale * (b / d_max - a / d_min)))[:, :games]
+        suspect = (
+            ~(np.isfinite(w) & (w > 0.0)).all(axis=1)
+            | (scale * w > 0.5 * d_min * (1.0 + _SCALE_RTOL)).any(axis=1)
+            | (np.abs(g) > 1.0 + _SCALE_RTOL).any(axis=1)
+        )
     for j in np.flatnonzero(suspect).tolist():
         (y0, y1), (w0, w1) = y[j].tolist(), w[j].tolist()
         try:
+            for group, weight in enumerate((w0, w1)):
+                if math.isnan(weight):
+                    raise missing_weight_error(int(t[j, group]), group, estimated)
             payoff_propensity(y0, y1, w0, w1, scale, d_min, d_max)
-        except AuditError as exc:
-            return g[:j], exc
-    return g, None
+        except AuditError:
+            yield g[:j]
+            raise
+    yield g

@@ -496,9 +496,9 @@ def _arg_blocks(
     from the array form in the strategy's row, with the weights that row
     names (density or estimate over propensity), as the record path's
     payoffs form them.  A block that reaches a step the strategy's payoff
-    rejects is cut before that step and the error raised on the next pull,
-    so it surfaces at the step the record path raises it, and never once
-    the run has stopped."""
+    rejects yields the rows before that step and raises the error on the
+    next pull, so it surfaces at the step the record path raises it, and
+    never once the run has stopped."""
     row = STRATEGIES[type(strategy)]
     for _, y, point_fields in _blocks(draw, rng, horizon, clamped, _BLOCK_FIRST):
         w = None
@@ -506,11 +506,7 @@ def _arg_blocks(
             propensity, density, estimate = point_fields
             rho = density if row.weight == "density" else estimate
             w = None if rho is None else rho / propensity
-        args, error = row.block(strategy, y, w)
-        if len(args):
-            yield args
-        if error is not None:
-            raise error
+        yield from row.block(strategy, y, w, None)
 
 
 _SCENARIO_TAGS = {

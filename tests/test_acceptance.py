@@ -444,8 +444,7 @@ def _block_fpr(strategy, draw, seed, alpha, reps):
     hits = 0
     for i in range(reps):
         y, w, records = draw(derive_seed(seed, i))
-        args, error = STRATEGIES[type(strategy)].block(strategy, y, w)
-        assert error is None
+        (args,) = STRATEGIES[type(strategy)].block(strategy, y, w, None)
         config = AuditConfig(alpha=alpha, strategy=strategy, seed=derive_seed(seed + 1, i))
         report = run_args(config, [args], record_trajectory=i == 0)
         if i == 0:

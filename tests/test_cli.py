@@ -297,6 +297,9 @@ def test_seed_of_2_to_the_64_is_usage_error(argv, capsys):
         ("--horizon", "1"),
         ("--horizon", "0"),
         ("--horizon", "-4"),
+        ("--methods", "betting,perm-m3"),
+        ("--replicates", "0"),
+        ("--alphas", "0.05,x"),
     ],
 )
 def test_bench_bad_batch_size_or_horizon_is_usage_error(flags, capsys):
@@ -512,6 +515,10 @@ def test_scenario_file_roundtrip(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("scenario,alpha")
     assert lines[1].startswith("scenario,0.05,simple,1.0")
+    # --horizon overrides the file's: one step cannot reach 1/alpha.
+    assert main(["simulate", "--scenario", str(path), "--replicates", "3", "--horizon", "1",
+                 "--alpha", "0.05", "--seed", "1", "--out", str(out)]) == 0
+    assert out.read_text().split("\n")[1].startswith("scenario,0.05,simple,0.0,nan")
 
 
 @pytest.mark.parametrize(
@@ -962,12 +969,20 @@ def test_column_audit_reads_past_its_stop_without_failing(tmp_path):
         # No weight fields: the propensity audit refuses step 1.
         (_REJECTING, ["--strategy", "propensity", "--scale", "0.25"], "lacks propensity"),
         (_REJECTING[:1] + [{"t": 1, "group": 5, "y_hat": 0.5}], [], "group 5 out of range"),
+        # Step 3 holds a weight of 4, too heavy for the scale: the payoff's check refuses it.
+        ([{**row, "propensity": 0.5, "density": 0.5} for row in _REJECTING[:4]]
+         + [{"t": 3, "group": g, "y_hat": 0.5, "propensity": 0.25, "density": 1.0} for g in (0, 1)],
+         ["--strategy", "propensity", "--scale", "0.25"], "corrective scale 0.25 exceeds 1/(2w)"),
+        # A clean first chunk, then a malformed line that ends the second.
+        ([{"t": t, "group": g, "y_hat": 0.5} for t in range(1, 1100) for g in (0, 1)] + ['{"t": 1'],
+         [], "line 2199: invalid JSON"),
     ],
-    ids=["missing-weights", "group-range"],
+    ids=["missing-weights", "group-range", "payoff-check", "malformed-line-in-a-later-chunk"],
 )
 def test_column_audit_closes_its_file_when_pairing_fails(tmp_path, capsys, rows, flags, message):
-    """An error raised while pairing must not keep the input open until gc
-    runs: the error's traceback holds the frames that hold the chunks."""
+    """An error raised while reading, pairing or checking a step must not
+    keep the input open until gc runs: the error's traceback holds the
+    frames that hold the chunks."""
     fds = Path("/proc/self/fd")
     if not fds.is_dir():
         pytest.skip("needs /proc/self/fd")
@@ -1079,7 +1094,8 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
     through it whole, and the chunks around it do not.  Five keys, two of
     them holding an ``e``, and values written with exponents (repr writes
     any float below 1e-4 so) stay on the column route, and CRLF bytes of
-    the same records give the same columns, bit for bit parse_stream's."""
+    the same records give the same columns, bit for bit parse_stream's, as
+    do the same bytes without the last line's newline."""
     lines = []
     for t in range(1, 3001):
         lines += [json.dumps({"t": t, "group": g, "y_hat": 0.5}) for g in (0, 1)]
@@ -1117,6 +1133,7 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
     with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
         assert _concatenated(ingest.parse_columns(path)) == want
         assert _concatenated(ingest.parse_columns(path.read_bytes().replace(b"\n", b"\r\n"))) == want
+        assert _concatenated(ingest.parse_columns(path.read_bytes().removesuffix(b"\n"))) == want
     assert scalar.call_count == 0
 
 

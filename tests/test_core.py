@@ -116,6 +116,8 @@ def test_strategy_invariants():
         EstimatedDensity(delta_min=0.0, delta_max=1.0, scale=0.1)
     with pytest.raises(ValidationError):
         Propensity(scale=0.0)
+    with pytest.raises(ValidationError, match="unknown strategy kind 'ucb'"):
+        strategy_from_dict({"kind": "ucb"})
 
 
 @pytest.mark.parametrize(
@@ -143,6 +145,9 @@ def test_decision_invariants():
         Decision(DecisionKind.CONTINUE, u_draw=0.5)
     with pytest.raises(ValidationError):
         Decision(DecisionKind.FINAL_RANDOMIZED_REJECT, tau=3)  # missing u_draw
+    for u in (0.0, 1.0):  # U lies in the open interval
+        with pytest.raises(ValidationError, match="u_draw must lie in"):
+            Decision(DecisionKind.FINAL_FAIL_TO_REJECT, u_draw=u)
     d = Decision(DecisionKind.FINAL_FAIL_TO_REJECT, u_draw=0.7)
     assert not d.is_rejection and d.is_terminal
 

@@ -28,6 +28,7 @@ from seqaudit.engine import (
     _Game,
     build_report,
     run_args,
+    run_columns,
     run_stream,
     session_finalize,
     session_new,
@@ -110,6 +111,8 @@ def test_step_refused_after_terminal():
 
 def test_bundle_validation():
     session = session_new(AuditConfig(alpha=0.05))
+    with pytest.raises(ValidationError, match="got a single record"):
+        session_step(session, AuditRecord(t=1, group=0, y_hat=0.5))
     with pytest.raises(ValidationError):
         session_step(session, [AuditRecord(t=1, group=0, y_hat=0.5)])
     with pytest.raises(ValidationError):
@@ -122,6 +125,9 @@ def test_bundle_validation():
             session,
             [AuditRecord(t=1, group=0, y_hat=0.5), AuditRecord(t=1, group=2, y_hat=0.6)],
         )
+    # A block of arguments, too, must hold one column per game.
+    with pytest.raises(ValidationError, match=r"one column per game \(1\), got shape \(3, 2\)"):
+        run_args(AuditConfig(alpha=0.05), [np.zeros((3, 2))])
 
 
 def test_exact_one_step_supermartingale_mean():
@@ -226,6 +232,8 @@ def test_batched_mode_rejects_record_bundles():
     with pytest.raises(ValidationError):
         session_step(session, pair(1, 0.5, 0.5))
     session_step(session, AuditRecord(t=1, group=0, y_hat=0.5))
+    with pytest.raises(ValidationError, match="run them through run_stream"):
+        run_columns(AuditConfig(alpha=0.05, strategy=Batched()), [])
 
 
 def test_propensity_strategy_through_engine():
