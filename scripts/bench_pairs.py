@@ -8,8 +8,9 @@ odd seeds and the change first on even ones, so a drift in the host's
 speed falls on both sides alike.  Prints, for each end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the ratio of
 the medians (change / parent), and the pairs the change wins; a tie counts
-for neither side.  Exits non-zero when a run fails or reports a failed
-operation.
+for neither side.  Next to the table it prints each checkout's source size,
+the total of ``wc -l src/seqaudit/*.py``.  Exits non-zero when a run fails
+or reports a failed operation.
 
 Each run writes only under its own checkout's ``.bench_work/``, where the
 benchmark keeps its scratch files: byte code is not written
@@ -42,6 +43,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"(exit {proc.returncode}, {result.get('failed')} of {result.get('attempted')} "
                          "operations failed)")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def source_lines(checkout: Path) -> int:
+    """The total of ``wc -l src/seqaudit/*.py`` in ``checkout``: its newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "seqaudit").glob("*.py"))
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -86,6 +92,7 @@ def main() -> int:
         wins = sum(c < p if direction == "lower" else c > p for p, c in pairs)
         ratio = cs[1] / ps[1] if ps[1] else float("nan")
         print(f"{name:<24} {cell(ps):>34} {cell(cs):>34} {ratio:7.3f}  {wins}/{len(pairs)}")
+    print(f"{'source lines':<24} {source_lines(parent):>34} {source_lines(change):>34}")
     return 0
 
 

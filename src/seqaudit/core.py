@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,10 +153,14 @@ class Propensity:
 
     ``scale`` is the predictable corrective factor keeping the weighted
     payoff argument inside [-1, 1]; it must satisfy scale <= 1 / (2 * w)
-    for every observable weight w, which is validated per record.
+    for every observable weight w, which is validated per record.  Exact
+    weights are the estimated-density payoff at error bounds (1, 1), which
+    the class constants ``delta_min`` and ``delta_max`` hold.
     """
 
     scale: float
+    delta_min: ClassVar[float] = 1.0
+    delta_max: ClassVar[float] = 1.0
 
     def __post_init__(self):
         _check_positive("scale", self.scale)

@@ -62,19 +62,16 @@ _CONTINUE = DecisionKind.CONTINUE
 
 
 class _Game:
-    """Mutable per-game state; plain floats on slots keep stepping cheap."""
+    """Mutable per-game state: the bet, the gradient sum, the log wealth and
+    the trajectory; plain floats on slots keep stepping cheap."""
 
-    __slots__ = (
-        "game_id", "lam", "grad_acc", "log_wealth", "s_sum", "v_sum", "tau", "trajectory", "lo",
-    )
+    __slots__ = ("game_id", "lam", "grad_acc", "log_wealth", "tau", "trajectory", "lo")
 
     def __init__(self, game_id: str, lo: float, record_trajectory: bool):
         self.game_id = game_id
         self.lam = 0.0
         self.grad_acc = 0.0
         self.log_wealth = 0.0
-        self.s_sum = 0.0
-        self.v_sum = 0.0
         self.tau: int | None = None
         self.trajectory: list[float] | None = [] if record_trajectory else None
         self.lo = lo
@@ -82,11 +79,9 @@ class _Game:
     def apply(self, g: float) -> None:
         """The one advance rule: wealth times 1 + lam * g, then the ONS
         update on g.  A zero argument, such as an abstention, would leave
-        the wealth, the bet and the sums bit-identical, so it skips them."""
+        the wealth and the bet bit-identical, so it skips them."""
         if g != 0.0:
             self.log_wealth += math.log(1.0 + self.lam * g)
-            self.s_sum += g
-            self.v_sum += g * g
             self.lam, self.grad_acc = _ons_step(self.lam, self.grad_acc, g, self.lo, 0.5)
         if self.trajectory is not None:
             self.trajectory.append(self.log_wealth)
@@ -97,21 +92,18 @@ class _Game:
         first one that brings the log wealth to ``log_bar``.  Returns how
         many arguments were applied."""
         lam, grad_acc, log_wealth = self.lam, self.grad_acc, self.log_wealth
-        s_sum, v_sum, lo, trajectory = self.s_sum, self.v_sum, self.lo, self.trajectory
+        lo, trajectory = self.lo, self.trajectory
         log, ons_step = math.log, _ons_step
         n = 0
         for n, g in enumerate(gs, 1):
             if g != 0.0:
                 log_wealth += log(1.0 + lam * g)
-                s_sum += g
-                v_sum += g * g
                 lam, grad_acc = ons_step(lam, grad_acc, g, lo, 0.5)
             if trajectory is not None:
                 trajectory.append(log_wealth)
             if log_wealth >= log_bar:
                 break
         self.lam, self.grad_acc, self.log_wealth = lam, grad_acc, log_wealth
-        self.s_sum, self.v_sum = s_sum, v_sum
         return n
 
 
@@ -211,18 +203,12 @@ def _composite_step(session: AuditSession, records) -> tuple[float, float]:
     return rec0.y_hat - rec1.y_hat - eps, rec1.y_hat - rec0.y_hat - eps
 
 
-def _propensity_step(session: AuditSession, records) -> tuple[float]:
+def _weighted_step(session: AuditSession, records) -> tuple[float, ...]:
     rec0, rec1 = _bundle_by_group(records, 2)
-    w0, w1 = propensity_context(rec0, rec1, False)
-    scale = session.config.strategy.scale
-    return payoff_propensity(rec0.y_hat, rec1.y_hat, w0, w1, scale, 1.0, 1.0)[:1]
-
-
-def _estimated_density_step(session: AuditSession, records) -> tuple[float, float]:
-    rec0, rec1 = _bundle_by_group(records, 2)
-    w0, w1 = propensity_context(rec0, rec1, True)
+    w0, w1 = propensity_context(rec0, rec1, session.row.weight)
     s = session.config.strategy
-    return payoff_propensity(rec0.y_hat, rec1.y_hat, w0, w1, s.scale, s.delta_min, s.delta_max)
+    args = payoff_propensity(rec0.y_hat, rec1.y_hat, w0, w1, s.scale, s.delta_min, s.delta_max)
+    return args[:len(session.games)]
 
 
 STRATEGIES: dict[type, StrategyRow] = {
@@ -235,16 +221,17 @@ STRATEGIES: dict[type, StrategyRow] = {
     Composite: StrategyRow(
         _one_sided_pair, 0.0, _composite_step, lambda s, y, w, t: [composite_args(y, s.epsilon)]
     ),
+    # Propensity is the estimated-density payoff at bounds (1, 1), where the
+    # upper argument's mean is 0 under the null: one signed game on it alone.
     Propensity: StrategyRow(
-        _adjacent_pairs, -0.5, _propensity_step,
-        lambda s, y, w, t: _weighted_args(y, w, t, s.scale, 1.0, 1.0, False), weight="density",
+        _adjacent_pairs, -0.5, _weighted_step,
+        lambda s, y, w, t: _weighted_args(s, y, w, t, "density", 1), weight="density",
     ),
     # The estimate's error bounds make each side's argument mean only <= 0
     # under the null, so it plays one-sided games like composite.
     EstimatedDensity: StrategyRow(
-        _one_sided_pair, 0.0, _estimated_density_step,
-        lambda s, y, w, t: _weighted_args(y, w, t, s.scale, s.delta_min, s.delta_max, True),
-        weight="density_estimate",
+        _one_sided_pair, 0.0, _weighted_step,
+        lambda s, y, w, t: _weighted_args(s, y, w, t, "density_estimate", 2), weight="density_estimate",
     ),
 }
 
@@ -501,16 +488,13 @@ def run_args(
             raise ValidationError(
                 f"argument blocks need one column per game ({len(games)}), got shape {block.shape}"
             )
-        saved = [
-            (g.lam, g.grad_acc, g.log_wealth, g.s_sum, g.v_sum, len(g.trajectory or ()))
-            for g in games
-        ]
+        saved = [(g.lam, g.grad_acc, g.log_wealth, len(g.trajectory or ())) for g in games]
         cols = block.T.tolist()
         counts = [game.advance(col, session.log_threshold) for game, col in zip(games, cols)]
         stop = min(counts)
         for game, col, count, state in zip(games, cols, counts, saved):
             if count > stop:
-                game.lam, game.grad_acc, game.log_wealth, game.s_sum, game.v_sum, length = state
+                game.lam, game.grad_acc, game.log_wealth, length = state
                 if game.trajectory is not None:
                     del game.trajectory[length:]
                 game.advance(col[:stop])

@@ -16,7 +16,9 @@ import numpy as np
 from .core import (
     AuditError,
     AuditRecord,
+    EstimatedDensity,
     InvariantError,
+    Propensity,
     ValidationError,
     _check_positive,
     _check_unit_interval,
@@ -108,25 +110,25 @@ def batch_payoff(acc: BatchAccumulator, record: AuditRecord) -> float:
     return mean - record.y_hat if record.group == 1 else record.y_hat - mean
 
 
-def weight_from_record(record: AuditRecord, estimated: bool = False) -> float:
-    """Importance weight of one record: (estimated) density over propensity."""
-    rho = record.density_estimate if estimated else record.density
+def weight_from_record(record: AuditRecord, field: str) -> float:
+    """Importance weight of one record: its ``field`` (``density`` or
+    ``density_estimate``) over its propensity."""
+    rho = getattr(record, field)
     if record.propensity is None or rho is None:
-        raise missing_weight_error(record.t, record.group, estimated)
+        raise missing_weight_error(record.t, record.group, field)
     return rho / record.propensity
 
 
-def missing_weight_error(t: int, group: int, estimated: bool = False) -> ValidationError:
+def missing_weight_error(t: int, group: int, field: str) -> ValidationError:
     """The error of a weighted payoff fed a record without its weight fields."""
-    label = "density_estimate" if estimated else "density"
     return ValidationError(
-        f"record at t={t} group={group} lacks propensity or {label} required by the weighted payoff"
+        f"record at t={t} group={group} lacks propensity or {field} required by the weighted payoff"
     )
 
 
-def propensity_context(rec0: AuditRecord, rec1: AuditRecord, estimated: bool) -> tuple[float, float]:
+def propensity_context(rec0: AuditRecord, rec1: AuditRecord, field: str) -> tuple[float, float]:
     """Weights (w0, w1) of a step's two records for :func:`payoff_propensity`."""
-    return weight_from_record(rec0, estimated), weight_from_record(rec1, estimated)
+    return weight_from_record(rec0, field), weight_from_record(rec1, field)
 
 
 # Array forms of the payoff arguments, for callers holding a block of steps
@@ -157,22 +159,22 @@ def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def _weighted_args(
-    y: np.ndarray, w: np.ndarray | None, t: np.ndarray | None, scale: float, d_min: float,
-    d_max: float, estimated: bool,
+    strategy: Propensity | EstimatedDensity, y: np.ndarray, w: np.ndarray | None,
+    t: np.ndarray | None, field: str, games: int,
 ) -> Iterator[np.ndarray]:
-    """Arguments of :func:`payoff_propensity` for two groups with weights
-    ``w`` and time indices ``t``: both columns for an estimated density,
-    only the upper one for exact weights at d_min = d_max = 1.  Yields the
-    rows before the first step the record path refuses, then raises its
-    error.  ``suspect`` flags every step it might refuse; those steps are
-    checked in order, each as the record path checks it: a NaN weight
-    (a record without the weight fields) in group 0, then in group 1, then
-    the scalar payoff, so the error, message included, is the record
-    path's.  Weights of None refuse the first step, the record at t=1 of
-    group 0."""
+    """Arguments of :func:`payoff_propensity` at the strategy's scale and
+    error bounds, for two groups with weights ``w`` read from ``field`` and
+    time indices ``t``: the first ``games`` columns, both for an estimated
+    density, only the upper one for exact weights.  Yields the rows before
+    the first step the record path refuses, then raises its error.
+    ``suspect`` flags every step it might refuse; those steps are checked
+    in order, each as the record path checks it: a NaN weight (a record
+    without the weight fields) in group 0, then in group 1, then the
+    scalar payoff, so the error, message included, is the record path's.
+    Weights of None refuse the first step, the record at t=1 of group 0."""
     if w is None:
-        raise missing_weight_error(1, 0, estimated)
-    games = 2 if estimated else 1
+        raise missing_weight_error(1, 0, field)
+    scale, d_min, d_max = strategy.scale, strategy.delta_min, strategy.delta_max
     with np.errstate(all="ignore"):  # an infinite or NaN weight goes to the scalar check
         a, b = y[:, 0] * w[:, 0], y[:, 1] * w[:, 1]
         g = np.column_stack((scale * (a / d_max - b / d_min), scale * (b / d_max - a / d_min)))[:, :games]
@@ -186,7 +188,7 @@ def _weighted_args(
         try:
             for group, weight in enumerate((w0, w1)):
                 if math.isnan(weight):
-                    raise missing_weight_error(int(t[j, group]), group, estimated)
+                    raise missing_weight_error(int(t[j, group]), group, field)
             payoff_propensity(y0, y1, w0, w1, scale, d_min, d_max)
         except AuditError:
             yield g[:j]

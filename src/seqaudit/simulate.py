@@ -153,6 +153,8 @@ class PolicyPopulation:
                 if not (0.0 <= v <= 1.0):
                     raise ValidationError(f"model output {v!r} outside [0, 1]")
         if self.density_estimates is not None:
+            if len(self.density_estimates) != len(self.density):
+                raise ValidationError("density estimates need one row per group")
             for row in self.density_estimates:
                 if len(row) != n or min(row) <= 0.0:
                     raise ValidationError("density estimates must be positive per support point")
@@ -281,7 +283,7 @@ def stream_to_iterable(
         if point_fields is None:
             per_step = repeat(None)
         else:  # (steps, groups, fields) as nested lists
-            per_step = np.stack([a for a in point_fields if a is not None], axis=-1).tolist()
+            per_step = np.stack(list(point_fields.values()), axis=-1).tolist()
         for step, (outputs, step_fields) in enumerate(zip(y.tolist(), per_step), t + 1):
             yield from draw_records(step, outputs, step_fields)
 
@@ -404,10 +406,12 @@ _BLOCK_CAP = 2048
 def _block_drawer(scenario: Scenario) -> Callable:
     """The sampler of a scenario.  The returned ``draw(rng, t, n, clamped)``
     gives steps t+1..t+n: an (n, groups) array of outputs ``y``, and for a
-    population the record fields of the drawn points as arrays (propensity,
-    density, estimate or None), None otherwise.  Generator calls go in step
-    then group order, so a stream does not depend on how it is cut into
-    blocks; each clamped noisy mean appends its step to ``clamped``."""
+    population the record fields of the drawn points as arrays keyed by
+    field name, in record order (propensity, density and, where the
+    population has them, density_estimate), None otherwise.  Generator
+    calls go in step then group order, so a stream does not depend on how
+    it is cut into blocks; each clamped noisy mean appends its step to
+    ``clamped``."""
     groups = scenario.group_count
     if isinstance(scenario, PolicyPopulation):
         cum = np.cumsum(scenario.policy)
@@ -422,8 +426,10 @@ def _block_drawer(scenario: Scenario) -> Callable:
             # One uniform per group and step, in row-major order; the min
             # guards the float edge of a cumulative sum rounded below 1.
             x = np.minimum(np.searchsorted(cum, rng.random((n, groups)), side="right"), last_massive)
-            estimate = None if estimates is None else estimates[cols, x]
-            return outputs[cols, x], (policy[x], density[cols, x], estimate)
+            point_fields = {"propensity": policy[x], "density": density[cols, x]}
+            if estimates is not None:
+                point_fields["density_estimate"] = estimates[cols, x]
+            return outputs[cols, x], point_fields
 
         return draw_population
     if isinstance(scenario, FixedMeans):
@@ -502,10 +508,8 @@ def _arg_blocks(
     row = STRATEGIES[type(strategy)]
     for _, y, point_fields in _blocks(draw, rng, horizon, clamped, _BLOCK_FIRST):
         w = None
-        if point_fields is not None and row.weight is not None:
-            propensity, density, estimate = point_fields
-            rho = density if row.weight == "density" else estimate
-            w = None if rho is None else rho / propensity
+        if row.weight in (point_fields or ()):
+            w = point_fields[row.weight] / point_fields["propensity"]
         yield from row.block(strategy, y, w, None)
 
 
@@ -517,15 +521,20 @@ _SCENARIO_TAGS = {
 }
 
 
-def _as_tuples(value):
-    return tuple(_as_tuples(v) for v in value) if isinstance(value, list) else value
+def _as_tuples(name: str, value):
+    """A field's JSON value with lists read as tuples.  A boolean anywhere in
+    it is refused, never read as the number 0 or 1, and so is a NaN or an
+    infinity, which Python's JSON reader accepts and no range check sees."""
+    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"scenario field {name!r} must hold finite numbers, got {value!r}")
+    return tuple(_as_tuples(name, v) for v in value) if isinstance(value, list) else value
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     """The scenario a JSON object describes, lists read as tuples; a missing
     field that has a default takes the scenario class's default.  Anything
-    else that does not describe a valid scenario, an unknown key included,
-    raises ValidationError."""
+    else that does not describe a valid scenario, an unknown key or a
+    boolean or non-finite value included, raises ValidationError."""
     if not isinstance(d, dict):
         raise ValidationError(f"a scenario must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
@@ -540,6 +549,6 @@ def scenario_from_dict(d: dict) -> Scenario:
         if f.default is MISSING and f.name not in d:
             raise ValidationError(f"scenario {kind!r} lacks the field {f.name!r}")
     try:
-        return cls(**{name: _as_tuples(d[name]) for name in names if name in d})
+        return cls(**{name: _as_tuples(name, d[name]) for name in names if name in d})
     except TypeError as exc:
         raise ValidationError(f"scenario {kind!r} holds a value of the wrong type: {exc}") from None

@@ -497,16 +497,22 @@ def test_null_validity_under_hostile_nulls(case):
     assert fpr <= alpha + mc_slack(alpha, reps), f"{case}: FPR {fpr}"
 
 
-def _adaptive_audit(strategy, seed: int, alpha: float, steps: int, p_big: float) -> bool:
-    """Whether an audit rejects against an adversary that sees every bet
-    before it picks the step's arguments, one row per step fed to run_args.
-    The adversary tracks each game's bet with its own copy of the ONS
-    recursion (pinned to betting.ons_bets at the end) and writes the
-    argument +1 on the bet's side with probability ``p_big``, else -1/2 on
-    the other: a mean of zero at p_big = 1/3, so log(1 + lam g) spreads as
-    a rare large gain against frequent losses."""
+def _adaptive_audit(
+    strategy, seed: int, alpha: float, steps: int, p_big: float, groups: int = 2, randomized: bool = False
+) -> bool:
+    """Whether an audit of ``groups`` groups rejects against an adversary
+    that sees every bet before it picks the step's arguments, one row per
+    step fed to run_args, with the randomized terminal step at the horizon
+    when ``randomized``.  The adversary tracks each game's bet with its own
+    copy of the ONS recursion (pinned to betting.ons_bets at the end) and
+    writes, independently per game, the argument +1 on the bet's side with
+    probability ``p_big``, else -1/2 on the other: a mean of zero at
+    p_big = 1/3, so log(1 + lam g) spreads as a rare large gain against
+    frequent losses."""
+    config = AuditConfig(alpha=alpha, strategy=strategy, group_count=groups,
+                         randomized_final_step=randomized, seed=seed)
     row = STRATEGIES[type(strategy)]
-    lo, games = row.lo, len(row.games(AuditConfig(alpha=alpha, strategy=strategy)))
+    lo, games = row.lo, len(row.games(config))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.random((steps, games)).tolist()
     lam, grad_acc, gs, bets = [0.0] * games, [0.0] * games, [], []
@@ -523,24 +529,35 @@ def _adaptive_audit(strategy, seed: int, alpha: float, steps: int, p_big: float)
                 lam[k] = min(max(lam[k] + CURVATURE * z / (1.0 + grad_acc[k]), lo), 0.5)
             yield np.array([g])
 
-    config = AuditConfig(alpha=alpha, strategy=strategy, seed=seed)
     report = run_args(config, blocks(), record_trajectory=False)
     assert np.array_equal(np.array(bets).T, [ons_bets(col, (lo, 0.5)) for col in np.array(gs).T])
     return report.decision.is_rejection
 
 
-@pytest.mark.parametrize("strategy", [Simple(), Composite(epsilon=0.1)], ids=["simple", "composite"])
-def test_null_validity_against_an_adaptive_adversary(strategy):
+@pytest.mark.parametrize(
+    "strategy, groups, randomized",
+    [(Simple(), 2, False), (Composite(epsilon=0.1), 2, False), (Simple(), 4, False), (Simple(), 2, True)],
+    ids=["simple", "composite", "three-adjacent-games", "randomized-final"],
+)
+def test_null_validity_against_an_adaptive_adversary(strategy, groups, randomized):
     """Ville's bound holds for any predictable arguments of conditional
     mean zero: an adversary that reacts to each bet keeps the FPR of one
-    signed game, and of composite's two one-sided games against their
-    shared 2/alpha bar, within alpha plus slack.  The same adversary with
-    the odds tilted to the bet's side (mean 1/4) must reject far more
-    often, so the test has power to see a broken bar."""
+    signed game, of composite's two one-sided games against their shared
+    2/alpha bar, of the three adjacent games of four groups against their
+    3/alpha bar, and of one game with the randomized terminal step at a
+    fixed horizon, within alpha plus slack.  The same adversary with the
+    odds tilted to the bet's side (mean 1/4) must reject far more often, so
+    the test has power to see a broken bar."""
     alpha, reps, steps = 0.1, 200, 250
-    fpr = sum(_adaptive_audit(strategy, derive_seed(231, i), alpha, steps, 1 / 3) for i in range(reps)) / reps
+
+    def rate(salt: int, replicates: int, p_big: float) -> float:
+        hits = sum(_adaptive_audit(strategy, derive_seed(salt, i), alpha, steps, p_big, groups, randomized)
+                   for i in range(replicates))
+        return hits / replicates
+
+    fpr = rate(231, reps, 1 / 3)
     assert fpr <= alpha + mc_slack(alpha, reps), f"FPR {fpr}"
-    power = sum(_adaptive_audit(strategy, derive_seed(232, i), alpha, steps, 1 / 2) for i in range(50)) / 50
+    power = rate(232, 50, 1 / 2)
     assert power >= 5 * alpha, f"control rejected {power}"
 
 

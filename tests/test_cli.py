@@ -34,10 +34,12 @@ from seqaudit.core import (
 from seqaudit.engine import run_columns, run_stream
 from seqaudit.simulate import (
     FixedMeans,
+    SinusoidalDrift,
     derive_seed,
     draw_outputs,
     estimated_density_scale,
     generate_stream,
+    monte_carlo,
     policy_corrective_scale,
     scenario_from_dict,
 )
@@ -544,6 +546,70 @@ def test_bad_scenario_file_is_usage_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_ONE_POINT = {"kind": "policy_population", "density": [[1.0], [1.0]], "outputs": [[0.5], [0.5]],
+              "policy": [1.0], "horizon": 20}
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        ({"kind": "fixed_means", "means": [0.5]}, (), "need at least two group means"),
+        ({"kind": "fixed_means", "means": [0.5, 1.5]}, (), "group mean 1.5 outside [0, 1]"),
+        ({"kind": "logistic_drift", "base": 0.8, "amplitude": 0.5}, (), "logistic drift means leave [0, 1]"),
+        ({"kind": "logistic_drift", "onset": 0}, (), "onset must be >= 1 and scale positive"),
+        ({"kind": "logistic_drift", "scale": 0.0}, (), "onset must be >= 1 and scale positive"),
+        ({"kind": "sinusoidal_drift", "noise_sd": -0.1}, (), "noise sd must be >= 0 and wavelengths positive"),
+        ({"kind": "sinusoidal_drift", "wavelength_1": 0.0}, (),
+         "noise sd must be >= 0 and wavelengths positive"),
+        ({"kind": "sinusoidal_drift", "level": 0.95}, (),
+         "noiseless mean of group 0 leaves [0, 1] within the horizon"),
+        ({**_ONE_POINT, "density": [[], []], "outputs": [[], []], "policy": []}, (), "empty support"),
+        ({**_ONE_POINT, "policy": [0.5]}, (), "policy must be a probability vector"),
+        ({**_ONE_POINT, "density": [[1.0]], "outputs": [[0.5]]}, (),
+         "need density and outputs for at least two groups"),
+        ({**_ONE_POINT, "outputs": [[0.5], [0.5, 0.5]]}, (), "group 1 rows must match the support size 1"),
+        ({**_ONE_POINT, "density": [[1.0], [0.5]]}, (), "density of group 1 must be a probability vector"),
+        ({**_ONE_POINT, "density": [[0.5, 0.5], [0.5, 0.5]], "outputs": [[0.5, 0.5], [0.5, 0.5]],
+          "policy": [1.0, 0.0]}, (), "policy must place positive mass wherever the population does"),
+        ({**_ONE_POINT, "outputs": [[0.5], [1.5]]}, (), "model output 1.5 outside [0, 1]"),
+        ({**_ONE_POINT, "density_estimates": [[1.0], [0.0]]}, (),
+         "density estimates must be positive per support point"),
+        ({**_ONE_POINT, "density_estimates": [[1.0]]}, (), "density estimates need one row per group"),
+        ({**_ONE_POINT, "density_estimates": [[1.0], [1.0], [1.0]]}, (),
+         "density estimates need one row per group"),
+        ({**_ONE_POINT, "labels": ["a", "b"]}, (), "labels must match the support size"),
+        (_ONE_POINT, ("--strategy", "estimated-density", "--delta-min", "0.8", "--delta-max", "1.2"),
+         "population carries no density estimates"),
+        (None, ("--permutations", "0"), "n_permutations must be >= 1, got 0"),
+        ({"kind": "fixed_means", "means": [True, False], "horizon": 20}, (),
+         "scenario field 'means' must hold finite numbers, got True"),
+        ({"kind": "sinusoidal_drift", "noise_sd": True, "horizon": 20}, (),
+         "scenario field 'noise_sd' must hold finite numbers, got True"),
+        ({"kind": "logistic_drift", "base": False, "amplitude": True, "horizon": 20}, (),
+         "scenario field 'base' must hold finite numbers, got False"),
+        ({**_ONE_POINT, "density": [[0.5, 0.5], [0.5, 0.5]], "outputs": [[0.5, 0.5], [0.5, 0.5]],
+          "policy": [math.nan, 1.0]}, (), "scenario field 'policy' must hold finite numbers, got nan"),
+        ({"kind": "logistic_drift", "scale": math.inf}, (), "scenario field 'scale' must hold finite numbers, got inf"),
+    ],
+)
+def test_refusals_exit_2_with_their_message(doc, flags, message, tmp_path, capsys):
+    """Each scenario invariant, a population without estimates for an
+    estimated-density audit with no --scale, a bench without permutations,
+    and a JSON boolean (never read as 1 or 0), NaN or infinity where a
+    scenario holds a number: exit 2 with the refusal's message as the one
+    line on stderr."""
+    if doc is None:
+        argv = ["bench", "--methods", "perm-m1", "--replicates", "1", "--horizon", "20"]
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", "--scenario", str(path), "--replicates", "1"]
+    assert main([*argv, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 _POPULATION = {
     "kind": "policy_population",
     "density": [[0.25, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]],
@@ -587,6 +653,21 @@ def test_fig2a_preset_rejects_after_onset(tmp_path):
     row = out.read_text().strip().split("\n")[1].split(",")
     assert float(row[3]) == 1.0  # rejects within the default horizon
     assert float(row[4]) > 100.0  # mean stopping time past the drift onset
+
+
+def test_fig2b_preset_notes_the_clamped_means_it_consumed(tmp_path, capsys):
+    """The fig2b row, and the stderr note whose count is the Monte Carlo
+    summary's ``noise_clamped`` for the same run."""
+    out = tmp_path / "fig2b.csv"
+    argv = ["simulate", "--preset", "fig2b", "--replicates", "8", "--horizon", "300", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    config = AuditConfig(alpha=0.01, strategy=Simple(), seed=1)
+    scenario = SinusoidalDrift(horizon=300, seed=derive_seed(1, 0))
+    clamped = monte_carlo(config, scenario, replicates=8).noise_clamped
+    assert clamped > 0
+    assert capsys.readouterr().err == f"note: {clamped} noisy means clamped to [0, 1]\n"
+    (row,) = out.read_text().splitlines()[1:]
+    assert row.startswith("fig2b-sinusoidal,0.01,simple,")
 
 
 def test_fig5_preset_has_four_policy_rows(tmp_path):

@@ -243,10 +243,10 @@ def test_propensity_strategy_through_engine():
         AuditRecord(t=1, group=0, y_hat=1.0, propensity=0.25, density=0.5),
         AuditRecord(t=1, group=1, y_hat=0.0, propensity=0.5, density=0.5),
     ]
+    # weights are (2.0, 1.0); g = 0.25 * (1 * 2 - 0) = 0.5; first bet is 0.
+    assert session.row.step(session, records) == (0.5,)
     _, decision = session_step(session, records)
     assert decision.kind is DecisionKind.CONTINUE
-    # weights are (2.0, 1.0); g = 0.25 * (1 * 2 - 0) = 0.5; first bet is 0.
-    assert session.games[0].s_sum == pytest.approx(0.5)
     assert session.games[0].log_wealth == 0.0
     missing = [
         AuditRecord(t=2, group=0, y_hat=1.0),
@@ -263,21 +263,23 @@ def test_estimated_density_strategy_through_engine():
         AuditRecord(t=1, group=0, y_hat=1.0, propensity=0.25, density_estimate=0.5),
         AuditRecord(t=1, group=1, y_hat=0.5, propensity=0.5, density_estimate=0.5),
     ]
-    session_step(session, records)
     # estimated weights (2.0, 1.0): upper = 0.125 * (2 / 2 - 0.5 / 0.5) = 0,
     # lower = 0.125 * (0.5 / 2 - 2 / 0.5) = -0.46875
+    assert session.row.step(session, records) == (0.0, -0.46875)
+    session_step(session, records)
     upper, lower = session.games
-    assert (upper.s_sum, lower.s_sum) == (0.0, -0.46875)
     assert upper.lam == lower.lam == 0.0  # a negative argument cannot push a bet below 0
 
 
 def test_estimated_density_at_unit_bounds_is_propensity_bit_for_bit():
     """Exact weights are the estimated-density payoff at bounds 1 and 1: fed
-    the same weighted records, the propensity game and the estimated-density
-    upper game sum the same arguments bit for bit."""
+    the same weighted records, each step's propensity argument is the
+    estimated-density upper argument bit for bit.  Their games bet on
+    different domains ([-1/2, 1/2] against [0, 1/2]), so the arguments,
+    not the game states, are compared."""
     rng = random.Random(8)
     # Weights stay <= 0.5 / 0.25 = 2.  A scale that is not a power of two
-    # rounds, so reordered arithmetic would show in the sums.
+    # rounds, so reordered arithmetic would show in the arguments.
     scale = 0.2
     prop = session_new(AuditConfig(alpha=0.05, strategy=Propensity(scale=scale)))
     est = session_new(AuditConfig(alpha=0.05, strategy=EstimatedDensity(1.0, 1.0, scale)))
@@ -288,11 +290,11 @@ def test_estimated_density_at_unit_bounds_is_propensity_bit_for_bit():
             records.append(AuditRecord(t=t, group=b, y_hat=rng.random(),
                                        propensity=rng.uniform(0.25, 1.0), density=rho,
                                        density_estimate=rho))
+        (g,), (upper, _) = prop.row.step(prop, records), est.row.step(est, records)
+        assert g.hex() == upper.hex(), f"step {t}"
         session_step(prop, records)
         session_step(est, records)
-    (game,), (upper, _) = prop.games, est.games
     assert prop.steps == est.steps == 200
-    assert (game.s_sum, game.v_sum) == (upper.s_sum, upper.v_sum)
 
 
 def test_finalize_at_threshold_always_rejects():
@@ -416,13 +418,13 @@ def test_wealth_positive_and_log_consistent():
     config = AuditConfig(alpha=0.05)
     session = session_new(config)
     for t in range(200):
-        session_step(session, [stream[2 * t], stream[2 * t + 1]])
+        records = [stream[2 * t], stream[2 * t + 1]]
+        assert all(abs(g) <= 1.0 for g in session.row.step(session, records))
+        session_step(session, records)
     report = build_report(session)
     assert report.wealth_final > 0.0
     for _, lw in report.trajectory:
         assert math.isfinite(lw)
-    (game,) = session.games
-    assert 0.0 <= game.v_sum <= session.steps
 
 
 def _batched_reference(records, alpha):
@@ -495,7 +497,7 @@ def test_simple_interleaving_gives_the_balanced_report(data, groups, randomized)
 
 def _bits(game):
     """A game's state with every float as its exact bits."""
-    floats = (game.lam, game.grad_acc, game.log_wealth, game.s_sum, game.v_sum)
+    floats = (game.lam, game.grad_acc, game.log_wealth)
     trajectory = None if game.trajectory is None else [x.hex() for x in game.trajectory]
     return [x.hex() for x in floats], trajectory
 

@@ -241,15 +241,15 @@ def test_batch_push_refuses_group_two():
 def test_weight_helpers_from_records():
     rec0 = AuditRecord(t=1, group=0, y_hat=0.7, propensity=0.25, density=0.5)
     rec1 = AuditRecord(t=1, group=1, y_hat=0.2, propensity=0.5, density=0.5)
-    assert weight_from_record(rec0) == 2.0
-    w0, w1 = propensity_context(rec0, rec1, False)
+    assert weight_from_record(rec0, "density") == 2.0
+    w0, w1 = propensity_context(rec0, rec1, "density")
     assert w0 == 2.0 and w1 == 1.0
     with pytest.raises(ValidationError):
-        weight_from_record(AuditRecord(t=1, group=0, y_hat=0.7))
+        weight_from_record(AuditRecord(t=1, group=0, y_hat=0.7), "density")
     w_hat_0, w_hat_1 = propensity_context(
         AuditRecord(t=1, group=0, y_hat=0.7, propensity=0.25, density_estimate=0.6),
         AuditRecord(t=1, group=1, y_hat=0.2, propensity=0.5, density_estimate=0.55),
-        True,
+        "density_estimate",
     )
     assert w_hat_0 == pytest.approx(2.4)
     assert w_hat_1 == pytest.approx(1.1)
