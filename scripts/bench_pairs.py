@@ -9,15 +9,21 @@ speed falls on both sides alike.  Prints, for each end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the ratio of
 the medians (change / parent), and the pairs the change wins; a tie counts
 for neither side.  Next to the table it prints each checkout's source size,
-the total of ``wc -l src/seqaudit/*.py``.  Exits non-zero when a run fails
-or reports a failed operation.
+the total of ``wc -l src/seqaudit/*.py``.  With ``--out FILE`` it also
+writes all of that as JSON: each side's per-seed metrics and the
+environment line ``run.py`` printed with them, each metric's medians,
+quartiles, ratio and wins, and both checkouts' source sizes and git
+revisions (``git describe --always --dirty``), under the workload's
+name in FILE's ``workloads``, so runs of several workloads with one FILE
+gather in it.  Exits non-zero when a run fails or reports a failed
+operation.
 
 Each run writes only under its own checkout's ``.bench_work/``, where the
 benchmark keeps its scratch files: byte code is not written
 (``PYTHONDONTWRITEBYTECODE``), so each fresh interpreter compiles the
 checkout's sources, on both sides alike.
 
-Usage: python scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N
+Usage: python scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N [--out FILE]
 """
 import argparse
 import json
@@ -29,7 +35,8 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metrics of one benchmark run in ``checkout``."""
+    """The end-to-end metrics of one benchmark run in ``checkout``, and the
+    environment ``run.py`` reported for it."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -42,12 +49,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"error: run of {workload} seed {seed} in {checkout} failed "
                          f"(exit {proc.returncode}, {result.get('failed')} of {result.get('attempted')} "
                          "operations failed)")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    summary = json.loads(lines[-2])  # the line before the result holds the environment
+    return {"seed": seed, "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "environment": summary["environment"]}
 
 
 def source_lines(checkout: Path) -> int:
     """The total of ``wc -l src/seqaudit/*.py`` in ``checkout``: its newlines."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "seqaudit").glob("*.py"))
+
+
+def revision(checkout: Path) -> str | None:
+    """``git describe --always --dirty`` of ``checkout``, or None outside git."""
+    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -68,6 +84,7 @@ def main() -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--out", type=Path, help="JSON file to write the runs and the table into")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -81,18 +98,38 @@ def main() -> int:
         for side in order:
             runs[side].append(run_once(parent if side == "parent" else change, args.workload, seed,
                                        benchmark["run_seconds"]))
-        job = {side: runs[side][-1].get("job_s") for side in order}
+        job = {side: runs[side][-1]["metrics"].get("job_s") for side in order}
         print(f"seed {seed}: first {order[0]}, job_s {job}", flush=True)
+
+    table = {}
+    for name, direction in better.items():
+        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(runs["parent"], runs["change"])]
+        ps, cs = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
+        table[name] = {
+            "better": direction,
+            "parent": dict(zip(("q1", "median", "q3"), ps)),
+            "change": dict(zip(("q1", "median", "q3"), cs)),
+            "ratio": cs[1] / ps[1] if ps[1] else float("nan"),
+            "wins": sum(c < p if direction == "lower" else c > p for p, c in pairs),
+        }
+    sizes = {"parent": source_lines(parent), "change": source_lines(change)}
 
     print(f"\n{args.workload}, {args.pairs} pairs")
     print(f"{'metric':<24} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7}  wins")
-    for name, direction in better.items():
-        pairs = [(p[name], c[name]) for p, c in zip(runs["parent"], runs["change"])]
-        ps, cs = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
-        wins = sum(c < p if direction == "lower" else c > p for p, c in pairs)
-        ratio = cs[1] / ps[1] if ps[1] else float("nan")
-        print(f"{name:<24} {cell(ps):>34} {cell(cs):>34} {ratio:7.3f}  {wins}/{len(pairs)}")
-    print(f"{'source lines':<24} {source_lines(parent):>34} {source_lines(change):>34}")
+    for name, row in table.items():
+        ps, cs = (tuple(row[side].values()) for side in ("parent", "change"))
+        print(f"{name:<24} {cell(ps):>34} {cell(cs):>34} {row['ratio']:7.3f}  {row['wins']}/{args.pairs}")
+    print(f"{'source lines':<24} {sizes['parent']:>34} {sizes['change']:>34}")
+
+    if args.out is not None:
+        record = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
+        record["workloads"][args.workload] = {
+            "pairs": args.pairs, "run_seconds": benchmark["run_seconds"],
+            "parent": {"revision": revision(parent), "source_lines": sizes["parent"], "runs": runs["parent"]},
+            "change": {"revision": revision(change), "source_lines": sizes["change"], "runs": runs["change"]},
+            "metrics": table,
+        }
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

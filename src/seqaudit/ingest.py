@@ -10,7 +10,7 @@ import json
 import math
 import re
 import warnings
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -121,9 +121,22 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
     """Lazily parse records in file order, enforcing per-group monotone time
     indices as they stream past.  In strict mode the first violation aborts
     with its line number; lenient mode downgrades unknown keys to warnings
-    and converts numbers written as strings, as CSV cells always are."""
+    and converts numbers written as strings, as CSV cells always are.
+
+    Strict JSONL from a path or bytes, input that is whole when the call is
+    made, is read one chunk ahead by :func:`parse_columns`' route: a clean
+    chunk's records are built from its columns, with no dict per line, and
+    any other chunk's by the scalar code, line by line.  A text stream
+    (stdin, an open file, a list of lines) goes line by line, since its
+    next line may not exist yet and a live audit must decide at the record
+    that arrives; so do lenient JSONL, any line of which may warn, and CSV,
+    on which parse_columns builds.  Either way the records, errors and
+    line numbers are the same, and no error about a line past the record
+    the consumer stops at ever surfaces."""
     _check_format(format, mode)
     lines = _open_lines(source)
+    if format == "jsonl" and mode == "strict" and isinstance(source, (str, Path, bytes)):
+        return _jsonl_chunks(lines, source, records=True)
 
     def gen() -> Iterator[AuditRecord]:
         last_t: dict[int, int] = {}
@@ -157,9 +170,11 @@ def _check_format(format: str, mode: str) -> None:
         raise ValidationError(f"unknown parse mode {mode!r}")
 
 
-# The scalar per-line code.  parse_stream runs it on every line, and
-# parse_columns on every line of a chunk its vectorised checks cannot clear,
-# so both give the same records, errors and warnings.
+# The scalar per-line code.  parse_stream runs it on every line of a text
+# stream, of lenient JSONL and of CSV, and the chunk route (parse_columns,
+# and parse_stream of strict JSONL from a path or bytes) on every line of a
+# chunk its vectorised checks cannot clear, so all give the same records,
+# errors and warnings.
 
 
 def _jsonl_record(
@@ -226,7 +241,7 @@ def _csv_record(
     return _jsonl_record("", line_no, "lenient", last_t, cells)
 
 
-# parse_columns reads a JSONL file this many lines at a time.
+# The chunk route reads JSONL this many lines at a time.
 CHUNK_LINES = 2048
 
 _NUMBERS = {int, float}
@@ -242,10 +257,13 @@ _RUNS_ONLY = bytes(c if c in b"-+0123456789.eE" else 32 for c in range(256))  # 
 
 def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterator[RecordColumns]:
     """The records :func:`parse_stream` gives, in file order, as column
-    chunks.  ``source`` is a path, bytes or a text stream.  The audit's
-    engine checks each record's group against its own group count.
-    Lenient JSONL is refused: any of its lines may warn, so it goes record
-    by record through parse_stream.
+    chunks.  ``source`` is a path, bytes or a text stream, and each is read
+    a chunk ahead, so a live stream, which must be decided at the record
+    that arrives, goes to parse_stream instead; parse_stream takes this
+    route itself, record by record, for strict JSONL from a path or bytes.
+    The audit's engine checks each record's group against its own group
+    count.  Lenient JSONL is refused: any of its lines may warn, so it goes
+    record by record through parse_stream.
 
     JSONL is read CHUNK_LINES lines at a time, and each chunk is decided
     whole by its layout: the text of its first line with the values cut
@@ -268,7 +286,11 @@ def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterat
     return _jsonl_chunks(_open_lines(source), source)
 
 
-def _jsonl_chunks(lines, source) -> Iterator[RecordColumns]:
+def _jsonl_chunks(lines, source, records: bool = False) -> Iterator[RecordColumns] | Iterator[AuditRecord]:
+    """The column chunks of JSONL lines, or with ``records`` their records:
+    a clean chunk's built from its columns, any other chunk's the scalar
+    code's, up to the line it refuses, whose error is raised at the next
+    pull."""
     last_t: dict[int, int] = {}
     first = 1  # the line number of the chunk's first line
     try:
@@ -276,16 +298,25 @@ def _jsonl_chunks(lines, source) -> Iterator[RecordColumns]:
             kept = list(filter(str.strip, chunk))  # a blank line gives no record
             cols = _clean_columns(kept, last_t)
             if cols is not None:
-                yield cols
+                yield from _column_records(cols) if records else (cols,)
             else:
                 numbers = [n for n, line in enumerate(chunk, start=first) if line.strip()]
-                yield from _record_chunks(
-                    _jsonl_record(line, line_no, "strict", last_t) for line, line_no in zip(kept, numbers)
-                )
+                scalar = (_jsonl_record(line, line_no, "strict", last_t) for line, line_no in zip(kept, numbers))
+                yield from scalar if records else _record_chunks(scalar)
             first += len(chunk)
     finally:
         if isinstance(source, (str, Path)):
             lines.close()
+
+
+def _column_records(cols: RecordColumns) -> Iterator[AuditRecord]:
+    """The records of a clean chunk's columns, built as record_from_dict
+    builds a clean line, since _clean_columns has made every check that
+    AuditRecord makes.  The chunk's lines share one layout, so an optional
+    column is all NaN, for a key the layout lacks, or holds no NaN."""
+    optional = ([None] * len(col) if np.isnan(col[0]) else col.tolist() for col in cols[3:])
+    fields = zip(cols.t.tolist(), cols.group.tolist(), cols.y_hat.tolist(), *optional)
+    return map(tuple.__new__, repeat(AuditRecord), fields)
 
 
 def _record_chunks(records: Iterator[AuditRecord]) -> Iterator[RecordColumns]:

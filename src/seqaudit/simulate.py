@@ -37,12 +37,12 @@ class FixedMeans:
     seed: int = 0
 
     def __post_init__(self):
+        _check_run(self)
         if len(self.means) < 2:
             raise ValidationError("need at least two group means")
         for m in self.means:
             if not (0.0 <= m <= 1.0):
                 raise ValidationError(f"group mean {m!r} outside [0, 1]")
-        _check_run(self)
 
     @property
     def group_count(self) -> int:
@@ -103,9 +103,7 @@ class SinusoidalDrift:
         for b in (0, 1):
             mu = _sinusoid_mean(self, b, t)
             if mu.min() < 0.0 or mu.max() > 1.0:
-                raise ValidationError(
-                    f"noiseless mean of group {b} leaves [0, 1] within the horizon"
-                )
+                raise ValidationError(f"noiseless mean of group {b} leaves [0, 1] within the horizon")
 
     @property
     def group_count(self) -> int:
@@ -146,9 +144,7 @@ class PolicyPopulation:
                 raise ValidationError(f"density of group {b} must be a probability vector")
             for p, r in zip(self.policy, rho):
                 if r > 0.0 and p <= 0.0:
-                    raise ValidationError(
-                        "policy must place positive mass wherever the population does"
-                    )
+                    raise ValidationError("policy must place positive mass wherever the population does")
             for v in phi:
                 if not (0.0 <= v <= 1.0):
                     raise ValidationError(f"model output {v!r} outside [0, 1]")
@@ -170,10 +166,22 @@ Scenario = FixedMeans | LogisticDrift | SinusoidalDrift | PolicyPopulation
 
 
 def _check_run(scenario: Scenario) -> None:
+    """Refuse a boolean (never the number 0 or 1) or a non-finite number,
+    which no range check sees, anywhere in a field; then a bad horizon or seed."""
+    for f in fields(scenario):
+        _check_finite(f.name, getattr(scenario, f.name))
     horizon = scenario.horizon
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
+    if not isinstance(horizon, int) or horizon < 1:  # a boolean is refused above
         raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
     check_seed(scenario.seed)
+
+
+def _check_finite(name: str, value) -> None:
+    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"scenario field {name!r} must hold finite numbers, got {value!r}")
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            _check_finite(name, v)
 
 
 def _sinusoid_mean(s: SinusoidalDrift, group: int, t):
@@ -222,18 +230,10 @@ def region_population(
 ) -> PolicyPopulation:
     outputs = _REGION_OUTPUTS
     if equalize_means:
-        gap = sum(
-            (a - b) * r for a, b, r in zip(outputs[0], outputs[1], _REGION_DENSITY)
-        )
+        gap = sum((a - b) * r for a, b, r in zip(outputs[0], outputs[1], _REGION_DENSITY))
         outputs = (outputs[0], tuple(v + gap for v in outputs[1]))
-    return PolicyPopulation(
-        density=(_REGION_DENSITY, _REGION_DENSITY),
-        outputs=outputs,
-        policy=policy,
-        labels=_REGIONS,
-        horizon=horizon,
-        seed=seed,
-    )
+    return PolicyPopulation(density=(_REGION_DENSITY, _REGION_DENSITY), outputs=outputs, policy=policy,
+                            labels=_REGIONS, horizon=horizon, seed=seed)
 
 
 def policy_corrective_scale(pop: PolicyPopulation) -> float:
@@ -521,13 +521,9 @@ _SCENARIO_TAGS = {
 }
 
 
-def _as_tuples(name: str, value):
-    """A field's JSON value with lists read as tuples.  A boolean anywhere in
-    it is refused, never read as the number 0 or 1, and so is a NaN or an
-    infinity, which Python's JSON reader accepts and no range check sees."""
-    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"scenario field {name!r} must hold finite numbers, got {value!r}")
-    return tuple(_as_tuples(name, v) for v in value) if isinstance(value, list) else value
+def _as_tuples(value):
+    """A field's JSON value with lists read as tuples."""
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -549,6 +545,6 @@ def scenario_from_dict(d: dict) -> Scenario:
         if f.default is MISSING and f.name not in d:
             raise ValidationError(f"scenario {kind!r} lacks the field {f.name!r}")
     try:
-        return cls(**{name: _as_tuples(name, d[name]) for name in names if name in d})
+        return cls(**{name: _as_tuples(d[name]) for name in names if name in d})
     except TypeError as exc:
         raise ValidationError(f"scenario {kind!r} holds a value of the wrong type: {exc}") from None

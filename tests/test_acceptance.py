@@ -382,9 +382,13 @@ def _groups_with_equal_means(groups, seed):
     return Simple(), pop
 
 
-def _flooding_stream(seed, n_records):
+def _flooding_stream(seed, n_records, drift=False):
     """Group 1 floods in bursts of 1 to 20 uniform outputs between single
-    Bernoulli(1/2) records of group 0: both means are 1/2."""
+    Bernoulli(1/2) records of group 0: both means are 1/2.  With ``drift``,
+    every output is a Bernoulli draw whose mean follows one logistic curve
+    from 0.2 to 0.8 over the records' arrival order, so both means are
+    equal at each arrival, though a burst and the record after it are
+    drawn at different means."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     t = [0, 0]
     emitted = 0
@@ -394,7 +398,10 @@ def _flooding_stream(seed, n_records):
                 if emitted == n_records:
                     return
                 t[group] += 1
-                y = float(rng.random()) if group else float(rng.random() < 0.5)
+                mean = 0.5
+                if drift:
+                    mean = 0.2 + 0.6 / (1.0 + math.exp(-(emitted - n_records / 2) / (n_records / 20)))
+                y = float(rng.random()) if group and not drift else float(rng.random() < mean)
                 yield AuditRecord(t=t[group], group=group, y_hat=y)
                 emitted += 1
 
@@ -476,18 +483,20 @@ _HOSTILE_NULLS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_HOSTILE_NULLS, "batched-flooding", *_BLOCK_NULLS])
+@pytest.mark.parametrize("case", [*_HOSTILE_NULLS, "batched-flooding", "batched-drift", *_BLOCK_NULLS])
 def test_null_validity_under_hostile_nulls(case):
     """Every strategy keeps FPR <= alpha + slack under its own null when the
     null is hostile: 200 replicates, 2,000 steps (records for batched)."""
     alpha, reps = 0.05, 200
     if case in _BLOCK_NULLS:
         fpr = _block_fpr(*_BLOCK_NULLS[case], alpha, reps)
-    elif case == "batched-flooding":
+    elif case in ("batched-flooding", "batched-drift"):
+        drift = case == "batched-drift"
         hits = 0
         for i in range(reps):
-            cfg = AuditConfig(alpha=alpha, strategy=Batched(), seed=derive_seed(206, i))
-            report = run_stream(cfg, _flooding_stream(derive_seed(207, i), 2000), record_trajectory=False)
+            cfg = AuditConfig(alpha=alpha, strategy=Batched(), seed=derive_seed(214 if drift else 206, i))
+            stream = _flooding_stream(derive_seed(215 if drift else 207, i), 2000, drift)
+            report = run_stream(cfg, stream, record_trajectory=False)
             hits += report.decision.is_rejection
         fpr = hits / reps
     else:

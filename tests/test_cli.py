@@ -23,6 +23,7 @@ from seqaudit.cli import main
 from seqaudit.core import (
     AuditConfig,
     AuditError,
+    AuditRecord,
     Composite,
     DecisionKind,
     EstimatedDensity,
@@ -874,7 +875,8 @@ def _assert_column_audit_is_the_record_path(
 ):
     """``seqaudit audit`` of a file, read in chunks of ``chunk`` lines, gives
     the exit code, stdout, stderr, warnings and trajectory of run_stream over
-    parse_stream with the same writers."""
+    parse_stream with the same writers, the file read as a text stream so
+    that parse_stream takes the scalar code line by line."""
     flags, strategy, groups = _PAIRED[name]
     argv = ["audit", str(path), "--format", fmt, "--alpha", alpha, "--seed", "4", *flags]
     argv += ["--lenient"] * lenient + ["--randomized-final"] * randomized
@@ -885,7 +887,8 @@ def _assert_column_audit_is_the_record_path(
 
     def record_path(out, err):
         try:
-            report = run_stream(config, ingest.parse_stream(path, format=fmt, mode=mode))
+            with open(path, encoding="utf-8") as fh:
+                report = run_stream(config, ingest.parse_stream(fh, format=fmt, mode=mode))
         except (AuditError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=err)
             return 2
@@ -1132,7 +1135,8 @@ def test_column_audit_checks_groups_against_the_audit(tmp_path):
     path.write_text(_jsonl(*({"t": t, "group": g, "y_hat": g / 2} for t in range(1, 40) for g in range(3))))
     config = AuditConfig(alpha=0.05, group_count=3)
     report = run_columns(config, ingest.parse_columns(path))
-    assert report == run_stream(config, ingest.parse_stream(path))
+    with open(path, encoding="utf-8") as fh:
+        assert report == run_stream(config, ingest.parse_stream(fh))
     assert report.decision.kind is DecisionKind.REJECT
 
 
@@ -1168,6 +1172,13 @@ def _concatenated(chunks) -> list[bytes]:
     return [np.concatenate(col).tobytes() for col in zip(*chunks)]
 
 
+def _scalar_records(path) -> list[AuditRecord]:
+    """parse_stream's records of a file read as a text stream, which the
+    scalar code parses line by line."""
+    with open(path, encoding="utf-8") as fh:
+        return list(ingest.parse_stream(fh))
+
+
 def test_clean_chunks_skip_the_scalar_code(tmp_path):
     """A chunk whose lines all have its first line's layout, blank lines
     aside, never reaches the per-line code; a chunk with one line the
@@ -1194,7 +1205,8 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
         path.write_text("\n".join(lines[: first + 99] + [edit or line] + lines[first + 100 :]) + "\n\n")
         with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
             report = run_columns(config, ingest.parse_columns(path))
-        assert report == run_stream(config, ingest.parse_stream(path))
+        with open(path, encoding="utf-8") as fh:
+            assert report == run_stream(config, ingest.parse_stream(fh))
         assert report.decision.kind is DecisionKind.CONTINUE
         if edit is None:
             assert scalar.call_count == 0
@@ -1210,7 +1222,7 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
         f'"density": {rng.choice([1e-300, 0.75, 1e300])!r}}}\n'
         for t in range(1, 2500) for g in (0, 1)
     ))
-    want = _concatenated([ingest._record_columns(list(ingest.parse_stream(path)))])
+    want = _concatenated([ingest._record_columns(_scalar_records(path))])
     with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
         assert _concatenated(ingest.parse_columns(path)) == want
         assert _concatenated(ingest.parse_columns(path.read_bytes().replace(b"\n", b"\r\n"))) == want
@@ -1229,7 +1241,7 @@ def test_a_long_first_line_does_not_size_the_chunk_check(tmp_path):
              for t in range(1, ingest.CHUNK_LINES + 1)]
     path = tmp_path / "padded.jsonl"
     path.write_text("".join(lines))
-    want = _concatenated([ingest._record_columns(list(ingest.parse_stream(path)))])
+    want = _concatenated([ingest._record_columns(_scalar_records(path))])
     tracemalloc.start()
     try:
         got = _concatenated(ingest.parse_columns(path))
@@ -1238,3 +1250,97 @@ def test_a_long_first_line_does_not_size_the_chunk_check(tmp_path):
         tracemalloc.stop()
     assert got == want
     assert peak < 16 * 2**20, peak
+
+
+# parse_stream of a path or bytes, input whole when the call is made, reads
+# a chunk ahead by the column route; the same lines as a text stream, as
+# stdin gives them, go through the scalar code line by line.
+
+
+def _pulls(records) -> list:
+    """What each pull of ``records`` gives, up to the first error: each
+    record with the type of each field, then the error's type, message and
+    line number."""
+    pulls = []
+    try:
+        for record in records:
+            pulls.append((record, tuple(map(type, record))))
+    except Exception as exc:
+        pulls.append((type(exc), str(exc), getattr(exc, "line_no", None)))
+    return pulls
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    groups=st.sampled_from([2, 3]),
+    faults=st.lists(st.sampled_from(_FAULTS), max_size=2),
+    rate=st.sampled_from([0.1, 0.3]),
+    chunk=st.sampled_from([1, 2, 3, 2048]),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+)
+def test_record_files_parse_as_their_lines_do(
+    tmp_path_factory, seed, groups, faults, rate, chunk, crlf, final_newline
+):
+    """parse_stream of a path, and of its bytes, gives pull for pull the
+    records (each field of its own type: int t and group, None for an
+    absent field) and the error (type, message and line number) of the
+    same lines read as a text stream: under each fault, in chunks whose
+    lines mix layouts, with blank lines, CRLF line ends or no final
+    newline, and at any chunk size."""
+    data = _audit_file(random.Random(seed), groups, "jsonl", faults, rate).encode()
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    if not final_newline:
+        data = data.removesuffix(b"\n")
+    path = tmp_path_factory.getbasetemp() / "records.jsonl"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+        with open(path, encoding="utf-8") as fh:
+            assert _pulls(ingest.parse_stream(path)) == _pulls(ingest.parse_stream(fh))
+        assert _pulls(ingest.parse_stream(data)) == _pulls(ingest.parse_stream(io.StringIO(data.decode())))
+
+
+def test_record_files_build_clean_chunks_without_the_scalar_code(tmp_path):
+    """A clean file's path or bytes never reach the per-line code; the same
+    lines as a text stream go through it once per line, to the same
+    records."""
+    path = tmp_path / "clean.jsonl"
+    path.write_text(_jsonl(*({"t": t, "group": g, "y_hat": g / 2, "propensity": 0.25}
+                             for t in range(1, 3000) for g in (0, 1))))
+    with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
+        from_path = list(ingest.parse_stream(path))
+        from_bytes = list(ingest.parse_stream(path.read_bytes()))
+        assert scalar.call_count == 0
+        from_lines = _scalar_records(path)
+    assert scalar.call_count == len(from_lines) == 2 * 2999
+    assert _pulls(from_path) == _pulls(from_bytes) == _pulls(from_lines)
+
+
+@pytest.mark.parametrize("chunk", [2, 2048])
+@pytest.mark.parametrize(
+    "data",
+    [
+        _jsonl(*_REJECTING, '{"t": 1').encode(),
+        _jsonl(*_REJECTING, {"t": 10, "group": 0, "y_hat": 0.5, "note": 1}).encode(),
+        _jsonl(*_REJECTING[:4], {"t": 3, "group": 0, "y_hat": 0.5, "note": 1}, *_REJECTING[4:]).encode(),
+        _jsonl(*_REJECTING, *({"t": t, "group": g, "y_hat": 0.5} for t in range(10, 400) for g in (0, 1))).encode()
+        + b"\xff\n",
+        _jsonl(*_REJECTING).encode() + b"\xff\n",
+        _jsonl(*({"t": t, "group": g, "y_hat": 0.5} for t in range(1, 1500) for g in (0, 1))).encode(),
+    ],
+    ids=["bad-json-past-the-stop", "unknown-key-past-the-stop", "unknown-key-before-the-stop",
+         "undecodable-far-past-the-stop", "undecodable-in-the-first-block", "no-rejection"],
+)
+def test_batched_file_audit_is_its_stdin_audit(tmp_path, monkeypatch, data, chunk):
+    """A batched audit of a file, read a chunk ahead, gives the exit code,
+    stdout and stderr of the same bytes on stdin, read line by line: no
+    error about a line past the rejecting record surfaces."""
+    path = tmp_path / "audit.jsonl"
+    path.write_bytes(data)
+    flags = ["--strategy", "batched", "--alpha", "0.05"]
+    with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+        from_file = _audit_outcome(lambda out, err: main(["audit", str(path), *flags]))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert from_file == _audit_outcome(lambda out, err: main(["audit", "-", *flags]))

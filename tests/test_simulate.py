@@ -138,6 +138,34 @@ def test_policy_sampling_frequencies_match_policy():
     assert np.all(np.abs(counts / n - np.asarray(policy)) < 0.01)
 
 
+_SQUARE = {"density": ((0.5, 0.5), (0.5, 0.5)), "outputs": ((0.9, 0.1), (0.5, 0.5)), "horizon": 50}
+
+
+@pytest.mark.parametrize(
+    "build, field, value",
+    [
+        (lambda: PolicyPopulation(**_SQUARE, policy=(math.nan, 1.0)), "policy", "nan"),
+        (lambda: PolicyPopulation(**_SQUARE, policy=(0.5, 0.5), density_estimates=((0.5, math.inf), (0.5, 0.5))),
+         "density_estimates", "inf"),
+        (lambda: SinusoidalDrift(level=math.nan), "level", "nan"),
+        (lambda: SinusoidalDrift(drift_rate=math.nan), "drift_rate", "nan"),
+        (lambda: SinusoidalDrift(noise_sd=math.inf), "noise_sd", "inf"),
+        (lambda: LogisticDrift(scale=math.inf), "scale", "inf"),
+        (lambda: FixedMeans((True, False)), "means", "True"),
+        (lambda: FixedMeans((0.5, 0.5), horizon=True), "horizon", "True"),
+    ],
+    ids=["nan-policy", "infinite-estimate", "nan-level", "nan-drift-rate", "infinite-noise", "infinite-scale",
+         "boolean-means", "boolean-horizon"],
+)
+def test_constructors_refuse_booleans_and_non_finite_numbers(build, field, value):
+    """Built in Python as from JSON, a scenario refuses a boolean or a NaN
+    or an infinity in any field, nested rows included, naming the field:
+    no range check sees a NaN, and a boolean is not the number 1 or 0."""
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == f"scenario field {field!r} must hold finite numbers, got {value}"
+
+
 def test_policy_validation():
     with pytest.raises(ValidationError):
         PolicyPopulation(
