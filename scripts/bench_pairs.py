@@ -18,20 +18,31 @@ name in FILE's ``workloads``, so runs of several workloads with one FILE
 gather in it.  Exits non-zero when a run fails or reports a failed
 operation.
 
+With ``--tier1 N`` it also times the literal Tier-1 command of ROADMAP.md
+N times in each checkout, alternating which runs first, and prints each
+side's median wall seconds with pytest's passed and failed counts; with
+``--out`` each run's wall seconds, counts and exit code go under
+``tier1`` in FILE.  ``--workload`` and ``--pairs`` may then be left out.
+
 Each run writes only under its own checkout's ``.bench_work/``, where the
 benchmark keeps its scratch files: byte code is not written
 (``PYTHONDONTWRITEBYTECODE``), so each fresh interpreter compiles the
 checkout's sources, on both sides alike.
 
-Usage: python scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N [--out FILE]
+Usage: python scripts/bench_pairs.py --parent DIR --change DIR
+           [--workload W --pairs N] [--tier1 N] [--out FILE]
 """
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -52,6 +63,42 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     summary = json.loads(lines[-2])  # the line before the result holds the environment
     return {"seed": seed, "metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "environment": summary["environment"]}
+
+
+def tier1_once(checkout: Path) -> dict:
+    """Wall seconds, pytest's passed and failed counts and the exit code of
+    one run of the Tier-1 command in ``checkout``, under bash."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    start = time.perf_counter()
+    proc = subprocess.run(["bash", "-c", TIER1], cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    last = proc.stdout.strip().splitlines()[-1:] or [""]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", last[0])}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "exit": proc.returncode}
+
+
+def tier1_pairs(parent: Path, change: Path, n: int) -> dict:
+    """``n`` Tier-1 runs in each checkout, the parent first on odd runs,
+    with each side's median wall seconds."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(1, n + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        for side in order:
+            runs[side].append(tier1_once(parent if side == "parent" else change))
+            print(f"tier1 run {i} {side}: {runs[side][-1]}", flush=True)
+    record = {}
+    for side, checkout in (("parent", parent), ("change", change)):
+        walls = [run["wall_s"] for run in runs[side]]
+        record[side] = {"revision": revision(checkout), "runs": runs[side],
+                        "wall_s": dict(zip(("q1", "median", "q3"), spread(walls)))}
+    print(f"\ntier1, {n} runs each")
+    for side in ("parent", "change"):
+        passed = sorted({run["passed"] for run in runs[side]})
+        failed = sorted({run["failed"] for run in runs[side]})
+        print(f"{side:<7} wall s {cell(tuple(record[side]['wall_s'].values()))}  passed {passed}  failed {failed}")
+    return record
 
 
 def source_lines(checkout: Path) -> int:
@@ -82,13 +129,31 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--workload")
+    ap.add_argument("--pairs", type=int)
+    ap.add_argument("--tier1", type=int, metavar="N", help="also time the Tier-1 command N times per checkout")
     ap.add_argument("--out", type=Path, help="JSON file to write the runs and the table into")
     args = ap.parse_args()
-    if args.pairs < 1:
+    if args.workload is None and args.tier1 is None:
+        ap.error("give --workload and --pairs, or --tier1, or both")
+    if args.workload is not None and (args.pairs is None or args.pairs < 1):
         ap.error("--pairs must be at least 1")
+    if args.tier1 is not None and args.tier1 < 1:
+        ap.error("--tier1 must be at least 1")
     parent, change = args.parent.resolve(), args.change.resolve()
+    record = json.loads(args.out.read_text()) if args.out is not None and args.out.exists() else {}
+    if args.workload is not None:
+        record.setdefault("workloads", {})[args.workload] = workload_pairs(parent, change, args)
+    if args.tier1 is not None:
+        record["tier1"] = tier1_pairs(parent, change, args.tier1)
+    if args.out is not None:
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+def workload_pairs(parent: Path, change: Path, args: argparse.Namespace) -> dict:
+    """``args.pairs`` alternating benchmark runs of ``args.workload`` in
+    each checkout, printed as a table and returned as its record."""
     benchmark = json.loads((change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
@@ -120,17 +185,12 @@ def main() -> int:
         ps, cs = (tuple(row[side].values()) for side in ("parent", "change"))
         print(f"{name:<24} {cell(ps):>34} {cell(cs):>34} {row['ratio']:7.3f}  {row['wins']}/{args.pairs}")
     print(f"{'source lines':<24} {sizes['parent']:>34} {sizes['change']:>34}")
-
-    if args.out is not None:
-        record = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-        record["workloads"][args.workload] = {
-            "pairs": args.pairs, "run_seconds": benchmark["run_seconds"],
-            "parent": {"revision": revision(parent), "source_lines": sizes["parent"], "runs": runs["parent"]},
-            "change": {"revision": revision(change), "source_lines": sizes["change"], "runs": runs["change"]},
-            "metrics": table,
-        }
-        args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    return {
+        "pairs": args.pairs, "run_seconds": benchmark["run_seconds"],
+        "parent": {"revision": revision(parent), "source_lines": sizes["parent"], "runs": runs["parent"]},
+        "change": {"revision": revision(change), "source_lines": sizes["change"], "runs": runs["change"]},
+        "metrics": table,
+    }
 
 
 if __name__ == "__main__":

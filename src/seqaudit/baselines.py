@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import AuditRecord, ValidationError, check_seed
+from .core import AuditRecord, ValidationError, check_seed, is_count
 
 # Ties between permuted and observed statistics must count as "at least as
 # extreme"; this absorbs float summation noise in the conservative direction.
@@ -37,7 +37,7 @@ class PermutationTestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_permutations < 1:
+        if not is_count(self.n_permutations, 1):
             raise ValidationError(f"n_permutations must be >= 1, got {self.n_permutations!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
@@ -59,10 +59,8 @@ class BatchProtocol:
     def __post_init__(self):
         if self.kind not in ("m1", "m2"):
             raise ValidationError(f"protocol kind must be 'm1' or 'm2', got {self.kind!r}")
-        if self.batch_size < 2:
-            raise ValidationError(
-                f"each batch must be able to hold both groups, got batch_size {self.batch_size!r}"
-            )
+        if not is_count(self.batch_size, 2):
+            raise ValidationError(f"each batch must be able to hold both groups, got batch_size {self.batch_size!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
@@ -167,10 +165,8 @@ class PValueSequence:
         config: PermutationTestConfig,
         cap: float = 1.0,
     ):
-        if batch_size < 2:
-            raise ValidationError(
-                f"each batch must be able to hold both groups, got batch_size {batch_size!r}"
-            )
+        if not is_count(batch_size, 2):
+            raise ValidationError(f"each batch must be able to hold both groups, got batch_size {batch_size!r}")
         if len(y) != len(group):
             raise ValidationError(f"{len(y)} outputs but {len(group)} group ids")
         self.batch_size = batch_size

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 if TYPE_CHECKING:
@@ -51,20 +51,31 @@ def group_range_error(group: int, group_count: int) -> ValidationError:
     return ValidationError(f"group {group} out of range for {group_count} groups")
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or a float other than a boolean.  Checks
+    test the exact type first, so the common case skips this call."""
+    return isinstance(value, (int, float)) and type(value) is not bool
+
+
 def _check_unit_interval(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
+    if not ((type(value) is float or _is_number(value)) and math.isfinite(value) and 0.0 <= value <= 1.0):
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+    if not ((type(value) is float or _is_number(value)) and math.isfinite(value) and value > 0.0):
         raise ValidationError(f"{name} must be a positive finite real, got {value!r}")
+
+
+def is_count(value, least: int) -> bool:
+    """Whether ``value`` is an int of at least ``least``, and not a boolean."""
+    return isinstance(value, int) and type(value) is not bool and value >= least
 
 
 def check_seed(seed: int) -> None:
     """Every seed is an int in [0, 2**64), the range of one SeedSequence
     word and of the seeds ``derive_seed`` gives; a bool is not a seed."""
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64):
+    if not (is_count(seed, 0) and seed < 2**64):
         raise ValidationError(f"seed must be a non-negative integer below 2**64, got {seed!r}")
 
 
@@ -97,16 +108,17 @@ class AuditRecord(_RecordFields):
     __slots__ = ()
 
     def __new__(cls, t, group, y_hat, propensity=None, density=None, density_estimate=None):
-        if not isinstance(t, int) or t < 1:
+        if not (type(t) is int or isinstance(t, int) and type(t) is not bool) or t < 1:
             raise ValidationError(f"t must be a positive integer, got {t!r}")
-        if not isinstance(group, int) or group < 0:
+        if not (type(group) is int or isinstance(group, int) and type(group) is not bool) or group < 0:
             raise ValidationError(f"group must be a nonnegative integer, got {group!r}")
         if not (type(y_hat) is float and 0.0 <= y_hat <= 1.0):  # the common case, inline
             _check_unit_interval("y_hat", y_hat)
         if propensity is not None:
             _check_positive("propensity", propensity)
         if density is not None:
-            if not (math.isfinite(density) and density >= 0.0):
+            is_number = type(density) is float or _is_number(density)
+            if not (is_number and math.isfinite(density) and density >= 0.0):
                 raise ValidationError(f"density must be a nonnegative finite real, got {density!r}")
         if density_estimate is not None:
             _check_positive("density_estimate", density_estimate)
@@ -221,11 +233,37 @@ def strategy_to_dict(strategy: PayoffStrategy) -> dict:
 
 
 def strategy_from_dict(d: dict) -> PayoffStrategy:
+    """The strategy a JSON object describes, read as a scenario's is."""
+    return _from_dict(d, _STRATEGY_TAGS, "strategy")
+
+
+def _as_tuples(value):
+    """A field's JSON value with lists read as tuples."""
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
+
+
+def _from_dict(d: dict, tags: dict[type, str], noun: str):
+    """The object of the class that ``tags`` names by ``d["kind"]``, built
+    from the other keys, lists read as tuples, a missing field taking its
+    default; anything else, an unknown key or a value the class refuses
+    included, raises ValidationError."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"a {noun} must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
-    for cls, tag in _STRATEGY_TAGS.items():
-        if tag == kind:
-            return cls(**{f.name: d[f.name] for f in fields(cls)})
-    raise ValidationError(f"unknown strategy kind {kind!r}")
+    cls = next((c for c, tag in tags.items() if tag == kind), None)
+    if cls is None:
+        raise ValidationError(f"unknown {noun} kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    for key in d:
+        if key != "kind" and key not in names:
+            raise ValidationError(f"{noun} {kind!r} has no field {key!r}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d:
+            raise ValidationError(f"{noun} {kind!r} lacks the field {f.name!r}")
+    try:
+        return cls(**{name: _as_tuples(d[name]) for name in names if name in d})
+    except TypeError as exc:
+        raise ValidationError(f"{noun} {kind!r} holds a value of the wrong type: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,8 +279,10 @@ class AuditConfig:
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not isinstance(self.group_count, int) or self.group_count < 2:
+        if not is_count(self.group_count, 2):
             raise ValidationError(f"group_count must be an integer >= 2, got {self.group_count!r}")
+        if type(self.randomized_final_step) is not bool:
+            raise ValidationError(f"randomized_final_step must be a bool, got {self.randomized_final_step!r}")
         if type(self.strategy) not in _STRATEGY_TAGS:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
         if self.group_count > 2 and type(self.strategy) is not Simple:

@@ -10,6 +10,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import fields
 from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -20,7 +21,6 @@ from .core import (
     AuditConfig,
     AuditRecord,
     AuditReport,
-    Decision,
     IngestError,
     RecordColumns,
     ValidationError,
@@ -56,7 +56,7 @@ def record_from_dict(d: dict, line_no: int = 0, mode: str = "strict") -> AuditRe
     also refuses strings, while lenient mode (and CSV, whose cells are
     text) converts them with int() and float().  A clean line (exact types,
     no other key nor a null, values in range) is built after one test; any
-    other goes through the conversions and AuditRecord's checks."""
+    other converts field by field and goes through AuditRecord's checks."""
     get = d.get
     t, group, y_hat = get("t"), get("group"), get("y_hat")
     p, rho, rho_hat = get("propensity"), get("density"), get("density_estimate")
@@ -79,16 +79,10 @@ def record_from_dict(d: dict, line_no: int = 0, mode: str = "strict") -> AuditRe
         missing = [k for k in _REQUIRED_FIELDS if k not in d]
         raise IngestError(line_no, f"missing required keys {missing}")
     try:
-        if not (  # values of exact type stand as they are; the rest convert
-            type(t) is int and type(group) is int and type(y_hat) is float
-            and (p is None or type(p) is float) and (rho is None or type(rho) is float)
-            and (rho_hat is None or type(rho_hat) is float)
-        ):
-            strict = mode == "strict"
-            t, group, y_hat, p, rho, rho_hat = (  # field by field, in order
-                v if v is None and key in _OPTIONAL_FIELDS else _number(key, v, kind, strict)
-                for key, kind, v in zip(RECORD_FIELDS, _KINDS, (t, group, y_hat, p, rho, rho_hat))
-            )
+        t, group, y_hat, p, rho, rho_hat = (  # field by field, in order
+            v if v is None and key in _OPTIONAL_FIELDS else _number(key, v, kind, mode == "strict")
+            for key, kind, v in zip(RECORD_FIELDS, _KINDS, (t, group, y_hat, p, rho, rho_hat))
+        )
         return AuditRecord(t, group, y_hat, p, rho, rho_hat)
     except ValidationError as exc:
         raise IngestError(line_no, str(exc)) from exc
@@ -109,12 +103,15 @@ def _number(key: str, value, kind: type, strict: bool):
     return kind(value)
 
 
-def _open_lines(source) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8")
+def _open_lines(source) -> tuple[Iterable[str], bool]:
+    """The lines of ``source``, and whether it is input whole when the call
+    is made: a path, or bytes, read as a file holding them is read (with
+    universal newlines, decoded as read), which is closed once read."""
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    return source
+        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8"), True
+    if isinstance(source, (str, Path)):
+        return open(source, "r", encoding="utf-8"), True
+    return source, False
 
 
 def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterator[AuditRecord]:
@@ -134,9 +131,9 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
     line numbers are the same, and no error about a line past the record
     the consumer stops at ever surfaces."""
     _check_format(format, mode)
-    lines = _open_lines(source)
-    if format == "jsonl" and mode == "strict" and isinstance(source, (str, Path, bytes)):
-        return _jsonl_chunks(lines, source, records=True)
+    lines, whole = _open_lines(source)
+    if format == "jsonl" and mode == "strict" and whole:
+        return _jsonl_chunks(lines, whole, records=True)
 
     def gen() -> Iterator[AuditRecord]:
         last_t: dict[int, int] = {}
@@ -156,9 +153,8 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
                     if record is not None:
                         yield record
         finally:
-            close = getattr(lines, "close", None)
-            if close is not None and isinstance(source, (str, Path)):
-                close()
+            if whole:
+                lines.close()
 
     return gen()
 
@@ -283,14 +279,14 @@ def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterat
         return _record_chunks(parse_stream(source, "csv", mode))
     if mode == "lenient":
         raise ValidationError("lenient JSONL is parsed record by record, with parse_stream")
-    return _jsonl_chunks(_open_lines(source), source)
+    return _jsonl_chunks(*_open_lines(source))
 
 
-def _jsonl_chunks(lines, source, records: bool = False) -> Iterator[RecordColumns] | Iterator[AuditRecord]:
+def _jsonl_chunks(lines, close: bool, records: bool = False) -> Iterator[RecordColumns] | Iterator[AuditRecord]:
     """The column chunks of JSONL lines, or with ``records`` their records:
     a clean chunk's built from its columns, any other chunk's the scalar
     code's, up to the line it refuses, whose error is raised at the next
-    pull."""
+    pull.  With ``close`` the lines are closed however this ends."""
     last_t: dict[int, int] = {}
     first = 1  # the line number of the chunk's first line
     try:
@@ -305,7 +301,7 @@ def _jsonl_chunks(lines, source, records: bool = False) -> Iterator[RecordColumn
                 yield from scalar if records else _record_chunks(scalar)
             first += len(chunk)
     finally:
-        if isinstance(source, (str, Path)):
+        if close:
             lines.close()
 
 
@@ -475,18 +471,13 @@ def _int_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _decision_to_dict(decision: Decision) -> dict:
-    return {"kind": decision.kind.value, "tau": decision.tau, "u_draw": decision.u_draw}
+def _fields_to_dict(obj, **values) -> dict:
+    """Each dataclass field of ``obj`` by name, with ``values`` in place of some."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)} | values
 
 
 def _config_to_dict(config: AuditConfig) -> dict:
-    return {
-        "alpha": config.alpha,
-        "strategy": strategy_to_dict(config.strategy),
-        "group_count": config.group_count,
-        "randomized_final_step": config.randomized_final_step,
-        "seed": config.seed,
-    }
+    return _fields_to_dict(config, strategy=strategy_to_dict(config.strategy))
 
 
 def report_to_dict(report: AuditReport) -> dict:
@@ -494,25 +485,16 @@ def report_to_dict(report: AuditReport) -> dict:
     each game's when several ran.  Its ``trajectory`` keys are always null,
     at the top level and in each game; a trajectory goes only to
     :func:`write_trajectory_csv`."""
+    games = report.per_game
     return {
         "format": REPORT_FORMAT,
-        "decision": _decision_to_dict(report.decision),
+        "decision": _fields_to_dict(report.decision, kind=report.decision.kind.value),
         "config": _config_to_dict(report.config_echo),
         "wealth_final": _finite_or_str(report.wealth_final),
         "log_wealth_final": report.log_wealth_final,
         "trajectory": None,
-        "per_game": None
-        if report.per_game is None
-        else [
-            {
-                "game_id": g.game_id,
-                "log_wealth_final": g.log_wealth_final,
-                "wealth_final": _finite_or_str(g.wealth_final),
-                "rejected": g.rejected,
-                "tau": g.tau,
-                "trajectory": None,
-            }
-            for g in report.per_game
+        "per_game": None if games is None else [
+            _fields_to_dict(g, wealth_final=_finite_or_str(g.wealth_final), trajectory=None) for g in games
         ],
     }
 

@@ -6,13 +6,15 @@ sampled through a non-uniform region policy with known propensities.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError, check_seed
+from .core import (
+    AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError, _from_dict, check_seed, is_count,
+)
 from .engine import STRATEGIES, run_args, run_stream  # noqa: F401  (run_stream: perfbench's tracer wraps it here)
 
 
@@ -171,7 +173,7 @@ def _check_run(scenario: Scenario) -> None:
     for f in fields(scenario):
         _check_finite(f.name, getattr(scenario, f.name))
     horizon = scenario.horizon
-    if not isinstance(horizon, int) or horizon < 1:  # a boolean is refused above
+    if not is_count(horizon, 1):
         raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
     check_seed(scenario.seed)
 
@@ -341,7 +343,7 @@ def monte_carlo(
     ``run_stream(cfg_i, stream_to_iterable(scenario, seed_i))``, errors
     included; ``noise_clamped`` counts the steps each replicate consumed.
     """
-    if replicates < 1:
+    if not is_count(replicates, 1):
         raise ValidationError(f"replicates must be >= 1, got {replicates!r}")
     if scenario.group_count != config.group_count:
         raise ValidationError(
@@ -521,30 +523,9 @@ _SCENARIO_TAGS = {
 }
 
 
-def _as_tuples(value):
-    """A field's JSON value with lists read as tuples."""
-    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
-
-
 def scenario_from_dict(d: dict) -> Scenario:
     """The scenario a JSON object describes, lists read as tuples; a missing
     field that has a default takes the scenario class's default.  Anything
     else that does not describe a valid scenario, an unknown key or a
     boolean or non-finite value included, raises ValidationError."""
-    if not isinstance(d, dict):
-        raise ValidationError(f"a scenario must be a JSON object, got {type(d).__name__}")
-    kind = d.get("kind")
-    cls = next((c for c, tag in _SCENARIO_TAGS.items() if tag == kind), None)
-    if cls is None:
-        raise ValidationError(f"unknown scenario kind {kind!r}")
-    names = [f.name for f in fields(cls)]
-    for key in d:
-        if key != "kind" and key not in names:
-            raise ValidationError(f"scenario {kind!r} has no field {key!r}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in d:
-            raise ValidationError(f"scenario {kind!r} lacks the field {f.name!r}")
-    try:
-        return cls(**{name: _as_tuples(d[name]) for name in names if name in d})
-    except TypeError as exc:
-        raise ValidationError(f"scenario {kind!r} holds a value of the wrong type: {exc}") from None
+    return _from_dict(d, _SCENARIO_TAGS, "scenario")

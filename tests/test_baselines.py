@@ -95,11 +95,21 @@ def test_permutation_seed_must_be_a_64_bit_non_negative_integer(seed):
         PermutationTestConfig(seed=seed)
 
 
+@pytest.mark.parametrize("n", [0, True, 2.5, "100", None])
+def test_permutation_count_must_be_a_positive_integer(n):
+    with pytest.raises(ValidationError, match="n_permutations must be >= 1"):
+        PermutationTestConfig(n_permutations=n)
+
+
 def test_protocol_validation():
     with pytest.raises(ValidationError):
         BatchProtocol(kind="m3", batch_size=10, alpha=0.05)
-    with pytest.raises(ValidationError):
-        BatchProtocol(kind="m1", batch_size=1, alpha=0.05)
+    for alpha in (0.0, 1.0, -0.5):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
+            BatchProtocol(kind="m1", batch_size=10, alpha=alpha)
+    for batch_size in (1, True, 10.5, "10"):
+        with pytest.raises(ValidationError, match="batch_size"):
+            BatchProtocol(kind="m1", batch_size=batch_size, alpha=0.05)
 
 
 def test_protocol_tau_is_batch_boundary():
@@ -237,8 +247,9 @@ def test_walk_protocol_needs_matching_batch_size():
 
 
 def test_pvalue_sequence_validation():
-    with pytest.raises(ValidationError):
-        PValueSequence(np.zeros(4), np.zeros(4), 1, PermutationTestConfig())
+    for batch_size in (1, True, 2.5):
+        with pytest.raises(ValidationError, match="batch_size"):
+            PValueSequence(np.zeros(4), np.zeros(4), batch_size, PermutationTestConfig())
     with pytest.raises(ValidationError):
         PValueSequence(np.zeros(4), np.zeros(3), 2, PermutationTestConfig())
     with pytest.raises(ValidationError):

@@ -1277,29 +1277,52 @@ def _pulls(records) -> list:
     faults=st.lists(st.sampled_from(_FAULTS), max_size=2),
     rate=st.sampled_from([0.1, 0.3]),
     chunk=st.sampled_from([1, 2, 3, 2048]),
-    crlf=st.booleans(),
+    line_end=st.sampled_from(["\n", "\r\n", "\r"]),
     final_newline=st.booleans(),
 )
 def test_record_files_parse_as_their_lines_do(
-    tmp_path_factory, seed, groups, faults, rate, chunk, crlf, final_newline
+    tmp_path_factory, seed, groups, faults, rate, chunk, line_end, final_newline
 ):
-    """parse_stream of a path, and of its bytes, gives pull for pull the
-    records (each field of its own type: int t and group, None for an
-    absent field) and the error (type, message and line number) of the
-    same lines read as a text stream: under each fault, in chunks whose
-    lines mix layouts, with blank lines, CRLF line ends or no final
-    newline, and at any chunk size."""
+    """parse_stream of a path gives pull for pull the records (each field
+    of its own type: int t and group, None for an absent field) and the
+    error (type, message and line number) of the same lines read as a text
+    stream, and parse_stream of the file's bytes gives the path's: under
+    each fault, in chunks whose lines mix layouts, with blank lines, CRLF
+    or lone CR line ends or no final newline, and at any chunk size."""
     data = _audit_file(random.Random(seed), groups, "jsonl", faults, rate).encode()
-    if crlf:
-        data = data.replace(b"\n", b"\r\n")
+    data = data.replace(b"\n", line_end.encode())
     if not final_newline:
-        data = data.removesuffix(b"\n")
+        data = data.removesuffix(line_end.encode())
     path = tmp_path_factory.getbasetemp() / "records.jsonl"
     path.write_bytes(data)
     with mock.patch.object(ingest, "CHUNK_LINES", chunk):
         with open(path, encoding="utf-8") as fh:
             assert _pulls(ingest.parse_stream(path)) == _pulls(ingest.parse_stream(fh))
-        assert _pulls(ingest.parse_stream(data)) == _pulls(ingest.parse_stream(io.StringIO(data.decode())))
+        assert _pulls(ingest.parse_stream(data)) == _pulls(ingest.parse_stream(path))
+
+
+def _column_bytes(cols) -> tuple:
+    """A column chunk as each column's dtype and bytes."""
+    return tuple((col.dtype.str, col.tobytes()) for col in cols)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 2048])
+def test_undecodable_bytes_raise_where_the_path_raises_them(tmp_path, chunk):
+    """4,000 clean records, then a byte that is not UTF-8: parse_stream and
+    parse_columns of the bytes give, pull for pull, what they give of a
+    file holding them: the records before the decode block of that byte,
+    then UnicodeDecodeError."""
+    rows = ({"t": t, "group": g, "y_hat": 0.5} for t in range(1, 2001) for g in (0, 1))
+    data = _jsonl(*rows).encode() + b"\xff\n"
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+        records = _pulls(ingest.parse_stream(data))
+        assert records == _pulls(ingest.parse_stream(path))
+        columns = _pulls(map(_column_bytes, ingest.parse_columns(data)))
+        assert columns == _pulls(map(_column_bytes, ingest.parse_columns(path)))
+    assert records[-1][0] is columns[-1][0] is UnicodeDecodeError
+    assert 0 < len(records) - 1 < 4000
 
 
 def test_record_files_build_clean_chunks_without_the_scalar_code(tmp_path):

@@ -45,6 +45,15 @@ def test_record_rejects_bad_fields(kwargs):
         AuditRecord(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["t", "group", "y_hat", "propensity", "density", "density_estimate"])
+@pytest.mark.parametrize("value", [True, False])
+def test_record_refuses_a_boolean_in_any_field(field, value):
+    """A boolean is an int to Python, but never a number of a record."""
+    kwargs = {"t": 1, "group": 0, "y_hat": 0.5, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must .*, got {value}$"):
+        AuditRecord(**kwargs)
+
+
 def test_out_of_range_output_is_an_error_not_a_clamp():
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         AuditRecord(t=1, group=0, y_hat=1.0000001)
@@ -96,6 +105,13 @@ def test_config_group_count_and_seed():
     assert AuditConfig(alpha=0.05, seed=2**64 - 1).seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("flag", ["no", 1, 0, None])
+def test_config_randomized_final_step_is_a_bool(flag):
+    with pytest.raises(ValidationError, match=f"^randomized_final_step must be a bool, got {flag!r}$"):
+        AuditConfig(alpha=0.05, randomized_final_step=flag)
+    assert AuditConfig(alpha=0.05, randomized_final_step=True).randomized_final_step is True
+
+
 def test_config_strategy_must_be_known_and_simple_past_two_groups():
     with pytest.raises(ConfigurationError):
         AuditConfig(alpha=0.05, strategy=object())
@@ -118,6 +134,46 @@ def test_strategy_invariants():
         Propensity(scale=0.0)
     with pytest.raises(ValidationError, match="unknown strategy kind 'ucb'"):
         strategy_from_dict({"kind": "ucb"})
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Propensity(scale=True), "scale"),
+        (lambda: EstimatedDensity(delta_min=True, delta_max=1.2, scale=0.1), "delta_min"),
+        (lambda: EstimatedDensity(delta_min=0.8, delta_max=True, scale=0.1), "delta_max"),
+        (lambda: EstimatedDensity(delta_min=0.8, delta_max=1.2, scale=False), "scale"),
+    ],
+)
+def test_weighted_strategies_refuse_booleans(build, field):
+    with pytest.raises(ValidationError, match=f"^{field} must be a positive finite real"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ("simple", "a strategy must be a JSON object, got str"),
+        ([{"kind": "simple"}], "a strategy must be a JSON object, got list"),
+        ({"scale": 0.25}, "unknown strategy kind None"),
+        ({"kind": "propensity"}, "strategy 'propensity' lacks the field 'scale'"),
+        ({"kind": "estimated_density", "delta_min": 0.8, "scale": 0.1},
+         "strategy 'estimated_density' lacks the field 'delta_max'"),
+        ({"kind": "simple", "epsilon": 0.1}, "strategy 'simple' has no field 'epsilon'"),
+        ({"kind": "propensity", "scale": 0.25, "delta_min": 1.0}, "strategy 'propensity' has no field 'delta_min'"),
+        ({"kind": "propensity", "scale": True}, "scale must be a positive finite real, got True"),
+        ({"kind": "composite", "epsilon": False}, "epsilon must lie in (0, 1), got False"),
+        ({"kind": "propensity", "scale": "0.25"}, "scale must be a positive finite real, got '0.25'"),
+        ({"kind": "propensity", "scale": [0.25]}, "scale must be a positive finite real, got (0.25,)"),
+    ],
+)
+def test_strategy_objects_are_read_strictly(d, message):
+    """A strategy object is refused where a scenario object is: not an
+    object, an unknown kind, an unknown key, a missing field or a value of
+    the wrong type, a boolean included."""
+    with pytest.raises(ValidationError) as err:
+        strategy_from_dict(d)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

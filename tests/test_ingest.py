@@ -282,8 +282,8 @@ def test_clean_lines_skip_the_checks_of_the_full_path():
     "line, mode, conversions",
     [
         ({"t": 2, "group": 1, "y_hat": 1}, "strict", 3),  # an integral y_hat
-        ({"t": 2, "group": 1, "y_hat": 0.5, "density": None}, "strict", 0),
-        ({"t": 2, "group": 1, "y_hat": 0.5, "note": 0.5}, "lenient", 0),
+        ({"t": 2, "group": 1, "y_hat": 0.5, "density": None}, "strict", 3),
+        ({"t": 2, "group": 1, "y_hat": 0.5, "note": 0.5}, "lenient", 3),
     ],
 )
 def test_other_lines_take_the_full_path(line, mode, conversions):

@@ -250,6 +250,9 @@ def test_monte_carlo_group_count_mismatch():
     scen = FixedMeans.from_gap(0.2, horizon=100)
     with pytest.raises(ValidationError):
         monte_carlo(cfg, scen, replicates=2)
+    for replicates in (0, True, 2.5):
+        with pytest.raises(ValidationError, match="replicates must be >= 1"):
+            monte_carlo(AuditConfig(alpha=0.05), scen, replicates=replicates)
 
 
 def test_three_group_stream_generation():
