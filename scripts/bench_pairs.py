@@ -24,12 +24,17 @@ side's median wall seconds with pytest's passed and failed counts; with
 ``--out`` each run's wall seconds, counts and exit code go under
 ``tier1`` in FILE.  ``--workload`` and ``--pairs`` may then be left out.
 
+Given ``--change`` without ``--parent``, it runs seeds 1..N of the
+workload, or the Tier-1 command N times, in that one checkout, and
+prints and records the same per-run metrics, medians, quartiles, source
+size and revision under ``change``, with no ratios or wins.
+
 Each run writes only under its own checkout's ``.bench_work/``, where the
 benchmark keeps its scratch files: byte code is not written
 (``PYTHONDONTWRITEBYTECODE``), so each fresh interpreter compiles the
 checkout's sources, on both sides alike.
 
-Usage: python scripts/bench_pairs.py --parent DIR --change DIR
+Usage: python scripts/bench_pairs.py [--parent DIR] --change DIR
            [--workload W --pairs N] [--tier1 N] [--out FILE]
 """
 import argparse
@@ -79,26 +84,31 @@ def tier1_once(checkout: Path) -> dict:
             "exit": proc.returncode}
 
 
-def tier1_pairs(parent: Path, change: Path, n: int) -> dict:
-    """``n`` Tier-1 runs in each checkout, the parent first on odd runs,
-    with each side's median wall seconds."""
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+def tier1_pairs(sides: dict[str, Path], n: int) -> dict:
+    """``n`` Tier-1 runs in each checkout of ``sides``, the parent first on
+    odd runs, with each side's median wall seconds."""
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
     for i in range(1, n + 1):
-        order = ("parent", "change") if i % 2 else ("change", "parent")
-        for side in order:
-            runs[side].append(tier1_once(parent if side == "parent" else change))
+        for side in alternate(sides, i):
+            runs[side].append(tier1_once(sides[side]))
             print(f"tier1 run {i} {side}: {runs[side][-1]}", flush=True)
     record = {}
-    for side, checkout in (("parent", parent), ("change", change)):
+    for side, checkout in sides.items():
         walls = [run["wall_s"] for run in runs[side]]
         record[side] = {"revision": revision(checkout), "runs": runs[side],
                         "wall_s": dict(zip(("q1", "median", "q3"), spread(walls)))}
     print(f"\ntier1, {n} runs each")
-    for side in ("parent", "change"):
+    for side in sides:
         passed = sorted({run["passed"] for run in runs[side]})
         failed = sorted({run["failed"] for run in runs[side]})
         print(f"{side:<7} wall s {cell(tuple(record[side]['wall_s'].values()))}  passed {passed}  failed {failed}")
     return record
+
+
+def alternate(sides: dict[str, Path], i: int) -> list[str]:
+    """The order the sides run in on run ``i``: as given on odd runs,
+    reversed on even ones."""
+    return list(sides) if i % 2 else list(sides)[::-1]
 
 
 def source_lines(checkout: Path) -> int:
@@ -127,7 +137,7 @@ def cell(q: tuple[float, float, float]) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--parent", type=Path, help="leave out to run the change alone, with no ratios or wins")
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload")
     ap.add_argument("--pairs", type=int)
@@ -140,55 +150,59 @@ def main() -> int:
         ap.error("--pairs must be at least 1")
     if args.tier1 is not None and args.tier1 < 1:
         ap.error("--tier1 must be at least 1")
-    parent, change = args.parent.resolve(), args.change.resolve()
+    sides = {"change": args.change.resolve()}
+    if args.parent is not None:
+        sides = {"parent": args.parent.resolve(), **sides}
     record = json.loads(args.out.read_text()) if args.out is not None and args.out.exists() else {}
     if args.workload is not None:
-        record.setdefault("workloads", {})[args.workload] = workload_pairs(parent, change, args)
+        record.setdefault("workloads", {})[args.workload] = workload_pairs(sides, args)
     if args.tier1 is not None:
-        record["tier1"] = tier1_pairs(parent, change, args.tier1)
+        record["tier1"] = tier1_pairs(sides, args.tier1)
     if args.out is not None:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
-def workload_pairs(parent: Path, change: Path, args: argparse.Namespace) -> dict:
+def workload_pairs(sides: dict[str, Path], args: argparse.Namespace) -> dict:
     """``args.pairs`` alternating benchmark runs of ``args.workload`` in
-    each checkout, printed as a table and returned as its record."""
-    benchmark = json.loads((change / "BENCHMARK.json").read_text())
+    each checkout of ``sides``, printed as a table and returned as its
+    record; the ratio and wins of each metric only when a parent ran."""
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    paired = "parent" in sides
 
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
     for seed in range(1, args.pairs + 1):
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        order = alternate(sides, seed)
         for side in order:
-            runs[side].append(run_once(parent if side == "parent" else change, args.workload, seed,
-                                       benchmark["run_seconds"]))
+            runs[side].append(run_once(sides[side], args.workload, seed, benchmark["run_seconds"]))
         job = {side: runs[side][-1]["metrics"].get("job_s") for side in order}
         print(f"seed {seed}: first {order[0]}, job_s {job}", flush=True)
 
     table = {}
     for name, direction in better.items():
-        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(runs["parent"], runs["change"])]
-        ps, cs = spread([p for p, _ in pairs]), spread([c for _, c in pairs])
-        table[name] = {
-            "better": direction,
-            "parent": dict(zip(("q1", "median", "q3"), ps)),
-            "change": dict(zip(("q1", "median", "q3"), cs)),
-            "ratio": cs[1] / ps[1] if ps[1] else float("nan"),
-            "wins": sum(c < p if direction == "lower" else c > p for p, c in pairs),
-        }
-    sizes = {"parent": source_lines(parent), "change": source_lines(change)}
+        row = {"better": direction}
+        for side in sides:
+            row[side] = dict(zip(("q1", "median", "q3"), spread([run["metrics"][name] for run in runs[side]])))
+        if paired:
+            pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(runs["parent"], runs["change"])]
+            p50, c50 = row["parent"]["median"], row["change"]["median"]
+            row["ratio"] = c50 / p50 if p50 else float("nan")
+            row["wins"] = sum(c < p if direction == "lower" else c > p for p, c in pairs)
+        table[name] = row
+    sizes = {side: source_lines(checkout) for side, checkout in sides.items()}
 
-    print(f"\n{args.workload}, {args.pairs} pairs")
-    print(f"{'metric':<24} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7}  wins")
+    print(f"\n{args.workload}, {args.pairs} {'pairs' if paired else 'runs'}")
+    print(f"{'metric':<24}" + "".join(f" {side + ' median [q1, q3]':>34}" for side in sides)
+          + (f" {'ratio':>7}  wins" if paired else ""))
     for name, row in table.items():
-        ps, cs = (tuple(row[side].values()) for side in ("parent", "change"))
-        print(f"{name:<24} {cell(ps):>34} {cell(cs):>34} {row['ratio']:7.3f}  {row['wins']}/{args.pairs}")
-    print(f"{'source lines':<24} {sizes['parent']:>34} {sizes['change']:>34}")
+        cells = "".join(f" {cell(tuple(row[side].values())):>34}" for side in sides)
+        print(f"{name:<24}{cells}" + (f" {row['ratio']:7.3f}  {row['wins']}/{args.pairs}" if paired else ""))
+    print(f"{'source lines':<24}" + "".join(f" {sizes[side]:>34}" for side in sides))
     return {
         "pairs": args.pairs, "run_seconds": benchmark["run_seconds"],
-        "parent": {"revision": revision(parent), "source_lines": sizes["parent"], "runs": runs["parent"]},
-        "change": {"revision": revision(change), "source_lines": sizes["change"], "runs": runs["change"]},
+        **{side: {"revision": revision(checkout), "source_lines": sizes[side], "runs": runs[side]}
+           for side, checkout in sides.items()},
         "metrics": table,
     }
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ingest
 from .core import _STRATEGY_TAGS, AuditConfig, AuditError, Batched, Propensity, Simple, strategy_tag
-from .engine import run_columns, run_stream
+from .engine import STRATEGIES, run_columns, run_stream
 
 EXIT_NO_REJECT = 0
 EXIT_REJECT = 1
@@ -64,10 +64,7 @@ def _build_strategy(args: argparse.Namespace, scenario=None):
             from . import simulate
 
             if isinstance(scenario, simulate.PolicyPopulation):
-                if cls is Propensity:
-                    value = simulate.policy_corrective_scale(scenario)
-                else:
-                    value = simulate.estimated_density_scale(scenario, values["delta_min"])
+                value = simulate.policy_corrective_scale(scenario, STRATEGIES[cls].weight, values.get("delta_min", 1.0))
         if value is None:
             raise AuditError(f"{name} strategy requires {_flag(field_name)}")
         values[field_name] = value

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
@@ -52,18 +53,19 @@ def group_range_error(group: int, group_count: int) -> ValidationError:
 
 
 def _is_number(value) -> bool:
-    """Whether ``value`` is an int or a float other than a boolean.  Checks
-    test the exact type first, so the common case skips this call."""
-    return isinstance(value, (int, float)) and type(value) is not bool
+    """Whether ``value`` is a float or an int within the finite float range,
+    never a boolean: NaN, infinities and ints no float can hold fail.
+    Checks test the exact type first, so a float skips this call."""
+    return isinstance(value, (int, float)) and type(value) is not bool and abs(value) <= sys.float_info.max
 
 
 def _check_unit_interval(name: str, value: float) -> None:
-    if not ((type(value) is float or _is_number(value)) and math.isfinite(value) and 0.0 <= value <= 1.0):
+    if not ((type(value) is float or _is_number(value)) and 0.0 <= value <= 1.0):
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not ((type(value) is float or _is_number(value)) and math.isfinite(value) and value > 0.0):
+    if not ((type(value) is float or _is_number(value)) and 0.0 < value < math.inf):
         raise ValidationError(f"{name} must be a positive finite real, got {value!r}")
 
 
@@ -117,8 +119,7 @@ class AuditRecord(_RecordFields):
         if propensity is not None:
             _check_positive("propensity", propensity)
         if density is not None:
-            is_number = type(density) is float or _is_number(density)
-            if not (is_number and math.isfinite(density) and density >= 0.0):
+            if not ((type(density) is float or _is_number(density)) and 0.0 <= density < math.inf):
                 raise ValidationError(f"density must be a nonnegative finite real, got {density!r}")
         if density_estimate is not None:
             _check_positive("density_estimate", density_estimate)

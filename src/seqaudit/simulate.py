@@ -13,7 +13,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import (
-    AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError, _from_dict, check_seed, is_count,
+    AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError, _from_dict, _is_number, check_seed,
+    is_count,
 )
 from .engine import STRATEGIES, run_args, run_stream  # noqa: F401  (run_stream: perfbench's tracer wraps it here)
 
@@ -168,8 +169,9 @@ Scenario = FixedMeans | LogisticDrift | SinusoidalDrift | PolicyPopulation
 
 
 def _check_run(scenario: Scenario) -> None:
-    """Refuse a boolean (never the number 0 or 1) or a non-finite number,
-    which no range check sees, anywhere in a field; then a bad horizon or seed."""
+    """Refuse a boolean (never the number 0 or 1), a non-finite number or an
+    int beyond the float range, which no range check sees, anywhere in a
+    field; then a bad horizon or seed."""
     for f in fields(scenario):
         _check_finite(f.name, getattr(scenario, f.name))
     horizon = scenario.horizon
@@ -179,7 +181,7 @@ def _check_run(scenario: Scenario) -> None:
 
 
 def _check_finite(name: str, value) -> None:
-    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (int, float)) and not _is_number(value):
         raise ValidationError(f"scenario field {name!r} must hold finite numbers, got {value!r}")
     if isinstance(value, (tuple, list)):
         for v in value:
@@ -190,27 +192,6 @@ def _sinusoid_mean(s: SinusoidalDrift, group: int, t):
     if group == 0:
         return s.level + s.amplitude_0 * np.sin(t / s.wavelength_0)
     return s.level + s.amplitude_1 * np.sin(t / s.wavelength_1) + s.drift_rate * t
-
-
-def mean_at(scenario: Scenario, group: int, t: int) -> float:
-    """Noiseless mean of ``group`` at step ``t`` (noise, where a scenario has
-    it, is added at draw time)."""
-    if t < 1 or t > scenario.horizon:
-        raise ValidationError(f"t={t} outside the scenario horizon {scenario.horizon}")
-    if group < 0 or group >= scenario.group_count:
-        raise ValidationError(f"group {group} out of range")
-    if isinstance(scenario, FixedMeans):
-        return scenario.means[group]
-    if isinstance(scenario, LogisticDrift):
-        if group == 0 or t < scenario.onset:
-            return scenario.base
-        return scenario.base + scenario.amplitude / (1.0 + math.exp((scenario.midpoint - t) / scenario.scale))
-    if isinstance(scenario, SinusoidalDrift):
-        return float(_sinusoid_mean(scenario, group, float(t)))
-    mu = 0.0
-    for phi, rho in zip(scenario.outputs[group], scenario.density[group]):
-        mu += phi * rho
-    return mu
 
 
 # Region-policy preset (fig5): uniform population over four regions, group 0
@@ -227,33 +208,22 @@ REGION_POLICIES = {
 }
 
 
-def region_population(
-    policy: tuple[float, ...], equalize_means: bool = False, horizon: int = 1000, seed: int = 0
-) -> PolicyPopulation:
-    outputs = _REGION_OUTPUTS
-    if equalize_means:
-        gap = sum((a - b) * r for a, b, r in zip(outputs[0], outputs[1], _REGION_DENSITY))
-        outputs = (outputs[0], tuple(v + gap for v in outputs[1]))
-    return PolicyPopulation(density=(_REGION_DENSITY, _REGION_DENSITY), outputs=outputs, policy=policy,
+def region_population(policy: tuple[float, ...], horizon: int = 1000, seed: int = 0) -> PolicyPopulation:
+    return PolicyPopulation(density=(_REGION_DENSITY, _REGION_DENSITY), outputs=_REGION_OUTPUTS, policy=policy,
                             labels=_REGIONS, horizon=horizon, seed=seed)
 
 
-def policy_corrective_scale(pop: PolicyPopulation) -> float:
-    """Largest admissible corrective factor for the propensity payoff on this
-    population: 1 / (2 * max importance weight) over observable points."""
-    weights = (r / p for rho in pop.density for r, p in zip(rho, pop.policy) if p > 0.0)
-    w_max = max(weights, default=0.0)
-    if w_max <= 0.0:
-        raise ValidationError("population has no observable mass")
-    return 1.0 / (2.0 * w_max)
-
-
-def estimated_density_scale(pop: PolicyPopulation, delta_min: float) -> float:
-    """Largest admissible corrective factor for the estimated-density payoff."""
-    if pop.density_estimates is None:
+def policy_corrective_scale(pop: PolicyPopulation, weight: str = "density", delta_min: float = 1.0) -> float:
+    """Largest admissible corrective factor of a weighted payoff on this
+    population: delta_min / (2 * max weight) over the points the policy
+    draws.  ``weight`` names the record field that, over the propensity,
+    gives a point's weight, as the engine's strategy rows name it:
+    ``density`` (the propensity payoff, delta_min 1) or ``density_estimate``."""
+    rows = pop.density if weight == "density" else pop.density_estimates
+    if rows is None:
         raise ValidationError("population carries no density estimates")
-    weights = (e / p for row in pop.density_estimates for e, p in zip(row, pop.policy) if p > 0.0)
-    return delta_min / (2.0 * max(weights))
+    w_max = max(r / p for row in rows for r, p in zip(row, pop.policy) if p > 0.0)
+    return delta_min / (2.0 * w_max)
 
 
 def draw_records(t: int, y: list[float], point_fields: list | None = None) -> tuple[AuditRecord, ...]:
@@ -450,8 +420,8 @@ def _block_drawer(scenario: Scenario) -> Callable:
 
 
 def _drift_table(scenario: LogisticDrift | SinusoidalDrift) -> list[list[float]]:
-    """Each step's row of group means, equal to mean_at's bit for bit: the
-    same scalar float operations, without its per-call range checks."""
+    """Each step's row of noiseless group means, from scalar float
+    operations; noise, where a scenario has it, is added at draw time."""
     steps = range(1, scenario.horizon + 1)
     if isinstance(scenario, SinusoidalDrift):
         return [[float(_sinusoid_mean(scenario, b, float(t))) for b in (0, 1)] for t in steps]

@@ -21,6 +21,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -49,7 +50,6 @@ from seqaudit.simulate import (
     PolicyPopulation,
     derive_seed,
     draw_outputs,
-    estimated_density_scale,
     generate_stream,
     monte_carlo,
     policy_corrective_scale,
@@ -283,7 +283,10 @@ def test_criterion_06_propensity_weighted_sampling():
     with criterion("06", "region-policy sampling: validity, power, slowdown", 180.0):
         alpha = 0.05
         pi3 = REGION_POLICIES["pi3"]
-        fair = region_population(pi3, equalize_means=True, horizon=2000, seed=161)
+        base = region_population(pi3, horizon=2000, seed=161)
+        (phi0, phi1), rho = base.outputs, base.density[0]
+        gap = sum((a - b) * r for a, b, r in zip(phi0, phi1, rho))
+        fair = replace(base, outputs=(phi0, tuple(v + gap for v in phi1)))
         cfg = AuditConfig(alpha=alpha, strategy=Propensity(scale=policy_corrective_scale(fair)), seed=61)
         fpr = monte_carlo(cfg, fair, replicates=500).fpr_or_power
         assert fpr <= alpha + mc_slack(alpha, 500), f"FPR {fpr}"
@@ -369,7 +372,7 @@ def _estimated_audit(outputs, estimates, seed):
     ratios = [e / r for rho, est in zip(pop.density, pop.density_estimates)
               for r, e in zip(rho, est) if r > 0.0]
     lo, hi = min(ratios), max(ratios)
-    return EstimatedDensity(delta_min=lo, delta_max=hi, scale=estimated_density_scale(pop, lo)), pop
+    return EstimatedDensity(delta_min=lo, delta_max=hi, scale=policy_corrective_scale(pop, "density_estimate", lo)), pop
 
 
 def _groups_with_equal_means(groups, seed):

@@ -101,10 +101,16 @@ def test_permutation_count_must_be_a_positive_integer(n):
         PermutationTestConfig(n_permutations=n)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan, True, "x", None])
+def test_permutation_alpha_must_lie_in_the_open_unit_interval(alpha):
+    with pytest.raises(ValidationError, match=r"^alpha must lie in \(0, 1\), got "):
+        PermutationTestConfig(alpha=alpha)
+
+
 def test_protocol_validation():
     with pytest.raises(ValidationError):
         BatchProtocol(kind="m3", batch_size=10, alpha=0.05)
-    for alpha in (0.0, 1.0, -0.5):
+    for alpha in (0.0, 1.0, -0.5, "0.05", True, None):
         with pytest.raises(ValidationError, match="alpha must lie in"):
             BatchProtocol(kind="m1", batch_size=10, alpha=alpha)
     for batch_size in (1, True, 10.5, "10"):

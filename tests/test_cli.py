@@ -38,7 +38,6 @@ from seqaudit.simulate import (
     SinusoidalDrift,
     derive_seed,
     draw_outputs,
-    estimated_density_scale,
     generate_stream,
     monte_carlo,
     policy_corrective_scale,
@@ -591,14 +590,17 @@ _ONE_POINT = {"kind": "policy_population", "density": [[1.0], [1.0]], "outputs":
         ({**_ONE_POINT, "density": [[0.5, 0.5], [0.5, 0.5]], "outputs": [[0.5, 0.5], [0.5, 0.5]],
           "policy": [math.nan, 1.0]}, (), "scenario field 'policy' must hold finite numbers, got nan"),
         ({"kind": "logistic_drift", "scale": math.inf}, (), "scenario field 'scale' must hold finite numbers, got inf"),
+        ({**_ONE_POINT, "policy": [10**400]}, (), f"scenario field 'policy' must hold finite numbers, got {10**400}"),
+        ({"kind": "sinusoidal_drift", "level": 10**400, "horizon": 20}, (),
+         f"scenario field 'level' must hold finite numbers, got {10**400}"),
     ],
 )
 def test_refusals_exit_2_with_their_message(doc, flags, message, tmp_path, capsys):
     """Each scenario invariant, a population without estimates for an
     estimated-density audit with no --scale, a bench without permutations,
-    and a JSON boolean (never read as 1 or 0), NaN or infinity where a
-    scenario holds a number: exit 2 with the refusal's message as the one
-    line on stderr."""
+    and a JSON boolean (never read as 1 or 0), NaN, infinity or an integer
+    beyond the float range where a scenario holds a number: exit 2 with the
+    refusal's message as the one line on stderr."""
     if doc is None:
         argv = ["bench", "--methods", "perm-m1", "--replicates", "1", "--horizon", "20"]
     else:
@@ -635,7 +637,7 @@ def test_population_scale_defaults_to_the_largest_admissible(flags, tmp_path):
     if flags[1] == "propensity":
         scale = policy_corrective_scale(pop)
     else:
-        scale = estimated_density_scale(pop, 0.8)
+        scale = policy_corrective_scale(pop, "density_estimate", 0.8)
     argv = ["simulate", "--scenario", str(path), "--replicates", "4", "--seed", "2", *flags]
     derived, given = tmp_path / "derived.csv", tmp_path / "given.csv"
     assert main([*argv, "--out", str(derived)]) == 0

@@ -54,6 +54,14 @@ def test_record_refuses_a_boolean_in_any_field(field, value):
         AuditRecord(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["y_hat", "propensity", "density", "density_estimate"])
+def test_record_refuses_an_int_beyond_the_float_range(field):
+    """No float holds 10**400, so it is refused as NaN is, never converted."""
+    kwargs = {"t": 1, "group": 0, "y_hat": 0.5, field: 10**400}
+    with pytest.raises(ValidationError, match=f"^{field} must .*, got {10**400}$"):
+        AuditRecord(**kwargs)
+
+
 def test_out_of_range_output_is_an_error_not_a_clamp():
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         AuditRecord(t=1, group=0, y_hat=1.0000001)
@@ -143,9 +151,14 @@ def test_strategy_invariants():
         (lambda: EstimatedDensity(delta_min=True, delta_max=1.2, scale=0.1), "delta_min"),
         (lambda: EstimatedDensity(delta_min=0.8, delta_max=True, scale=0.1), "delta_max"),
         (lambda: EstimatedDensity(delta_min=0.8, delta_max=1.2, scale=False), "scale"),
+        (lambda: Propensity(scale=10**400), "scale"),
+        (lambda: EstimatedDensity(delta_min=10**400, delta_max=1.2, scale=0.1), "delta_min"),
+        (lambda: EstimatedDensity(delta_min=0.8, delta_max=10**400, scale=0.1), "delta_max"),
+        (lambda: EstimatedDensity(delta_min=0.8, delta_max=1.2, scale=10**400), "scale"),
     ],
 )
 def test_weighted_strategies_refuse_booleans(build, field):
+    """A boolean, or an int beyond the float range, is refused by name."""
     with pytest.raises(ValidationError, match=f"^{field} must be a positive finite real"):
         build()
 
@@ -165,6 +178,7 @@ def test_weighted_strategies_refuse_booleans(build, field):
         ({"kind": "composite", "epsilon": False}, "epsilon must lie in (0, 1), got False"),
         ({"kind": "propensity", "scale": "0.25"}, "scale must be a positive finite real, got '0.25'"),
         ({"kind": "propensity", "scale": [0.25]}, "scale must be a positive finite real, got (0.25,)"),
+        ({"kind": "propensity", "scale": 10**400}, f"scale must be a positive finite real, got {10**400}"),
     ],
 )
 def test_strategy_objects_are_read_strictly(d, message):

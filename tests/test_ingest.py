@@ -15,15 +15,17 @@ from seqaudit import ingest
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
+    Batched,
     Composite,
     Decision,
     DecisionKind,
     IngestError,
+    Simple,
     ValidationError,
     strategy_from_dict,
     wealth_from_log,
 )
-from seqaudit.engine import run_stream
+from seqaudit.engine import run_columns, run_stream
 from seqaudit.ingest import (
     emit_report,
     parse_columns,
@@ -506,6 +508,29 @@ def test_parse_columns_refuses_lenient_jsonl(tmp_path):
         parse_columns(path, "jsonl", "lenient")
     (cols,) = parse_columns(io.StringIO("t,group,y_hat\n1,0,0.5\n"), "csv", "lenient")
     assert cols.t.tolist() == [1] and cols.y_hat.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("strategy", [Simple(), Batched()], ids=["simple", "batched"])
+@pytest.mark.parametrize(
+    "name, format, text",
+    [("empty.jsonl", "jsonl", ""), ("blank.jsonl", "jsonl", "\n  \n\r\n"),
+     ("empty.csv", "csv", ""), ("header.csv", "csv", "t,group,y_hat\n")],
+    ids=["empty-file", "blank-jsonl", "empty-csv", "header-only-csv"],
+)
+def test_inputs_without_records_audit_to_continue(name, format, text, strategy, tmp_path):
+    """A file, or a text stream, that holds no record gives the same report
+    on every route: continue, at log wealth 0.  Batched audits take no
+    column route."""
+    path = tmp_path / name
+    path.write_text(text)
+    config = AuditConfig(alpha=0.05, strategy=strategy)
+    reports = [run_stream(config, parse_stream(path, format)),
+               run_stream(config, parse_stream(io.StringIO(text), format))]
+    if not isinstance(strategy, Batched):
+        reports.append(run_columns(config, parse_columns(path, format)))
+    assert all(report == reports[0] for report in reports)
+    assert reports[0].decision.kind is DecisionKind.CONTINUE
+    assert reports[0].log_wealth_final == 0.0
 
 
 def test_parse_columns_keeps_lone_surrogates_of_a_text_stream():

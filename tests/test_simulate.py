@@ -29,9 +29,7 @@ from seqaudit.simulate import (
     _drift_table,
     derive_seed,
     draw_outputs,
-    estimated_density_scale,
     generate_stream,
-    mean_at,
     monte_carlo,
     policy_corrective_scale,
     scenario_from_dict,
@@ -42,26 +40,33 @@ from seqaudit.simulate import (
 def test_fixed_means_from_gap():
     scen = FixedMeans.from_gap(0.2)
     assert scen.means == pytest.approx((0.6, 0.4))
-    for t in (1, 500, 1000):
-        assert mean_at(scen, 0, t) == scen.means[0]
-        assert mean_at(scen, 1, t) == scen.means[1]
 
 
 def test_logistic_drift_means():
-    scen = LogisticDrift(horizon=1000)
-    assert mean_at(scen, 1, 250) == pytest.approx(0.55)
-    assert mean_at(scen, 1, 99) == 0.3
-    assert mean_at(scen, 1, 100) == pytest.approx(0.3012363115783174)
-    assert mean_at(scen, 0, 900) == 0.3
-    assert mean_at(scen, 1, 900) == pytest.approx(0.8, abs=1e-9)
+    table = _drift_table(LogisticDrift(horizon=1000))
+    assert table[249][1] == pytest.approx(0.55)
+    assert table[98][1] == 0.3
+    assert table[99][1] == pytest.approx(0.3012363115783174)
+    assert table[899][0] == 0.3
+    assert table[899][1] == pytest.approx(0.8, abs=1e-9)
 
 
 def test_sinusoidal_means_and_validation():
-    scen = SinusoidalDrift(horizon=500)
-    assert mean_at(scen, 0, 100) == pytest.approx(0.4 + math.sin(100 / 40) / 10)
-    assert mean_at(scen, 1, 100) == pytest.approx(0.4 + math.sin(100 / 20) / 10 + 0.1)
+    table = _drift_table(SinusoidalDrift(horizon=500))
+    assert table[99][0] == pytest.approx(0.4 + math.sin(100 / 40) / 10)
+    assert table[99][1] == pytest.approx(0.4 + math.sin(100 / 20) / 10 + 0.1)
     with pytest.raises(ValidationError):
         SinusoidalDrift(horizon=5000)  # linear drift escapes [0, 1]
+
+
+def _documented_means(s, t: int) -> list[float]:
+    """Step t's noiseless means by the formulas the drift classes document."""
+    if isinstance(s, LogisticDrift):
+        if t < s.onset:
+            return [s.base, s.base]
+        return [s.base, s.base + s.amplitude / (1.0 + math.exp((s.midpoint - t) / s.scale))]
+    return [s.level + s.amplitude_0 * float(np.sin(t / s.wavelength_0)),
+            s.level + s.amplitude_1 * float(np.sin(t / s.wavelength_1)) + s.drift_rate * t]
 
 
 @pytest.mark.parametrize("scenario", [
@@ -69,21 +74,13 @@ def test_sinusoidal_means_and_validation():
     LogisticDrift(onset=20, midpoint=80, scale=10.0, horizon=120),
     SinusoidalDrift(noise_sd=0.5, drift_rate=0.002, horizon=200),
 ], ids=["fig2a", "fig2b", "logistic", "sinusoidal"])
-def test_drift_table_is_mean_at_bit_for_bit(scenario):
-    """The draws read a drift's means from a table built without mean_at's
-    range checks; every entry is still the mean mean_at documents."""
+def test_drift_table_is_the_documented_formula_bit_for_bit(scenario):
+    """The draws read a drift's means from one table; every entry is the
+    mean the scenario class documents, to the last bit."""
     table = _drift_table(scenario)
     assert len(table) == scenario.horizon
     for t, row in enumerate(table, start=1):
-        assert [x.hex() for x in row] == [mean_at(scenario, b, t).hex() for b in (0, 1)], t
-
-
-def test_mean_at_bounds_checked():
-    scen = FixedMeans.from_gap(0.0, horizon=10)
-    with pytest.raises(ValidationError):
-        mean_at(scen, 0, 11)
-    with pytest.raises(ValidationError):
-        mean_at(scen, 2, 1)
+        assert [x.hex() for x in row] == [x.hex() for x in _documented_means(scenario, t)], t
 
 
 def test_degenerate_bernoulli_draws():
@@ -106,8 +103,6 @@ def test_policy_population_attaches_weights():
     for rec in (rec0, rec1):
         assert rec.propensity in (0.25, 0.75)
         assert rec.density == 0.5
-    assert mean_at(pop, 0, 1) == pytest.approx(0.5)
-    assert mean_at(pop, 1, 1) == pytest.approx(0.5)
 
 
 def test_policy_identity_weights_when_policy_matches_population():
@@ -188,7 +183,7 @@ def test_estimated_density_helpers():
         policy=(0.4, 0.6),
         density_estimates=((0.24, 0.96), (0.6, 0.6)),
     )
-    scale = estimated_density_scale(pop, delta_min=1.2)
+    scale = policy_corrective_scale(pop, "density_estimate", 1.2)
     assert scale == pytest.approx(1.2 / (2.0 * 1.6))
     rec0 = next(stream_to_iterable(pop, seed=4))
     assert rec0.density_estimate == pytest.approx(1.2 * rec0.density)
@@ -430,7 +425,7 @@ def _differential_cases():
         ratios = [e / r for rho, est in zip(scen.density, scen.density_estimates)
                   for r, e in zip(rho, est) if r > 0.0]
         lo, hi = min(ratios), max(ratios)
-        estimated = EstimatedDensity(delta_min=lo, delta_max=hi, scale=estimated_density_scale(scen, lo))
+        estimated = EstimatedDensity(delta_min=lo, delta_max=hi, scale=policy_corrective_scale(scen, "density_estimate", lo))
         cases.append((estimated, scen, f"EstimatedDensity-{name}"))
     return [pytest.param(strategy, scen, id=name) for strategy, scen, name in cases]
 
