@@ -20,7 +20,8 @@ operation.
 
 With ``--tier1 N`` it also times the literal Tier-1 command of ROADMAP.md
 N times in each checkout, alternating which runs first, and prints each
-side's median wall seconds with pytest's passed and failed counts; with
+side's median wall seconds with pytest's passed, failed and error counts
+(an error is, for one, a test module that failed to import); with
 ``--out`` each run's wall seconds, counts and exit code go under
 ``tier1`` in FILE.  ``--workload`` and ``--pairs`` may then be left out.
 
@@ -71,17 +72,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def tier1_once(checkout: Path) -> dict:
-    """Wall seconds, pytest's passed and failed counts and the exit code of
-    one run of the Tier-1 command in ``checkout``, under bash."""
+    """Wall seconds, pytest's passed, failed and error counts and the exit
+    code of one run of the Tier-1 command in ``checkout``, under bash."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     start = time.perf_counter()
     proc = subprocess.run(["bash", "-c", TIER1], cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     last = proc.stdout.strip().splitlines()[-1:] or [""]
-    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", last[0])}
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)s?\b", last[0])}
     return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
-            "exit": proc.returncode}
+            "errors": counts.get("error", 0), "exit": proc.returncode}
 
 
 def tier1_pairs(sides: dict[str, Path], n: int) -> dict:
@@ -101,7 +102,9 @@ def tier1_pairs(sides: dict[str, Path], n: int) -> dict:
     for side in sides:
         passed = sorted({run["passed"] for run in runs[side]})
         failed = sorted({run["failed"] for run in runs[side]})
-        print(f"{side:<7} wall s {cell(tuple(record[side]['wall_s'].values()))}  passed {passed}  failed {failed}")
+        errors = sorted({run["errors"] for run in runs[side]})
+        print(f"{side:<7} wall s {cell(tuple(record[side]['wall_s'].values()))}  passed {passed}  failed {failed}"
+              f"  errors {errors}")
     return record
 
 

@@ -114,16 +114,16 @@ class StrategyRow:
     ``games(config)`` gives the game ids; the games share the threshold
     len(games)/alpha.  ``lo`` is the lower bet bound: 0 for one-sided games,
     whose nulls only bound the argument's mean from above, -1/2 otherwise.
-    ``step(session, records)`` maps one step's records to one payoff
-    argument per game.  ``block(strategy, y, w, t)`` is the array form from
-    :mod:`payoffs` for a block of outputs ``y``, weights ``w`` and time
-    indices ``t``, one row per step and one column per group (``t`` None
-    when the caller has none): it yields the argument rows before the
-    first step ``step`` would refuse, then raises the error ``step`` raises
-    there.  ``weight`` names the record field that, over the propensity,
-    gives the weights a weighted strategy reads (None for the others).
-    ``batched`` marks a strategy whose step is a single record rather than
-    one per group.
+    ``step(session, records)`` maps one step's records, one per group in
+    group order, to one payoff argument per game.
+    ``block(strategy, y, w, t)`` is the array form from :mod:`payoffs` for a
+    block of outputs ``y``, weights ``w`` and time indices ``t``, one row
+    per step and one column per group (``t`` None when the caller has none):
+    it yields the argument rows before the first step ``step`` would refuse,
+    then raises the error ``step`` raises there.  ``weight`` names the record
+    field that, over the propensity, gives the weights a weighted strategy
+    reads (None for the others).  ``batched`` marks a strategy whose step is
+    a single record rather than one per group: ``step`` takes that record.
     """
 
     games: Callable[[AuditConfig], list[str]]
@@ -140,7 +140,9 @@ class AuditSession:
 
     ``status`` is the only lifecycle state: records are refused once it is
     terminal, and a terminal decision carrying ``u_draw`` is the randomized
-    terminal step's.  ``steps`` counts the steps every game has taken."""
+    terminal step's.  ``steps`` counts the steps every game has taken.
+    Records not yet in a step wait in ``batch`` when batched, and otherwise
+    in ``waiting``, one first-in-first-out queue per group."""
 
     config: AuditConfig
     row: StrategyRow
@@ -148,6 +150,7 @@ class AuditSession:
     log_threshold: float
     status: Decision
     batch: BatchAccumulator | None = None
+    waiting: list[deque[AuditRecord]] | None = None
     steps: int = 0
 
 
@@ -159,52 +162,31 @@ def _one_sided_pair(config: AuditConfig) -> list[str]:
     return ["upper", "lower"]  # mu0 - mu1 > 0 (or eps), then mu1 - mu0
 
 
-def _bundle_by_group(
-    records: Sequence[AuditRecord] | AuditRecord, group_count: int
-) -> list[AuditRecord]:
-    if isinstance(records, AuditRecord):
-        raise ValidationError("this strategy consumes one record per group, got a single record")
-    if len(records) != group_count:
-        raise ValidationError(
-            f"this strategy consumes one record per group ({group_count}), got {len(records)}"
-        )
-    by_group: list[AuditRecord | None] = [None] * group_count
-    for rec in records:
-        if rec.group >= group_count:
-            raise group_range_error(rec.group, group_count)
-        if by_group[rec.group] is not None:
-            raise ValidationError(f"duplicate record for group {rec.group} in one step")
-        by_group[rec.group] = rec
-    return by_group  # type: ignore[return-value]
-
-
 # Scalar argument functions.  They call the payoff helpers through this
 # module's globals on every step, so a wrapper installed there sees each call.
 
 
 def _simple_step(session: AuditSession, records) -> list[float]:
     args = []  # a loop: before Python 3.12 a comprehension builds a frame per step
-    for rec0, rec1 in pairwise(_bundle_by_group(records, session.config.group_count)):
+    for rec0, rec1 in pairwise(records):
         args.append(rec0.y_hat - rec1.y_hat)
     return args
 
 
 def _batched_step(session: AuditSession, record: AuditRecord) -> tuple[float]:
-    if not isinstance(record, AuditRecord):
-        raise ValidationError("batched mode consumes a single record per step")
     if batch_push(session.batch, record):
         return (0.0,)
     return (batch_payoff(session.batch, record),)
 
 
 def _composite_step(session: AuditSession, records) -> tuple[float, float]:
-    rec0, rec1 = _bundle_by_group(records, 2)
+    rec0, rec1 = records
     eps = session.config.strategy.epsilon
     return rec0.y_hat - rec1.y_hat - eps, rec1.y_hat - rec0.y_hat - eps
 
 
 def _weighted_step(session: AuditSession, records) -> tuple[float, ...]:
-    rec0, rec1 = _bundle_by_group(records, 2)
+    rec0, rec1 = records
     w0, w1 = propensity_context(rec0, rec1, session.row.weight)
     s = session.config.strategy
     args = payoff_propensity(rec0.y_hat, rec1.y_hat, w0, w1, s.scale, s.delta_min, s.delta_max)
@@ -247,6 +229,7 @@ def session_new(config: AuditConfig, record_trajectory: bool = True) -> AuditSes
         log_threshold=math.log(len(games)) - math.log(config.alpha),
         status=Decision(DecisionKind.CONTINUE),
         batch=BatchAccumulator() if row.batched else None,
+        waiting=None if row.batched else [deque() for _ in range(config.group_count)],
     )
 
 
@@ -268,14 +251,29 @@ def _post_step(session: AuditSession) -> Decision:
     return session.status
 
 
-def session_step(
-    session: AuditSession, records: Sequence[AuditRecord] | AuditRecord
-) -> tuple[AuditSession, Decision]:
-    """Feed one step of data: a record per group, or a single record in
-    batched mode.  Returns the session and the decision after this step."""
+def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSession, Decision]:
+    """Feed one record; return the session and the decision after it.  A
+    batched session steps on every record.  Otherwise the record waits
+    until every group has one; then the oldest record of each group, in
+    group order, forms the step.  Until then the games stay as they are."""
     if session.status.kind is not _CONTINUE:
         raise SessionStateError("session already reached a terminal decision; records refused")
-    games, args = session.games, session.row.step(session, records)
+    try:
+        group = record.group
+    except AttributeError:
+        kind = type(record).__name__
+        raise ValidationError(f"a session takes one record at a time, got {kind}") from None
+    if group >= session.config.group_count:
+        raise group_range_error(group, session.config.group_count)
+    step, waiting = record, session.waiting
+    if waiting is not None:
+        queue = waiting[group]
+        queue.append(record)
+        # Only a record that found its queue empty can complete a step.
+        if len(queue) > 1 or not all(waiting):
+            return session, session.status
+        step = list(map(deque.popleft, waiting))
+    games, args = session.games, session.row.step(session, step)
     if len(games) == 1:
         games[0].apply(args[0])
     else:
@@ -348,31 +346,13 @@ def run_stream(
     stream: Iterable[AuditRecord],
     record_trajectory: bool = True,
 ) -> AuditReport:
-    """Convenience driver: bundle a per-group-ordered record stream into
-    steps, run the session to rejection or stream end, and finalize when the
-    randomized terminal step is enabled.  Deterministic given (config.seed,
-    stream)."""
+    """Convenience driver: feed a record stream to a session one record at
+    a time through :func:`session_step`, to rejection or stream end, and
+    finalize when the randomized terminal step is enabled.  Deterministic
+    given (config.seed, stream)."""
     session = session_new(config, record_trajectory=record_trajectory)
-    paired = not session.row.batched
-    group_count = config.group_count
-    # First-in-first-out per group: a step takes the oldest unpaired record
-    # of every group, at constant cost whatever the backlog.
-    buffers: list[deque[AuditRecord]] = [deque() for _ in range(group_count)]
-    pending = 0
     for record in stream:
-        group = record.group
-        if group >= group_count:
-            raise group_range_error(group, group_count)
-        step = record
-        if paired:
-            if not buffers[group]:
-                pending += 1
-            buffers[group].append(record)
-            if pending < group_count:
-                continue
-            step = list(map(deque.popleft, buffers))
-            pending = sum(map(bool, buffers))
-        _, decision = session_step(session, step)
+        _, decision = session_step(session, record)
         if decision.kind is not _CONTINUE:
             return build_report(session)
     return _end_of_stream(session)

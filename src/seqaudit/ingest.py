@@ -215,6 +215,8 @@ def _csv_header(reader, mode: str) -> list[str] | None:
     if header is None:
         return None
     header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        raise IngestError(1, f"repeated columns {sorted({h for h in header if header.count(h) > 1})}")
     unknown = set(header) - _RECORD_KEYS
     if unknown:
         if mode == "strict":
@@ -229,10 +231,12 @@ def _csv_header(reader, mode: str) -> list[str] | None:
 def _csv_record(
     header: list[str], row: list[str], line_no: int, last_t: dict[int, int]
 ) -> AuditRecord | None:
-    """The record of one CSV row (None for an empty row); its cells are
-    text, so they convert as in lenient mode."""
+    """The record of one CSV row of one cell per header column (None for an
+    empty row); its cells are text, so they convert as in lenient mode."""
     if not row:
         return None
+    if len(row) != len(header):
+        raise IngestError(line_no, f"{len(row)} cells in a row under {len(header)} columns")
     cells = {key: cell for key, cell in zip(header, row) if key in _RECORD_KEYS and cell != ""}
     return _jsonl_record("", line_no, "lenient", last_t, cells)
 

@@ -22,7 +22,6 @@ from .core import (
     ValidationError,
     _check_positive,
     _check_unit_interval,
-    group_range_error,
 )
 
 # Slack for validating caller-supplied corrective scales against observed
@@ -87,11 +86,10 @@ def payoff_propensity(
 
 
 def batch_push(acc: BatchAccumulator, record: AuditRecord) -> bool:
-    """Append a record's output to the pending batch, in place, and return
-    True when it joins the batch.  Return False, leaving the batch as it
-    is, when the record belongs to the other group: then it fires."""
-    if record.group > 1:
-        raise group_range_error(record.group, 2)
+    """Append the output of a record of group 0 or 1, whose group the
+    session has checked, to the pending batch, in place, and return True
+    when it joins the batch.  Return False, leaving the batch as it is,
+    when the record belongs to the other group: then it fires."""
     if acc.outputs and record.group != acc.group:
         return False
     acc.outputs.append(record.y_hat)

@@ -106,6 +106,13 @@ def test_audit_non_utf8_input_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_audit_ragged_csv_row_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "ragged.csv"
+    path.write_text("t,group,y_hat\n1,0,0.5,0.7,junk\n1,1,0.25\n")
+    assert main(["audit", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: 5 cells in a row under 3 columns\n")
+
+
 def test_audit_invalid_record_is_usage_error(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 1, "group": 0, "y_hat": 2.0}\n')
@@ -253,6 +260,27 @@ def test_simulate_zero_replicates_is_usage_error():
 
 def test_simulate_bad_alpha_is_usage_error():
     assert main(["simulate", "--preset", "fig1", "--replicates", "2", "--alpha", "0"]) == 2
+
+
+def test_simulate_writes_to_stdout_what_it_writes_to_a_file(tmp_path, capsys):
+    argv = ["simulate", "--preset", "fig1", "--replicates", "1", "--horizon", "20", "--seed", "1"]
+    path = tmp_path / "summary.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes() != b""
+
+
+@pytest.mark.parametrize("argv", [[], ["audit"]], ids=["no-command", "audit-without-input"])
+def test_argparse_refusal_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 def test_bench_alpha_zero_is_usage_error():
@@ -1125,6 +1153,24 @@ def test_column_audit_backlog_stays_small(tmp_path):
     assert peak < 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("strategy", [Simple(), Propensity(scale=0.25)], ids=["simple", "propensity"])
+def test_record_audit_backlog_holds_only_the_waiting_records(strategy):
+    """A flood from one group, read line by line as stdin is, waits in the
+    session's queues as records and nothing more: at most 256 B each."""
+    waiting = 100_000
+    line = '{{"t": {}, "group": {}, "y_hat": 0.5, "propensity": 0.5, "density": 0.25}}\n'
+    stream = io.StringIO("".join(line.format(t, 0) for t in range(1, waiting + 1)) + line.format(1, 1))
+    tracemalloc.start()
+    try:
+        report = run_stream(AuditConfig(alpha=0.05, strategy=strategy), ingest.parse_stream(stream),
+                            record_trajectory=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.decision.kind is DecisionKind.CONTINUE
+    assert peak <= 256 * waiting, peak / waiting
+
+
 def test_column_audit_checks_groups_against_the_audit(tmp_path):
     """The engine holds the group count: a group outside the audit's stops
     the column audit after the steps before it, as on the record path, and
@@ -1156,7 +1202,7 @@ def test_batched_audit_checks_groups_as_every_audit_does(tmp_path, monkeypatch, 
     argv = ["audit", "-" if stdin else str(path), "--strategy", "batched"]
     with mock.patch.object(engine, "session_step", wraps=engine.session_step) as step:
         assert main(argv) == 2
-    assert step.call_count == 3
+    assert step.call_count == 4
     assert capsys.readouterr() == ("", "error: group 2 out of range for 2 groups\n")
 
 

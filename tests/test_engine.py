@@ -3,6 +3,7 @@ terminal step, and the stopping-rule / determinism properties."""
 import importlib
 import math
 import random
+from collections import deque
 from itertools import product
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from seqaudit.core import (
     EstimatedDensity,
     Propensity,
     SessionStateError,
+    Simple,
     ValidationError,
 )
 from seqaudit.engine import (
@@ -42,6 +44,14 @@ from conftest import bernoulli_pair_stream
 
 def pair(t, y0, y1):
     return [AuditRecord(t=t, group=0, y_hat=y0), AuditRecord(t=t, group=1, y_hat=y1)]
+
+
+def feed_step(session, records):
+    """Feed a step's records to ``session`` one at a time, as a live audit
+    does; returns what ``session_step`` returns for the last of them."""
+    for record in records:
+        result = session_step(session, record)
+    return result
 
 
 def test_session_new_thresholds():
@@ -80,7 +90,7 @@ def test_constant_gap_rejects_at_step_nine():
     expected_wealth = 1.0
     decision = session.status
     for t in range(1, 20):
-        _, decision = session_step(session, pair(t, 1.0, 0.0))
+        _, decision = feed_step(session, pair(t, 1.0, 0.0))
         expected_wealth *= 1.0 + bets[t - 1] * 1.0
         assert session.games[0].log_wealth == pytest.approx(math.log(expected_wealth), abs=1e-12)
         if decision.is_terminal:
@@ -93,7 +103,7 @@ def test_identical_groups_never_reject():
     config = AuditConfig(alpha=0.05)
     session = session_new(config)
     for t in range(1, 101):
-        _, decision = session_step(session, pair(t, 0.7, 0.7))
+        _, decision = feed_step(session, pair(t, 0.7, 0.7))
     assert decision.kind is DecisionKind.CONTINUE
     assert session.games[0].log_wealth == 0.0
 
@@ -101,30 +111,53 @@ def test_identical_groups_never_reject():
 def test_step_refused_after_terminal():
     session = session_new(AuditConfig(alpha=0.5))
     for t in range(1, 30):
-        _, decision = session_step(session, pair(t, 1.0, 0.0))
+        _, decision = feed_step(session, pair(t, 1.0, 0.0))
         if decision.is_terminal:
             break
     assert decision.kind is DecisionKind.REJECT
     with pytest.raises(SessionStateError):
-        session_step(session, pair(99, 1.0, 0.0))
+        feed_step(session, pair(99, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("strategy, groups", [(Simple(), 3), (Composite(epsilon=0.05), 2)])
+def test_a_waiting_record_leaves_the_games_as_they_are(strategy, groups):
+    """Until every group has a record waiting, a record only waits: the
+    decision is continue and the step count and every game's state, bit
+    for bit, stay as they are.  The record that completes the step takes
+    the oldest waiting record of each group."""
+    session = session_new(AuditConfig(alpha=0.05, strategy=strategy, group_count=groups))
+    for t in range(1, 4):
+        feed_step(session, [AuditRecord(t=t, group=b, y_hat=(t * (b + 1)) % 5 / 4) for b in range(groups)])
+    before = [_bits(game) for game in session.games]
+    for t in (4, 5):
+        for b in range(groups - 1):
+            _, decision = session_step(session, AuditRecord(t=t, group=b, y_hat=float(b == 0)))
+            assert decision.kind is DecisionKind.CONTINUE
+            assert session.steps == 3 and [_bits(game) for game in session.games] == before
+    _, decision = session_step(session, AuditRecord(t=4, group=groups - 1, y_hat=0.0))
+    assert session.steps == 4 and [_bits(game) for game in session.games] != before
+    assert [[r.t for r in queue] for queue in session.waiting] == [[5]] * (groups - 1) + [[]]
+
+
+def test_a_record_that_would_only_wait_is_refused_after_a_rejection():
+    session = session_new(AuditConfig(alpha=0.5))
+    decision = session.status
+    while decision.kind is DecisionKind.CONTINUE:
+        _, decision = feed_step(session, pair(session.steps + 1, 1.0, 0.0))
+    with pytest.raises(SessionStateError, match="records refused"):
+        session_step(session, AuditRecord(t=99, group=0, y_hat=1.0))
+    assert session.waiting == [deque(), deque()]
 
 
 def test_bundle_validation():
+    """A session takes one record at a time, and a record whose group lies
+    outside the audit's is refused on arrival, before it waits."""
     session = session_new(AuditConfig(alpha=0.05))
-    with pytest.raises(ValidationError, match="got a single record"):
-        session_step(session, AuditRecord(t=1, group=0, y_hat=0.5))
-    with pytest.raises(ValidationError):
-        session_step(session, [AuditRecord(t=1, group=0, y_hat=0.5)])
-    with pytest.raises(ValidationError):
-        session_step(
-            session,
-            [AuditRecord(t=1, group=0, y_hat=0.5), AuditRecord(t=1, group=0, y_hat=0.6)],
-        )
-    with pytest.raises(ValidationError):
-        session_step(
-            session,
-            [AuditRecord(t=1, group=0, y_hat=0.5), AuditRecord(t=1, group=2, y_hat=0.6)],
-        )
+    with pytest.raises(ValidationError, match="group 2 out of range for 2 groups"):
+        session_step(session, AuditRecord(t=1, group=2, y_hat=0.6))
+    with pytest.raises(ValidationError, match="one record at a time, got list"):
+        session_step(session, pair(1, 0.5, 0.6))
+    assert session.waiting == [deque(), deque()] and session.steps == 0
     # A block of arguments, too, must hold one column per game.
     with pytest.raises(ValidationError, match=r"one column per game \(1\), got shape \(3, 2\)"):
         run_args(AuditConfig(alpha=0.05), [np.zeros((3, 2))])
@@ -162,7 +195,7 @@ def test_composite_threshold_is_two_over_alpha():
     t = 0
     while True:
         t += 1
-        _, decision = session_step(session, pair(t, 1.0, 0.0))
+        _, decision = feed_step(session, pair(t, 1.0, 0.0))
         if decision.is_terminal:
             break
     assert max(g.log_wealth for g in session.games) >= math.log(40.0) - 1e-12
@@ -179,7 +212,7 @@ def test_multi_group_pairs_and_rejecting_game():
             AuditRecord(t=t, group=1, y_hat=float(rng.random() < 0.5)),
             AuditRecord(t=t, group=2, y_hat=float(rng.random() < 0.9)),
         ]
-        _, decision = session_step(session, records)
+        _, decision = feed_step(session, records)
         if decision.is_terminal:
             break
     assert decision.kind is DecisionKind.REJECT
@@ -229,7 +262,7 @@ def test_batched_single_group_stream_abstains_forever():
 
 def test_batched_mode_rejects_record_bundles():
     session = session_new(AuditConfig(alpha=0.05, strategy=Batched()))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="one record at a time"):
         session_step(session, pair(1, 0.5, 0.5))
     session_step(session, AuditRecord(t=1, group=0, y_hat=0.5))
     with pytest.raises(ValidationError, match="run them through run_stream"):
@@ -245,7 +278,7 @@ def test_propensity_strategy_through_engine():
     ]
     # weights are (2.0, 1.0); g = 0.25 * (1 * 2 - 0) = 0.5; first bet is 0.
     assert session.row.step(session, records) == (0.5,)
-    _, decision = session_step(session, records)
+    _, decision = feed_step(session, records)
     assert decision.kind is DecisionKind.CONTINUE
     assert session.games[0].log_wealth == 0.0
     missing = [
@@ -253,7 +286,7 @@ def test_propensity_strategy_through_engine():
         AuditRecord(t=2, group=1, y_hat=0.0),
     ]
     with pytest.raises(ValidationError):
-        session_step(session, missing)
+        feed_step(session, missing)
 
 
 def test_estimated_density_strategy_through_engine():
@@ -266,7 +299,7 @@ def test_estimated_density_strategy_through_engine():
     # estimated weights (2.0, 1.0): upper = 0.125 * (2 / 2 - 0.5 / 0.5) = 0,
     # lower = 0.125 * (0.5 / 2 - 2 / 0.5) = -0.46875
     assert session.row.step(session, records) == (0.0, -0.46875)
-    session_step(session, records)
+    feed_step(session, records)
     upper, lower = session.games
     assert upper.lam == lower.lam == 0.0  # a negative argument cannot push a bet below 0
 
@@ -292,8 +325,8 @@ def test_estimated_density_at_unit_bounds_is_propensity_bit_for_bit():
                                        density_estimate=rho))
         (g,), (upper, _) = prop.row.step(prop, records), est.row.step(est, records)
         assert g.hex() == upper.hex(), f"step {t}"
-        session_step(prop, records)
-        session_step(est, records)
+        feed_step(prop, records)
+        feed_step(est, records)
     assert prop.steps == est.steps == 200
 
 
@@ -336,7 +369,7 @@ def test_finalize_is_single_use_and_needs_flag():
     with pytest.raises(SessionStateError, match="at most once"):
         session_finalize(session)
     with pytest.raises(SessionStateError, match="records refused"):
-        session_step(session, pair(1, 0.5, 0.5))
+        feed_step(session, pair(1, 0.5, 0.5))
 
     disabled = session_new(AuditConfig(alpha=0.05))
     with pytest.raises(SessionStateError, match="disabled"):
@@ -344,7 +377,7 @@ def test_finalize_is_single_use_and_needs_flag():
 
     rejected = session_new(AuditConfig(alpha=0.5, randomized_final_step=True))
     for t in range(1, 50):
-        _, decision = session_step(rejected, pair(t, 1.0, 0.0))
+        _, decision = feed_step(rejected, pair(t, 1.0, 0.0))
         if decision.is_terminal:
             break
     with pytest.raises(SessionStateError, match="already decided"):
@@ -359,7 +392,7 @@ def test_finalize_draw_unaffected_by_trajectory_logging():
         session = session_new(config, record_trajectory=record_trajectory)
         if feed:
             for t in range(1, 20):
-                session_step(session, pair(t, 0.5, 0.5))
+                feed_step(session, pair(t, 0.5, 0.5))
         _, decision = session_finalize(session)
         return decision.u_draw
 
@@ -420,7 +453,7 @@ def test_wealth_positive_and_log_consistent():
     for t in range(200):
         records = [stream[2 * t], stream[2 * t + 1]]
         assert all(abs(g) <= 1.0 for g in session.row.step(session, records))
-        session_step(session, records)
+        feed_step(session, records)
     report = build_report(session)
     assert report.wealth_final > 0.0
     for _, lw in report.trajectory:
@@ -591,8 +624,8 @@ def test_run_args_settles_a_rejection_inside_a_block(case, rejecting, cuts, keep
 
 def test_run_stream_steps_through_the_module_globals(monkeypatch):
     """run_stream calls session_step, and the batched step calls batch_push,
-    through the engine's globals: once per step on a paired audit, once per
-    record on a batched one.  A wrapper installed there, as the benchmark's
+    through the engine's globals, once per record on a paired audit and on
+    a batched one.  A wrapper installed there, as the benchmark's
     tracer installs one, sees every call on both branches."""
     from seqaudit import engine
 
@@ -612,7 +645,7 @@ def test_run_stream_steps_through_the_module_globals(monkeypatch):
     records = _burst_records([(0, 30), (1, 20), (0, 5), (1, 1)], seed=3, shrink=1.0)
     paired = run_stream(AuditConfig(alpha=1e-9), records, record_trajectory=False)
     assert paired.decision.kind is DecisionKind.CONTINUE
-    assert calls == {"session_step": 21}
+    assert calls == {"session_step": len(records)}
     calls.clear()
     batched = run_stream(AuditConfig(alpha=1e-9, strategy=Batched()), records, record_trajectory=False)
     assert batched.decision.kind is DecisionKind.CONTINUE

@@ -116,6 +116,20 @@ def test_csv_round_trip_and_header_validation():
     missing = "t,group\n1,0\n"
     with pytest.raises(IngestError, match="missing required columns"):
         list(parse_stream(io.StringIO(missing), format="csv"))
+    # Every row holds one cell per header column, and no column is named
+    # twice; an empty row is still skipped.
+    ragged = [
+        ("t,group,y_hat\n1,0,0.5\n\n1,1,0.5,0.7,junk\n", r"^line 4: 5 cells in a row under 3 columns$"),
+        ("t,group,y_hat\n1,0,0.5\n1,1\n", r"^line 3: 2 cells in a row under 3 columns$"),
+        ("t,group,y_hat,y_hat\n1,0,0.5,0.9\n", r"^line 1: repeated columns \['y_hat'\]$"),
+        ("t,group,y_hat,y_hat\n1,0,0.5,\n", r"^line 1: repeated columns \['y_hat'\]$"),
+    ]
+    for text, message in ragged:
+        for mode in ("strict", "lenient"):
+            with pytest.raises(IngestError, match=message):
+                list(parse_stream(io.StringIO(text), format="csv", mode=mode))
+            with pytest.raises(IngestError, match=message):
+                list(parse_columns(io.StringIO(text), format="csv", mode=mode))
 
 
 def test_jsonl_round_trip_bit_identical():

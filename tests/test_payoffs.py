@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqaudit.core import AuditRecord, InvariantError, ValidationError
+from seqaudit.core import AuditConfig, AuditRecord, Batched, InvariantError, ValidationError
+from seqaudit.engine import session_new, session_step
 from seqaudit.payoffs import (
     BatchAccumulator,
     batch_payoff,
@@ -230,12 +231,14 @@ def test_batch_singletons_match_simple_bit_for_bit():
             assert batch_payoff(acc, record) == _simple(y0, y1)
 
 
-def test_batch_push_refuses_group_two():
-    acc = BatchAccumulator()
-    batch_push(acc, AuditRecord(t=1, group=0, y_hat=0.5))
+def test_batched_session_refuses_group_two():
+    """The session checks a record's group on arrival, before it reaches
+    the pending batch."""
+    session = session_new(AuditConfig(alpha=0.05, strategy=Batched()))
+    session_step(session, AuditRecord(t=1, group=0, y_hat=0.5))
     with pytest.raises(ValidationError, match="group 2 out of range for 2 groups"):
-        batch_push(acc, AuditRecord(t=1, group=2, y_hat=0.5))
-    assert acc.outputs == [0.5]
+        session_step(session, AuditRecord(t=1, group=2, y_hat=0.5))
+    assert session.batch.outputs == [0.5] and session.steps == 1
 
 
 def test_weight_helpers_from_records():
