@@ -18,6 +18,11 @@ name in FILE's ``workloads``, so runs of several workloads with one FILE
 gather in it.  Exits non-zero when a run fails or reports a failed
 operation.
 
+With ``--trace`` it also makes, after the pairs, one ``--trace 1`` run
+of seed 1 per checkout, and prints the per-layer metrics from its last
+line next to each other; with ``--out`` they go under the workload's
+``trace`` in FILE.
+
 With ``--tier1 N`` it also times the literal Tier-1 command of ROADMAP.md
 N times in each checkout, alternating which runs first, and prints each
 side's median wall seconds with pytest's passed, failed and error counts
@@ -36,7 +41,7 @@ benchmark keeps its scratch files: byte code is not written
 checkout's sources, on both sides alike.
 
 Usage: python scripts/bench_pairs.py [--parent DIR] --change DIR
-           [--workload W --pairs N] [--tier1 N] [--out FILE]
+           [--workload W --pairs N [--trace]] [--tier1 N] [--out FILE]
 """
 import argparse
 import json
@@ -51,13 +56,14 @@ from pathlib import Path
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metrics of one benchmark run in ``checkout``, and the
-    environment ``run.py`` reported for it."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The metrics of one benchmark run in ``checkout``, end-to-end ones or
+    with ``trace`` per-layer ones, and the environment ``run.py`` reported
+    for it."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -144,6 +150,7 @@ def main() -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload")
     ap.add_argument("--pairs", type=int)
+    ap.add_argument("--trace", action="store_true", help="also make one traced run per checkout after the pairs")
     ap.add_argument("--tier1", type=int, metavar="N", help="also time the Tier-1 command N times per checkout")
     ap.add_argument("--out", type=Path, help="JSON file to write the runs and the table into")
     args = ap.parse_args()
@@ -151,6 +158,8 @@ def main() -> int:
         ap.error("give --workload and --pairs, or --tier1, or both")
     if args.workload is not None and (args.pairs is None or args.pairs < 1):
         ap.error("--pairs must be at least 1")
+    if args.trace and args.workload is None:
+        ap.error("--trace needs --workload")
     if args.tier1 is not None and args.tier1 < 1:
         ap.error("--tier1 must be at least 1")
     sides = {"change": args.change.resolve()}
@@ -202,12 +211,26 @@ def workload_pairs(sides: dict[str, Path], args: argparse.Namespace) -> dict:
         cells = "".join(f" {cell(tuple(row[side].values())):>34}" for side in sides)
         print(f"{name:<24}{cells}" + (f" {row['ratio']:7.3f}  {row['wins']}/{args.pairs}" if paired else ""))
     print(f"{'source lines':<24}" + "".join(f" {sizes[side]:>34}" for side in sides))
-    return {
+    record = {
         "pairs": args.pairs, "run_seconds": benchmark["run_seconds"],
         **{side: {"revision": revision(checkout), "source_lines": sizes[side], "runs": runs[side]}
            for side, checkout in sides.items()},
         "metrics": table,
     }
+    if args.trace:
+        record["trace"] = traced_runs(sides, args.workload, benchmark["run_seconds"])
+    return record
+
+
+def traced_runs(sides: dict[str, Path], workload: str, seconds: float) -> dict:
+    """One ``--trace 1`` run of seed 1 of ``workload`` in each checkout of
+    ``sides``, its per-layer metrics printed side by side and returned."""
+    traced = {side: run_once(checkout, workload, 1, seconds, trace=1) for side, checkout in sides.items()}
+    print(f"\n{workload}, traced run of seed 1")
+    print(f"{'layer metric':<32}" + "".join(f" {side:>14}" for side in sides))
+    for name in traced["change"]["metrics"]:
+        print(f"{name:<32}" + "".join(f" {traced[side]['metrics'].get(name, float('nan')):14.6g}" for side in sides))
+    return traced
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import AuditRecord, ValidationError, _is_number, check_seed, is_count
+from .core import AuditRecord, ValidationError, _check_level, check_seed, is_count
 
 # Ties between permuted and observed statistics must count as "at least as
 # extreme"; this absorbs float summation noise in the conservative direction.
@@ -39,8 +39,7 @@ class PermutationTestConfig:
     def __post_init__(self):
         if not is_count(self.n_permutations, 1):
             raise ValidationError(f"n_permutations must be >= 1, got {self.n_permutations!r}")
-        if not (_is_number(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_level("alpha", self.alpha)
         check_seed(self.seed)
 
 
@@ -61,8 +60,7 @@ class BatchProtocol:
             raise ValidationError(f"protocol kind must be 'm1' or 'm2', got {self.kind!r}")
         if not is_count(self.batch_size, 2):
             raise ValidationError(f"each batch must be able to hold both groups, got batch_size {self.batch_size!r}")
-        if not (_is_number(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_level("alpha", self.alpha)
 
     def level(self, j: int) -> float:
         """Significance level of the j-th tested batch (1-based)."""
@@ -249,7 +247,7 @@ def run_protocol(
     significance increment.  The returned stopping time is always a multiple
     of the batch size.  See :class:`PValueSequence` for the batch rules.
     """
-    if horizon < 0:
+    if not is_count(horizon, 0):
         raise ValidationError(f"horizon must be >= 0, got {horizon!r}")
     records = list(islice(stream, horizon))
     y = np.array([r.y_hat for r in records], dtype=float)

@@ -69,6 +69,11 @@ def _check_positive(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be a positive finite real, got {value!r}")
 
 
+def _check_level(name: str, value: float) -> None:
+    if not (_is_number(value) and 0.0 < value < 1.0):
+        raise ValidationError(f"{name} must lie in (0, 1), got {value!r}")
+
+
 def is_count(value, least: int) -> bool:
     """Whether ``value`` is an int of at least ``least``, and not a boolean."""
     return isinstance(value, int) and type(value) is not bool and value >= least
@@ -210,8 +215,7 @@ class Composite:
     epsilon: float
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, (int, float)) and 0.0 < self.epsilon < 1.0):
-            raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        _check_level("epsilon", self.epsilon)
 
 
 PayoffStrategy = Simple | Batched | Propensity | EstimatedDensity | Composite
@@ -278,8 +282,7 @@ class AuditConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_level("alpha", self.alpha)
         if not is_count(self.group_count, 2):
             raise ValidationError(f"group_count must be an integer >= 2, got {self.group_count!r}")
         if type(self.randomized_final_step) is not bool:

@@ -255,7 +255,8 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
     """Feed one record; return the session and the decision after it.  A
     batched session steps on every record.  Otherwise the record waits
     until every group has one; then the oldest record of each group, in
-    group order, forms the step.  Until then the games stay as they are."""
+    group order, forms the step.  Until then the games stay as they are.
+    A refused record leaves the session as it was."""
     if session.status.kind is not _CONTINUE:
         raise SessionStateError("session already reached a terminal decision; records refused")
     try:
@@ -273,7 +274,15 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
         if len(queue) > 1 or not all(waiting):
             return session, session.status
         step = list(map(deque.popleft, waiting))
-    games, args = session.games, session.row.step(session, step)
+    try:
+        args = session.row.step(session, step)
+    except Exception:
+        if waiting is not None:  # the step's records go back to their queues, all but the refused one
+            for q, rec in zip(waiting, step):
+                q.appendleft(rec)
+            queue.pop()
+        raise
+    games = session.games
     if len(games) == 1:
         games[0].apply(args[0])
     else:

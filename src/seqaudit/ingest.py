@@ -11,14 +11,13 @@ import math
 import re
 import warnings
 from dataclasses import fields
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
-    AuditConfig,
     AuditRecord,
     AuditReport,
     IngestError,
@@ -121,37 +120,32 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
     and converts numbers written as strings, as CSV cells always are.
 
     Strict JSONL from a path or bytes, input that is whole when the call is
-    made, is read one chunk ahead by :func:`parse_columns`' route: a clean
-    chunk's records are built from its columns, with no dict per line, and
-    any other chunk's by the scalar code, line by line.  A text stream
-    (stdin, an open file, a list of lines) goes line by line, since its
-    next line may not exist yet and a live audit must decide at the record
-    that arrives; so do lenient JSONL, any line of which may warn, and CSV,
-    on which parse_columns builds.  Either way the records, errors and
-    line numbers are the same, and no error about a line past the record
-    the consumer stops at ever surfaces."""
+    made, is read as :func:`parse_columns`' chunks, one chunk ahead, and
+    their records are given one by one.  A text stream (stdin, an open
+    file, a list of lines) goes line by line, since its next line may not
+    exist yet and a live audit must decide at the record that arrives; so
+    do lenient JSONL, any line of which may warn, and CSV, on which
+    parse_columns builds.  Either way the records, errors and line numbers
+    are the same, and no error about a line past the record the consumer
+    stops at ever surfaces."""
     _check_format(format, mode)
     lines, whole = _open_lines(source)
     if format == "jsonl" and mode == "strict" and whole:
-        return _jsonl_chunks(lines, whole, records=True)
+        return chain.from_iterable(map(_column_records, _jsonl_chunks(lines, whole)))
 
     def gen() -> Iterator[AuditRecord]:
         last_t: dict[int, int] = {}
         try:
             if format == "jsonl":
-                for line_no, line in enumerate(lines, start=1):
-                    record = _jsonl_record(line, line_no, mode, last_t)
-                    if record is not None:
-                        yield record
+                yield from _line_records(lines, 1, mode, last_t)
             else:
                 reader = csv.reader(lines)
                 header = _csv_header(reader, mode)
                 if header is None:
                     return
                 for line_no, row in enumerate(reader, start=2):
-                    record = _csv_record(header, row, line_no, last_t)
-                    if record is not None:
-                        yield record
+                    if row:  # an empty row gives no record
+                        yield _csv_record(header, row, line_no, last_t)
         finally:
             if whole:
                 lines.close()
@@ -173,25 +167,29 @@ def _check_format(format: str, mode: str) -> None:
 # errors and warnings.
 
 
-def _jsonl_record(
-    line: str, line_no: int, mode: str, last_t: dict[int, int], obj: dict | None = None
-) -> AuditRecord | None:
-    """The record of one JSONL line (None for a blank line), checked against
-    the last time index of its group in ``last_t``, which it updates.
-    ``obj`` stands for the line's object when the caller has one: the
-    non-empty cells of a CSV row."""
+def _line_records(lines: Iterable[str], first: int, mode: str, last_t: dict[int, int]) -> Iterator[AuditRecord]:
+    """The records of JSONL lines, the first of them line ``first``; a
+    blank line gives none."""
+    for line_no, line in enumerate(lines, start=first):
+        if line.strip():
+            yield _jsonl_record(line, line_no, mode, last_t)
+
+
+def _jsonl_record(line: str, line_no: int, mode: str, last_t: dict[int, int]) -> AuditRecord:
+    """The record of one non-blank JSONL line, checked by :func:`_in_order`."""
+    obj = _decode_line(line)
     if obj is None:
-        obj = _decode_line(line)
-    if obj is None:
-        if not line.strip():
-            return None
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise IngestError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise IngestError(line_no, "each line must hold one JSON object")
-    record = record_from_dict(obj, line_no, mode)
+    return _in_order(record_from_dict(obj, line_no, mode), line_no, last_t)
+
+
+def _in_order(record: AuditRecord, line_no: int, last_t: dict[int, int]) -> AuditRecord:
+    """``record``, if its time index is past its group's last in ``last_t``, which it updates."""
     t, group = record.t, record.group
     prev = last_t.get(group, 0)  # t >= 1, so a group's first record passes
     if t <= prev:
@@ -228,17 +226,13 @@ def _csv_header(reader, mode: str) -> list[str] | None:
     return header
 
 
-def _csv_record(
-    header: list[str], row: list[str], line_no: int, last_t: dict[int, int]
-) -> AuditRecord | None:
-    """The record of one CSV row of one cell per header column (None for an
-    empty row); its cells are text, so they convert as in lenient mode."""
-    if not row:
-        return None
+def _csv_record(header: list[str], row: list[str], line_no: int, last_t: dict[int, int]) -> AuditRecord:
+    """The record of one non-empty CSV row of one cell per header column;
+    its cells are text, so they convert as in lenient mode."""
     if len(row) != len(header):
         raise IngestError(line_no, f"{len(row)} cells in a row under {len(header)} columns")
     cells = {key: cell for key, cell in zip(header, row) if key in _RECORD_KEYS and cell != ""}
-    return _jsonl_record("", line_no, "lenient", last_t, cells)
+    return _in_order(record_from_dict(cells, line_no, "lenient"), line_no, last_t)
 
 
 # The chunk route reads JSONL this many lines at a time.
@@ -286,23 +280,17 @@ def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterat
     return _jsonl_chunks(*_open_lines(source))
 
 
-def _jsonl_chunks(lines, close: bool, records: bool = False) -> Iterator[RecordColumns] | Iterator[AuditRecord]:
-    """The column chunks of JSONL lines, or with ``records`` their records:
-    a clean chunk's built from its columns, any other chunk's the scalar
-    code's, up to the line it refuses, whose error is raised at the next
-    pull.  With ``close`` the lines are closed however this ends."""
+def _jsonl_chunks(lines, close: bool) -> Iterator[RecordColumns]:
+    """The column chunks of JSONL lines: a clean chunk's from its columns,
+    any other chunk's from the scalar code's records, up to the line it
+    refuses, whose error is raised at the next pull.  With ``close`` the
+    lines are closed however this ends."""
     last_t: dict[int, int] = {}
     first = 1  # the line number of the chunk's first line
     try:
         for chunk in _chunks(lines):
-            kept = list(filter(str.strip, chunk))  # a blank line gives no record
-            cols = _clean_columns(kept, last_t)
-            if cols is not None:
-                yield from _column_records(cols) if records else (cols,)
-            else:
-                numbers = [n for n, line in enumerate(chunk, start=first) if line.strip()]
-                scalar = (_jsonl_record(line, line_no, "strict", last_t) for line, line_no in zip(kept, numbers))
-                yield from scalar if records else _record_chunks(scalar)
+            cols = _clean_columns(list(filter(str.strip, chunk)), last_t)
+            yield from (cols,) if cols is not None else _record_chunks(_line_records(chunk, first, "strict", last_t))
             first += len(chunk)
     finally:
         if close:
@@ -310,11 +298,16 @@ def _jsonl_chunks(lines, close: bool, records: bool = False) -> Iterator[RecordC
 
 
 def _column_records(cols: RecordColumns) -> Iterator[AuditRecord]:
-    """The records of a clean chunk's columns, built as record_from_dict
-    builds a clean line, since _clean_columns has made every check that
-    AuditRecord makes.  The chunk's lines share one layout, so an optional
-    column is all NaN, for a key the layout lacks, or holds no NaN."""
-    optional = ([None] * len(col) if np.isnan(col[0]) else col.tolist() for col in cols[3:])
+    """The records of a column chunk, built as record_from_dict builds a
+    clean line, since the checks behind its columns (_clean_columns', or
+    the scalar code's) are every check that AuditRecord makes.  NaN stands
+    for a missing optional value.  A clean chunk's lines share one layout,
+    so its optional column is all NaN or holds none; a column that mixes
+    them comes from the scalar code, and is read value by value."""
+    optional = (
+        [None] * len(col) if np.isnan(col).all() else col.tolist() if not np.isnan(col).any()
+        else [None if v != v else v for v in col.tolist()] for col in cols[3:]
+    )
     fields = zip(cols.t.tolist(), cols.group.tolist(), cols.y_hat.tolist(), *optional)
     return map(tuple.__new__, repeat(AuditRecord), fields)
 
@@ -480,10 +473,6 @@ def _fields_to_dict(obj, **values) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)} | values
 
 
-def _config_to_dict(config: AuditConfig) -> dict:
-    return _fields_to_dict(config, strategy=strategy_to_dict(config.strategy))
-
-
 def report_to_dict(report: AuditReport) -> dict:
     """The report document: decision, configuration and final wealth, with
     each game's when several ran.  Its ``trajectory`` keys are always null,
@@ -493,7 +482,7 @@ def report_to_dict(report: AuditReport) -> dict:
     return {
         "format": REPORT_FORMAT,
         "decision": _fields_to_dict(report.decision, kind=report.decision.kind.value),
-        "config": _config_to_dict(report.config_echo),
+        "config": _fields_to_dict(report.config_echo, strategy=strategy_to_dict(report.config_echo.strategy)),
         "wealth_final": _finite_or_str(report.wealth_final),
         "log_wealth_final": report.log_wealth_final,
         "trajectory": None,

@@ -258,8 +258,9 @@ def test_pvalue_sequence_validation():
             PValueSequence(np.zeros(4), np.zeros(4), batch_size, PermutationTestConfig())
     with pytest.raises(ValidationError):
         PValueSequence(np.zeros(4), np.zeros(3), 2, PermutationTestConfig())
-    with pytest.raises(ValidationError):
-        run_protocol(BatchProtocol(kind="m1", batch_size=2, alpha=0.05), [], PermutationTestConfig(), -1)
+    for horizon in (-1, 2.5, "5", True):
+        with pytest.raises(ValidationError, match=r"^horizon must be >= 0, got "):
+            run_protocol(BatchProtocol(kind="m1", batch_size=2, alpha=0.05), [], PermutationTestConfig(), horizon)
 
 
 def _pvalue_tiled(sample0, sample1, config, rng):

@@ -1,8 +1,10 @@
 """Construction-time invariants of the domain types."""
 import math
 
+import numpy as np
 import pytest
 
+from seqaudit.baselines import BatchProtocol, PermutationTestConfig
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -99,6 +101,25 @@ def test_record_is_immutable_and_compares_and_hashes_by_value():
 def test_config_alpha_range(alpha):
     with pytest.raises(ValidationError):
         AuditConfig(alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: AuditConfig(alpha=v), "alpha"),
+        (lambda v: Composite(epsilon=v), "epsilon"),
+        (lambda v: BatchProtocol(kind="m1", batch_size=10, alpha=v), "alpha"),
+        (lambda v: PermutationTestConfig(alpha=v), "alpha"),
+    ],
+)
+def test_every_level_lies_in_the_open_unit_interval(build, name):
+    """Each level is one float in (0, 1), a float64 among them, with one
+    message; a bool, an int past the float range, NaN and a float32 are
+    refused."""
+    assert build(np.float64(0.25)) == build(0.25)
+    for value in (True, 10**400, math.nan, np.float32(0.25), 0, 1):
+        with pytest.raises(ValidationError, match=rf"^{name} must lie in \(0, 1\), got "):
+            build(value)
 
 
 def test_config_group_count_and_seed():

@@ -21,6 +21,7 @@ from seqaudit.core import (
     ConfigurationError,
     DecisionKind,
     EstimatedDensity,
+    InvariantError,
     Propensity,
     SessionStateError,
     Simple,
@@ -147,6 +148,35 @@ def test_a_record_that_would_only_wait_is_refused_after_a_rejection():
     with pytest.raises(SessionStateError, match="records refused"):
         session_step(session, AuditRecord(t=99, group=0, y_hat=1.0))
     assert session.waiting == [deque(), deque()]
+
+
+@pytest.mark.parametrize(
+    "refused, error",
+    [
+        (AuditRecord(t=2, group=1, y_hat=0.5), ValidationError),  # no weights
+        (AuditRecord(t=2, group=1, y_hat=0.5, propensity=0.1, density=1.0), InvariantError),  # weight 10
+    ],
+)
+def test_a_record_whose_step_is_refused_leaves_the_session_as_it_was(refused, error):
+    """A record that completes a step the strategy refuses is refused
+    itself: the records the step took go back to their queues, so the
+    step count, the queues and the games are as they were, and a valid
+    partner then steps once with the waiting record."""
+    session = session_new(AuditConfig(alpha=0.05, strategy=Propensity(scale=0.25)))
+    feed_step(session, [AuditRecord(t=1, group=b, y_hat=0.5 * b, propensity=0.5, density=0.5) for b in (0, 1)])
+    session_step(session, AuditRecord(t=2, group=0, y_hat=1.0, propensity=0.5, density=0.5))
+
+    def state():
+        return session.steps, session.status, [list(q) for q in session.waiting], [_bits(g) for g in session.games]
+
+    before = state()
+    with pytest.raises(error):
+        session_step(session, refused)
+    assert state() == before
+    _, decision = session_step(session, AuditRecord(t=2, group=1, y_hat=0.0, propensity=0.5, density=0.5))
+    assert decision.kind is DecisionKind.CONTINUE
+    assert session.steps == 2 and session.waiting == [deque(), deque()]
+    assert [_bits(g) for g in session.games] != before[3]
 
 
 def test_bundle_validation():
