@@ -18,10 +18,9 @@ name in FILE's ``workloads``, so runs of several workloads with one FILE
 gather in it.  Exits non-zero when a run fails or reports a failed
 operation.
 
-With ``--trace`` it also makes, after the pairs, one ``--trace 1`` run
-of seed 1 per checkout, and prints the per-layer metrics from its last
-line next to each other; with ``--out`` they go under the workload's
-``trace`` in FILE.
+After the pairs it makes one ``--trace 1`` run of seed 1 per checkout,
+and prints the per-layer metrics from its last line next to each other;
+with ``--out`` they go under the workload's ``trace`` in FILE.
 
 With ``--tier1 N`` it also times the literal Tier-1 command of ROADMAP.md
 N times in each checkout, alternating which runs first, and prints each
@@ -41,7 +40,7 @@ benchmark keeps its scratch files: byte code is not written
 checkout's sources, on both sides alike.
 
 Usage: python scripts/bench_pairs.py [--parent DIR] --change DIR
-           [--workload W --pairs N [--trace]] [--tier1 N] [--out FILE]
+           [--workload W --pairs N] [--tier1 N] [--out FILE]
 """
 import argparse
 import json
@@ -56,10 +55,10 @@ from pathlib import Path
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """The metrics of one benchmark run in ``checkout``, end-to-end ones or
-    with ``trace`` per-layer ones, and the environment ``run.py`` reported
-    for it."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The metrics of one benchmark run in ``checkout`` with ``--trace
+    trace``, end-to-end ones at 0 and per-layer ones at 1, and the
+    environment ``run.py`` reported for it."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -150,7 +149,6 @@ def main() -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload")
     ap.add_argument("--pairs", type=int)
-    ap.add_argument("--trace", action="store_true", help="also make one traced run per checkout after the pairs")
     ap.add_argument("--tier1", type=int, metavar="N", help="also time the Tier-1 command N times per checkout")
     ap.add_argument("--out", type=Path, help="JSON file to write the runs and the table into")
     args = ap.parse_args()
@@ -158,8 +156,6 @@ def main() -> int:
         ap.error("give --workload and --pairs, or --tier1, or both")
     if args.workload is not None and (args.pairs is None or args.pairs < 1):
         ap.error("--pairs must be at least 1")
-    if args.trace and args.workload is None:
-        ap.error("--trace needs --workload")
     if args.tier1 is not None and args.tier1 < 1:
         ap.error("--tier1 must be at least 1")
     sides = {"change": args.change.resolve()}
@@ -178,7 +174,8 @@ def main() -> int:
 def workload_pairs(sides: dict[str, Path], args: argparse.Namespace) -> dict:
     """``args.pairs`` alternating benchmark runs of ``args.workload`` in
     each checkout of ``sides``, printed as a table and returned as its
-    record; the ratio and wins of each metric only when a parent ran."""
+    record with one traced run per checkout; the ratio and wins of each
+    metric only when a parent ran."""
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     paired = "parent" in sides
@@ -187,7 +184,7 @@ def workload_pairs(sides: dict[str, Path], args: argparse.Namespace) -> dict:
     for seed in range(1, args.pairs + 1):
         order = alternate(sides, seed)
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, seed, benchmark["run_seconds"]))
+            runs[side].append(run_once(sides[side], args.workload, seed, benchmark["run_seconds"], 0))
         job = {side: runs[side][-1]["metrics"].get("job_s") for side in order}
         print(f"seed {seed}: first {order[0]}, job_s {job}", flush=True)
 
@@ -211,21 +208,19 @@ def workload_pairs(sides: dict[str, Path], args: argparse.Namespace) -> dict:
         cells = "".join(f" {cell(tuple(row[side].values())):>34}" for side in sides)
         print(f"{name:<24}{cells}" + (f" {row['ratio']:7.3f}  {row['wins']}/{args.pairs}" if paired else ""))
     print(f"{'source lines':<24}" + "".join(f" {sizes[side]:>34}" for side in sides))
-    record = {
+    return {
         "pairs": args.pairs, "run_seconds": benchmark["run_seconds"],
         **{side: {"revision": revision(checkout), "source_lines": sizes[side], "runs": runs[side]}
            for side, checkout in sides.items()},
         "metrics": table,
+        "trace": traced_runs(sides, args.workload, benchmark["run_seconds"]),
     }
-    if args.trace:
-        record["trace"] = traced_runs(sides, args.workload, benchmark["run_seconds"])
-    return record
 
 
 def traced_runs(sides: dict[str, Path], workload: str, seconds: float) -> dict:
     """One ``--trace 1`` run of seed 1 of ``workload`` in each checkout of
     ``sides``, its per-layer metrics printed side by side and returned."""
-    traced = {side: run_once(checkout, workload, 1, seconds, trace=1) for side, checkout in sides.items()}
+    traced = {side: run_once(checkout, workload, 1, seconds, 1) for side, checkout in sides.items()}
     print(f"\n{workload}, traced run of seed 1")
     print(f"{'layer metric':<32}" + "".join(f" {side:>14}" for side in sides))
     for name in traced["change"]["metrics"]:

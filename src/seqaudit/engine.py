@@ -48,10 +48,13 @@ from .payoffs import (
     batch_payoff,
     batch_push,
     batched_args,
+    check_weight,
     composite_args,
     payoff_propensity,
     propensity_context,
+    refused_weights,
     simple_args,
+    weight_from_record,
 )
 
 # Salt for the RNG substream reserved for the single terminal uniform draw,
@@ -116,13 +119,13 @@ class StrategyRow:
     whose nulls only bound the argument's mean from above, -1/2 otherwise.
     ``step(session, records)`` maps one step's records, one per group in
     group order, to one payoff argument per game.
-    ``block(strategy, y, w, t)`` is the array form from :mod:`payoffs` for a
-    block of outputs ``y``, weights ``w`` and time indices ``t``, one row
-    per step and one column per group (``t`` None when the caller has none):
-    it yields the argument rows before the first step ``step`` would refuse,
-    then raises the error ``step`` raises there.  ``weight`` names the record
-    field that, over the propensity, gives the weights a weighted strategy
-    reads (None for the others).  ``batched`` marks a strategy whose step is
+    ``block(strategy, y, w)`` is the array form from :mod:`payoffs` for a
+    block of outputs ``y`` and weights ``w``, one row per step and one
+    column per group: it yields the argument rows before the first step
+    ``step`` would refuse, then raises the error ``step`` raises there.
+    ``weight`` names the record field that, over the propensity, gives the
+    weights a weighted strategy reads and checks as each record arrives
+    (None for the others).  ``batched`` marks a strategy whose step is
     a single record rather than one per group: ``step`` takes that record.
     """
 
@@ -194,26 +197,26 @@ def _weighted_step(session: AuditSession, records) -> tuple[float, ...]:
 
 
 STRATEGIES: dict[type, StrategyRow] = {
-    Simple: StrategyRow(_adjacent_pairs, -0.5, _simple_step, lambda s, y, w, t: [simple_args(y)]),
+    Simple: StrategyRow(_adjacent_pairs, -0.5, _simple_step, lambda s, y, w: [simple_args(y)]),
     Batched: StrategyRow(
-        _adjacent_pairs, -0.5, _batched_step, lambda s, y, w, t: [batched_args(y)], batched=True
+        _adjacent_pairs, -0.5, _batched_step, lambda s, y, w: [batched_args(y)], batched=True
     ),
     # One-sided games (mu0 - mu1 > eps, then mu1 - mu0 > eps): a signed bet
     # would let the mirror game's wealth grow under its own null.
     Composite: StrategyRow(
-        _one_sided_pair, 0.0, _composite_step, lambda s, y, w, t: [composite_args(y, s.epsilon)]
+        _one_sided_pair, 0.0, _composite_step, lambda s, y, w: [composite_args(y, s.epsilon)]
     ),
     # Propensity is the estimated-density payoff at bounds (1, 1), where the
     # upper argument's mean is 0 under the null: one signed game on it alone.
     Propensity: StrategyRow(
         _adjacent_pairs, -0.5, _weighted_step,
-        lambda s, y, w, t: _weighted_args(s, y, w, t, "density", 1), weight="density",
+        lambda s, y, w: _weighted_args(s, y, w, "density", 1), weight="density",
     ),
     # The estimate's error bounds make each side's argument mean only <= 0
     # under the null, so it plays one-sided games like composite.
     EstimatedDensity: StrategyRow(
         _one_sided_pair, 0.0, _weighted_step,
-        lambda s, y, w, t: _weighted_args(s, y, w, t, "density_estimate", 2), weight="density_estimate",
+        lambda s, y, w: _weighted_args(s, y, w, "density_estimate", 2), weight="density_estimate",
     ),
 }
 
@@ -256,7 +259,8 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
     batched session steps on every record.  Otherwise the record waits
     until every group has one; then the oldest record of each group, in
     group order, forms the step.  Until then the games stay as they are.
-    A refused record leaves the session as it was."""
+    Each record's group, and weight under a weighted strategy, is checked
+    as it arrives: a refused record leaves the session as it was."""
     if session.status.kind is not _CONTINUE:
         raise SessionStateError("session already reached a terminal decision; records refused")
     try:
@@ -268,21 +272,16 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
         raise group_range_error(group, session.config.group_count)
     step, waiting = record, session.waiting
     if waiting is not None:
+        if session.row.weight is not None:
+            s = session.config.strategy
+            check_weight(group, weight_from_record(record, session.row.weight), s.scale, s.delta_min)
         queue = waiting[group]
         queue.append(record)
         # Only a record that found its queue empty can complete a step.
         if len(queue) > 1 or not all(waiting):
             return session, session.status
         step = list(map(deque.popleft, waiting))
-    try:
-        args = session.row.step(session, step)
-    except Exception:
-        if waiting is not None:  # the step's records go back to their queues, all but the refused one
-            for q, rec in zip(waiting, step):
-                q.appendleft(rec)
-            queue.pop()
-        raise
-    games = session.games
+    games, args = session.games, session.row.step(session, step)
     if len(games) == 1:
         games[0].apply(args[0])
     else:
@@ -424,33 +423,29 @@ class _Backlog:
 def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterable[np.ndarray]:
     """Argument blocks of the steps that the column chunks complete, first
     in first out: the k-th record of every group forms step k.  A record
-    whose group lies outside the audit's, or a step the array form refuses,
-    such as one with a record that lacks its weight fields, ends the
-    blocks, after the steps before it, with the error the record path
-    raises there."""
+    that :func:`session_step` refuses as it arrives, by its group or its
+    weight, ends the blocks, after the steps of the records before it, with
+    the error the record path raises there."""
     row = STRATEGIES[type(config.strategy)]
     backlogs = [_Backlog() for _ in range(config.group_count)]
     for cols in chunks:
-        outside = None  # the first group outside the audit's
         masks = [cols.group == group for group in range(config.group_count)]
-        if sum(map(np.count_nonzero, masks)) < len(cols.group):
-            cut = int(np.argmin(np.logical_or.reduce(masks)))
-            outside = int(cols.group[cut])
-            cols = RecordColumns(*(col[:cut] for col in cols))
-            masks = [mask[:cut] for mask in masks]
         fields = [cols.y_hat]
+        refused = ~np.logical_or.reduce(masks)
         if row.weight is not None:
             with np.errstate(all="ignore"):  # the record path divides silently too
-                fields += [getattr(cols, row.weight) / cols.propensity, cols.t]
+                fields.append(getattr(cols, row.weight) / cols.propensity)
+            refused |= refused_weights(fields[1], config.strategy.scale, config.strategy.delta_min)
+        cut = int(np.argmax(refused)) if refused.any() else len(refused)
         for mask, backlog in zip(masks, backlogs):
-            backlog.push([col[mask] for col in fields])
+            backlog.push([col[:cut][mask[:cut]] for col in fields])
         steps = min(backlog.size for backlog in backlogs)
         if steps:
-            y, *weighted = (np.array(cols).T for cols in zip(*(b.take(steps) for b in backlogs)))
-            w, t = weighted or (None, None)
-            yield from row.block(config.strategy, y, w, t)
-        if outside is not None:
-            raise group_range_error(outside, config.group_count)
+            y, *w = (np.array(cols).T for cols in zip(*(b.take(steps) for b in backlogs)))
+            yield from row.block(config.strategy, y, w[0] if w else None)
+        if cut < len(refused):  # a fresh session refuses that record, NaN read as a missing field
+            record = AuditRecord(*(None if v != v else v for v in (col[cut : cut + 1].tolist()[0] for col in cols)))
+            session_step(session_new(config, record_trajectory=False), record)
 
 
 def run_args(

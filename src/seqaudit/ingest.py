@@ -130,14 +130,16 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
     stops at ever surfaces."""
     _check_format(format, mode)
     lines, whole = _open_lines(source)
-    if format == "jsonl" and mode == "strict" and whole:
+    if format == "jsonl" and not whole:
+        return _line_records(enumerate(lines, start=1), mode, {})
+    if format == "jsonl" and mode == "strict":
         return chain.from_iterable(map(_column_records, _jsonl_chunks(lines, whole)))
 
     def gen() -> Iterator[AuditRecord]:
         last_t: dict[int, int] = {}
         try:
             if format == "jsonl":
-                yield from _line_records(lines, 1, mode, last_t)
+                yield from _line_records(enumerate(lines, start=1), mode, last_t)
             else:
                 reader = csv.reader(lines)
                 header = _csv_header(reader, mode)
@@ -167,18 +169,22 @@ def _check_format(format: str, mode: str) -> None:
 # errors and warnings.
 
 
-def _line_records(lines: Iterable[str], first: int, mode: str, last_t: dict[int, int]) -> Iterator[AuditRecord]:
-    """The records of JSONL lines, the first of them line ``first``; a
-    blank line gives none."""
-    for line_no, line in enumerate(lines, start=first):
-        if line.strip():
-            yield _jsonl_record(line, line_no, mode, last_t)
+def _line_records(numbered: Iterable[tuple[int, str]], mode: str, last_t: dict[int, int]) -> Iterator[AuditRecord]:
+    """The records of JSONL lines, each with its line number; a blank line
+    gives none."""
+    for line_no, line in numbered:
+        record = _jsonl_record(line, line_no, mode, last_t)
+        if record is not None:
+            yield record
 
 
-def _jsonl_record(line: str, line_no: int, mode: str, last_t: dict[int, int]) -> AuditRecord:
-    """The record of one non-blank JSONL line, checked by :func:`_in_order`."""
+def _jsonl_record(line: str, line_no: int, mode: str, last_t: dict[int, int]) -> AuditRecord | None:
+    """The record of one JSONL line (None for a blank line), checked by
+    :func:`_in_order`."""
     obj = _decode_line(line)
     if obj is None:
+        if not line.strip():
+            return None
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -290,7 +296,8 @@ def _jsonl_chunks(lines, close: bool) -> Iterator[RecordColumns]:
     try:
         for chunk in _chunks(lines):
             cols = _clean_columns(list(filter(str.strip, chunk)), last_t)
-            yield from (cols,) if cols is not None else _record_chunks(_line_records(chunk, first, "strict", last_t))
+            numbered = ((n, line) for n, line in enumerate(chunk, start=first) if line.strip())  # not blank
+            yield from (cols,) if cols is not None else _record_chunks(_line_records(numbered, "strict", last_t))
             first += len(chunk)
     finally:
         if close:
@@ -299,11 +306,10 @@ def _jsonl_chunks(lines, close: bool) -> Iterator[RecordColumns]:
 
 def _column_records(cols: RecordColumns) -> Iterator[AuditRecord]:
     """The records of a column chunk, built as record_from_dict builds a
-    clean line, since the checks behind its columns (_clean_columns', or
-    the scalar code's) are every check that AuditRecord makes.  NaN stands
-    for a missing optional value.  A clean chunk's lines share one layout,
-    so its optional column is all NaN or holds none; a column that mixes
-    them comes from the scalar code, and is read value by value."""
+    clean line, since its columns passed every check AuditRecord makes.
+    NaN stands for a missing optional value: a clean chunk's optional
+    column is all NaN or holds none, and one that mixes them (from the
+    scalar code) is read value by value."""
     optional = (
         [None] * len(col) if np.isnan(col).all() else col.tolist() if not np.isnan(col).any()
         else [None if v != v else v for v in col.tolist()] for col in cols[3:]

@@ -61,28 +61,31 @@ def payoff_propensity(
     bit for bit: its mean is 0 under the null, so the propensity audit plays
     one signed game on it alone.
 
-    The per-record check scale * w_b <= delta_min / 2 is what keeps the
-    arguments in [-1, 1]; an inconsistent caller-supplied scale breaks the
-    supermartingale property, so it fails loudly instead of being rescaled.
+    Each weight passes :func:`check_weight`, so each argument lies within
+    [-1/2, 1/2] (as delta_min <= delta_max and the outputs lie in [0, 1]).
     """
-    _check_positive("omega_0", w0)
-    _check_positive("omega_1", w1)
+    check_weight(0, w0, scale, delta_min)
+    check_weight(1, w1, scale, delta_min)
     _check_unit_interval("y0", y0)
     _check_unit_interval("y1", y1)
-    bound = 0.5 * delta_min * (1.0 + _SCALE_RTOL)
-    if scale * w0 > bound or scale * w1 > bound:
-        limit = "1/(2w)" if delta_min == 1.0 else "delta_min/(2w)"
-        raise InvariantError(
-            f"corrective scale {scale!r} exceeds {limit} at an observed point "
-            f"(weights {w0!r}, {w1!r})"
-        )
     a, b = y0 * w0, y1 * w1
     upper = scale * (a / delta_max - b / delta_min)
     lower = scale * (b / delta_max - a / delta_min)
-    for g in (upper, lower):
-        if abs(g) > 1.0 + _SCALE_RTOL:
-            raise InvariantError(f"weighted payoff argument {g!r} escaped [-1, 1]")
     return upper, lower
+
+
+def check_weight(group: int, w: float, scale: float, delta_min: float) -> None:
+    """Refuse the weight ``w`` of an observed point of group ``group`` unless
+    it is positive, finite and light enough: scale * w <= delta_min / 2.  A
+    scale that breaks this would break the supermartingale property, so it
+    fails loudly instead of being rescaled."""
+    if not (type(w) is float and 0.0 < w < math.inf):  # the common case, inline
+        _check_positive(f"omega_{group}", w)
+    if scale * w > 0.5 * delta_min * (1.0 + _SCALE_RTOL):
+        limit = "1/(2w)" if delta_min == 1.0 else "delta_min/(2w)"
+        raise InvariantError(
+            f"corrective scale {scale!r} exceeds {limit} at an observed point of group {group} (weight {w!r})"
+        )
 
 
 def batch_push(acc: BatchAccumulator, record: AuditRecord) -> bool:
@@ -156,37 +159,33 @@ def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
     return np.column_stack((y[:, 0] - y[:, 1] - epsilon, y[:, 1] - y[:, 0] - epsilon))
 
 
+def refused_weights(w: np.ndarray, scale: float, delta_min: float) -> np.ndarray:
+    """Where :func:`check_weight` refuses a weight of the array ``w``, NaN
+    (a record without its weight fields) included."""
+    with np.errstate(invalid="ignore"):
+        return ~((w > 0.0) & (w < np.inf) & (scale * w <= 0.5 * delta_min * (1.0 + _SCALE_RTOL)))
+
+
 def _weighted_args(
-    strategy: Propensity | EstimatedDensity, y: np.ndarray, w: np.ndarray | None,
-    t: np.ndarray | None, field: str, games: int,
+    strategy: Propensity | EstimatedDensity, y: np.ndarray, w: np.ndarray | None, field: str, games: int,
 ) -> Iterator[np.ndarray]:
     """Arguments of :func:`payoff_propensity` at the strategy's scale and
-    error bounds, for two groups with weights ``w`` read from ``field`` and
-    time indices ``t``: the first ``games`` columns, both for an estimated
-    density, only the upper one for exact weights.  Yields the rows before
-    the first step the record path refuses, then raises its error.
-    ``suspect`` flags every step it might refuse; those steps are checked
-    in order, each as the record path checks it: a NaN weight (a record
-    without the weight fields) in group 0, then in group 1, then the
-    scalar payoff, so the error, message included, is the record path's.
-    Weights of None refuse the first step, the record at t=1 of group 0."""
+    error bounds, for two groups with weights ``w`` read from ``field``:
+    the first ``games`` columns, both for an estimated density, only the
+    upper one for exact weights.  Yields the rows before the first step
+    whose weights :func:`refused_weights` flags, then raises the error of
+    the scalar payoff, which checks group 0's weight before group 1's, as
+    the record path checks each record as it arrives.  Weights of None
+    refuse the first step, the record at t=1 of group 0."""
     if w is None:
         raise missing_weight_error(1, 0, field)
     scale, d_min, d_max = strategy.scale, strategy.delta_min, strategy.delta_max
     with np.errstate(all="ignore"):  # an infinite or NaN weight goes to the scalar check
         a, b = y[:, 0] * w[:, 0], y[:, 1] * w[:, 1]
         g = np.column_stack((scale * (a / d_max - b / d_min), scale * (b / d_max - a / d_min)))[:, :games]
-        suspect = (
-            ~(np.isfinite(w) & (w > 0.0)).all(axis=1)
-            | (scale * w > 0.5 * d_min * (1.0 + _SCALE_RTOL)).any(axis=1)
-            | (np.abs(g) > 1.0 + _SCALE_RTOL).any(axis=1)
-        )
-    for j in np.flatnonzero(suspect).tolist():
+    for j in np.flatnonzero(refused_weights(w, scale, d_min).any(axis=1)).tolist():
         (y0, y1), (w0, w1) = y[j].tolist(), w[j].tolist()
         try:
-            for group, weight in enumerate((w0, w1)):
-                if math.isnan(weight):
-                    raise missing_weight_error(int(t[j, group]), group, field)
             payoff_propensity(y0, y1, w0, w1, scale, d_min, d_max)
         except AuditError:
             yield g[:j]

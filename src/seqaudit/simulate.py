@@ -482,7 +482,7 @@ def _arg_blocks(
         w = None
         if row.weight in (point_fields or ()):
             w = point_fields[row.weight] / point_fields["propensity"]
-        yield from row.block(strategy, y, w, None)
+        yield from row.block(strategy, y, w)
 
 
 _SCENARIO_TAGS = {

@@ -454,7 +454,7 @@ def _block_fpr(strategy, draw, seed, alpha, reps):
     hits = 0
     for i in range(reps):
         y, w, records = draw(derive_seed(seed, i))
-        (args,) = STRATEGIES[type(strategy)].block(strategy, y, w, None)
+        (args,) = STRATEGIES[type(strategy)].block(strategy, y, w)
         config = AuditConfig(alpha=alpha, strategy=strategy, seed=derive_seed(seed + 1, i))
         report = run_args(config, [args], record_trajectory=i == 0)
         if i == 0:

@@ -101,7 +101,7 @@ def test_permutation_count_must_be_a_positive_integer(n):
         PermutationTestConfig(n_permutations=n)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan, True, "x", None])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan, True, "x", None, 10**400, np.float32(0.25)])
 def test_permutation_alpha_must_lie_in_the_open_unit_interval(alpha):
     with pytest.raises(ValidationError, match=r"^alpha must lie in \(0, 1\), got "):
         PermutationTestConfig(alpha=alpha)
@@ -110,7 +110,7 @@ def test_permutation_alpha_must_lie_in_the_open_unit_interval(alpha):
 def test_protocol_validation():
     with pytest.raises(ValidationError):
         BatchProtocol(kind="m3", batch_size=10, alpha=0.05)
-    for alpha in (0.0, 1.0, -0.5, "0.05", True, None):
+    for alpha in (0.0, 1.0, -0.5, "0.05", True, None, 10**400, math.nan, np.float32(0.25)):
         with pytest.raises(ValidationError, match="alpha must lie in"):
             BatchProtocol(kind="m1", batch_size=10, alpha=alpha)
     for batch_size in (1, True, 10.5, "10"):

@@ -993,6 +993,13 @@ def _jsonl(*rows):
         # A step refused before a group outside the audit's, in one chunk.
         ("jsonl", "propensity", _jsonl(*_REJECTING[:2], {"t": 2, "group": 5, "y_hat": 0.5}),
          "record at t=1 group=0 lacks propensity or density"),
+        # A record without weights is refused as it arrives, though the
+        # audit would reject, at step 15, before the step it would join.
+        ("jsonl", "propensity",
+         _jsonl(*({"t": t, "group": 0, "y_hat": 1.0, **({"propensity": 0.5, "density": 1.0} if t < 20 else {})}
+                  for t in range(1, 21)),
+                *({"t": t, "group": 1, "y_hat": 0.0, "propensity": 0.5, "density": 1.0} for t in range(1, 21))),
+         "record at t=20 group=0 lacks propensity or density"),
         # The t and group of a record without weights, and time order past a
         # line the scalar code accepted.
         ("jsonl", "propensity", _jsonl({"t": 7, "group": 0, "y_hat": 0.5}, {"t": 3, "group": 1, "y_hat": 0.5}),

@@ -150,31 +150,35 @@ def test_a_record_that_would_only_wait_is_refused_after_a_rejection():
     assert session.waiting == [deque(), deque()]
 
 
+_WEIGHT_2 = {"propensity": 0.5, "density": 1.0}  # weight 2, the heaviest a scale of 0.25 takes
+
+
 @pytest.mark.parametrize(
-    "refused, error",
-    [
-        (AuditRecord(t=2, group=1, y_hat=0.5), ValidationError),  # no weights
-        (AuditRecord(t=2, group=1, y_hat=0.5, propensity=0.1, density=1.0), InvariantError),  # weight 10
-    ],
+    "fault, error",
+    [({}, ValidationError), ({"propensity": 0.1, "density": 1.0}, InvariantError),
+     ({"propensity": 0.5, "density": 0.0}, ValidationError)],
+    ids=["no-weights", "weight-10", "weight-0"],
 )
-def test_a_record_whose_step_is_refused_leaves_the_session_as_it_was(refused, error):
-    """A record that completes a step the strategy refuses is refused
-    itself: the records the step took go back to their queues, so the
-    step count, the queues and the games are as they were, and a valid
-    partner then steps once with the waiting record."""
+@pytest.mark.parametrize("waiting", [None, 0, 1], ids=["queues-empty", "group-0-waits", "group-1-waits"])
+def test_a_record_the_strategy_refuses_is_refused_as_it_arrives(fault, error, waiting):
+    """Each record's weight is checked as it arrives, so a faulty record is
+    refused itself, whether it would wait or complete a step: the step
+    count, the queues and the games stay as they were, nothing faulty
+    waits, and valid records then step once."""
     session = session_new(AuditConfig(alpha=0.05, strategy=Propensity(scale=0.25)))
-    feed_step(session, [AuditRecord(t=1, group=b, y_hat=0.5 * b, propensity=0.5, density=0.5) for b in (0, 1)])
-    session_step(session, AuditRecord(t=2, group=0, y_hat=1.0, propensity=0.5, density=0.5))
+    feed_step(session, [AuditRecord(t=1, group=b, y_hat=0.5 * b, **_WEIGHT_2) for b in (0, 1)])
+    if waiting is not None:
+        session_step(session, AuditRecord(t=2, group=waiting, y_hat=1.0, **_WEIGHT_2))
 
     def state():
         return session.steps, session.status, [list(q) for q in session.waiting], [_bits(g) for g in session.games]
 
     before = state()
-    with pytest.raises(error):
-        session_step(session, refused)
-    assert state() == before
-    _, decision = session_step(session, AuditRecord(t=2, group=1, y_hat=0.0, propensity=0.5, density=0.5))
-    assert decision.kind is DecisionKind.CONTINUE
+    for group in (0, 1):
+        with pytest.raises(error):
+            session_step(session, AuditRecord(t=3, group=group, y_hat=0.5, **fault))
+        assert state() == before
+    feed_step(session, [AuditRecord(t=3, group=b, y_hat=0.0, **_WEIGHT_2) for b in (0, 1) if not session.waiting[b]])
     assert session.steps == 2 and session.waiting == [deque(), deque()]
     assert [_bits(g) for g in session.games] != before[3]
 
