@@ -48,13 +48,12 @@ from .payoffs import (
     batch_payoff,
     batch_push,
     batched_args,
-    check_weight,
+    check_record_weight,
     composite_args,
     payoff_propensity,
     propensity_context,
     refused_weights,
     simple_args,
-    weight_from_record,
 )
 
 # Salt for the RNG substream reserved for the single terminal uniform draw,
@@ -273,8 +272,7 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
     step, waiting = record, session.waiting
     if waiting is not None:
         if session.row.weight is not None:
-            s = session.config.strategy
-            check_weight(group, weight_from_record(record, session.row.weight), s.scale, s.delta_min)
+            check_record_weight(record, session.row.weight, session.config.strategy)
         queue = waiting[group]
         queue.append(record)
         # Only a record that found its queue empty can complete a step.

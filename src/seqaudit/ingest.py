@@ -296,7 +296,7 @@ def _jsonl_chunks(lines, close: bool) -> Iterator[RecordColumns]:
     try:
         for chunk in _chunks(lines):
             cols = _clean_columns(list(filter(str.strip, chunk)), last_t)
-            numbered = ((n, line) for n, line in enumerate(chunk, start=first) if line.strip())  # not blank
+            numbered = ((n, line) for n, line in enumerate(chunk, start=first) if line.strip())
             yield from (cols,) if cols is not None else _record_chunks(_line_records(numbered, "strict", last_t))
             first += len(chunk)
     finally:

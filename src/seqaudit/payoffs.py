@@ -64,10 +64,15 @@ def payoff_propensity(
     Each weight passes :func:`check_weight`, so each argument lies within
     [-1/2, 1/2] (as delta_min <= delta_max and the outputs lie in [0, 1]).
     """
-    check_weight(0, w0, scale, delta_min)
-    check_weight(1, w1, scale, delta_min)
-    _check_unit_interval("y0", y0)
-    _check_unit_interval("y1", y1)
+    bound = 0.5 * delta_min * (1.0 + _SCALE_RTOL)
+    if not (  # the common case, inline: each check below passes
+        type(w0) is type(w1) is type(y0) is type(y1) is float and 0.0 < w0 and 0.0 < w1
+        and scale * w0 <= bound and scale * w1 <= bound and 0.0 <= y0 <= 1.0 and 0.0 <= y1 <= 1.0
+    ):
+        check_weight(0, w0, scale, delta_min)
+        check_weight(1, w1, scale, delta_min)
+        _check_unit_interval("y0", y0)
+        _check_unit_interval("y1", y1)
     a, b = y0 * w0, y1 * w1
     upper = scale * (a / delta_max - b / delta_min)
     lower = scale * (b / delta_max - a / delta_min)
@@ -79,13 +84,24 @@ def check_weight(group: int, w: float, scale: float, delta_min: float) -> None:
     it is positive, finite and light enough: scale * w <= delta_min / 2.  A
     scale that breaks this would break the supermartingale property, so it
     fails loudly instead of being rescaled."""
-    if not (type(w) is float and 0.0 < w < math.inf):  # the common case, inline
-        _check_positive(f"omega_{group}", w)
+    _check_positive(f"omega_{group}", w)
     if scale * w > 0.5 * delta_min * (1.0 + _SCALE_RTOL):
         limit = "1/(2w)" if delta_min == 1.0 else "delta_min/(2w)"
         raise InvariantError(
             f"corrective scale {scale!r} exceeds {limit} at an observed point of group {group} (weight {w!r})"
         )
+
+
+def check_record_weight(record: AuditRecord, field: str, strategy: Propensity | EstimatedDensity) -> None:
+    """Refuse a record without its weight fields, or whose weight (``field``
+    over its propensity) :func:`check_weight` refuses at the strategy's
+    scale and lower error bound, with the error the payoff would raise."""
+    rho, p = getattr(record, field), record.propensity
+    if rho is None or p is None:
+        raise missing_weight_error(record.t, record.group, field)
+    w = rho / p
+    if not (0.0 < w and strategy.scale * w <= 0.5 * strategy.delta_min * (1.0 + _SCALE_RTOL)):
+        check_weight(record.group, w, strategy.scale, strategy.delta_min)
 
 
 def batch_push(acc: BatchAccumulator, record: AuditRecord) -> bool:
@@ -161,9 +177,9 @@ def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
 
 def refused_weights(w: np.ndarray, scale: float, delta_min: float) -> np.ndarray:
     """Where :func:`check_weight` refuses a weight of the array ``w``, NaN
-    (a record without its weight fields) included."""
-    with np.errstate(invalid="ignore"):
-        return ~((w > 0.0) & (w < np.inf) & (scale * w <= 0.5 * delta_min * (1.0 + _SCALE_RTOL)))
+    (a record without its weight fields) included.  Comparing NaN or
+    infinity raises no floating-point error."""
+    return ~((w > 0.0) & (w < np.inf) & (scale * w <= 0.5 * delta_min * (1.0 + _SCALE_RTOL)))
 
 
 def _weighted_args(
