@@ -29,6 +29,16 @@ side's median wall seconds with pytest's passed, failed and error counts
 ``--out`` each run's wall seconds, counts and exit code go under
 ``tier1`` in FILE.  ``--workload`` and ``--pairs`` may then be left out.
 
+With ``--startup N`` it also times N fresh interpreters in each checkout,
+alternating which runs first, for each of two commands: ``python -c
+"import seqaudit.cli"`` (what perfbench's ``setup_s`` times) and ``python
+-m seqaudit audit -`` with the change's ``tests/golden/audit_input.jsonl``
+on stdin (a live audit's start-up), both with the checkout's ``src`` on
+``PYTHONPATH``.  It prints each side's median wall seconds and quartiles,
+the ratio of the medians and the runs the change wins, and with ``--out``
+records them, with every run's wall seconds, under ``startup`` in FILE.
+``--workload`` and ``--pairs`` may then be left out.
+
 Given ``--change`` without ``--parent``, it runs seeds 1..N of the
 workload, or the Tier-1 command N times, in that one checkout, and
 prints and records the same per-run metrics, medians, quartiles, source
@@ -40,7 +50,7 @@ benchmark keeps its scratch files: byte code is not written
 checkout's sources, on both sides alike.
 
 Usage: python scripts/bench_pairs.py [--parent DIR] --change DIR
-           [--workload W --pairs N] [--tier1 N] [--out FILE]
+           [--workload W --pairs N] [--tier1 N] [--startup N] [--out FILE]
 """
 import argparse
 import json
@@ -113,6 +123,47 @@ def tier1_pairs(sides: dict[str, Path], n: int) -> dict:
     return record
 
 
+def startup_once(checkout: Path, argv: list[str], stdin: bytes) -> float:
+    """Wall seconds of one fresh interpreter running ``argv`` in ``checkout``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=checkout, env=env, input=stdin, capture_output=True)
+    wall = time.perf_counter() - start
+    if proc.returncode not in (0, 1) or proc.stderr:
+        sys.stderr.write(proc.stderr.decode())
+        raise SystemExit(f"error: {argv} in {checkout} failed (exit {proc.returncode})")
+    return wall
+
+
+def startup_pairs(sides: dict[str, Path], n: int) -> dict:
+    """``n`` fresh-interpreter runs of each start-up command in each
+    checkout of ``sides``, the parent first on odd runs, with each side's
+    median and quartiles, and the ratio and wins when a parent ran."""
+    stdin = (sides["change"] / "tests" / "golden" / "audit_input.jsonl").read_bytes()
+    commands = {
+        "import_s": (["-c", "import seqaudit.cli"], b""),
+        "stdin_audit_s": (["-m", "seqaudit", "audit", "-"], stdin),
+    }
+    walls = {name: {side: [] for side in sides} for name in commands}
+    for i in range(1, n + 1):
+        for side in alternate(sides, i):
+            for name, (argv, data) in commands.items():
+                walls[name][side].append(startup_once(sides[side], argv, data))
+    record = {}
+    print(f"\nstart-up, {n} fresh interpreters each")
+    for name in commands:
+        row = {side: {"runs": walls[name][side], **dict(zip(("q1", "median", "q3"), spread(walls[name][side])))}
+               for side in sides}
+        line = f"{name:<14}" + "".join(f" {side} {cell(spread(walls[name][side]))}" for side in sides)
+        if "parent" in sides:
+            row["ratio"] = row["change"]["median"] / row["parent"]["median"]
+            row["wins"] = sum(c < p for p, c in zip(walls[name]["parent"], walls[name]["change"]))
+            line += f"  ratio {row['ratio']:.3f}  wins {row['wins']}/{n}"
+        print(line)
+        record[name] = row
+    return record
+
+
 def alternate(sides: dict[str, Path], i: int) -> list[str]:
     """The order the sides run in on run ``i``: as given on odd runs,
     reversed on even ones."""
@@ -150,14 +201,18 @@ def main() -> int:
     ap.add_argument("--workload")
     ap.add_argument("--pairs", type=int)
     ap.add_argument("--tier1", type=int, metavar="N", help="also time the Tier-1 command N times per checkout")
+    ap.add_argument("--startup", type=int, metavar="N",
+                    help="also time N fresh start-ups per checkout of the import and of a stdin audit")
     ap.add_argument("--out", type=Path, help="JSON file to write the runs and the table into")
     args = ap.parse_args()
-    if args.workload is None and args.tier1 is None:
-        ap.error("give --workload and --pairs, or --tier1, or both")
+    if args.workload is None and args.tier1 is None and args.startup is None:
+        ap.error("give --workload and --pairs, --tier1 or --startup")
     if args.workload is not None and (args.pairs is None or args.pairs < 1):
         ap.error("--pairs must be at least 1")
     if args.tier1 is not None and args.tier1 < 1:
         ap.error("--tier1 must be at least 1")
+    if args.startup is not None and args.startup < 1:
+        ap.error("--startup must be at least 1")
     sides = {"change": args.change.resolve()}
     if args.parent is not None:
         sides = {"parent": args.parent.resolve(), **sides}
@@ -166,6 +221,8 @@ def main() -> int:
         record.setdefault("workloads", {})[args.workload] = workload_pairs(sides, args)
     if args.tier1 is not None:
         record["tier1"] = tier1_pairs(sides, args.tier1)
+    if args.startup is not None:
+        record["startup"] = startup_pairs(sides, args.startup)
     if args.out is not None:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -13,10 +13,12 @@ every per-step payoff 1 + lam * g at least 1/2 for |g| <= 1.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ConfigurationError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CURVATURE = 2.0 / (2.0 - math.log(3.0))
 
@@ -45,6 +47,8 @@ def ons_bets(gs, domain: tuple[float, float] = _DEFAULT_DOMAIN) -> np.ndarray:
     the effective clamp is its intersection with [-1/2, 1/2] regardless, so
     a wider domain never changes the bets.
     """
+    import numpy as np
+
     lo, hi = domain
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ConfigurationError(f"bet domain must be a nonempty interval, got {domain!r}")

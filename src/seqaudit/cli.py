@@ -15,11 +15,9 @@ import pathlib
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import ingest
 from .core import _STRATEGY_TAGS, AuditConfig, AuditError, Batched, Propensity, Simple, strategy_tag
-from .engine import STRATEGIES, run_columns, run_stream
+from .engine import STRATEGIES, run_stream
 
 EXIT_NO_REJECT = 0
 EXIT_REJECT = 1
@@ -108,8 +106,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
         stream = ingest.parse_stream(source, format=fmt, mode=mode)
         report = run_stream(config, stream, record_trajectory=record_trajectory)
     else:
-        chunks = ingest.parse_columns(args.input, format=fmt, mode=mode)
-        report = run_columns(config, chunks, record_trajectory=record_trajectory)
+        from . import columns
+
+        chunks = columns.parse_columns(args.input, format=fmt, mode=mode)
+        report = columns.run_columns(config, chunks, record_trajectory=record_trajectory)
     if args.trajectory_out is not None:
         with open(args.trajectory_out, "w", encoding="utf-8") as fh:
             ingest.write_trajectory_csv(report, fh)
@@ -215,6 +215,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """FPR (null scenario) versus mean stopping time (alternative scenario)
     for each method across the alpha grid.  Stopping times are counted in
     records for all methods (one betting step consumes two records)."""
+    import numpy as np
+
     from . import baselines, simulate
 
     alphas = _parse_float_list(args.alphas, "--alphas")

@@ -19,9 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .betting import _ons_step
 from .core import (
@@ -35,26 +33,16 @@ from .core import (
     EstimatedDensity,
     GameReport,
     Propensity,
-    RecordColumns,
     SessionStateError,
     Simple,
     ValidationError,
     group_range_error,
     wealth_from_log,
 )
-from .payoffs import (
-    BatchAccumulator,
-    _weighted_args,
-    batch_payoff,
-    batch_push,
-    batched_args,
-    check_record_weight,
-    composite_args,
-    payoff_propensity,
-    propensity_context,
-    refused_weights,
-    simple_args,
-)
+from .payoffs import BatchAccumulator, batch_payoff, batch_push, check_record_weight, payoff_propensity, propensity_context
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Salt for the RNG substream reserved for the single terminal uniform draw,
 # so that no other consumption of randomness can perturb it.
@@ -117,12 +105,8 @@ class StrategyRow:
     len(games)/alpha.  ``lo`` is the lower bet bound: 0 for one-sided games,
     whose nulls only bound the argument's mean from above, -1/2 otherwise.
     ``step(session, records)`` maps one step's records, one per group in
-    group order, to one payoff argument per game.
-    ``block(strategy, y, w)`` is the array form from :mod:`payoffs` for a
-    block of outputs ``y`` and weights ``w``, one row per step and one
-    column per group: it yields the argument rows before the first step
-    ``step`` would refuse, then raises the error ``step`` raises there.
-    ``weight`` names the record field that, over the propensity, gives the
+    group order, to one payoff argument per game; its array form is the
+    type's entry in ``columns.BLOCKS``.  ``weight`` names the record field that, over the propensity, gives the
     weights a weighted strategy reads and checks as each record arrives
     (None for the others).  ``batched`` marks a strategy whose step is
     a single record rather than one per group: ``step`` takes that record.
@@ -131,7 +115,6 @@ class StrategyRow:
     games: Callable[[AuditConfig], list[str]]
     lo: float
     step: Callable[[AuditSession, Sequence[AuditRecord] | AuditRecord], Sequence[float]]
-    block: Callable[..., Iterable[np.ndarray]]
     weight: str | None = None
     batched: bool = False
 
@@ -196,27 +179,17 @@ def _weighted_step(session: AuditSession, records) -> tuple[float, ...]:
 
 
 STRATEGIES: dict[type, StrategyRow] = {
-    Simple: StrategyRow(_adjacent_pairs, -0.5, _simple_step, lambda s, y, w: [simple_args(y)]),
-    Batched: StrategyRow(
-        _adjacent_pairs, -0.5, _batched_step, lambda s, y, w: [batched_args(y)], batched=True
-    ),
+    Simple: StrategyRow(_adjacent_pairs, -0.5, _simple_step),
+    Batched: StrategyRow(_adjacent_pairs, -0.5, _batched_step, batched=True),
     # One-sided games (mu0 - mu1 > eps, then mu1 - mu0 > eps): a signed bet
     # would let the mirror game's wealth grow under its own null.
-    Composite: StrategyRow(
-        _one_sided_pair, 0.0, _composite_step, lambda s, y, w: [composite_args(y, s.epsilon)]
-    ),
+    Composite: StrategyRow(_one_sided_pair, 0.0, _composite_step),
     # Propensity is the estimated-density payoff at bounds (1, 1), where the
     # upper argument's mean is 0 under the null: one signed game on it alone.
-    Propensity: StrategyRow(
-        _adjacent_pairs, -0.5, _weighted_step,
-        lambda s, y, w: _weighted_args(s, y, w, "density", 1), weight="density",
-    ),
+    Propensity: StrategyRow(_adjacent_pairs, -0.5, _weighted_step, weight="density"),
     # The estimate's error bounds make each side's argument mean only <= 0
     # under the null, so it plays one-sided games like composite.
-    EstimatedDensity: StrategyRow(
-        _one_sided_pair, 0.0, _weighted_step,
-        lambda s, y, w: _weighted_args(s, y, w, "density_estimate", 2), weight="density_estimate",
-    ),
+    EstimatedDensity: StrategyRow(_one_sided_pair, 0.0, _weighted_step, weight="density_estimate"),
 }
 
 
@@ -290,6 +263,8 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
 
 
 def _final_rng(config: AuditConfig) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence([config.seed, _FINAL_DRAW_SALT]))
 
 
@@ -364,88 +339,6 @@ def run_stream(
     return _end_of_stream(session)
 
 
-def run_columns(
-    config: AuditConfig,
-    chunks: Iterable[RecordColumns],
-    record_trajectory: bool = True,
-) -> AuditReport:
-    """Driver over records held as columns, the chunks that
-    ``ingest.parse_columns`` yields, for every strategy that pairs one
-    record per group into a step.  It pairs, stops and ends as
-    :func:`run_stream` does on the same records, errors included, so both
-    give the same report: a record whose group lies outside the audit's
-    raises its error once the steps before it have run.  The pairing runs
-    on arrays, the strategy row's array form computes the arguments and
-    :func:`run_args` replays them; a chunk is pulled only when the steps
-    before it ran without a terminal decision."""
-    if STRATEGIES[type(config.strategy)].batched:
-        raise ValidationError("batched audits take one record per step: run them through run_stream")
-    return run_args(config, _paired_args(config, chunks), record_trajectory)
-
-
-class _Backlog:
-    """One group's unpaired records, oldest first: pieces of one array per
-    field the strategy reads, each piece the records of one chunk, and how
-    many records of the oldest piece are already paired.  A waiting record
-    costs its fields' bytes, however long it waits."""
-
-    __slots__ = ("pieces", "head", "size")
-
-    def __init__(self):
-        self.pieces: deque[list[np.ndarray]] = deque()
-        self.head = 0
-        self.size = 0
-
-    def push(self, fields: list[np.ndarray]) -> None:
-        if len(fields[0]):
-            self.pieces.append(fields)
-            self.size += len(fields[0])
-
-    def take(self, m: int) -> list[np.ndarray]:
-        """The fields of the ``m`` oldest records, which leave the backlog."""
-        self.size -= m
-        parts = []
-        while m:
-            piece = self.pieces[0]
-            end = min(self.head + m, len(piece[0]))
-            parts.append([col[self.head:end] for col in piece])
-            m -= end - self.head
-            if end == len(piece[0]):
-                self.pieces.popleft()
-                self.head = 0
-            else:
-                self.head = end
-        return parts[0] if len(parts) == 1 else [np.concatenate(cols) for cols in zip(*parts)]
-
-
-def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterable[np.ndarray]:
-    """Argument blocks of the steps that the column chunks complete, first
-    in first out: the k-th record of every group forms step k.  A record
-    that :func:`session_step` refuses as it arrives, by its group or its
-    weight, ends the blocks, after the steps of the records before it, with
-    the error the record path raises there."""
-    row = STRATEGIES[type(config.strategy)]
-    backlogs = [_Backlog() for _ in range(config.group_count)]
-    for cols in chunks:
-        masks = [cols.group == group for group in range(config.group_count)]
-        fields = [cols.y_hat]
-        refused = ~np.logical_or.reduce(masks)
-        if row.weight is not None:
-            with np.errstate(all="ignore"):  # the record path divides silently too
-                fields.append(getattr(cols, row.weight) / cols.propensity)
-            refused |= refused_weights(fields[1], config.strategy.scale, config.strategy.delta_min)
-        cut = int(np.argmax(refused)) if refused.any() else len(refused)
-        for mask, backlog in zip(masks, backlogs):
-            backlog.push([col[:cut][mask[:cut]] for col in fields])
-        steps = min(backlog.size for backlog in backlogs)
-        if steps:
-            y, *w = (np.array(cols).T for cols in zip(*(b.take(steps) for b in backlogs)))
-            yield from row.block(config.strategy, y, w[0] if w else None)
-        if cut < len(refused):  # a fresh session refuses that record, NaN read as a missing field
-            record = AuditRecord(*(None if v != v else v for v in (col[cut : cut + 1].tolist()[0] for col in cols)))
-            session_step(session_new(config, record_trajectory=False), record)
-
-
 def run_args(
     config: AuditConfig,
     blocks: Iterable[np.ndarray],
@@ -453,7 +346,8 @@ def run_args(
 ) -> AuditReport:
     """Driver over payoff arguments computed ahead: each block is a 2-D
     float array with one row per step and one column per game, built by the
-    strategy row's array form, which has already checked them.  Every game
+    strategy's array form in ``columns.BLOCKS``, which has already checked
+    them.  Every game
     advances by the rule :func:`session_step` uses, the run stops at the
     first rejection and ends as :func:`run_stream` does, so both give the
     same report for the same arguments.  A block is pulled only when the steps

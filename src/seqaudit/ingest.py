@@ -8,20 +8,15 @@ import csv
 import io
 import json
 import math
-import re
 import warnings
 from dataclasses import fields
-from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import IO, Iterable, Iterator
 
 from .core import (
     AuditRecord,
     AuditReport,
     IngestError,
-    RecordColumns,
     ValidationError,
     strategy_to_dict,
     wealth_from_log,
@@ -120,20 +115,24 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
     and converts numbers written as strings, as CSV cells always are.
 
     Strict JSONL from a path or bytes, input that is whole when the call is
-    made, is read as :func:`parse_columns`' chunks, one chunk ahead, and
-    their records are given one by one.  A text stream (stdin, an open
-    file, a list of lines) goes line by line, since its next line may not
-    exist yet and a live audit must decide at the record that arrives; so
-    do lenient JSONL, any line of which may warn, and CSV, on which
-    parse_columns builds.  Either way the records, errors and line numbers
-    are the same, and no error about a line past the record the consumer
-    stops at ever surfaces."""
+    made, is read in :func:`columns.parse_columns`' chunks, one chunk
+    ahead: a clean chunk's records are built from its columns, and any
+    other chunk's come from the scalar code as it reads them.  Only this
+    route loads numpy.  A text stream (stdin, an open file, a list of
+    lines) goes line by line, since its next line may not exist yet and a
+    live audit must decide at the record that arrives; so do lenient JSONL,
+    any line of which may warn, and CSV, on which parse_columns builds.
+    Either way the records, errors and line numbers are the same, and no
+    error about a line past the record the consumer stops at ever
+    surfaces."""
     _check_format(format, mode)
     lines, whole = _open_lines(source)
     if format == "jsonl" and not whole:
         return _line_records(enumerate(lines, start=1), mode, {})
     if format == "jsonl" and mode == "strict":
-        return chain.from_iterable(map(_column_records, _jsonl_chunks(lines, whole)))
+        from . import columns
+
+        return columns.jsonl_records(lines)
 
     def gen() -> Iterator[AuditRecord]:
         last_t: dict[int, int] = {}
@@ -163,10 +162,10 @@ def _check_format(format: str, mode: str) -> None:
 
 
 # The scalar per-line code.  parse_stream runs it on every line of a text
-# stream, of lenient JSONL and of CSV, and the chunk route (parse_columns,
-# and parse_stream of strict JSONL from a path or bytes) on every line of a
-# chunk its vectorised checks cannot clear, so all give the same records,
-# errors and warnings.
+# stream, of lenient JSONL and of CSV, and the chunk route of ``columns``
+# (parse_columns, and parse_stream of strict JSONL from a path or bytes) on
+# every line of a chunk its vectorised checks cannot clear, so all give the
+# same records, errors and warnings.
 
 
 def _line_records(numbered: Iterable[tuple[int, str]], mode: str, last_t: dict[int, int]) -> Iterator[AuditRecord]:
@@ -239,239 +238,6 @@ def _csv_record(header: list[str], row: list[str], line_no: int, last_t: dict[in
         raise IngestError(line_no, f"{len(row)} cells in a row under {len(header)} columns")
     cells = {key: cell for key, cell in zip(header, row) if key in _RECORD_KEYS and cell != ""}
     return _in_order(record_from_dict(cells, line_no, "lenient"), line_no, last_t)
-
-
-# The chunk route reads JSONL this many lines at a time.
-CHUNK_LINES = 2048
-
-_NUMBERS = {int, float}
-_EXACT_INT = 2**53  # an int up to this size is the same number as a float
-_INT_LIMIT = 2**62  # t and group values the vectorised checks clear, well inside int64
-
-# A run of the characters JSON numbers are written in: a value, or digits and
-# exponent letters inside a key ("propensity", or "\u0074" for "t").
-_NUMBER_RUN = re.compile(rb"[-+0-9.eE]+")
-_VALUE_RUN = re.compile(rb":[ \t\n\r]*([-+0-9.eE]+)")  # the run after a key
-_RUNS_ONLY = bytes(c if c in b"-+0123456789.eE" else 32 for c in range(256))  # the rest to spaces
-
-
-def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterator[RecordColumns]:
-    """The records :func:`parse_stream` gives, in file order, as column
-    chunks.  ``source`` is a path, bytes or a text stream, and each is read
-    a chunk ahead, so a live stream, which must be decided at the record
-    that arrives, goes to parse_stream instead; parse_stream takes this
-    route itself, record by record, for strict JSONL from a path or bytes.
-    The audit's engine checks each record's group against its own group
-    count.  Lenient JSONL is refused: any of its lines may warn, so it goes
-    record by record through parse_stream.
-
-    JSONL is read CHUNK_LINES lines at a time, and each chunk is decided
-    whole by its layout: the text of its first line with the values cut
-    out.  When every line, blank lines aside, is that layout with one JSON
-    number in each value slot, and array checks clear each value as the
-    scalar code would take it as it is, the chunk is one column chunk, read
-    without a dict per line.  Any other chunk, such as one whose lines mix
-    layouts (keys in another order, an optional key on some lines only,
-    other separators), goes line by line through the scalar code, as every
-    CSV row does, since its cells are text.  Its records are yielded up to
-    the line the scalar code refuses, whose error is raised at the next
-    pull.  So every error and warning is parse_stream's, at the same line,
-    and no error about a line past the one the consumer stops at ever
-    surfaces."""
-    _check_format(format, mode)
-    if format == "csv":
-        return _record_chunks(parse_stream(source, "csv", mode))
-    if mode == "lenient":
-        raise ValidationError("lenient JSONL is parsed record by record, with parse_stream")
-    return _jsonl_chunks(*_open_lines(source))
-
-
-def _jsonl_chunks(lines, close: bool) -> Iterator[RecordColumns]:
-    """The column chunks of JSONL lines: a clean chunk's from its columns,
-    any other chunk's from the scalar code's records, up to the line it
-    refuses, whose error is raised at the next pull.  With ``close`` the
-    lines are closed however this ends."""
-    last_t: dict[int, int] = {}
-    first = 1  # the line number of the chunk's first line
-    try:
-        for chunk in _chunks(lines):
-            cols = _clean_columns(list(filter(str.strip, chunk)), last_t)
-            numbered = ((n, line) for n, line in enumerate(chunk, start=first) if line.strip())
-            yield from (cols,) if cols is not None else _record_chunks(_line_records(numbered, "strict", last_t))
-            first += len(chunk)
-    finally:
-        if close:
-            lines.close()
-
-
-def _column_records(cols: RecordColumns) -> Iterator[AuditRecord]:
-    """The records of a column chunk, built as record_from_dict builds a
-    clean line, since its columns passed every check AuditRecord makes.
-    NaN stands for a missing optional value: a clean chunk's optional
-    column is all NaN or holds none, and one that mixes them (from the
-    scalar code) is read value by value."""
-    optional = (
-        [None] * len(col) if np.isnan(col).all() else col.tolist() if not np.isnan(col).any()
-        else [None if v != v else v for v in col.tolist()] for col in cols[3:]
-    )
-    fields = zip(cols.t.tolist(), cols.group.tolist(), cols.y_hat.tolist(), *optional)
-    return map(tuple.__new__, repeat(AuditRecord), fields)
-
-
-def _record_chunks(records: Iterator[AuditRecord]) -> Iterator[RecordColumns]:
-    """Column chunks of the records the scalar code gives, CHUNK_LINES at
-    most.  An error pulling a record is raised after the chunk of the
-    records before it."""
-    try:
-        for chunk in _chunks(records):
-            yield _record_columns(chunk)
-    finally:
-        records.close()  # closes a CSV file at once, however this generator ends
-
-
-def _chunks(items: Iterable) -> Iterator[list]:
-    """Non-empty lists of CHUNK_LINES items (fewer at the end).  An error
-    pulling an item ends the chunks: the items before it come as a chunk,
-    and the error is raised on the next pull, so it surfaces after them,
-    where parse_stream raises it."""
-    items = iter(items)
-    while True:
-        chunk: list = []
-        try:
-            chunk.extend(islice(items, CHUNK_LINES))
-        except Exception:
-            if chunk:
-                yield chunk
-            raise
-        if not chunk:
-            return
-        yield chunk
-        if len(chunk) < CHUNK_LINES:
-            return
-
-
-def _layout(line: str) -> tuple[bytes, list[str | bytes]] | None:
-    """The layout of a line the scanner reads as one object of known keys,
-    the required ones among them, and numbers only: the line's bytes with
-    ``%s`` for each number run (no known key holds a ``%``), and each run's
-    key, or its text where it lies inside a key.  None for any other line."""
-    obj = _decode_line(line)
-    if obj is None or not _REQUIRED_KEYS <= obj.keys() <= _RECORD_KEYS:
-        return None
-    if not set(map(type, obj.values())) <= _NUMBERS:  # a bool's type is bool
-        return None
-    text = line.encode() if line.endswith("\n") else line.encode() + b"\n"  # as the body ends
-    values = {m.start(1) for m in _VALUE_RUN.finditer(text)}
-    if not len(values) == len(obj) == text.count(b":"):  # a key written twice, NaN or Infinity
-        return None
-    keys = iter(obj)  # in the order the values are written
-    slots = [next(keys) if m.start() in values else m.group() for m in _NUMBER_RUN.finditer(text)]
-    return _NUMBER_RUN.sub(b"%s", text), slots
-
-
-def _clean_columns(lines: list[str], last_t: dict[int, int]) -> RecordColumns | None:
-    """Columns of a chunk's non-blank lines when each is its first line's
-    layout with a JSON number in each value slot, and array checks clear
-    each as a line the scalar code accepts as it is, else None.  Every line
-    is checked at once, on the chunk's bytes: filling the layout, repeated,
-    with the chunk's number runs must give those bytes back, and a run
-    inside a key must be the first line's.  Two tests come first, both
-    met by every such chunk: its last line has the layout (most chunks that
-    mix layouts miss here), and its bytes hold n filled layouts, so the
-    repeated layout is no larger than the chunk.  Each column's runs decode by
-    one json.loads, so the JSON grammar holds and each value is the object
-    decode's.  The array checks: t and group are ints, with 1 <= t < 2**62
-    and 0 <= group < 2**62; other values are floats or ints a float holds
-    exactly, in range and finite; and t increases within each group from
-    ``last_t``, which is updated only when every check passes."""
-    layout = _layout(lines[0]) if lines else None
-    if layout is None:
-        return None
-    template, slots = layout
-    n, width = len(lines), len(slots)
-    body = "".join(lines).encode("utf-8", "surrogatepass")
-    if not body.endswith(b"\n"):  # the file's last line
-        body += b"\n"
-    if _NUMBER_RUN.sub(b"%s", body[body.rfind(b"\n", 0, -1) + 1 :]) != template:
-        return None
-    if n * (len(template) - width) > len(body):  # each run fills a 2-byte "%s": bounds template * n
-        return None
-    runs = body.translate(_RUNS_ONLY).split()
-    if len(runs) != n * width or (template * n) % tuple(runs) != body:
-        return None
-    text = {}
-    for i, slot in enumerate(slots):
-        if type(slot) is str:
-            text[slot] = b",".join(runs[i::width])
-        elif runs[i::width].count(slot) != n:
-            return None
-    t, group, y = _int_column(text["t"], 1), _int_column(text["group"], 0), _float_column(text["y_hat"])
-    if t is None or group is None or y is None or not ((y >= 0.0) & (y <= 1.0)).all():
-        return None
-    optional = [_float_column(text[key]) if key in text else np.full(n, math.nan) for key in _OPTIONAL_FIELDS]
-    for key, col in zip(_OPTIONAL_FIELDS, optional):
-        if col is None or np.isinf(col).any() or (col < 0.0 if key == "density" else col <= 0.0).any():
-            return None
-    if not _increasing(group, t, last_t):
-        return None
-    return RecordColumns(t, group, y, *optional)
-
-
-def _int_column(text: bytes, lo: int) -> np.ndarray | None:
-    """Comma-separated JSON numbers as int64, or None unless each is an int
-    in [lo, 2**62)."""
-    if b"." in text or b"e" in text or b"E" in text:
-        return None
-    try:
-        col = np.array(json.loads(b"[" + text + b"]"), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    return col if lo <= col.min() and col.max() < _INT_LIMIT else None
-
-
-def _float_column(text: bytes) -> np.ndarray | None:
-    """Comma-separated JSON numbers as float64, or None unless each is a
-    float or an int that a float holds exactly."""
-    try:
-        values = json.loads(b"[" + text + b"]")
-        col = np.array(values, dtype=float)
-    except (ValueError, OverflowError):
-        return None
-    return None if (np.abs(col) > _EXACT_INT).any() and int in map(type, values) else col
-
-
-def _increasing(group: np.ndarray, t: np.ndarray, last_t: dict[int, int]) -> bool:
-    """Whether the time indices increase within each group, starting from
-    ``last_t``; if they do, ``last_t`` is updated to each group's last."""
-    order = np.argsort(group, kind="stable")
-    g, ts = group[order], t[order]
-    head = np.empty(len(g), dtype=bool)  # the first row of each group
-    head[0] = True
-    np.not_equal(g[1:], g[:-1], out=head[1:])
-    heads = np.flatnonzero(head)
-    prev = np.empty_like(ts)
-    prev[1:] = ts[:-1]
-    prev[heads] = [min(last_t.get(k, 0), _INT_LIMIT) for k in g[heads].tolist()]
-    if (ts <= prev).any():
-        return False
-    last = np.append(head[1:], True)
-    last_t.update(zip(g[last].tolist(), ts[last].tolist()))
-    return True
-
-
-def _record_columns(records: Sequence[AuditRecord]) -> RecordColumns:
-    """Columns of records; ``t`` and ``group`` hold Python ints if one is
-    beyond int64."""
-    t, group, *floats = zip(*records)
-    floats = (np.array(col, dtype=float) for col in floats)  # None as NaN
-    return RecordColumns(_int_array(t), _int_array(group), *floats)
-
-
-def _int_array(values: Sequence[int]) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _fields_to_dict(obj, **values) -> dict:

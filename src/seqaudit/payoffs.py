@@ -9,12 +9,8 @@ what makes the wealth process a test supermartingale.
 from __future__ import annotations
 
 import math
-from typing import Iterator
-
-import numpy as np
 
 from .core import (
-    AuditError,
     AuditRecord,
     EstimatedDensity,
     InvariantError,
@@ -146,64 +142,3 @@ def missing_weight_error(t: int, group: int, field: str) -> ValidationError:
 def propensity_context(rec0: AuditRecord, rec1: AuditRecord, field: str) -> tuple[float, float]:
     """Weights (w0, w1) of a step's two records for :func:`payoff_propensity`."""
     return weight_from_record(rec0, field), weight_from_record(rec1, field)
-
-
-# Array forms of the payoff arguments, for callers holding a block of steps
-# at once.  ``y`` has one row per step and one column per group; the result
-# has one column per game and feeds ``engine.run_args``.  Every form uses the
-# float operations of the engine's scalar argument in the same order, so the
-# arguments are bit-identical to the record path's.
-
-
-def simple_args(y: np.ndarray) -> np.ndarray:
-    """Arguments y_b - y_{b+1} of the J adjacent-pair games of J+1 groups."""
-    return y[:, :-1] - y[:, 1:]
-
-
-def batched_args(y: np.ndarray) -> np.ndarray:
-    """Batched arguments of a stream that brings one record per group, in
-    group order, at every step: the group-0 record abstains and the group-1
-    record fires on two one-record batches, whose means are the outputs.
-    The abstentions are the rows g = 0.0 of the records that join a batch."""
-    out = np.zeros((2 * len(y), 1))
-    out[1::2] = simple_args(y)
-    return out
-
-
-def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
-    """Arguments (g_q, g_r) of the upper and lower one-sided games."""
-    return np.column_stack((y[:, 0] - y[:, 1] - epsilon, y[:, 1] - y[:, 0] - epsilon))
-
-
-def refused_weights(w: np.ndarray, scale: float, delta_min: float) -> np.ndarray:
-    """Where :func:`check_weight` refuses a weight of the array ``w``, NaN
-    (a record without its weight fields) included.  Comparing NaN or
-    infinity raises no floating-point error."""
-    return ~((w > 0.0) & (w < np.inf) & (scale * w <= 0.5 * delta_min * (1.0 + _SCALE_RTOL)))
-
-
-def _weighted_args(
-    strategy: Propensity | EstimatedDensity, y: np.ndarray, w: np.ndarray | None, field: str, games: int,
-) -> Iterator[np.ndarray]:
-    """Arguments of :func:`payoff_propensity` at the strategy's scale and
-    error bounds, for two groups with weights ``w`` read from ``field``:
-    the first ``games`` columns, both for an estimated density, only the
-    upper one for exact weights.  Yields the rows before the first step
-    whose weights :func:`refused_weights` flags, then raises the error of
-    the scalar payoff, which checks group 0's weight before group 1's, as
-    the record path checks each record as it arrives.  Weights of None
-    refuse the first step, the record at t=1 of group 0."""
-    if w is None:
-        raise missing_weight_error(1, 0, field)
-    scale, d_min, d_max = strategy.scale, strategy.delta_min, strategy.delta_max
-    with np.errstate(all="ignore"):  # an infinite or NaN weight goes to the scalar check
-        a, b = y[:, 0] * w[:, 0], y[:, 1] * w[:, 1]
-        g = np.column_stack((scale * (a / d_max - b / d_min), scale * (b / d_max - a / d_min)))[:, :games]
-    for j in np.flatnonzero(refused_weights(w, scale, d_min).any(axis=1)).tolist():
-        (y0, y1), (w0, w1) = y[j].tolist(), w[j].tolist()
-        try:
-            payoff_propensity(y0, y1, w0, w1, scale, d_min, d_max)
-        except AuditError:
-            yield g[:j]
-            raise
-    yield g

@@ -16,6 +16,7 @@ from .core import (
     AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError, _from_dict, _is_number, check_seed,
     is_count,
 )
+from .columns import BLOCKS
 from .engine import STRATEGIES, run_args, run_stream  # noqa: F401  (run_stream: perfbench's tracer wraps it here)
 
 
@@ -471,18 +472,18 @@ def _arg_blocks(
     strategy: PayoffStrategy, horizon: int, draw: Callable, rng: np.random.Generator, clamped: list
 ) -> Iterator[np.ndarray]:
     """Payoff-argument blocks of one replicate for :func:`engine.run_args`,
-    from the array form in the strategy's row, with the weights that row
+    from the strategy's array form in ``columns.BLOCKS``, with the weights its row
     names (density or estimate over propensity), as the record path's
     payoffs form them.  A block that reaches a step the strategy's payoff
     rejects yields the rows before that step and raises the error on the
     next pull, so it surfaces at the step the record path raises it, and
     never once the run has stopped."""
-    row = STRATEGIES[type(strategy)]
+    row, block = STRATEGIES[type(strategy)], BLOCKS[type(strategy)]
     for _, y, point_fields in _blocks(draw, rng, horizon, clamped, _BLOCK_FIRST):
         w = None
         if row.weight in (point_fields or ()):
             w = point_fields[row.weight] / point_fields["propensity"]
-        yield from row.block(strategy, y, w)
+        yield from block(strategy, y, w)
 
 
 _SCENARIO_TAGS = {

@@ -30,6 +30,7 @@ import pytest
 
 from seqaudit.baselines import BatchProtocol, PermutationTestConfig, PValueSequence, walk_protocol
 from seqaudit.betting import CURVATURE, ons_bets
+from seqaudit.columns import BLOCKS, composite_args, simple_args
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -42,7 +43,7 @@ from seqaudit.core import (
     Simple,
 )
 from seqaudit.engine import STRATEGIES, run_args, run_stream, session_finalize, session_new
-from seqaudit.payoffs import composite_args, payoff_propensity, simple_args
+from seqaudit.payoffs import payoff_propensity
 from seqaudit.simulate import (
     REGION_POLICIES,
     FixedMeans,
@@ -454,13 +455,53 @@ def _block_fpr(strategy, draw, seed, alpha, reps):
     hits = 0
     for i in range(reps):
         y, w, records = draw(derive_seed(seed, i))
-        (args,) = STRATEGIES[type(strategy)].block(strategy, y, w)
+        (args,) = BLOCKS[type(strategy)](strategy, y, w)
         config = AuditConfig(alpha=alpha, strategy=strategy, seed=derive_seed(seed + 1, i))
         report = run_args(config, [args], record_trajectory=i == 0)
         if i == 0:
             assert run_stream(config, records()) == report
         hits += report.decision.is_rejection
     return hits / reps
+
+
+def _output_flood(outputs, seed, n_records=2000):
+    """Outputs, weights and records of an adversary whose arrivals follow
+    the outputs: group-0 records come until their pending mean (over those
+    since the last group-1 record) exceeds 1/2 or 20 are pending, then one
+    group-1 record comes.  ``outputs(rng, n)`` draws the k-th output of each
+    group, one row per k, and for a weighted audit the (propensity,
+    density) arrays of the drawn points, else None.  Step k pairs the k-th
+    record of each group, so the outputs and weights are cut to the steps
+    the records complete."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    y, fields = outputs(rng, n_records)
+    ys = y.tolist()
+    order, counts, pending = [], [0, 0], []
+    for _ in range(n_records):
+        group = int(bool(pending) and (sum(pending) / len(pending) > 0.5 or len(pending) == 20))
+        k = counts[group]
+        counts[group] += 1
+        order.append((group, k))
+        pending = [] if group else [*pending, ys[k][0]]
+    steps = min(counts)
+    w = None if fields is None else (fields[1] / fields[0])[:steps]
+    per_point = [] if fields is None else [f.tolist() for f in fields]
+    return y[:steps], w, lambda: [
+        AuditRecord(k + 1, g, ys[k][g], *(f[k][g] for f in per_point)) for g, k in order
+    ]
+
+
+def _bernoulli_outputs(means):
+    return lambda rng, n: ((rng.random((n, 2)) < means).astype(float), None)
+
+
+def _policy_outputs(rng, n):
+    """Group 0 sampled through ``pi1`` with outputs _SPREAD, group 1 through
+    the uniform policy with _FLAT, over four regions of density 1/4: both
+    weighted means are 0.6, while group 0's unweighted mean is 1/2."""
+    policies = np.array([REGION_POLICIES["pi1"], REGION_POLICIES["uniform"]])
+    x = (rng.random((n, 2, 1)) >= np.cumsum(policies, axis=1)[:, :3]).sum(axis=2)
+    return np.array((_SPREAD, _FLAT))[[0, 1], x], (policies[[0, 1], x], np.full((n, 2), 0.25))
 
 
 # The propensity audit of the switch takes the scale 1 / (2 max w) over
@@ -470,6 +511,16 @@ _SWITCH_W_MAX = 0.25 / min(min(REGION_POLICIES[name]) for name in ("pi1", "pi3",
 _BLOCK_NULLS = {
     "propensity-policy-switch": (Propensity(scale=1.0 / (2.0 * _SWITCH_W_MAX)), _policy_switch_draw, 211),
     "simple-logistic-shift": (Simple(), _logistic_shift_draw, 213),
+    # Arrivals that depend on the outputs: first in first out, step k pairs
+    # the k-th record of each group whenever it arrives.
+    "simple-output-flood": (Simple(), lambda seed: _output_flood(_bernoulli_outputs((0.5, 0.5)), seed), 216),
+    "composite-boundary-output-flood": (
+        Composite(epsilon=0.1), lambda seed: _output_flood(_bernoulli_outputs((0.55, 0.45)), seed), 218
+    ),
+    "propensity-policy-output-flood": (
+        Propensity(scale=1.0 / (2.0 * 0.25 / min(REGION_POLICIES["pi1"]))),
+        lambda seed: _output_flood(_policy_outputs, seed), 220,
+    ),
 }
 
 

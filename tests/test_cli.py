@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqaudit import baselines, engine, ingest
+from seqaudit import baselines, columns, engine, ingest
 from seqaudit.baselines import BatchProtocol, PermutationTestConfig, run_protocol
 from seqaudit.cli import main
 from seqaudit.core import (
@@ -32,7 +32,8 @@ from seqaudit.core import (
     Simple,
     ValidationError,
 )
-from seqaudit.engine import run_columns, run_stream
+from seqaudit.columns import run_columns
+from seqaudit.engine import run_stream
 from seqaudit.simulate import (
     FixedMeans,
     SinusoidalDrift,
@@ -525,6 +526,46 @@ def test_audit_imports_neither_simulate_nor_baselines(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_record_path_imports_no_numpy(tmp_path):
+    """Importing the package or its CLI loads no numpy, and neither does a
+    stdin audit with a trajectory under each strategy; a file audit, which
+    reads columns, does."""
+    weighted = _jsonl(*(
+        {"t": t, "group": g, "y_hat": 0.5, "propensity": 0.5, "density": 0.25, "density_estimate": 0.25}
+        for t in range(1, 21) for g in (0, 1)
+    ))
+    golden = (GOLDEN / "audit_input.jsonl").read_text()
+    stdin_audits = [
+        ([], golden),
+        (["--strategy", "batched"], golden),
+        (["--strategy", "composite", "--epsilon", "0.1"], golden),
+        (["--strategy", "propensity", "--scale", "0.5"], weighted),
+        (["--strategy", "estimated-density", "--scale", "0.5", "--delta-min", "0.8", "--delta-max", "1.25"], weighted),
+    ]
+    code = (
+        "import io, json, sys\n"
+        "import seqaudit\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "import seqaudit.cli\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "out, exits = sys.stdout, []\n"
+        f"for flags, text in {stdin_audits!r}:\n"
+        "    sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()\n"
+        f"    exits.append(seqaudit.cli.main(['audit', '-', '--trajectory-out', {str(tmp_path / 'traj.csv')!r}, *flags]))\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        f"exits.append(seqaudit.cli.main(['audit', {str(GOLDEN / 'audit_input.jsonl')!r}]))\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "print(json.dumps([seen, exits]), file=out)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=child_env()
+    )
+    assert result.stderr == ""
+    seen, exits = json.loads(result.stdout)
+    assert seen == [False] * 7 + [True]  # the package, the CLI, five stdin audits, then the file audit
+    assert set(exits) <= {0, 1}
+
+
 def test_unknown_preset_is_usage_error():
     result = run_cli("simulate", "--preset", "fig9", "--replicates", "1")
     assert result.returncode == 2
@@ -929,12 +970,12 @@ def _assert_column_audit_is_the_record_path(
 
     for traj in trajectories:
         traj.unlink(missing_ok=True)
-    with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+    with mock.patch.object(columns, "CHUNK_LINES", chunk):
         got = _audit_outcome(lambda out, err: main([*argv, "--trajectory-out", str(trajectories[0])]))
     want = _audit_outcome(record_path)
     assert got == want
-    columns, records = (traj.read_text() if traj.exists() else None for traj in trajectories)
-    assert columns == records
+    by_columns, by_records = (traj.read_text() if traj.exists() else None for traj in trajectories)
+    assert by_columns == by_records
     return want
 
 
@@ -1061,15 +1102,15 @@ def test_lenient_jsonl_audits_record_by_record(tmp_path):
     columns; lenient CSV, where only the header can warn, still does."""
     path = tmp_path / "audit.jsonl"
     path.write_text(_jsonl(*({**row, "note": 1} for row in _REJECTING)))
-    with mock.patch.object(ingest, "parse_columns", side_effect=AssertionError("read as columns")):
+    with mock.patch.object(columns, "parse_columns", side_effect=AssertionError("read as columns")):
         code, _, _, shown = _assert_column_audit_is_the_record_path(path, "jsonl", "simple", 2048, lenient=True)
     assert code == 1 and len(shown) == 2 * 9
     path = tmp_path / "audit.csv"
     path.write_text("t,group,y_hat,note\n" + "".join(f"{r['t']},{r['group']},{r['y_hat']},x\n" for r in _REJECTING))
-    with mock.patch.object(ingest, "parse_columns", wraps=ingest.parse_columns) as columns:
+    with mock.patch.object(columns, "parse_columns", wraps=columns.parse_columns) as parse:
         code, _, _, shown = _assert_column_audit_is_the_record_path(path, "csv", "simple", 2048, lenient=True)
     assert code == 1 and len(shown) == 1
-    assert columns.call_count == 1
+    assert parse.call_count == 1
 
 
 def test_column_audit_reads_past_its_stop_without_failing(tmp_path):
@@ -1152,7 +1193,7 @@ def test_column_audit_backlog_stays_small(tmp_path):
     config = AuditConfig(alpha=0.05)
     tracemalloc.start()
     try:
-        report = run_columns(config, ingest.parse_columns(path), record_trajectory=False)
+        report = run_columns(config, columns.parse_columns(path), record_trajectory=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1189,7 +1230,7 @@ def test_column_audit_checks_groups_against_the_audit(tmp_path):
     path = tmp_path / "three.jsonl"
     path.write_text(_jsonl(*({"t": t, "group": g, "y_hat": g / 2} for t in range(1, 40) for g in range(3))))
     config = AuditConfig(alpha=0.05, group_count=3)
-    report = run_columns(config, ingest.parse_columns(path))
+    report = run_columns(config, columns.parse_columns(path))
     with open(path, encoding="utf-8") as fh:
         assert report == run_stream(config, ingest.parse_stream(fh))
     assert report.decision.kind is DecisionKind.REJECT
@@ -1250,8 +1291,8 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
             lines.append("")
     path = tmp_path / "clean.jsonl"
     config = AuditConfig(alpha=0.05)
-    first = ingest.CHUNK_LINES + 1  # the second chunk's first line
-    assert len(lines) + 1 > 2 * ingest.CHUNK_LINES
+    first = columns.CHUNK_LINES + 1  # the second chunk's first line
+    assert len(lines) + 1 > 2 * columns.CHUNK_LINES
     line = lines[first + 99]
     assert line.startswith('{"t": ')
     t_as_float = line.replace(", ", ".0, ", 1)  # t as 2.0, say
@@ -1259,7 +1300,7 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
     for edit in (None, t_as_float, reordered):
         path.write_text("\n".join(lines[: first + 99] + [edit or line] + lines[first + 100 :]) + "\n\n")
         with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
-            report = run_columns(config, ingest.parse_columns(path))
+            report = run_columns(config, columns.parse_columns(path))
         with open(path, encoding="utf-8") as fh:
             assert report == run_stream(config, ingest.parse_stream(fh))
         assert report.decision.kind is DecisionKind.CONTINUE
@@ -1267,7 +1308,7 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
             assert scalar.call_count == 0
         else:
             numbers = [call.args[1] for call in scalar.call_args_list]
-            assert numbers == [n for n in range(first, first + ingest.CHUNK_LINES) if lines[n - 1]]
+            assert numbers == [n for n in range(first, first + columns.CHUNK_LINES) if lines[n - 1]]
 
     rng = random.Random(7)
     path = tmp_path / "weighted.jsonl"
@@ -1277,11 +1318,11 @@ def test_clean_chunks_skip_the_scalar_code(tmp_path):
         f'"density": {rng.choice([1e-300, 0.75, 1e300])!r}}}\n'
         for t in range(1, 2500) for g in (0, 1)
     ))
-    want = _concatenated([ingest._record_columns(_scalar_records(path))])
+    want = _concatenated([columns._record_columns(_scalar_records(path))])
     with mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar:
-        assert _concatenated(ingest.parse_columns(path)) == want
-        assert _concatenated(ingest.parse_columns(path.read_bytes().replace(b"\n", b"\r\n"))) == want
-        assert _concatenated(ingest.parse_columns(path.read_bytes().removesuffix(b"\n"))) == want
+        assert _concatenated(columns.parse_columns(path)) == want
+        assert _concatenated(columns.parse_columns(path.read_bytes().replace(b"\n", b"\r\n"))) == want
+        assert _concatenated(columns.parse_columns(path.read_bytes().removesuffix(b"\n"))) == want
     assert scalar.call_count == 0
 
 
@@ -1292,14 +1333,14 @@ def test_a_long_first_line_does_not_size_the_chunk_check(tmp_path):
     line's length times the chunk's line count, and parse as
     parse_stream's records."""
     pad = " " * 2**16
-    lines = [f'{{"t": {t},{pad if t in (1, ingest.CHUNK_LINES) else ""} "group": 0, "y_hat": 0.5}}\n'
-             for t in range(1, ingest.CHUNK_LINES + 1)]
+    lines = [f'{{"t": {t},{pad if t in (1, columns.CHUNK_LINES) else ""} "group": 0, "y_hat": 0.5}}\n'
+             for t in range(1, columns.CHUNK_LINES + 1)]
     path = tmp_path / "padded.jsonl"
     path.write_text("".join(lines))
-    want = _concatenated([ingest._record_columns(_scalar_records(path))])
+    want = _concatenated([columns._record_columns(_scalar_records(path))])
     tracemalloc.start()
     try:
-        got = _concatenated(ingest.parse_columns(path))
+        got = _concatenated(columns.parse_columns(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1350,10 +1391,29 @@ def test_record_files_parse_as_their_lines_do(
         data = data.removesuffix(line_end.encode())
     path = tmp_path_factory.getbasetemp() / "records.jsonl"
     path.write_bytes(data)
-    with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+    with mock.patch.object(columns, "CHUNK_LINES", chunk):
         with open(path, encoding="utf-8") as fh:
             assert _pulls(ingest.parse_stream(path)) == _pulls(ingest.parse_stream(fh))
         assert _pulls(ingest.parse_stream(data)) == _pulls(ingest.parse_stream(path))
+
+
+def test_mixed_layout_files_give_their_records_without_columns(tmp_path):
+    """parse_stream of a strict file or its bytes, whose chunks mix layouts
+    (every 7th line's keys reversed), gives the scalar code's records as it
+    reads them, those of the same lines as a text stream, and never builds
+    columns from them."""
+    rows = ({"t": t, "group": g, "y_hat": 0.5, "propensity": 0.5} for t in range(1, 3001) for g in (0, 1))
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(_jsonl(*(dict(reversed(row.items())) if i % 7 == 0 else row for i, row in enumerate(rows))))
+    with open(path, encoding="utf-8") as fh:
+        want = _pulls(ingest.parse_stream(fh))
+    with (
+        mock.patch.object(columns, "_record_columns", side_effect=AssertionError("built columns")),
+        mock.patch.object(ingest, "_jsonl_record", wraps=ingest._jsonl_record) as scalar,
+    ):
+        assert _pulls(ingest.parse_stream(path)) == want
+        assert _pulls(ingest.parse_stream(path.read_bytes())) == want
+    assert len(want) == scalar.call_count / 2 == 6000
 
 
 def _column_bytes(cols) -> tuple:
@@ -1371,12 +1431,12 @@ def test_undecodable_bytes_raise_where_the_path_raises_them(tmp_path, chunk):
     data = _jsonl(*rows).encode() + b"\xff\n"
     path = tmp_path / "records.jsonl"
     path.write_bytes(data)
-    with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+    with mock.patch.object(columns, "CHUNK_LINES", chunk):
         records = _pulls(ingest.parse_stream(data))
         assert records == _pulls(ingest.parse_stream(path))
-        columns = _pulls(map(_column_bytes, ingest.parse_columns(data)))
-        assert columns == _pulls(map(_column_bytes, ingest.parse_columns(path)))
-    assert records[-1][0] is columns[-1][0] is UnicodeDecodeError
+        chunks = _pulls(map(_column_bytes, columns.parse_columns(data)))
+        assert chunks == _pulls(map(_column_bytes, columns.parse_columns(path)))
+    assert records[-1][0] is chunks[-1][0] is UnicodeDecodeError
     assert 0 < len(records) - 1 < 4000
 
 
@@ -1418,7 +1478,7 @@ def test_batched_file_audit_is_its_stdin_audit(tmp_path, monkeypatch, data, chun
     path = tmp_path / "audit.jsonl"
     path.write_bytes(data)
     flags = ["--strategy", "batched", "--alpha", "0.05"]
-    with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+    with mock.patch.object(columns, "CHUNK_LINES", chunk):
         from_file = _audit_outcome(lambda out, err: main(["audit", str(path), *flags]))
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     assert from_file == _audit_outcome(lambda out, err: main(["audit", "-", *flags]))

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqaudit.betting import _ons_step, ons_bets
+from seqaudit.columns import composite_args, run_columns, simple_args
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -31,14 +32,12 @@ from seqaudit.engine import (
     _Game,
     build_report,
     run_args,
-    run_columns,
     run_stream,
     session_finalize,
     session_new,
     session_step,
 )
 from seqaudit.ingest import report_to_dict
-from seqaudit.payoffs import composite_args, simple_args
 
 from conftest import bernoulli_pair_stream
 

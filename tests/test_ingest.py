@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqaudit import ingest
+from seqaudit.columns import parse_columns, run_columns
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -25,10 +26,9 @@ from seqaudit.core import (
     strategy_from_dict,
     wealth_from_log,
 )
-from seqaudit.engine import run_columns, run_stream
+from seqaudit.engine import run_stream
 from seqaudit.ingest import (
     emit_report,
-    parse_columns,
     parse_stream,
     record_from_dict,
     report_to_dict,

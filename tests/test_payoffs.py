@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqaudit.columns import composite_args, simple_args
 from seqaudit.core import AuditConfig, AuditRecord, Batched, InvariantError, ValidationError
 from seqaudit.engine import session_new, session_step
 from seqaudit.payoffs import (
     BatchAccumulator,
     batch_payoff,
     batch_push,
-    composite_args,
     payoff_propensity,
     propensity_context,
-    simple_args,
     weight_from_record,
 )
 
