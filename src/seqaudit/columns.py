@@ -1,11 +1,9 @@
-"""Array routes: records read as numpy column chunks and audited by blocks
-of steps, and the array form of each strategy's payoff arguments.
-
-This is the one module of the program's own that names numpy.  The record
+"""Array routes: records read as numpy column chunks, audited by blocks
+of steps, and each strategy's payoff arguments in array form.  The record
 path (``cli``, ``core``, ``betting``, ``engine``, ``payoffs``, ``ingest``)
-never imports it at module level, so a live audit on stdin never loads
-numpy; a file audit, ``parse_stream`` of a whole strict JSONL source and
-``simulate`` import it where they first need it.
+never imports this module at module level, so a live audit on stdin never
+loads numpy; a file audit, ``parse_stream`` of a whole strict JSONL source
+and ``simulate`` import it where they first need it.
 """
 from __future__ import annotations
 
@@ -20,17 +18,8 @@ import numpy as np
 
 from . import ingest
 from .core import (
-    AuditConfig,
-    AuditError,
-    AuditRecord,
-    AuditReport,
-    Batched,
-    Composite,
-    EstimatedDensity,
-    Propensity,
-    RecordColumns,
-    Simple,
-    ValidationError,
+    AuditConfig, AuditError, AuditRecord, AuditReport, Batched, Composite, EstimatedDensity, Propensity, RecordColumns,
+    Simple, ValidationError,
 )
 from .engine import STRATEGIES, run_args, session_new, session_step
 from .ingest import (
@@ -82,14 +71,6 @@ def parse_columns(source, format: str = "jsonl", mode: str = "strict") -> Iterat
         raise ValidationError("lenient JSONL is parsed record by record, with parse_stream")
     chunks = _jsonl_chunks(*_open_lines(source))
     return chain.from_iterable((c,) if type(c) is RecordColumns else _record_chunks(c) for c in chunks)
-
-
-def jsonl_records(lines) -> Iterator[AuditRecord]:
-    """The records of whole strict JSONL lines, which are closed once read:
-    a clean chunk's built from its columns, any other chunk's the scalar
-    code's, chained lazily with no generator frame per record."""
-    chunks = _jsonl_chunks(lines, True)
-    return chain.from_iterable(map(_column_records, chunks))
 
 
 def _jsonl_chunks(lines, close: bool) -> Iterator[RecordColumns | Iterator[AuditRecord]]:
@@ -341,12 +322,10 @@ def _weighted_args(
     yield g
 
 
-# The array form of each strategy type's step, ``BLOCKS[type](strategy, y,
-# w)`` for a block of outputs ``y`` and weights ``w`` (the row's ``weight``
-# field over the propensity, None for an unweighted strategy), one row per
-# step and one column per group: it yields the argument rows before the
-# first step the row's scalar step would refuse, then raises the error the
-# scalar step raises there.
+# Each strategy type's array form: ``BLOCKS[type](strategy, y, w)``, for
+# outputs ``y`` and weights ``w`` (None unweighted) with one row per step and
+# one column per group, yields the argument rows before the first step the
+# scalar step would refuse, then raises the error that step raises.
 BLOCKS: dict[type, Callable[..., Iterable[np.ndarray]]] = {
     Simple: lambda s, y, w: [simple_args(y)],
     Batched: lambda s, y, w: [batched_args(y)],

@@ -39,7 +39,9 @@ from .core import (
     group_range_error,
     wealth_from_log,
 )
-from .payoffs import BatchAccumulator, batch_payoff, batch_push, check_record_weight, payoff_propensity, propensity_context
+from .payoffs import (
+    BatchAccumulator, batch_payoff, batch_push, check_record_weight, payoff_propensity, propensity_context,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,9 +108,9 @@ class StrategyRow:
     whose nulls only bound the argument's mean from above, -1/2 otherwise.
     ``step(session, records)`` maps one step's records, one per group in
     group order, to one payoff argument per game; its array form is the
-    type's entry in ``columns.BLOCKS``.  ``weight`` names the record field that, over the propensity, gives the
-    weights a weighted strategy reads and checks as each record arrives
-    (None for the others).  ``batched`` marks a strategy whose step is
+    type's entry in ``columns.BLOCKS``.  ``weight`` names the record field
+    that, over the propensity, gives the weights a weighted strategy reads
+    and checks as each record arrives (None for the others).  ``batched`` marks a strategy whose step is
     a single record rather than one per group: ``step`` takes that record.
     """
 
@@ -347,10 +349,9 @@ def run_args(
     """Driver over payoff arguments computed ahead: each block is a 2-D
     float array with one row per step and one column per game, built by the
     strategy's array form in ``columns.BLOCKS``, which has already checked
-    them.  Every game
-    advances by the rule :func:`session_step` uses, the run stops at the
-    first rejection and ends as :func:`run_stream` does, so both give the
-    same report for the same arguments.  A block is pulled only when the steps
+    them.  Every game advances by the rule :func:`session_step` uses, the
+    run stops at the first rejection and ends as :func:`run_stream` does,
+    so both give the same report for the same arguments.  A block is pulled only when the steps
     before it ran without a terminal decision.
 
     Games never interact, so each one advances over its whole column of a

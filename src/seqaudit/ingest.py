@@ -10,6 +10,7 @@ import json
 import math
 import warnings
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -132,7 +133,7 @@ def parse_stream(source, format: str = "jsonl", mode: str = "strict") -> Iterato
     if format == "jsonl" and mode == "strict":
         from . import columns
 
-        return columns.jsonl_records(lines)
+        return chain.from_iterable(map(columns._column_records, columns._jsonl_chunks(lines, True)))
 
     def gen() -> Iterator[AuditRecord]:
         last_t: dict[int, int] = {}

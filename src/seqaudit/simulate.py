@@ -472,9 +472,9 @@ def _arg_blocks(
     strategy: PayoffStrategy, horizon: int, draw: Callable, rng: np.random.Generator, clamped: list
 ) -> Iterator[np.ndarray]:
     """Payoff-argument blocks of one replicate for :func:`engine.run_args`,
-    from the strategy's array form in ``columns.BLOCKS``, with the weights its row
-    names (density or estimate over propensity), as the record path's
-    payoffs form them.  A block that reaches a step the strategy's payoff
+    from the strategy's array form in ``columns.BLOCKS``, with the weights
+    its row names (density or estimate over propensity), as the record
+    path's payoffs form them.  A block that reaches a step the strategy's payoff
     rejects yields the rows before that step and raises the error on the
     next pull, so it surfaces at the step the record path raises it, and
     never once the run has stopped."""
