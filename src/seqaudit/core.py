@@ -139,7 +139,7 @@ class RecordColumns(NamedTuple):
     """Records as columns, one entry per record: ``t`` and ``group`` as
     int64 arrays (each holds Python ints if one is beyond int64), the other
     fields as float64 arrays with NaN where a record lacks the field.
-    ``ingest.parse_columns`` builds them from lines that pass the checks of
+    ``columns.parse_columns`` builds them from lines that pass the checks of
     :class:`AuditRecord`, whole chunks at a time where it can; the range of
     ``group`` is the engine's to check, against the audit's group count."""
 

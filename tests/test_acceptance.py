@@ -540,7 +540,8 @@ _HOSTILE_NULLS = {
 @pytest.mark.parametrize("case", [*_HOSTILE_NULLS, "batched-flooding", "batched-drift", *_BLOCK_NULLS])
 def test_null_validity_under_hostile_nulls(case):
     """Every strategy keeps FPR <= alpha + slack under its own null when the
-    null is hostile: 200 replicates, 2,000 steps (records for batched)."""
+    null is hostile: 200 replicates, 2,000 steps (records for batched and
+    for the output floods)."""
     alpha, reps = 0.05, 200
     if case in _BLOCK_NULLS:
         fpr = _block_fpr(*_BLOCK_NULLS[case], alpha, reps)
