@@ -18,9 +18,11 @@ name in FILE's ``workloads``, so runs of several workloads with one FILE
 gather in it.  Exits non-zero when a run fails or reports a failed
 operation.
 
-After the pairs it makes one ``--trace 1`` run of seed 1 per checkout,
-and prints the per-layer metrics from its last line next to each other;
-with ``--out`` they go under the workload's ``trace`` in FILE.
+After the pairs it makes three ``--trace 1`` runs of seed 1 per checkout,
+alternating which checkout runs first, and prints each side's median of
+every per-layer metric with its range over the three runs: one traced run
+swings too far to compare.  With ``--out`` each side's runs, and each
+metric's median, min and max, go under the workload's ``trace`` in FILE.
 
 With ``--tier1 N`` it also times the literal Tier-1 command of ROADMAP.md
 N times in each checkout, alternating which runs first, and prints each
@@ -62,6 +64,7 @@ import sys
 import time
 from pathlib import Path
 
+TRACED_RUNS = 3
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
@@ -231,7 +234,7 @@ def main() -> int:
 def workload_pairs(sides: dict[str, Path], args: argparse.Namespace) -> dict:
     """``args.pairs`` alternating benchmark runs of ``args.workload`` in
     each checkout of ``sides``, printed as a table and returned as its
-    record with one traced run per checkout; the ratio and wins of each
+    record with the traced runs of each checkout; the ratio and wins of each
     metric only when a parent ran."""
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
@@ -274,15 +277,28 @@ def workload_pairs(sides: dict[str, Path], args: argparse.Namespace) -> dict:
     }
 
 
-def traced_runs(sides: dict[str, Path], workload: str, seconds: float) -> dict:
-    """One ``--trace 1`` run of seed 1 of ``workload`` in each checkout of
-    ``sides``, its per-layer metrics printed side by side and returned."""
-    traced = {side: run_once(checkout, workload, 1, seconds, 1) for side, checkout in sides.items()}
-    print(f"\n{workload}, traced run of seed 1")
-    print(f"{'layer metric':<32}" + "".join(f" {side:>14}" for side in sides))
-    for name in traced["change"]["metrics"]:
-        print(f"{name:<32}" + "".join(f" {traced[side]['metrics'].get(name, float('nan')):14.6g}" for side in sides))
-    return traced
+def traced_runs(sides: dict[str, Path], workload: str, seconds: float, n: int = TRACED_RUNS) -> dict:
+    """``n`` ``--trace 1`` runs of seed 1 of ``workload`` in each checkout of
+    ``sides``, alternating which runs first, with each per-layer metric's
+    median, min and max per side, printed side by side and returned."""
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    for i in range(1, n + 1):
+        for side in alternate(sides, i):
+            runs[side].append(run_once(sides[side], workload, 1, seconds, 1))
+    record = {}
+    for side in sides:
+        values = {name: [run["metrics"][name] for run in runs[side]] for name in runs[side][0]["metrics"]}
+        record[side] = {"runs": runs[side], "metrics": {
+            name: {"median": statistics.median(v), "min": min(v), "max": max(v)} for name, v in values.items()}}
+    print(f"\n{workload}, {n} traced runs of seed 1 each: median [min, max]")
+    print(f"{'layer metric':<32}" + "".join(f" {side:>32}" for side in sides))
+    for name in record["change"]["metrics"]:
+        cells = []
+        for side in sides:
+            m = record[side]["metrics"].get(name)
+            cells.append(f"{m['median']:.4g} [{m['min']:.4g}, {m['max']:.4g}]" if m else "nan")
+        print(f"{name:<32}" + "".join(f" {c:>32}" for c in cells))
+    return record
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import pathlib
 import sys
@@ -70,7 +71,8 @@ def _build_strategy(args: argparse.Namespace, scenario=None):
 
 
 def _add_strategy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", choices=list(_STRATEGIES), help="default: simple")
+    parser.add_argument("--strategy", choices=list(_STRATEGIES), help="default: simple; batched is valid only "
+                        "when the arrival order does not depend on the outputs")
     for name, text in _FIELD_FLAGS.items():
         parser.add_argument(_flag(name), type=float, default=None, help=text)
 
@@ -351,8 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parsing leaves a parser as it was: one serves a process
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .betting import _ons_step
+from .betting import CURVATURE, _ons_step
 from .core import (
     AuditConfig,
     AuditRecord,
@@ -79,18 +79,25 @@ class _Game:
             self.trajectory.append(self.log_wealth)
 
     def advance(self, gs: Sequence[float], log_bar: float = math.inf) -> int:
-        """Apply the arguments ``gs`` in step order by the rule of
-        :meth:`apply`, with the state held in locals, and stop after the
-        first one that brings the log wealth to ``log_bar``.  Returns how
-        many arguments were applied."""
+        """Apply ``gs`` in step order by the rule of :meth:`apply`, the state
+        in locals and ``_ons_step`` written out with the same float operations,
+        and stop after the first argument that brings the log wealth to
+        ``log_bar``.  Returns how many arguments were applied."""
         lam, grad_acc, log_wealth = self.lam, self.grad_acc, self.log_wealth
         lo, trajectory = self.lo, self.trajectory
-        log, ons_step = math.log, _ons_step
+        log, c = math.log, CURVATURE
         n = 0
         for n, g in enumerate(gs, 1):
             if g != 0.0:
-                log_wealth += log(1.0 + lam * g)
-                lam, grad_acc = ons_step(lam, grad_acc, g, lo, 0.5)
+                d = 1.0 + lam * g
+                log_wealth += log(d)
+                z = g / d
+                grad_acc += z * z
+                lam += c * z / (1.0 + grad_acc)
+                if lam > 0.5:
+                    lam = 0.5
+                elif lam < lo:
+                    lam = lo
             if trajectory is not None:
                 trajectory.append(log_wealth)
             if log_wealth >= log_bar:

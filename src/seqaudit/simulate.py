@@ -330,7 +330,8 @@ def monte_carlo(
     for i in range(replicates):
         rng = _rng(derive_seed(scenario.seed, i))
         clamped: list[int] = []
-        cfg = replace(config, seed=derive_seed(config.seed, i))
+        # Only the randomized terminal step reads a replicate's own seed.
+        cfg = replace(config, seed=derive_seed(config.seed, i)) if config.randomized_final_step else config
         blocks = _arg_blocks(cfg.strategy, scenario.horizon, draw, rng, clamped)
         report = run_args(cfg, blocks, record_trajectory=record_trajectories)
         decision = report.decision
@@ -438,15 +439,17 @@ def _noisy_drawer(table: list[list[float]], noise_sd: float) -> Callable:
     interleave, so no single array call yields them in order."""
 
     def draw_noisy(rng, t, n, clamped):
+        # normal(0.0, sd) is 0.0 + sd * standard_normal(), the same sum for a mean >= 0;
+        # a uniform in [0, 1) is below a noisy mean exactly when below it clamped to [0, 1].
+        normal, uniform = rng.standard_normal, rng.random
         y = []
         for step in range(t + 1, t + n + 1):
             row = []
             for mean in table[step - 1]:
-                noisy = mean + rng.normal(0.0, noise_sd)
-                p = min(1.0, max(0.0, noisy))
-                if p != noisy:
+                noisy = mean + noise_sd * normal()
+                if noisy < 0.0 or noisy > 1.0:
                     clamped.append(step)
-                row.append(1.0 if rng.random() < p else 0.0)
+                row.append(1.0 if uniform() < noisy else 0.0)
             y.append(row)
         return np.array(y), None
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from seqaudit import baselines, columns, engine, ingest
 from seqaudit.baselines import BatchProtocol, PermutationTestConfig, run_protocol
-from seqaudit.cli import main
+from seqaudit.cli import build_parser, main
 from seqaudit.core import (
     AuditConfig,
     AuditError,
@@ -282,6 +282,35 @@ def test_argparse_refusal_is_usage_error(argv, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: ")
+
+
+def test_main_calls_in_one_process_leave_nothing_to_the_next(tmp_path, capsys):
+    """``main`` parses every call with one parser: no flag, default or
+    refusal of a call carries into the next one."""
+    path = tmp_path / "stream.jsonl"
+    write_stream(path, [(0.6, 0.5)] * 20)
+    assert main(["audit", str(path), "--strategy", "composite", "--epsilon", "0.1"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["config"]["strategy"] == {"kind": "composite", "epsilon": 0.1}
+    assert main(["audit", str(path)]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["config"]["strategy"] == {"kind": "simple"}
+    assert main(["audit", str(path), "--strategy", "composite", "--alpha", "x"]) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert main(["audit", str(path)]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["config"] == json.loads(run_cli("audit", str(path)).stdout)["config"]
+    argv = ["simulate", "--preset", "fig1", "--replicates", "2", "--horizon", "30", "--seed", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == run_cli(*argv).stdout != ""
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+def test_strategy_help_states_batched_scope(command):
+    """``--help`` says what the README and the ``Batched`` docstring say:
+    batched is valid only under arrival that ignores the outputs."""
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    text = " ".join(out.getvalue().split())
+    assert "batched is valid only when the arrival order does not depend on the outputs" in text
 
 
 def test_bench_alpha_zero_is_usage_error():

@@ -577,6 +577,10 @@ def _bits(game):
     keep=st.booleans(),
 )
 @example(data=None, gs=[], head=[], lo=-0.5, bar="never", keep=True)
+# Runs that hold the bet at each end of its interval: at 1/2, and at lo.
+@example(data=None, gs=[0.5, 0.5, 0.0, 0.5], head=[], lo=-0.5, bar="never", keep=True)
+@example(data=None, gs=[-0.5, -0.5, 0.0, -0.5], head=[], lo=-0.5, bar="never", keep=True)
+@example(data=None, gs=[-0.5, -0.5, 0.0, -0.5], head=[], lo=0.0, bar="never", keep=False)
 @settings(max_examples=150, deadline=None)
 def test_advance_is_a_loop_of_apply(data, gs, head, lo, bar, keep):
     """``advance`` applies arguments as a loop of ``apply`` calls that stops

@@ -493,6 +493,39 @@ def test_streams_are_pinned():
     assert digest.hexdigest() == _STREAM_DIGEST
 
 
+# Means swing between 0.05 and 0.95, so the noise pushes some past 0 and
+# some past 1.
+_BOTH_BOUNDS = SinusoidalDrift(level=0.5, amplitude_0=0.45, amplitude_1=0.45, drift_rate=0.0, noise_sd=0.1,
+                               horizon=100, seed=42)
+# SHA-256 over the steps the noisy sampler reports clamped: the noisy family
+# at seeds None, 1, 2 and 3, then _BOTH_BOUNDS at its own seed.
+_CLAMP_DIGEST = "7da32708466ee5a7a31c865a58858da4895b78ae3c493d5c0db3e85cc3857883"
+
+
+def _noisy_means(scenario):
+    """(step, noisy mean) of each output, replayed with numpy's ``normal``
+    in the sampler's call order: a normal, then a uniform, per output."""
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
+    noisy = []
+    for t, row in enumerate(_drift_table(scenario), 1):
+        for mean in row:
+            noisy.append((t, mean + rng.normal(0.0, scenario.noise_sd)))
+            rng.random()
+    return noisy
+
+
+def test_noisy_clamp_steps_are_pinned():
+    digest = hashlib.sha256()
+    for scenario, seed in [*((_FAMILIES["sinusoidal"], s) for s in (None, 1, 2, 3)), (_BOTH_BOUNDS, None)]:
+        clamped = []
+        generate_stream(scenario, seed=seed, clamped=clamped)
+        digest.update(json.dumps(clamped).encode())
+    noisy = _noisy_means(_BOTH_BOUNDS)
+    assert min(x for _, x in noisy) < 0.0 < 1.0 < max(x for _, x in noisy)
+    assert clamped == [t for t, x in noisy if not 0.0 <= x <= 1.0]
+    assert digest.hexdigest() == _CLAMP_DIGEST
+
+
 _HOSTILE_RARE_HEAVY = replace(_RARE_HEAVY, density_estimates=((0.5,) * 4, (0.125,) * 4))
 
 
