@@ -234,6 +234,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if any(not k.is_integer() for k in batch_sizes):
         raise AuditError("--batch-sizes entries must be whole numbers")
     batch_sizes = [int(k) for k in batch_sizes]
+    if any(k < 2 for k in batch_sizes):
+        raise AuditError("--batch-sizes entries must be at least 2, so that a batch can hold both groups")
+    if args.permutations < 1:
+        raise AuditError("--permutations must be at least 1")
     if args.replicates < 1:
         raise AuditError("--replicates must be at least 1")
     horizon_records = args.horizon

@@ -12,20 +12,17 @@ import math
 import re
 from collections import deque
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import ingest
-from .core import (
-    AuditConfig, AuditError, AuditRecord, AuditReport, Batched, Composite, EstimatedDensity, Propensity, RecordColumns,
-    Simple, ValidationError,
-)
-from .engine import STRATEGIES, run_args, session_new, session_step
+from .core import AuditConfig, AuditRecord, AuditReport, RecordColumns, ValidationError
+from .engine import STRATEGIES, AuditSession, run_args, session_new, session_step
 from .ingest import (
     _OPTIONAL_FIELDS, _RECORD_KEYS, _REQUIRED_KEYS, _check_format, _decode_line, _line_records, _open_lines,
 )
-from .payoffs import _SCALE_RTOL, missing_weight_error, payoff_propensity
+from .payoffs import _SCALE_RTOL
 
 # The chunk route reads JSONL this many lines at a time.
 CHUNK_LINES = 2048
@@ -261,16 +258,23 @@ def _int_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-# Array forms of the payoff arguments, for callers holding a block of steps
-# at once.  ``y`` has one row per step and one column per group; the result
-# has one column per game and feeds ``engine.run_args``.  Every form uses the
-# float operations of the engine's scalar argument in the same order, so the
-# arguments are bit-identical to the record path's.
-
-
-def simple_args(y: np.ndarray) -> np.ndarray:
-    """Arguments y_b - y_{b+1} of the J adjacent-pair games of J+1 groups."""
-    return y[:, :-1] - y[:, 1:]
+def block_args(session: AuditSession, y: np.ndarray, fields: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """Payoff arguments of a block of steps for :func:`engine.run_args`,
+    one row per step and one column per game: the session's own step, the
+    one the record path runs, called once with one view per group for its
+    records.  Group b's view holds ``y[:, b]`` as its outputs and
+    ``fields[name][:, b]`` as each record field ``fields`` names (the
+    propensity and weight field a weighted step reads), None for the rest.
+    The paired steps use only + - * /, which numpy applies to each float64
+    element as Python applies it to a float, so each row holds the record
+    path's bits.  Weights are checked where their records arrive, not here."""
+    y_t, groups = y.T, range(y.shape[1])
+    if fields:
+        cols = [None if f is None else f.T for f in map(fields.get, _OPTIONAL_FIELDS)]
+        rows = [(None, b, y_t[b], *[None if f is None else f[b] for f in cols]) for b in groups]
+    else:  # unweighted: no per-group list of fields, which doubles a block's cost here
+        rows = [(None, b, y_t[b], None, None, None) for b in groups]
+    return np.array(session.row.step(session, [tuple.__new__(RecordColumns, row) for row in rows])).T
 
 
 def batched_args(y: np.ndarray) -> np.ndarray:
@@ -279,13 +283,8 @@ def batched_args(y: np.ndarray) -> np.ndarray:
     record fires on two one-record batches, whose means are the outputs.
     The abstentions are the rows g = 0.0 of the records that join a batch."""
     out = np.zeros((2 * len(y), 1))
-    out[1::2] = simple_args(y)
+    out[1::2] = y[:, :1] - y[:, 1:]
     return out
-
-
-def composite_args(y: np.ndarray, epsilon: float) -> np.ndarray:
-    """Arguments (g_q, g_r) of the upper and lower one-sided games."""
-    return np.column_stack((y[:, 0] - y[:, 1] - epsilon, y[:, 1] - y[:, 0] - epsilon))
 
 
 def refused_weights(w: np.ndarray, scale: float, delta_min: float) -> np.ndarray:
@@ -293,46 +292,6 @@ def refused_weights(w: np.ndarray, scale: float, delta_min: float) -> np.ndarray
     ``w``, NaN (a record without its weight fields) included.  Comparing NaN
     or infinity raises no floating-point error."""
     return ~((w > 0.0) & (w < np.inf) & (scale * w <= 0.5 * delta_min * (1.0 + _SCALE_RTOL)))
-
-
-def _weighted_args(
-    strategy: Propensity | EstimatedDensity, y: np.ndarray, w: np.ndarray | None, field: str, games: int,
-) -> Iterator[np.ndarray]:
-    """Arguments of :func:`payoffs.payoff_propensity` at the strategy's
-    scale and error bounds, for two groups with weights ``w`` read from
-    ``field``: the first ``games`` columns, both for an estimated density,
-    only the upper one for exact weights.  Yields the rows before the first
-    step whose weights :func:`refused_weights` flags, then raises the error
-    of the scalar payoff, which checks group 0's weight before group 1's,
-    as the record path checks each record as it arrives.  Weights of None
-    refuse the first step, the record at t=1 of group 0."""
-    if w is None:
-        raise missing_weight_error(1, 0, field)
-    scale, d_min, d_max = strategy.scale, strategy.delta_min, strategy.delta_max
-    with np.errstate(all="ignore"):  # an infinite or NaN weight goes to the scalar check
-        a, b = y[:, 0] * w[:, 0], y[:, 1] * w[:, 1]
-        g = np.column_stack((scale * (a / d_max - b / d_min), scale * (b / d_max - a / d_min)))[:, :games]
-    for j in np.flatnonzero(refused_weights(w, scale, d_min).any(axis=1)).tolist():
-        (y0, y1), (w0, w1) = y[j].tolist(), w[j].tolist()
-        try:
-            payoff_propensity(y0, y1, w0, w1, scale, d_min, d_max)
-        except AuditError:
-            yield g[:j]
-            raise
-    yield g
-
-
-# Each strategy type's array form: ``BLOCKS[type](strategy, y, w)``, for
-# outputs ``y`` and weights ``w`` (None unweighted) with one row per step and
-# one column per group, yields the argument rows before the first step the
-# scalar step would refuse, then raises the error that step raises.
-BLOCKS: dict[type, Callable[..., Iterable[np.ndarray]]] = {
-    Simple: lambda s, y, w: [simple_args(y)],
-    Batched: lambda s, y, w: [batched_args(y)],
-    Composite: lambda s, y, w: [composite_args(y, s.epsilon)],
-    Propensity: lambda s, y, w: _weighted_args(s, y, w, "density", 1),
-    EstimatedDensity: lambda s, y, w: _weighted_args(s, y, w, "density_estimate", 2),
-}
 
 
 def run_columns(
@@ -346,8 +305,8 @@ def run_columns(
     :func:`engine.run_stream` does on the same records, errors included,
     so both give the same report: a record whose group lies outside the
     audit's raises its error once the steps before it have run.  The
-    pairing runs on arrays, the strategy's array form in :data:`BLOCKS`
-    computes the arguments and :func:`engine.run_args` replays them; a
+    pairing runs on arrays, :func:`block_args` computes the arguments with
+    the strategy's own step and :func:`engine.run_args` replays them; a
     chunk is pulled only when the steps before it ran without a terminal
     decision."""
     if STRATEGIES[type(config.strategy)].batched:
@@ -395,24 +354,28 @@ def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterab
     in first out: the k-th record of every group forms step k.  A record
     that :func:`engine.session_step` refuses as it arrives, by its group or
     its weight, ends the blocks, after the steps of the records before it,
-    with the error the record path raises there."""
-    row, block = STRATEGIES[type(config.strategy)], BLOCKS[type(config.strategy)]
+    with the error the record path raises there.  A weighted strategy's
+    records wait with the fields its step reads: output, propensity and
+    weight field."""
+    session = session_new(config, record_trajectory=False)
+    weight = session.row.weight
+    names = ("y_hat",) if weight is None else ("y_hat", "propensity", weight)
     backlogs = [_Backlog() for _ in range(config.group_count)]
     for cols in chunks:
         masks = [cols.group == group for group in range(config.group_count)]
-        fields = [cols.y_hat]
+        fields = [getattr(cols, name) for name in names]
         refused = ~np.logical_or.reduce(masks)
-        if row.weight is not None:
+        if weight is not None:
             with np.errstate(all="ignore"):  # the record path divides silently too
-                fields.append(getattr(cols, row.weight) / cols.propensity)
-            refused |= refused_weights(fields[1], config.strategy.scale, config.strategy.delta_min)
+                w = fields[2] / fields[1]
+            refused |= refused_weights(w, config.strategy.scale, config.strategy.delta_min)
         cut = int(np.argmax(refused)) if refused.any() else len(refused)
         for mask, backlog in zip(masks, backlogs):
             backlog.push([col[:cut][mask[:cut]] for col in fields])
         steps = min(backlog.size for backlog in backlogs)
         if steps:
-            y, *w = (np.array(cols).T for cols in zip(*(b.take(steps) for b in backlogs)))
-            yield from block(config.strategy, y, w[0] if w else None)
-        if cut < len(refused):  # a fresh session refuses that record, NaN read as a missing field
+            y, *rest = (np.array(cols).T for cols in zip(*(b.take(steps) for b in backlogs)))
+            yield block_args(session, y, dict(zip(names[1:], rest)))
+        if cut < len(refused):  # the session refuses that record, NaN read as a missing field
             record = AuditRecord(*(None if v != v else v for v in (col[cut : cut + 1].tolist()[0] for col in cols)))
-            session_step(session_new(config, record_trajectory=False), record)
+            session_step(session, record)

@@ -114,11 +114,12 @@ class StrategyRow:
     len(games)/alpha.  ``lo`` is the lower bet bound: 0 for one-sided games,
     whose nulls only bound the argument's mean from above, -1/2 otherwise.
     ``step(session, records)`` maps one step's records, one per group in
-    group order, to one payoff argument per game; its array form is the
-    type's entry in ``columns.BLOCKS``.  ``weight`` names the record field
-    that, over the propensity, gives the weights a weighted strategy reads
-    and checks as each record arrives (None for the others).  ``batched`` marks a strategy whose step is
-    a single record rather than one per group: ``step`` takes that record.
+    group order, to one payoff argument per game; ``columns.block_args``
+    runs the same step once on a block of steps, each group's records as
+    columns.  ``weight`` names the record field that, over the propensity,
+    gives the weights a weighted strategy reads and checks as each record
+    arrives (None for the others).  ``batched`` marks a strategy whose step
+    is a single record rather than one per group: ``step`` takes that record.
     """
 
     games: Callable[[AuditConfig], list[str]]
@@ -156,8 +157,10 @@ def _one_sided_pair(config: AuditConfig) -> list[str]:
     return ["upper", "lower"]  # mu0 - mu1 > 0 (or eps), then mu1 - mu0
 
 
-# Scalar argument functions.  They call the payoff helpers through this
-# module's globals on every step, so a wrapper installed there sees each call.
+# Argument functions.  They call the payoff helpers through this module's
+# globals on every step, so a wrapper installed there sees each call.  The
+# paired ones use only + - * / on the records' fields, so they also take
+# per-group column views of a block of steps (``columns.block_args``).
 
 
 def _simple_step(session: AuditSession, records) -> list[float]:
@@ -244,11 +247,9 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
     as it arrives: a refused record leaves the session as it was."""
     if session.status.kind is not _CONTINUE:
         raise SessionStateError("session already reached a terminal decision; records refused")
-    try:
-        group = record.group
-    except AttributeError:
-        kind = type(record).__name__
-        raise ValidationError(f"a session takes one record at a time, got {kind}") from None
+    if not isinstance(record, AuditRecord):
+        raise ValidationError(f"a session takes one record at a time, got {type(record).__name__}")
+    group = record.group
     if group >= session.config.group_count:
         raise group_range_error(group, session.config.group_count)
     step, waiting = record, session.waiting
@@ -354,12 +355,13 @@ def run_args(
     record_trajectory: bool = True,
 ) -> AuditReport:
     """Driver over payoff arguments computed ahead: each block is a 2-D
-    float array with one row per step and one column per game, built by the
-    strategy's array form in ``columns.BLOCKS``, which has already checked
-    them.  Every game advances by the rule :func:`session_step` uses, the
-    run stops at the first rejection and ends as :func:`run_stream` does,
-    so both give the same report for the same arguments.  A block is pulled only when the steps
-    before it ran without a terminal decision.
+    float array with one row per step and one column per game, such as
+    ``columns.block_args`` builds from records whose weights were checked
+    as they arrived.  Every game advances by the rule :func:`session_step`
+    uses, the run stops at the first rejection and ends as
+    :func:`run_stream` does, so both give the same report for the same
+    arguments.  A block is pulled only when the steps before it ran without
+    a terminal decision.
 
     Games never interact, so each one advances over its whole column of a
     block in one call, stopping where its wealth reaches the threshold.  The

@@ -17,7 +17,6 @@ from .core import (
     Propensity,
     ValidationError,
     _check_positive,
-    _check_unit_interval,
 )
 
 # Slack for validating caller-supplied corrective scales against observed
@@ -57,22 +56,14 @@ def payoff_propensity(
     bit for bit: its mean is 0 under the null, so the propensity audit plays
     one signed game on it alone.
 
-    Each weight passes :func:`check_weight`, so each argument lies within
-    [-1/2, 1/2] (as delta_min <= delta_max and the outputs lie in [0, 1]).
+    Pure arithmetic (+ - * / only), so float64 arrays of outputs and
+    weights give each element the bits of the scalar call.  Each weight has
+    passed :func:`check_weight` where its record arrived, so each argument
+    lies within [-1/2, 1/2] (as delta_min <= delta_max and the outputs lie
+    in [0, 1]).
     """
-    bound = 0.5 * delta_min * (1.0 + _SCALE_RTOL)
-    if not (  # the common case, inline: each check below passes
-        type(w0) is type(w1) is type(y0) is type(y1) is float and 0.0 < w0 and 0.0 < w1
-        and scale * w0 <= bound and scale * w1 <= bound and 0.0 <= y0 <= 1.0 and 0.0 <= y1 <= 1.0
-    ):
-        check_weight(0, w0, scale, delta_min)
-        check_weight(1, w1, scale, delta_min)
-        _check_unit_interval("y0", y0)
-        _check_unit_interval("y1", y1)
     a, b = y0 * w0, y1 * w1
-    upper = scale * (a / delta_max - b / delta_min)
-    lower = scale * (b / delta_max - a / delta_min)
-    return upper, lower
+    return scale * (a / delta_max - b / delta_min), scale * (b / delta_max - a / delta_min)
 
 
 def check_weight(group: int, w: float, scale: float, delta_min: float) -> None:

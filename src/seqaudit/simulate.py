@@ -13,11 +13,12 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import (
-    AuditConfig, AuditRecord, DecisionKind, PayoffStrategy, ValidationError, _from_dict, _is_number, check_seed,
-    is_count,
+    AuditConfig, AuditRecord, DecisionKind, ValidationError, _from_dict, _is_number, check_seed, is_count,
 )
-from .columns import BLOCKS
-from .engine import STRATEGIES, run_args, run_stream  # noqa: F401  (run_stream: perfbench's tracer wraps it here)
+from .columns import batched_args, block_args, refused_weights
+from .engine import AuditSession, run_args, session_new
+from .engine import run_stream  # noqa: F401  (perfbench's tracer wraps it here)
+from .payoffs import check_weight, missing_weight_error
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -326,13 +327,14 @@ def monte_carlo(
     noise_clamped = 0
     trajectories: list | None = [] if record_trajectories else None
     draw = _block_drawer(scenario)
-    rows_per_step = 2 if STRATEGIES[type(config.strategy)].batched else 1
+    session = session_new(config, record_trajectory=False)  # its step, shared by every replicate
+    rows_per_step = 2 if session.row.batched else 1
     for i in range(replicates):
         rng = _rng(derive_seed(scenario.seed, i))
         clamped: list[int] = []
         # Only the randomized terminal step reads a replicate's own seed.
         cfg = replace(config, seed=derive_seed(config.seed, i)) if config.randomized_final_step else config
-        blocks = _arg_blocks(cfg.strategy, scenario.horizon, draw, rng, clamped)
+        blocks = _arg_blocks(session, scenario.horizon, draw, rng, clamped)
         report = run_args(cfg, blocks, record_trajectory=record_trajectories)
         decision = report.decision
         if decision.is_rejection:
@@ -472,21 +474,32 @@ def _blocks(
 
 
 def _arg_blocks(
-    strategy: PayoffStrategy, horizon: int, draw: Callable, rng: np.random.Generator, clamped: list
+    session: AuditSession, horizon: int, draw: Callable, rng: np.random.Generator, clamped: list
 ) -> Iterator[np.ndarray]:
-    """Payoff-argument blocks of one replicate for :func:`engine.run_args`,
-    from the strategy's array form in ``columns.BLOCKS``, with the weights
-    its row names (density or estimate over propensity), as the record
-    path's payoffs form them.  A block that reaches a step the strategy's payoff
-    rejects yields the rows before that step and raises the error on the
-    next pull, so it surfaces at the step the record path raises it, and
-    never once the run has stopped."""
-    row, block = STRATEGIES[type(strategy)], BLOCKS[type(strategy)]
+    """Payoff-argument blocks of one replicate for :func:`engine.run_args`:
+    the session's own step run on each block's columns by
+    ``columns.block_args``, or ``columns.batched_args`` for a batched
+    audit.  A weighted strategy's weights (its row's field over the
+    propensity) are checked as the record path checks each record as it
+    arrives, by step, then group: a block that reaches a record whose
+    weight :func:`payoffs.check_weight` refuses yields the rows before its
+    step and raises the error on the next pull, so it surfaces at the step
+    the record path raises it, and never once the run has stopped."""
+    row, s = session.row, session.config.strategy
     for _, y, point_fields in _blocks(draw, rng, horizon, clamped, _BLOCK_FIRST):
-        w = None
-        if row.weight in (point_fields or ()):
+        if row.batched:
+            yield batched_args(y)
+        elif row.weight is None:
+            yield block_args(session, y)
+        else:
+            if row.weight not in (point_fields or ()):  # every record lacks it: the first is refused
+                raise missing_weight_error(1, 0, row.weight)
             w = point_fields[row.weight] / point_fields["propensity"]
-        yield from block(strategy, y, w)
+            refused = np.flatnonzero(refused_weights(w, s.scale, s.delta_min))
+            j, b = divmod(int(refused[0]), w.shape[1]) if refused.size else (len(y), 0)
+            yield block_args(session, y[:j], {k: v[:j] for k, v in point_fields.items()})
+            if j < len(y):
+                check_weight(b, w[j, b].item(), s.scale, s.delta_min)
 
 
 _SCENARIO_TAGS = {

@@ -30,7 +30,7 @@ import pytest
 
 from seqaudit.baselines import BatchProtocol, PermutationTestConfig, PValueSequence, walk_protocol
 from seqaudit.betting import CURVATURE, ons_bets
-from seqaudit.columns import BLOCKS, composite_args, simple_args
+from seqaudit.columns import block_args
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -208,7 +208,7 @@ def test_criterion_02_exact_martingale_means():
         lams = (-0.5, -0.25, 0.0, 0.3, 0.5)
         outcomes = np.array(list(product((0.0, 1.0), repeat=2)))  # rows (y0, y1)
         # simple payoff over the mean grid
-        simple_g = simple_args(outcomes)[:, 0].tolist()
+        simple_g = block_args(session_new(AuditConfig(alpha=0.05)), outcomes)[:, 0].tolist()
         for mu in [k / 10 for k in range(1, 10)]:
             for lam in lams:
                 expectation = 0.0
@@ -231,7 +231,8 @@ def test_criterion_02_exact_martingale_means():
             assert abs(expectation - 1.0) < 1e-12
         # upper one-sided game at the boundary mean gap = epsilon
         mu0, mu1, eps = 0.55, 0.45, 0.1
-        upper_g = composite_args(outcomes, eps)[:, 0].tolist()
+        composite = session_new(AuditConfig(alpha=0.05, strategy=Composite(epsilon=eps)))
+        upper_g = block_args(composite, outcomes)[:, 0].tolist()
         for lam in lams:
             expectation = 0.0
             for (y0, y1), g in zip(outcomes.tolist(), upper_g):
@@ -411,8 +412,8 @@ def _flooding_stream(seed, n_records, drift=False):
 
 
 def _policy_switch_draw(seed, steps=2000, switch=1000):
-    """Outputs, weights (one row per step, one column per group) and the
-    records of a policy that changes mid-stream: group 0 is sampled through
+    """Outputs, record fields (one row per step, one column per group) and
+    the records of a policy that changes mid-stream: group 0 is sampled through
     ``pi1``, then through ``pi3`` after step ``switch``, and group 1
     through the uniform policy, over four regions of equal density.  Group
     0 outputs _SPREAD and group 1 _FLAT, so both weighted means are 0.6 at
@@ -426,7 +427,7 @@ def _policy_switch_draw(seed, steps=2000, switch=1000):
     x = (rng.random((steps, 2, 1)) >= cdf).sum(axis=2)
     propensity = policies[which, x]
     y = np.array((_SPREAD, _FLAT))[[0, 1], x]
-    return y, 0.25 / propensity, lambda: [
+    return y, {"propensity": propensity, "density": np.full_like(propensity, 0.25)}, lambda: [
         AuditRecord(t=t, group=b, y_hat=y_b, propensity=p_b, density=0.25)
         for t, (ys, ps) in enumerate(zip(y.tolist(), propensity.tolist()), 1)
         for b, y_b, p_b in zip((0, 1), ys, ps)
@@ -448,16 +449,16 @@ def _logistic_shift_draw(seed, steps=2000):
 
 def _block_fpr(strategy, draw, seed, alpha, reps):
     """FPR of the audit under ``strategy`` over replicates of ``draw``,
-    through ``run_args`` on the strategy row's block form.  ``draw`` maps a
-    seed to one replicate's outputs, weights and records; the first
+    through ``run_args`` on the strategy's step run by ``block_args``.
+    ``draw`` maps a seed to one replicate's outputs, record fields and
+    records; the first
     replicate is checked against ``run_stream`` over its records, bit for
     bit."""
     hits = 0
     for i in range(reps):
-        y, w, records = draw(derive_seed(seed, i))
-        (args,) = BLOCKS[type(strategy)](strategy, y, w)
+        y, fields, records = draw(derive_seed(seed, i))
         config = AuditConfig(alpha=alpha, strategy=strategy, seed=derive_seed(seed + 1, i))
-        report = run_args(config, [args], record_trajectory=i == 0)
+        report = run_args(config, [block_args(session_new(config), y, fields)], record_trajectory=i == 0)
         if i == 0:
             assert run_stream(config, records()) == report
         hits += report.decision.is_rejection
@@ -465,13 +466,13 @@ def _block_fpr(strategy, draw, seed, alpha, reps):
 
 
 def _output_flood(outputs, seed, n_records=2000):
-    """Outputs, weights and records of an adversary whose arrivals follow
+    """Outputs, record fields and records of an adversary whose arrivals follow
     the outputs: group-0 records come until their pending mean (over those
     since the last group-1 record) exceeds 1/2 or 20 are pending, then one
     group-1 record comes.  ``outputs(rng, n)`` draws the k-th output of each
     group, one row per k, and for a weighted audit the (propensity,
     density) arrays of the drawn points, else None.  Step k pairs the k-th
-    record of each group, so the outputs and weights are cut to the steps
+    record of each group, so the outputs and fields are cut to the steps
     the records complete."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     y, fields = outputs(rng, n_records)
@@ -484,9 +485,9 @@ def _output_flood(outputs, seed, n_records=2000):
         order.append((group, k))
         pending = [] if group else [*pending, ys[k][0]]
     steps = min(counts)
-    w = None if fields is None else (fields[1] / fields[0])[:steps]
+    cut = None if fields is None else {"propensity": fields[0][:steps], "density": fields[1][:steps]}
     per_point = [] if fields is None else [f.tolist() for f in fields]
-    return y[:steps], w, lambda: [
+    return y[:steps], cut, lambda: [
         AuditRecord(k + 1, g, ys[k][g], *(f[k][g] for f in per_point)) for g, k in order
     ]
 
@@ -700,12 +701,13 @@ def test_criterion_11_baseline_protocols():
         def betting_cells(alpha: float) -> tuple[float, float]:
             hits = 0
             taus = []
+            session = session_new(AuditConfig(alpha=alpha))
             for i in range(reps):
                 cfg = AuditConfig(alpha=alpha, seed=derive_seed(1114, i))
-                null_args = [simple_args(null_y[i])]
+                null_args = [block_args(session, null_y[i])]
                 if run_args(cfg, null_args, record_trajectory=False).decision.is_rejection:
                     hits += 1
-                report = run_args(cfg, [simple_args(alt_y[i])], record_trajectory=False)
+                report = run_args(cfg, [block_args(session, alt_y[i])], record_trajectory=False)
                 taus.append(2 * report.decision.tau if report.decision.is_rejection else horizon)
             return hits / reps, sum(taus) / reps
 

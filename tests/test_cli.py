@@ -369,6 +369,17 @@ def test_bench_bad_batch_size_or_horizon_is_usage_error(flags, capsys):
     assert err.startswith("error: ") and flags[0] in err
 
 
+@pytest.mark.parametrize("methods", ["betting", "perm-m1", "betting,perm-m2"])
+@pytest.mark.parametrize("flags", [("--permutations", "0"), ("--batch-sizes", "1"), ("--batch-sizes", "40,-3")])
+def test_bench_permutation_settings_are_refused_whatever_the_methods(methods, flags, capsys):
+    """A permutation setting no permutation arm could run is refused even
+    when --methods names no permutation arm."""
+    argv = ["bench", "--methods", methods, "--replicates", "1", "--horizon", "20", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {flags[0]} ")
+
+
 def test_bench_accepts_integral_batch_sizes_written_as_floats(tmp_path):
     argv = ["bench", "--methods", "perm-m2", "--replicates", "2", "--horizon", "200",
             "--permutations", "20", "--seed", "1"]
@@ -678,7 +689,7 @@ _ONE_POINT = {"kind": "policy_population", "density": [[1.0], [1.0]], "outputs":
         ({**_ONE_POINT, "labels": ["a", "b"]}, (), "labels must match the support size"),
         (_ONE_POINT, ("--strategy", "estimated-density", "--delta-min", "0.8", "--delta-max", "1.2"),
          "population carries no density estimates"),
-        (None, ("--permutations", "0"), "n_permutations must be >= 1, got 0"),
+        (None, ("--permutations", "0"), "--permutations must be at least 1"),
         ({"kind": "fixed_means", "means": [True, False], "horizon": 20}, (),
          "scenario field 'means' must hold finite numbers, got True"),
         ({"kind": "sinusoidal_drift", "noise_sd": True, "horizon": 20}, (),

@@ -3,7 +3,7 @@ terminal step, and the stopping-rule / determinism properties."""
 import importlib
 import math
 import random
-from collections import deque
+from collections import deque, namedtuple
 from itertools import product
 from pathlib import Path
 
@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seqaudit
 from seqaudit.betting import _ons_step, ons_bets
-from seqaudit.columns import composite_args, run_columns, simple_args
+from seqaudit.columns import block_args, refused_weights, run_columns
 from seqaudit.core import (
     AuditConfig,
     AuditRecord,
@@ -38,12 +39,19 @@ from seqaudit.engine import (
     session_step,
 )
 from seqaudit.ingest import report_to_dict
+from seqaudit.payoffs import check_record_weight
 
 from conftest import bernoulli_pair_stream
 
 
 def pair(t, y0, y1):
     return [AuditRecord(t=t, group=0, y_hat=y0), AuditRecord(t=t, group=1, y_hat=y1)]
+
+
+def block(config, y):
+    """Arguments of the steps whose outputs are the rows of ``y``, from the
+    strategy's own step."""
+    return block_args(session_new(config), y)
 
 
 def feed_step(session, records):
@@ -196,6 +204,25 @@ def test_bundle_validation():
         run_args(AuditConfig(alpha=0.05), [np.zeros((3, 2))])
 
 
+# A record look-alike that skips AuditRecord's checks.
+_LooseRecord = namedtuple("_LooseRecord", "t group y_hat propensity density density_estimate", defaults=(None,) * 3)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [_LooseRecord(1, 0, 0.5), _LooseRecord(1, -1, 0.5)],  # would wait as group 1 and complete a step
+        [r for t in range(1, 10) for r in (_LooseRecord(t, 0, 5.0), _LooseRecord(t, 1, 0.0))],  # argument 5
+    ],
+    ids=["negative-group", "output-5"],
+)
+def test_a_session_takes_only_audit_records(records):
+    """Only an AuditRecord has passed the record checks the steps rely on,
+    so any other object is refused before it waits or steps."""
+    with pytest.raises(ValidationError, match="one record at a time, got _LooseRecord"):
+        seqaudit.run_stream(AuditConfig(alpha=0.05), records)
+
+
 def test_exact_one_step_supermartingale_mean():
     """Enumerated conditional expectation of wealth equals prior wealth under
     equal means, for several fixed bets and several prior wealths."""
@@ -203,7 +230,7 @@ def test_exact_one_step_supermartingale_mean():
         expected = 0.0
         for y0, y1 in product((0.0, 1.0), repeat=2):
             p = (mu if y0 else 1 - mu) * (mu if y1 else 1 - mu)
-            (g,) = simple_args(np.array([[y0, y1]]))[0]
+            (g,) = block(AuditConfig(alpha=0.05), np.array([[y0, y1]]))[0]
             expected += p * prior * (1.0 + lam * g)
         assert abs(expected - prior) < 1e-12
 
@@ -262,7 +289,7 @@ def test_two_group_orchestration_is_the_plain_engine():
     config = AuditConfig(alpha=0.01)
     report = run_stream(config, stream)
 
-    gs = simple_args(np.array([r.y_hat for r in stream]).reshape(400, 2))[:, 0]
+    gs = block(config, np.array([r.y_hat for r in stream]).reshape(400, 2))[:, 0]
     log_wealth = 0.0
     trajectory = []
     for t, (lam, g) in enumerate(zip(ons_bets(gs).tolist(), gs.tolist())):
@@ -617,7 +644,8 @@ def _records(y):
 def _later_game_first():
     """Four groups whose widest gap is on the last adjacent pair."""
     y = (np.random.default_rng(5).random((400, 4)) < [0.8, 0.5, 0.5, 0.1]).astype(float)
-    return AuditConfig(alpha=0.05, group_count=4), y, simple_args(y)
+    config = AuditConfig(alpha=0.05, group_count=4)
+    return config, y, block(config, y)
 
 
 def _tied_games():
@@ -625,13 +653,15 @@ def _tied_games():
     gen = np.random.default_rng(6)
     d = gen.choice([-0.25, 0.0, 0.25, 0.5], size=(400, 1), p=[0.2, 0.2, 0.3, 0.3])
     y = 0.5 + np.hstack([d, np.zeros_like(d), -d])
-    return AuditConfig(alpha=0.05, group_count=3), y, simple_args(y)
+    config = AuditConfig(alpha=0.05, group_count=3)
+    return config, y, block(config, y)
 
 
 def _composite_lower():
     """Composite, one-sided games (bet bound 0) where only the lower one crosses."""
     y = (np.random.default_rng(7).random((400, 2)) < [0.2, 0.8]).astype(float)
-    return AuditConfig(alpha=0.05, strategy=Composite(epsilon=0.05)), y, composite_args(y, 0.05)
+    config = AuditConfig(alpha=0.05, strategy=Composite(epsilon=0.05))
+    return config, y, block(config, y)
 
 
 @pytest.mark.parametrize(
@@ -657,6 +687,54 @@ def test_run_args_settles_a_rejection_inside_a_block(case, rejecting, cuts, keep
     blocks = [args[a:b] for a, b in zip(edges, edges[1:])]
     assert run_args(config, blocks, record_trajectory=keep) == reference
     assert run_args(config, list(args[:, None]), record_trajectory=keep) == reference
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_BIT_CASES = {
+    "simple-2": lambda d: AuditConfig(alpha=0.05),
+    "simple-4": lambda d: AuditConfig(alpha=0.05, group_count=4),
+    "composite": lambda d: AuditConfig(alpha=0.05, strategy=Composite(epsilon=d.draw(st.floats(0.01, 0.99)))),
+    # The heaviest weight is 4, so a scale of delta_min / 8 takes it exactly at the bound.
+    "propensity": lambda d: AuditConfig(alpha=0.05, strategy=Propensity(scale=0.125)),
+    "estimated-density": lambda d: _estimated_config(d.draw(st.floats(0.1, 1.0)), d.draw(st.floats(0.0, 2.0))),
+}
+
+
+def _estimated_config(delta_min, spread):
+    strategy = EstimatedDensity(delta_min=delta_min, delta_max=delta_min + spread, scale=delta_min / 8.0)
+    return AuditConfig(alpha=0.05, strategy=strategy)
+
+
+@pytest.mark.parametrize("case", _BIT_CASES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_block_args_rows_are_the_record_steps_bits(case, data):
+    """Each row of the array path's arguments holds the bits the strategy's
+    step gives that step's records.  Weights are drawn up to the heaviest
+    the scale takes, which one record carries exactly: scale * 4 ==
+    delta_min / 2, where both arrival checks still let it through."""
+    config = _BIT_CASES[case](data)
+    session = session_new(config)
+    groups, weight, strategy = config.group_count, session.row.weight, config.strategy
+    y = data.draw(st.lists(st.lists(_UNIT, min_size=groups, max_size=groups), min_size=1, max_size=8))
+    fields = {}
+    if weight is not None:
+        propensity = data.draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
+                                        min_size=len(y), max_size=len(y)))
+        share = data.draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
+                                   min_size=len(y), max_size=len(y)))
+        heaviest = data.draw(st.tuples(st.integers(0, len(y) - 1), st.integers(0, 1)))
+        share[heaviest[0]][heaviest[1]] = 1.0
+        fields = {"propensity": np.array(propensity), weight: 4.0 * np.array(share) * propensity}
+        assert strategy.scale * 4.0 == strategy.delta_min / 2.0
+        assert not refused_weights(fields[weight] / fields["propensity"], strategy.scale, strategy.delta_min).any()
+    args = block_args(session, np.array(y), fields)
+    for k, row in enumerate(y):
+        point = {name: col[k].tolist() for name, col in fields.items()}  # group b's value at index b
+        records = [AuditRecord(k + 1, b, v, **{name: vs[b] for name, vs in point.items()}) for b, v in enumerate(row)]
+        for record in records if weight is not None else ():
+            check_record_weight(record, weight, strategy)
+        assert [g.hex() for g in args[k].tolist()] == [g.hex() for g in session.row.step(session, records)]
 
 
 def test_run_stream_steps_through_the_module_globals(monkeypatch):

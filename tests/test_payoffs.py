@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqaudit.columns import composite_args, simple_args
-from seqaudit.core import AuditConfig, AuditRecord, Batched, InvariantError, ValidationError
+from seqaudit.columns import block_args
+from seqaudit.core import AuditConfig, AuditRecord, Batched, Composite, InvariantError, Propensity, ValidationError
 from seqaudit.engine import session_new, session_step
 from seqaudit.payoffs import (
     BatchAccumulator,
@@ -34,7 +34,7 @@ SCALE = 1.0 / (2.0 * max(OMEGA))  # 0.25
 
 
 def _simple(y0, y1):
-    (g,) = simple_args(np.array([[y0, y1]]))[0]
+    (g,) = block_args(session_new(AuditConfig(alpha=0.05)), np.array([[y0, y1]]))[0]
     return g
 
 
@@ -46,7 +46,8 @@ def _propensity(y0, y1, w0, w1, scale):
 
 
 def _composite(y0, y1, eps):
-    g_q, g_r = composite_args(np.array([[y0, y1]]), eps)[0]
+    session = session_new(AuditConfig(alpha=0.05, strategy=Composite(epsilon=eps)))
+    g_q, g_r = block_args(session, np.array([[y0, y1]]))[0]
     return g_q, g_r
 
 
@@ -113,8 +114,10 @@ def test_propensity_null_mean_by_enumeration(lam):
 
 
 def test_propensity_rejects_inconsistent_scale():
+    """A weight the scale cannot take is refused as its record arrives."""
+    session = session_new(AuditConfig(alpha=0.05, strategy=Propensity(scale=0.2)))
     with pytest.raises(InvariantError):
-        _propensity(1.0, 0.0, 4.0, 1.0, 0.2)  # 0.2 * 4 > 1/2
+        session_step(session, AuditRecord(t=1, group=0, y_hat=1.0, propensity=0.25, density=1.0))  # 0.2 * 4 > 1/2
 
 
 def test_estimated_density_zero_outputs_unit_payoff():
