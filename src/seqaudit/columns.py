@@ -268,13 +268,13 @@ def block_args(session: AuditSession, y: np.ndarray, fields: dict[str, np.ndarra
     The paired steps use only + - * /, which numpy applies to each float64
     element as Python applies it to a float, so each row holds the record
     path's bits.  Weights are checked where their records arrive, not here."""
-    y_t, groups = y.T, range(y.shape[1])
+    y_t, groups, new = y.T, range(y.shape[1]), tuple.__new__
     if fields:
         cols = [None if f is None else f.T for f in map(fields.get, _OPTIONAL_FIELDS)]
-        rows = [(None, b, y_t[b], *[None if f is None else f[b] for f in cols]) for b in groups]
+        views = [new(RecordColumns, (None, b, y_t[b], *[None if f is None else f[b] for f in cols])) for b in groups]
     else:  # unweighted: no per-group list of fields, which doubles a block's cost here
-        rows = [(None, b, y_t[b], None, None, None) for b in groups]
-    return np.array(session.row.step(session, [tuple.__new__(RecordColumns, row) for row in rows])).T
+        views = [new(RecordColumns, (None, b, y_t[b], None, None, None)) for b in groups]
+    return np.array(session.row.step(session, views)).T
 
 
 def batched_args(y: np.ndarray) -> np.ndarray:

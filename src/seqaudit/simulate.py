@@ -496,10 +496,12 @@ def _arg_blocks(
                 raise missing_weight_error(1, 0, row.weight)
             w = point_fields[row.weight] / point_fields["propensity"]
             refused = np.flatnonzero(refused_weights(w, s.scale, s.delta_min))
-            j, b = divmod(int(refused[0]), w.shape[1]) if refused.size else (len(y), 0)
+            if not refused.size:
+                yield block_args(session, y, point_fields)
+                continue
+            j, b = divmod(int(refused[0]), w.shape[1])  # records arrive by step, then group
             yield block_args(session, y[:j], {k: v[:j] for k, v in point_fields.items()})
-            if j < len(y):
-                check_weight(b, w[j, b].item(), s.scale, s.delta_min)
+            check_weight(b, w[j, b].item(), s.scale, s.delta_min)  # refuses it
 
 
 _SCENARIO_TAGS = {
