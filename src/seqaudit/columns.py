@@ -258,23 +258,17 @@ def _int_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def block_args(session: AuditSession, y: np.ndarray, fields: dict[str, np.ndarray] | None = None) -> np.ndarray:
+def block_args(session: AuditSession, y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """Payoff arguments of a block of steps for :func:`engine.run_args`,
     one row per step and one column per game: the session's own step, the
-    one the record path runs, called once with one view per group for its
-    records.  Group b's view holds ``y[:, b]`` as its outputs and
-    ``fields[name][:, b]`` as each record field ``fields`` names (the
-    propensity and weight field a weighted step reads), None for the rest.
-    The paired steps use only + - * /, which numpy applies to each float64
-    element as Python applies it to a float, so each row holds the record
-    path's bits.  Weights are checked where their records arrive, not here."""
-    y_t, groups, new = y.T, range(y.shape[1]), tuple.__new__
-    if fields:
-        cols = [None if f is None else f.T for f in map(fields.get, _OPTIONAL_FIELDS)]
-        views = [new(RecordColumns, (None, b, y_t[b], *[None if f is None else f[b] for f in cols])) for b in groups]
-    else:  # unweighted: no per-group list of fields, which doubles a block's cost here
-        views = [new(RecordColumns, (None, b, y_t[b], None, None, None)) for b in groups]
-    return np.array(session.row.step(session, views)).T
+    one the record path runs, called once with one value per group, as
+    columns: group b's outputs ``y[:, b]``, paired with its weights
+    ``w[:, b]`` for a weighted step.  The paired steps use only + - * /,
+    which numpy applies to each float64 element as Python applies it to a
+    float, so each row holds the record path's bits.  Weights are checked
+    where their records arrive, not here."""
+    values = list(y.T) if w is None else list(zip(y.T, w.T))
+    return np.array(session.row.step(session, values)).T
 
 
 def batched_args(y: np.ndarray) -> np.ndarray:
@@ -288,7 +282,7 @@ def batched_args(y: np.ndarray) -> np.ndarray:
 
 
 def refused_weights(w: np.ndarray, scale: float, delta_min: float) -> np.ndarray:
-    """Where :func:`payoffs.check_weight` refuses a weight of the array
+    """Where :func:`payoffs.propensity_context` refuses a weight of the array
     ``w``, NaN (a record without its weight fields) included.  Comparing NaN
     or infinity raises no floating-point error."""
     return ~((w > 0.0) & (w < np.inf) & (scale * w <= 0.5 * delta_min * (1.0 + _SCALE_RTOL)))
@@ -316,9 +310,9 @@ def run_columns(
 
 class _Backlog:
     """One group's unpaired records, oldest first: pieces of one array per
-    field the strategy reads, each piece the records of one chunk, and how
-    many records of the oldest piece are already paired.  A waiting record
-    costs its fields' bytes, however long it waits."""
+    value the strategy's step reads, each piece the records of one chunk,
+    and how many records of the oldest piece are already paired.  A waiting
+    record costs its values' bytes, however long it waits."""
 
     __slots__ = ("pieces", "head", "size")
 
@@ -327,13 +321,13 @@ class _Backlog:
         self.head = 0
         self.size = 0
 
-    def push(self, fields: list[np.ndarray]) -> None:
-        if len(fields[0]):
-            self.pieces.append(fields)
-            self.size += len(fields[0])
+    def push(self, values: list[np.ndarray]) -> None:
+        if len(values[0]):
+            self.pieces.append(values)
+            self.size += len(values[0])
 
     def take(self, m: int) -> list[np.ndarray]:
-        """The fields of the ``m`` oldest records, which leave the backlog."""
+        """The values of the ``m`` oldest records, which leave the backlog."""
         self.size -= m
         parts = []
         while m:
@@ -355,27 +349,25 @@ def _paired_args(config: AuditConfig, chunks: Iterable[RecordColumns]) -> Iterab
     that :func:`engine.session_step` refuses as it arrives, by its group or
     its weight, ends the blocks, after the steps of the records before it,
     with the error the record path raises there.  A weighted strategy's
-    records wait with the fields its step reads: output, propensity and
-    weight field."""
+    records wait with the values its step reads: output and the weight
+    the refusal cut derived."""
     session = session_new(config, record_trajectory=False)
     weight = session.row.weight
-    names = ("y_hat",) if weight is None else ("y_hat", "propensity", weight)
     backlogs = [_Backlog() for _ in range(config.group_count)]
     for cols in chunks:
         masks = [cols.group == group for group in range(config.group_count)]
-        fields = [getattr(cols, name) for name in names]
+        values = [cols.y_hat]
         refused = ~np.logical_or.reduce(masks)
         if weight is not None:
             with np.errstate(all="ignore"):  # the record path divides silently too
-                w = fields[2] / fields[1]
-            refused |= refused_weights(w, config.strategy.scale, config.strategy.delta_min)
+                values.append(getattr(cols, weight) / cols.propensity)
+            refused |= refused_weights(values[1], config.strategy.scale, config.strategy.delta_min)
         cut = int(np.argmax(refused)) if refused.any() else len(refused)
         for mask, backlog in zip(masks, backlogs):
-            backlog.push([col[:cut][mask[:cut]] for col in fields])
+            backlog.push([col[:cut][mask[:cut]] for col in values])
         steps = min(backlog.size for backlog in backlogs)
         if steps:
-            y, *rest = (np.array(cols).T for cols in zip(*(b.take(steps) for b in backlogs)))
-            yield block_args(session, y, dict(zip(names[1:], rest)))
+            yield block_args(session, *(np.array(per_group).T for per_group in zip(*(b.take(steps) for b in backlogs))))
         if cut < len(refused):  # the session refuses that record, NaN read as a missing field
             record = AuditRecord(*(None if v != v else v for v in (col[cut : cut + 1].tolist()[0] for col in cols)))
             session_step(session, record)

@@ -39,9 +39,7 @@ from .core import (
     group_range_error,
     wealth_from_log,
 )
-from .payoffs import (
-    BatchAccumulator, batch_payoff, batch_push, check_record_weight, payoff_propensity, propensity_context,
-)
+from .payoffs import BatchAccumulator, batch_payoff, batch_push, payoff_propensity, propensity_context
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,18 +111,20 @@ class StrategyRow:
     ``games(config)`` gives the game ids; the games share the threshold
     len(games)/alpha.  ``lo`` is the lower bet bound: 0 for one-sided games,
     whose nulls only bound the argument's mean from above, -1/2 otherwise.
-    ``step(session, records)`` maps one step's records, one per group in
-    group order, to one payoff argument per game; ``columns.block_args``
-    runs the same step once on a block of steps, each group's records as
-    columns.  ``weight`` names the record field that, over the propensity,
-    gives the weights a weighted strategy reads and checks as each record
-    arrives (None for the others).  ``batched`` marks a strategy whose step
-    is a single record rather than one per group: ``step`` takes that record.
+    ``step(session, values)`` maps one step's values, one per group in
+    group order, to one payoff argument per game: each value is a record's
+    output, or its (output, weight) pair for a weighted strategy.
+    ``columns.block_args`` runs the same step once on a block of steps,
+    each group's values as float64 columns.  ``weight`` names the record
+    field that, over the propensity, gives the weight a weighted strategy
+    derives and checks as each record arrives (None for the others).
+    ``batched`` marks a strategy whose step is a single record rather than
+    one per group: ``step`` takes that record.
     """
 
     games: Callable[[AuditConfig], list[str]]
     lo: float
-    step: Callable[[AuditSession, Sequence[AuditRecord] | AuditRecord], Sequence[float]]
+    step: Callable[[AuditSession, Sequence | AuditRecord], Sequence[float]]
     weight: str | None = None
     batched: bool = False
 
@@ -137,7 +137,8 @@ class AuditSession:
     terminal, and a terminal decision carrying ``u_draw`` is the randomized
     terminal step's.  ``steps`` counts the steps every game has taken.
     Records not yet in a step wait in ``batch`` when batched, and otherwise
-    in ``waiting``, one first-in-first-out queue per group."""
+    in ``waiting``, one first-in-first-out queue per group, as the values
+    their step reads: the output, or the (output, weight) pair."""
 
     config: AuditConfig
     row: StrategyRow
@@ -145,7 +146,7 @@ class AuditSession:
     log_threshold: float
     status: Decision
     batch: BatchAccumulator | None = None
-    waiting: list[deque[AuditRecord]] | None = None
+    waiting: list[deque] | None = None
     steps: int = 0
 
 
@@ -159,14 +160,14 @@ def _one_sided_pair(config: AuditConfig) -> list[str]:
 
 # Argument functions.  They call the payoff helpers through this module's
 # globals on every step, so a wrapper installed there sees each call.  The
-# paired ones use only + - * / on the records' fields, so they also take
-# per-group column views of a block of steps (``columns.block_args``).
+# paired ones use only + - * / on the values, so they also take per-group
+# float64 columns of a block of steps (``columns.block_args``).
 
 
-def _simple_step(session: AuditSession, records) -> list[float]:
+def _simple_step(session: AuditSession, ys) -> list[float]:
     args = []  # a loop: before Python 3.12 a comprehension builds a frame per step
-    for rec0, rec1 in pairwise(records):
-        args.append(rec0.y_hat - rec1.y_hat)
+    for y0, y1 in pairwise(ys):
+        args.append(y0 - y1)
     return args
 
 
@@ -176,17 +177,16 @@ def _batched_step(session: AuditSession, record: AuditRecord) -> tuple[float]:
     return (batch_payoff(session.batch, record),)
 
 
-def _composite_step(session: AuditSession, records) -> tuple[float, float]:
-    rec0, rec1 = records
+def _composite_step(session: AuditSession, ys) -> tuple[float, float]:
+    y0, y1 = ys
     eps = session.config.strategy.epsilon
-    return rec0.y_hat - rec1.y_hat - eps, rec1.y_hat - rec0.y_hat - eps
+    return y0 - y1 - eps, y1 - y0 - eps
 
 
-def _weighted_step(session: AuditSession, records) -> tuple[float, ...]:
-    rec0, rec1 = records
-    w0, w1 = propensity_context(rec0, rec1, session.row.weight)
+def _weighted_step(session: AuditSession, values) -> tuple[float, ...]:
+    (y0, w0), (y1, w1) = values
     s = session.config.strategy
-    args = payoff_propensity(rec0.y_hat, rec1.y_hat, w0, w1, s.scale, s.delta_min, s.delta_max)
+    args = payoff_propensity(y0, y1, w0, w1, s.scale, s.delta_min, s.delta_max)
     return args[:len(session.games)]
 
 
@@ -242,9 +242,10 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
     """Feed one record; return the session and the decision after it.  A
     batched session steps on every record.  Otherwise the record waits
     until every group has one; then the oldest record of each group, in
-    group order, forms the step.  Until then the games stay as they are.
-    Each record's group, and weight under a weighted strategy, is checked
-    as it arrives: a refused record leaves the session as it was."""
+    group order, forms the step.  Until then the games stay as they are,
+    and the record waits as the value its step reads.  Each record's
+    group, and weight under a weighted strategy, is checked as it arrives:
+    a refused record leaves the session as it was."""
     if session.status.kind is not _CONTINUE:
         raise SessionStateError("session already reached a terminal decision; records refused")
     if not isinstance(record, AuditRecord):
@@ -254,10 +255,9 @@ def session_step(session: AuditSession, record: AuditRecord) -> tuple[AuditSessi
         raise group_range_error(group, session.config.group_count)
     step, waiting = record, session.waiting
     if waiting is not None:
-        if session.row.weight is not None:
-            check_record_weight(record, session.row.weight, session.config.strategy)
+        weight = session.row.weight
         queue = waiting[group]
-        queue.append(record)
+        queue.append(record.y_hat if weight is None else propensity_context(record, weight, session.config.strategy))
         # Only a record that found its queue empty can complete a step.
         if len(queue) > 1 or not all(waiting):
             return session, session.status

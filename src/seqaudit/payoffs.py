@@ -58,37 +58,13 @@ def payoff_propensity(
 
     Pure arithmetic (+ - * / only), so float64 arrays of outputs and
     weights give each element the bits of the scalar call.  Each weight has
-    passed :func:`check_weight` where its record arrived, so each argument
+    passed :func:`propensity_context` (or its array cut,
+    ``columns.refused_weights``) where its record arrived, so each argument
     lies within [-1/2, 1/2] (as delta_min <= delta_max and the outputs lie
     in [0, 1]).
     """
     a, b = y0 * w0, y1 * w1
     return scale * (a / delta_max - b / delta_min), scale * (b / delta_max - a / delta_min)
-
-
-def check_weight(group: int, w: float, scale: float, delta_min: float) -> None:
-    """Refuse the weight ``w`` of an observed point of group ``group`` unless
-    it is positive, finite and light enough: scale * w <= delta_min / 2.  A
-    scale that breaks this would break the supermartingale property, so it
-    fails loudly instead of being rescaled."""
-    _check_positive(f"omega_{group}", w)
-    if scale * w > 0.5 * delta_min * (1.0 + _SCALE_RTOL):
-        limit = "1/(2w)" if delta_min == 1.0 else "delta_min/(2w)"
-        raise InvariantError(
-            f"corrective scale {scale!r} exceeds {limit} at an observed point of group {group} (weight {w!r})"
-        )
-
-
-def check_record_weight(record: AuditRecord, field: str, strategy: Propensity | EstimatedDensity) -> None:
-    """Refuse a record without its weight fields, or whose weight (``field``
-    over its propensity) :func:`check_weight` refuses at the strategy's
-    scale and lower error bound, with the error the payoff would raise."""
-    rho, p = getattr(record, field), record.propensity
-    if rho is None or p is None:
-        raise missing_weight_error(record.t, record.group, field)
-    w = rho / p
-    if not (0.0 < w and strategy.scale * w <= 0.5 * strategy.delta_min * (1.0 + _SCALE_RTOL)):
-        check_weight(record.group, w, strategy.scale, strategy.delta_min)
 
 
 def batch_push(acc: BatchAccumulator, record: AuditRecord) -> bool:
@@ -114,22 +90,26 @@ def batch_payoff(acc: BatchAccumulator, record: AuditRecord) -> float:
     return mean - record.y_hat if record.group == 1 else record.y_hat - mean
 
 
-def weight_from_record(record: AuditRecord, field: str) -> float:
-    """Importance weight of one record: its ``field`` (``density`` or
-    ``density_estimate``) over its propensity."""
-    rho = getattr(record, field)
-    if record.propensity is None or rho is None:
-        raise missing_weight_error(record.t, record.group, field)
-    return rho / record.propensity
-
-
-def missing_weight_error(t: int, group: int, field: str) -> ValidationError:
-    """The error of a weighted payoff fed a record without its weight fields."""
-    return ValidationError(
-        f"record at t={t} group={group} lacks propensity or {field} required by the weighted payoff"
-    )
-
-
-def propensity_context(rec0: AuditRecord, rec1: AuditRecord, field: str) -> tuple[float, float]:
-    """Weights (w0, w1) of a step's two records for :func:`payoff_propensity`."""
-    return weight_from_record(rec0, field), weight_from_record(rec1, field)
+def propensity_context(record: AuditRecord, field: str, strategy: Propensity | EstimatedDensity) -> tuple[float, float]:
+    """The output and weight (y_hat, w) that a weighted step reads of
+    ``record``, derived once, as the record arrives: w is its ``field``
+    (``density`` or ``density_estimate``) over its propensity.  Refuse a
+    record without those fields, and a weight that is not positive, finite
+    and light enough: scale * w <= delta_min / 2.  A scale that breaks this
+    would break the supermartingale property, so it fails loudly instead of
+    being rescaled.  The name is older than this role; it stays because
+    ``perfbench/tracer.py`` folds the engine's calls by it."""
+    rho, p = getattr(record, field), record.propensity
+    if rho is None or p is None:
+        raise ValidationError(
+            f"record at t={record.t} group={record.group} lacks propensity or {field} required by the weighted payoff"
+        )
+    w = rho / p
+    if not (0.0 < w and strategy.scale * w <= 0.5 * strategy.delta_min * (1.0 + _SCALE_RTOL)):
+        _check_positive(f"omega_{record.group}", w)
+        limit = "1/(2w)" if strategy.delta_min == 1.0 else "delta_min/(2w)"
+        raise InvariantError(
+            f"corrective scale {strategy.scale!r} exceeds {limit} at an observed point"
+            f" of group {record.group} (weight {w!r})"
+        )
+    return record.y_hat, w

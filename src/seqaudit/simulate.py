@@ -16,9 +16,8 @@ from .core import (
     AuditConfig, AuditRecord, DecisionKind, ValidationError, _from_dict, _is_number, check_seed, is_count,
 )
 from .columns import batched_args, block_args, refused_weights
-from .engine import AuditSession, run_args, session_new
+from .engine import AuditSession, run_args, session_new, session_step
 from .engine import run_stream  # noqa: F401  (perfbench's tracer wraps it here)
-from .payoffs import check_weight, missing_weight_error
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -480,28 +479,33 @@ def _arg_blocks(
     the session's own step run on each block's columns by
     ``columns.block_args``, or ``columns.batched_args`` for a batched
     audit.  A weighted strategy's weights (its row's field over the
-    propensity) are checked as the record path checks each record as it
-    arrives, by step, then group: a block that reaches a record whose
-    weight :func:`payoffs.check_weight` refuses yields the rows before its
-    step and raises the error on the next pull, so it surfaces at the step
-    the record path raises it, and never once the run has stopped."""
+    propensity, NaN where the draw lacks that field) are derived once per
+    block and checked as the record path checks each record as it
+    arrives, by step, then group: a block that reaches a record the check
+    refuses yields the rows before its step, and on the next pull the
+    session refuses that record, built from the draw, with the record
+    path's error, so it surfaces at the step the record path raises it,
+    and never once the run has stopped."""
     row, s = session.row, session.config.strategy
-    for _, y, point_fields in _blocks(draw, rng, horizon, clamped, _BLOCK_FIRST):
+    for t, y, point_fields in _blocks(draw, rng, horizon, clamped, _BLOCK_FIRST):
         if row.batched:
             yield batched_args(y)
         elif row.weight is None:
             yield block_args(session, y)
         else:
-            if row.weight not in (point_fields or ()):  # every record lacks it: the first is refused
-                raise missing_weight_error(1, 0, row.weight)
-            w = point_fields[row.weight] / point_fields["propensity"]
+            point_fields = point_fields or {}
+            if row.weight in point_fields:
+                w = point_fields[row.weight] / point_fields["propensity"]
+            else:  # every record lacks it: the first is refused
+                w = np.full(y.shape, math.nan)
             refused = np.flatnonzero(refused_weights(w, s.scale, s.delta_min))
             if not refused.size:
-                yield block_args(session, y, point_fields)
+                yield block_args(session, y, w)
                 continue
             j, b = divmod(int(refused[0]), w.shape[1])  # records arrive by step, then group
-            yield block_args(session, y[:j], {k: v[:j] for k, v in point_fields.items()})
-            check_weight(b, w[j, b].item(), s.scale, s.delta_min)  # refuses it
+            yield block_args(session, y[:j], w[:j])
+            point = (f[j, b].item() for f in point_fields.values())
+            session_step(session, AuditRecord(t + j + 1, b, y[j, b].item(), *point))  # refuses it
 
 
 _SCENARIO_TAGS = {

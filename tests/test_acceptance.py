@@ -451,14 +451,16 @@ def _block_fpr(strategy, draw, seed, alpha, reps):
     """FPR of the audit under ``strategy`` over replicates of ``draw``,
     through ``run_args`` on the strategy's step run by ``block_args``.
     ``draw`` maps a seed to one replicate's outputs, record fields and
-    records; the first
-    replicate is checked against ``run_stream`` over its records, bit for
-    bit."""
+    records; the fields' weights go to ``block_args`` with the outputs.
+    The first replicate is checked against ``run_stream`` over its records,
+    bit for bit."""
     hits = 0
     for i in range(reps):
         y, fields, records = draw(derive_seed(seed, i))
         config = AuditConfig(alpha=alpha, strategy=strategy, seed=derive_seed(seed + 1, i))
-        report = run_args(config, [block_args(session_new(config), y, fields)], record_trajectory=i == 0)
+        session = session_new(config)
+        w = None if fields is None else fields[session.row.weight] / fields["propensity"]
+        report = run_args(config, [block_args(session, y, w)], record_trajectory=i == 0)
         if i == 0:
             assert run_stream(config, records()) == report
         hits += report.decision.is_rejection

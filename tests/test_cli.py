@@ -1241,10 +1241,14 @@ def test_column_audit_backlog_stays_small(tmp_path):
     assert peak < 4 * 2**20, peak
 
 
-@pytest.mark.parametrize("strategy", [Simple(), Propensity(scale=0.25)], ids=["simple", "propensity"])
-def test_record_audit_backlog_holds_only_the_waiting_records(strategy):
+@pytest.mark.parametrize(
+    "strategy, per_record", [(Simple(), 48), (Propensity(scale=0.25), 128)], ids=["simple", "propensity"]
+)
+def test_record_audit_backlog_holds_only_the_waiting_records(strategy, per_record):
     """A flood from one group, read line by line as stdin is, waits in the
-    session's queues as records and nothing more: at most 256 B each."""
+    session's queues as the values its steps read and nothing more: a
+    float output each under simple (at most 48 B), an (output, weight)
+    pair of floats each under propensity (at most 128 B)."""
     waiting = 100_000
     line = '{{"t": {}, "group": {}, "y_hat": 0.5, "propensity": 0.5, "density": 0.25}}\n'
     stream = io.StringIO("".join(line.format(t, 0) for t in range(1, waiting + 1)) + line.format(1, 1))
@@ -1256,7 +1260,7 @@ def test_record_audit_backlog_holds_only_the_waiting_records(strategy):
     finally:
         tracemalloc.stop()
     assert report.decision.kind is DecisionKind.CONTINUE
-    assert peak <= 256 * waiting, peak / waiting
+    assert peak <= per_record * waiting, peak / waiting
 
 
 def test_column_audit_checks_groups_against_the_audit(tmp_path):

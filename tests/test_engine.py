@@ -39,7 +39,7 @@ from seqaudit.engine import (
     session_step,
 )
 from seqaudit.ingest import report_to_dict
-from seqaudit.payoffs import check_record_weight
+from seqaudit.payoffs import propensity_context
 
 from conftest import bernoulli_pair_stream
 
@@ -52,6 +52,14 @@ def block(config, y):
     """Arguments of the steps whose outputs are the rows of ``y``, from the
     strategy's own step."""
     return block_args(session_new(config), y)
+
+
+def queued(session, records):
+    """The values ``session`` queues for a step's records as they arrive,
+    one per group in group order: the output, or for a weighted strategy
+    the (output, weight) pair of its arrival check."""
+    weight, strategy = session.row.weight, session.config.strategy
+    return [r.y_hat if weight is None else propensity_context(r, weight, strategy) for r in records]
 
 
 def feed_step(session, records):
@@ -132,19 +140,20 @@ def test_a_waiting_record_leaves_the_games_as_they_are(strategy, groups):
     """Until every group has a record waiting, a record only waits: the
     decision is continue and the step count and every game's state, bit
     for bit, stay as they are.  The record that completes the step takes
-    the oldest waiting record of each group."""
+    the oldest waiting record of each group, and the newer ones wait on as
+    the outputs their step reads."""
     session = session_new(AuditConfig(alpha=0.05, strategy=strategy, group_count=groups))
     for t in range(1, 4):
         feed_step(session, [AuditRecord(t=t, group=b, y_hat=(t * (b + 1)) % 5 / 4) for b in range(groups)])
     before = [_bits(game) for game in session.games]
     for t in (4, 5):
         for b in range(groups - 1):
-            _, decision = session_step(session, AuditRecord(t=t, group=b, y_hat=float(b == 0)))
+            _, decision = session_step(session, AuditRecord(t=t, group=b, y_hat=(t + b) / 8))
             assert decision.kind is DecisionKind.CONTINUE
             assert session.steps == 3 and [_bits(game) for game in session.games] == before
     _, decision = session_step(session, AuditRecord(t=4, group=groups - 1, y_hat=0.0))
     assert session.steps == 4 and [_bits(game) for game in session.games] != before
-    assert [[r.t for r in queue] for queue in session.waiting] == [[5]] * (groups - 1) + [[]]
+    assert [list(queue) for queue in session.waiting] == [[(5 + b) / 8] for b in range(groups - 1)] + [[]]
 
 
 def test_a_record_that_would_only_wait_is_refused_after_a_rejection():
@@ -337,7 +346,7 @@ def test_propensity_strategy_through_engine():
         AuditRecord(t=1, group=1, y_hat=0.0, propensity=0.5, density=0.5),
     ]
     # weights are (2.0, 1.0); g = 0.25 * (1 * 2 - 0) = 0.5; first bet is 0.
-    assert session.row.step(session, records) == (0.5,)
+    assert session.row.step(session, queued(session, records)) == (0.5,)
     _, decision = feed_step(session, records)
     assert decision.kind is DecisionKind.CONTINUE
     assert session.games[0].log_wealth == 0.0
@@ -358,7 +367,7 @@ def test_estimated_density_strategy_through_engine():
     ]
     # estimated weights (2.0, 1.0): upper = 0.125 * (2 / 2 - 0.5 / 0.5) = 0,
     # lower = 0.125 * (0.5 / 2 - 2 / 0.5) = -0.46875
-    assert session.row.step(session, records) == (0.0, -0.46875)
+    assert session.row.step(session, queued(session, records)) == (0.0, -0.46875)
     feed_step(session, records)
     upper, lower = session.games
     assert upper.lam == lower.lam == 0.0  # a negative argument cannot push a bet below 0
@@ -383,7 +392,7 @@ def test_estimated_density_at_unit_bounds_is_propensity_bit_for_bit():
             records.append(AuditRecord(t=t, group=b, y_hat=rng.random(),
                                        propensity=rng.uniform(0.25, 1.0), density=rho,
                                        density_estimate=rho))
-        (g,), (upper, _) = prop.row.step(prop, records), est.row.step(est, records)
+        (g,), (upper, _) = prop.row.step(prop, queued(prop, records)), est.row.step(est, queued(est, records))
         assert g.hex() == upper.hex(), f"step {t}"
         feed_step(prop, records)
         feed_step(est, records)
@@ -512,7 +521,7 @@ def test_wealth_positive_and_log_consistent():
     session = session_new(config)
     for t in range(200):
         records = [stream[2 * t], stream[2 * t + 1]]
-        assert all(abs(g) <= 1.0 for g in session.row.step(session, records))
+        assert all(abs(g) <= 1.0 for g in session.row.step(session, queued(session, records)))
         feed_step(session, records)
     report = build_report(session)
     assert report.wealth_final > 0.0
@@ -717,7 +726,7 @@ def test_block_args_rows_are_the_record_steps_bits(case, data):
     session = session_new(config)
     groups, weight, strategy = config.group_count, session.row.weight, config.strategy
     y = data.draw(st.lists(st.lists(_UNIT, min_size=groups, max_size=groups), min_size=1, max_size=8))
-    fields = {}
+    fields, w = {}, None
     if weight is not None:
         propensity = data.draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
                                         min_size=len(y), max_size=len(y)))
@@ -727,14 +736,66 @@ def test_block_args_rows_are_the_record_steps_bits(case, data):
         share[heaviest[0]][heaviest[1]] = 1.0
         fields = {"propensity": np.array(propensity), weight: 4.0 * np.array(share) * propensity}
         assert strategy.scale * 4.0 == strategy.delta_min / 2.0
-        assert not refused_weights(fields[weight] / fields["propensity"], strategy.scale, strategy.delta_min).any()
-    args = block_args(session, np.array(y), fields)
+        w = fields[weight] / fields["propensity"]
+        assert not refused_weights(w, strategy.scale, strategy.delta_min).any()
+    args = block_args(session, np.array(y), w)
     for k, row in enumerate(y):
         point = {name: col[k].tolist() for name, col in fields.items()}  # group b's value at index b
         records = [AuditRecord(k + 1, b, v, **{name: vs[b] for name, vs in point.items()}) for b, v in enumerate(row)]
-        for record in records if weight is not None else ():
-            check_record_weight(record, weight, strategy)
-        assert [g.hex() for g in args[k].tolist()] == [g.hex() for g in session.row.step(session, records)]
+        step_args = session.row.step(session, queued(session, records))
+        assert [g.hex() for g in args[k].tolist()] == [g.hex() for g in step_args]
+
+
+# Audits whose arrival checks "refusal is removal" covers.  Each weighted
+# one takes weights up to 4: scale * 4 == delta_min / 2.
+_REFUSAL_CASES = {
+    "simple-2": AuditConfig(alpha=1e-6),
+    "simple-3": AuditConfig(alpha=1e-6, group_count=3),
+    "composite": AuditConfig(alpha=1e-6, strategy=Composite(epsilon=0.05)),
+    "propensity": AuditConfig(alpha=1e-6, strategy=Propensity(scale=0.125)),
+    "estimated-density": AuditConfig(alpha=1e-6, strategy=EstimatedDensity(0.5, 2.0, scale=0.0625)),
+}
+_ARRIVALS = st.tuples(
+    st.sampled_from([None, None, None, "group", "missing", "heavy"]),  # the record's fault
+    st.integers(0, 2), _UNIT, st.floats(0.05, 1.0), st.floats(0.01, 1.0),  # group, y_hat, propensity, share
+)
+
+
+@pytest.mark.parametrize("case", _REFUSAL_CASES)
+@given(arrivals=st.lists(_ARRIVALS, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_refusal_is_removal(case, arrivals):
+    """A session fed records one at a time, each refusal caught, ends as a
+    session fed only the records it accepted: every game's state and
+    trajectory bit for bit, the step count and the queued values.  It
+    refuses exactly the faulty records: a group out of range, and under a
+    weighted strategy a record without its weight field or with a weight
+    above the heaviest its scale takes.  The threshold is out of reach, so
+    no decision ends the stream early."""
+    config = _REFUSAL_CASES[case]
+    groups, weight = config.group_count, session_new(config).row.weight
+    records, faulty = [], []
+    for t, (fault, g, y, p, share) in enumerate(arrivals, 1):
+        fields = {} if fault == "missing" else {"propensity": p, weight or "density": 4.0 * share * p}
+        if fault == "heavy":
+            fields[weight or "density"] = 4.0 * (1.0 + share) * p
+        records.append(AuditRecord(t, groups + g if fault == "group" else g % groups, y, **fields))
+        faulty.append(fault == "group" or fault is not None and weight is not None)
+    fed, accepted, refused = session_new(config), session_new(config), []
+    for record in records:
+        try:
+            session_step(fed, record)
+        except (ValidationError, InvariantError):
+            refused.append(True)
+        else:
+            refused.append(False)
+            session_step(accepted, record)
+    assert refused == faulty
+    for session in (fed, accepted):
+        assert session.status.kind is DecisionKind.CONTINUE
+    assert [_bits(g) for g in fed.games] == [_bits(g) for g in accepted.games]
+    assert fed.steps == accepted.steps
+    assert [list(q) for q in fed.waiting] == [list(q) for q in accepted.waiting]
 
 
 def test_run_stream_steps_through_the_module_globals(monkeypatch):

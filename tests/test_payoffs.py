@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqaudit.columns import block_args
-from seqaudit.core import AuditConfig, AuditRecord, Batched, Composite, InvariantError, Propensity, ValidationError
+from seqaudit.core import (
+    AuditConfig, AuditRecord, Batched, Composite, EstimatedDensity, InvariantError, Propensity, ValidationError,
+)
 from seqaudit.engine import session_new, session_step
 from seqaudit.payoffs import (
     BatchAccumulator,
@@ -16,7 +18,6 @@ from seqaudit.payoffs import (
     batch_push,
     payoff_propensity,
     propensity_context,
-    weight_from_record,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -244,17 +245,22 @@ def test_batched_session_refuses_group_two():
 
 
 def test_weight_helpers_from_records():
+    """``propensity_context`` gives the output and the weight, the named
+    field over the propensity, that a weighted step reads of a record."""
+    strategy = Propensity(scale=0.25)
     rec0 = AuditRecord(t=1, group=0, y_hat=0.7, propensity=0.25, density=0.5)
     rec1 = AuditRecord(t=1, group=1, y_hat=0.2, propensity=0.5, density=0.5)
-    assert weight_from_record(rec0, "density") == 2.0
-    w0, w1 = propensity_context(rec0, rec1, "density")
-    assert w0 == 2.0 and w1 == 1.0
+    assert propensity_context(rec0, "density", strategy) == (0.7, 2.0)
+    assert propensity_context(rec1, "density", strategy) == (0.2, 1.0)
     with pytest.raises(ValidationError):
-        weight_from_record(AuditRecord(t=1, group=0, y_hat=0.7), "density")
-    w_hat_0, w_hat_1 = propensity_context(
-        AuditRecord(t=1, group=0, y_hat=0.7, propensity=0.25, density_estimate=0.6),
-        AuditRecord(t=1, group=1, y_hat=0.2, propensity=0.5, density_estimate=0.55),
-        "density_estimate",
+        propensity_context(AuditRecord(t=1, group=0, y_hat=0.7), "density", strategy)
+    estimated = EstimatedDensity(delta_min=0.5, delta_max=2.0, scale=0.1)
+    y0, w_hat_0 = propensity_context(
+        AuditRecord(t=1, group=0, y_hat=0.7, propensity=0.25, density_estimate=0.6), "density_estimate", estimated
     )
+    y1, w_hat_1 = propensity_context(
+        AuditRecord(t=1, group=1, y_hat=0.2, propensity=0.5, density_estimate=0.55), "density_estimate", estimated
+    )
+    assert (y0, y1) == (0.7, 0.2)
     assert w_hat_0 == pytest.approx(2.4)
     assert w_hat_1 == pytest.approx(1.1)
