@@ -774,11 +774,12 @@ def test_refusal_is_removal(case, arrivals):
     no decision ends the stream early."""
     config = _REFUSAL_CASES[case]
     groups, weight = config.group_count, session_new(config).row.weight
+    field = weight or "density"  # an unweighted audit ignores it
     records, faulty = [], []
     for t, (fault, g, y, p, share) in enumerate(arrivals, 1):
-        fields = {} if fault == "missing" else {"propensity": p, weight or "density": 4.0 * share * p}
+        fields = {} if fault == "missing" else {"propensity": p, field: 4.0 * share * p}
         if fault == "heavy":
-            fields[weight or "density"] = 4.0 * (1.0 + share) * p
+            fields[field] = 4.0 * (1.0 + share) * p
         records.append(AuditRecord(t, groups + g if fault == "group" else g % groups, y, **fields))
         faulty.append(fault == "group" or fault is not None and weight is not None)
     fed, accepted, refused = session_new(config), session_new(config), []
